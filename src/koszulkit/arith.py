@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable
 
 DEFAULT_PRIME = 32003
 
@@ -122,6 +122,7 @@ class MonomialOrder:
         return m
 
     def compare(self, a: Monomial, b: Monomial) -> int:
+        """-1, 0 or 1 as a <, =, > b under this order."""
         if len(a) != len(b) or len(a) != self.nvars:
             raise ValueError("monomial length mismatch")
         ka, kb = self.key(a), self.key(b)
@@ -130,11 +131,6 @@ class MonomialOrder:
         if ka > kb:
             return 1
         return 0
-
-
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as a <, =, > b under the given order."""
-    return order.compare(a, b)
 
 
 # ------------------------------------------------------------- polynomials
@@ -427,22 +423,3 @@ def polynomial_ring(
     ring = PolynomialRing(p, names, order)
     return ring, ring.gens()
 
-
-def poly_arith(op: str, f: Polynomial, g) -> Polynomial:
-    """Dispatch form of polynomial arithmetic: op in {add, mul, scale}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def homogeneous_components(f: Polynomial) -> dict[int, Polynomial]:
-    return f.homogeneous_components()
-
-
-def all_monomials_up_to(nvars: int, dmax: int) -> Iterator[Monomial]:
-    for d in range(dmax + 1):
-        yield from _monomials_of_degree(nvars, d)

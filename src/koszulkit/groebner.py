@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .arith import (
     mono_mul,
     mono_quotient,
 )
-from .linalg import Echelon
+from .linalg import Echelon, matmul_mod
 
 # ---------------------------------------------------------------- ideals
 
@@ -539,8 +539,8 @@ def vector_from_coords(
 def free_var_matrix(ring, shifts: Sequence[int], d: int, var: int) -> np.ndarray:
     """Block-diagonal matrix of x_var: degree-d to degree-(d+1) coordinates
     of the free module with the given shifts. Cached on the ring."""
-    key = ("freevar", tuple(shifts), d, var)
-    got = ring.scratch.get(key)
+    key = (tuple(shifts), d, var)
+    got = ring.free_var_mult.get(key)
     if got is not None:
         return got
     blocks = [ring.var_multiplication(var, d - s) for s in shifts]
@@ -552,16 +552,38 @@ def free_var_matrix(ring, shifts: Sequence[int], d: int, var: int) -> np.ndarray
         mat[ro : ro + b.shape[0], co : co + b.shape[1]] = b
         ro += b.shape[0]
         co += b.shape[1]
-    ring.scratch[key] = mat
+    ring.free_var_mult[key] = mat
     return mat
 
 
-def multiply_coords_by_var(
-    ring, shifts: Sequence[int], coords: np.ndarray, d: int, var: int
-) -> np.ndarray:
-    """Coordinates of x_var * v where v has degree d; result has degree d+1."""
-    mat = free_var_matrix(ring, shifts, d, var)
-    return (mat @ np.asarray(coords, dtype=np.int64)) % ring.p
+def nakayama_sieve(
+    ring, shifts: Sequence[int], pieces: Iterable[tuple[int, Sequence[np.ndarray]]]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Graded Nakayama sieve in the free module with the given shifts.
+
+    `pieces` gives (d, rows) for consecutive degrees d, where rows are
+    coordinate vectors of degree d. A row is kept when it is independent of
+    R_1 * U_{d-1} plus the rows kept before it in degree d, where U_d is the
+    span of R_1 * U_{d-1} and all of the degree-d rows. For the generators of
+    a submodule U_d is its degree-d part; for the kernels K_d of a map it is
+    K_d. Yields (d, index in rows, row) for every kept row as soon as it is
+    found, so that `pieces` may be produced lazily.
+    """
+    p = ring.p
+    span = None
+    for d, rows in pieces:
+        ech = Echelon(sum(ring.dim_piece(d - s) for s in shifts), p)
+        if span is not None:
+            for var in range(ring.poly_ring.nvars):
+                mat = free_var_matrix(ring, shifts, d - 1, var)
+                for row in matmul_mod(span, mat.T, p):
+                    ech.add(row)
+        # No name outlives this loop bound to a row: a row of a matrix is a
+        # view that would keep the whole degree-d matrix alive next degree.
+        for i in range(len(rows)):
+            if ech.add(rows[i]):
+                yield d, i, np.array(rows[i])
+        span = np.stack(ech.rows) if ech.rows else None
 
 
 def minimal_module_generators(
@@ -572,46 +594,25 @@ def minimal_module_generators(
 ) -> list[FreeModuleVector]:
     """Minimal homogeneous generating set of the span of `vectors` over the ring.
 
-    Graded Nakayama sieve: processing degrees upward, a vector is a new
-    minimal generator iff it is independent of R_1 * (lower-degree part of
-    the module) plus the generators already kept in its own degree.
+    Vectors of internal degree above `d_max` are dropped. The rest go through
+    `nakayama_sieve`, from their lowest degree to their highest.
     """
-    vecs = []
+    shifts = tuple(shifts)
+    by_degree: dict[int, list[FreeModuleVector]] = {}
     for v in vectors:
-        if v.is_zero():
-            continue
-        comps = tuple(ring.reduce(c) for c in v.components)
-        w = FreeModuleVector(comps, tuple(shifts))
+        w = FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts)
         if w.is_zero():
             continue
-        vecs.append(w)
-    if not vecs:
+        d = w.internal_degree()
+        if d_max is None or d <= d_max:
+            by_degree.setdefault(d, []).append(w)
+    if not by_degree:
         return []
-    degs = [v.internal_degree() for v in vecs]
-    top = max(degs) if d_max is None else d_max
-    kept: list[FreeModuleVector] = []
-    prev_piece: list[np.ndarray] = []
-    prev_d = None
-    for d in range(min(degs), top + 1):
-        dim = sum(ring.dim_piece(d - s) for s in shifts)
-        ech = Echelon(dim, ring.p)
-        if prev_d == d - 1 and prev_piece:
-            import numpy as _np
-
-            stacked = _np.stack(prev_piece)
-            for var in range(ring.poly_ring.nvars):
-                mat = free_var_matrix(ring, tuple(shifts), d - 1, var)
-                for row in (stacked @ mat.T) % ring.p:
-                    ech.add(row)
-        for v, vd in zip(vecs, degs):
-            if vd != d:
-                continue
-            coords = coords_of_vector(ring, shifts, v.components, d)
-            if ech.add(coords):
-                kept.append(v)
-        prev_piece = list(ech.rows)
-        prev_d = d
-    return kept
+    pieces = (
+        (d, [coords_of_vector(ring, shifts, w.components, d) for w in by_degree.get(d, [])])
+        for d in range(min(by_degree), max(by_degree) + 1)
+    )
+    return [by_degree[d][i] for d, i, _row in nakayama_sieve(ring, shifts, pieces)]
 
 
 # ------------------------------------------------------------ public ops

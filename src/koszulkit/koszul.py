@@ -21,7 +21,6 @@ from .quotient import (
     GradedModule,
     cyclic_module,
     quotient_by_linear_forms,
-    residue_field_module,
     restrict_module_to_quotient,
 )
 from .resolution import (
@@ -310,7 +309,3 @@ def verdict_transfer_check(
     consistent = over_ring.verdict == over_quot.verdict
     return TransferResult(consistent, over_ring, over_quot)
 
-
-def ring_koszul_verdict(ring, i_max: int, d_max: int, method: str = "betti-diagonal") -> KoszulVerdict:
-    """Koszulness of the ring itself: the verdict for its residue field."""
-    return koszul_verdict(residue_field_module(ring), i_max, d_max, method)

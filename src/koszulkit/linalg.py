@@ -1,8 +1,10 @@
 """Exact linear algebra over F_p on int64 numpy arrays.
 
-Matrices hold canonical representatives in [0, p). Row-reduction products stay
-below p^2 < 2^62 before each reduction, so int64 arithmetic is exact for every
-allowed modulus (p < 2^31).
+Matrices hold canonical representatives in [0, p). Row reduction (`rref`,
+`Echelon`) forms one product of two entries before each reduction, which
+stays below p^2 < 2^62, so it is exact in int64 for every allowed modulus
+(p < 2^31). A matrix product sums k such products, which can pass 2^63;
+`matmul_mod` is the one product that is exact for every allowed modulus.
 """
 
 from __future__ import annotations
@@ -16,6 +18,31 @@ def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
         return np.zeros((0, ncols), dtype=np.int64)
     a = a.reshape(-1, ncols)
     return np.mod(a, p)
+
+
+_LIMB_BITS = 16
+_CHUNK = 1 << 15
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for int64 matrices with entries in [0, p), p < 2^31.
+
+    With inner dimension k, the plain int64 product is used when
+    k * (p-1)^2 < 2^63 (always so at p = 32003). Otherwise `a` is split into
+    16-bit limbs and k is cut into chunks of 2^15, so that every partial sum
+    stays below 2^15 * 2^16 * 2^31 = 2^62.
+    """
+    k = a.shape[1]
+    if k * (p - 1) ** 2 < 1 << 63:
+        return (a @ b) % p
+    low, high = a & ((1 << _LIMB_BITS) - 1), a >> _LIMB_BITS
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, k, _CHUNK):
+        b_c = b[lo : lo + _CHUNK]
+        out += (low[:, lo : lo + _CHUNK] @ b_c) % p
+        out += (((high[:, lo : lo + _CHUNK] @ b_c) % p) << _LIMB_BITS) % p
+        out %= p
+    return out
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -52,7 +52,8 @@ class QuotientRing:
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
-        self.scratch: dict = {}  # fill-once caches keyed by consumers
+        # groebner.free_var_matrix, keyed by (free-module shifts, d, var)
+        self.free_var_mult: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
 
     @property
     def p(self) -> int:

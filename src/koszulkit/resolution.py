@@ -2,11 +2,12 @@
 linear parts and graded-piece homology.
 
 The engine is exact linear algebra over F_p, one internal degree at a time:
-for each step the degree-d syzygies are the kernel K_d of the evaluation
-matrix, and the new minimal generators are a basis of K_d modulo R_1*K_{d-1}
-(graded Nakayama). Every entry of every recorded differential is therefore
-trustworthy for internal degrees <= d_max, and minimality (entries in the
-maximal ideal) holds by construction.
+for each step the degree-d syzygies are the kernel K_d of the degree-d map
+(`_degree_map`), and the new minimal generators are a basis of K_d modulo
+R_1*K_{d-1} (graded Nakayama, `groebner.nakayama_sieve`). Every entry of
+every recorded differential is therefore trustworthy for internal degrees
+<= d_max, and minimality (entries in the maximal ideal) holds by
+construction.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 from .groebner import (
     FreeModuleVector,
     coords_of_vector,
-    free_var_matrix,
+    minimal_module_generators,
+    nakayama_sieve,
     vector_from_coords,
 )
-from .linalg import Echelon, nullspace
+from .linalg import nullspace, rank
 from .quotient import GradedModule
 
 
@@ -89,7 +91,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
             "presentation columns above d_max were dropped; step 1 is "
             "incomplete beyond the degree window"
         )
-    cols = _minimal_generators_of_span(ring, module.shifts, in_window, d_max)
+    cols = minimal_module_generators(ring, module.shifts, in_window, d_max=d_max)
     if module.columns and not cols:
         if not in_window:
             warnings.append("bounds too small to produce step 1")
@@ -118,56 +120,41 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     return res
 
 
-def _minimal_generators_of_span(ring, target_shifts, vectors, d_max):
-    """Minimal generators of the submodule spanned by `vectors`, degrees <= d_max."""
-    from .groebner import minimal_module_generators
-
-    return minimal_module_generators(ring, tuple(target_shifts), vectors, d_max=d_max)
-
-
-def _evaluation_matrix(ring, target_shifts, columns, d):
-    """Matrix of (a_j) -> sum a_j * col_j in internal degree d.
+def _degree_map(ring, target_shifts, source_shifts, columns, d):
+    """Matrix of (a_j) -> sum a_j * col_j on degree-d pieces.
 
     Rows: degree-d basis of the target free module. Columns: (j, u) with u a
-    standard monomial of degree d - deg(col_j).
+    standard monomial of degree d - source_shifts[j]. The source shifts are
+    explicit because a column may be zero and then has no internal degree.
     """
-    col_degs = [c.internal_degree() for c in columns]
-    tgt_dim = sum(ring.dim_piece(d - s) for s in target_shifts)
-    src_cols = []
-    for j, col in enumerate(columns):
-        cd = col_degs[j]
-        for u in ring.piece(d - cd):
-            img = [ring.mul_monomial_nf(comp, u) for comp in col.components]
-            src_cols.append(coords_of_vector(ring, target_shifts, img, d))
-    if not src_cols:
-        return np.zeros((tgt_dim, 0), dtype=np.int64), col_degs
-    return np.stack(src_cols, axis=1), col_degs
+    blocks = [
+        coords_of_vector(
+            ring, target_shifts, [ring.mul_monomial_nf(c, u) for c in col.components], d
+        )
+        for col, s in zip(columns, source_shifts)
+        for u in ring.piece(d - s)
+    ]
+    if not blocks:
+        tgt_dim = sum(ring.dim_piece(d - s) for s in target_shifts)
+        return np.zeros((tgt_dim, 0), dtype=np.int64)
+    return np.stack(blocks, axis=1)
 
 
 def _syzygy_step(ring, target_shifts, columns, d_max):
-    """New minimal syzygy generators of `columns`, internal degrees <= d_max."""
-    p = ring.p
-    col_degs = [c.internal_degree() for c in columns]
-    src_shifts = tuple(col_degs)
-    out: list[FreeModuleVector] = []
-    prev_kernel: np.ndarray | None = None
-    d_min = min(col_degs)
-    for d in range(d_min, d_max + 1):
-        a, _ = _evaluation_matrix(ring, target_shifts, columns, d)
-        kernel = nullspace(a, p)
-        dim_src = a.shape[1]
-        ech = Echelon(dim_src, p)
-        if prev_kernel is not None and prev_kernel.shape[0]:
-            for var in range(ring.poly_ring.nvars):
-                mat = free_var_matrix(ring, src_shifts, d - 1, var)
-                prods = (prev_kernel @ mat.T) % p
-                for row in prods:
-                    ech.add(row)
-        for row in kernel:
-            if ech.add(row):
-                out.append(vector_from_coords(ring, src_shifts, row, d))
-        prev_kernel = kernel
-    return out
+    """New minimal syzygy generators of `columns`, internal degrees <= d_max.
+
+    The kernel of each degree map is sieved as soon as it is computed, so
+    only one degree's kernel is held at a time.
+    """
+    src_shifts = tuple(c.internal_degree() for c in columns)
+    kernels = (
+        (d, nullspace(_degree_map(ring, target_shifts, src_shifts, columns, d), ring.p))
+        for d in range(min(src_shifts), d_max + 1)
+    )
+    return [
+        vector_from_coords(ring, src_shifts, row, d)
+        for d, _i, row in nakayama_sieve(ring, src_shifts, kernels)
+    ]
 
 
 # ------------------------------------------------------------- Betti tables
@@ -346,41 +333,11 @@ def homology_dims(complex_like, i: int, d: int) -> int:
         raise ValueError(f"degree {d} beyond the trusted window {complex_like.d_max}")
     ring = complex_like.ring
     p = ring.p
-    shifts_i = complex_like.free_shifts[i]
-    dim_i = sum(ring.dim_piece(d - s) for s in shifts_i)
-    if i == 0:
-        ker_dim = dim_i
-    elif complex_like.steps[i - 1]:
-        a_deg = _degree_matrix(ring, complex_like, i, d)
-        ker_dim = a_deg.shape[1] - _rank(a_deg, p)
-    else:
-        ker_dim = dim_i
-    if i + 1 <= n_steps and complex_like.steps[i]:
-        b_deg = _degree_matrix(ring, complex_like, i + 1, d)
-        img_dim = _rank(b_deg, p)
-    else:
-        img_dim = 0
+    shifts, steps = complex_like.free_shifts, complex_like.steps
+    ker_dim = sum(ring.dim_piece(d - s) for s in shifts[i])
+    if i >= 1 and steps[i - 1]:
+        ker_dim -= rank(_degree_map(ring, shifts[i - 1], shifts[i], steps[i - 1], d), p)
+    img_dim = 0
+    if i + 1 <= n_steps and steps[i]:
+        img_dim = rank(_degree_map(ring, shifts[i], shifts[i + 1], steps[i], d), p)
     return ker_dim - img_dim
-
-
-def _degree_matrix(ring, complex_like, i, d):
-    """Matrix of the i-th differential on degree-d pieces (F_i,d -> F_{i-1},d)."""
-    target = complex_like.free_shifts[i - 1]
-    source = complex_like.free_shifts[i]
-    cols = complex_like.steps[i - 1]
-    tgt_dim = sum(ring.dim_piece(d - s) for s in target)
-    blocks = []
-    for j, col in enumerate(cols):
-        s_j = source[j]
-        for u in ring.piece(d - s_j):
-            img = [ring.mul_monomial_nf(comp, u) for comp in col.components]
-            blocks.append(coords_of_vector(ring, target, img, d))
-    if not blocks:
-        return np.zeros((tgt_dim, 0), dtype=np.int64)
-    return np.stack(blocks, axis=1)
-
-
-def _rank(a, p) -> int:
-    from .linalg import rank
-
-    return rank(a, p)

@@ -96,6 +96,39 @@ def quotient_piece_dim(gens: list[dict], n: int, d: int, p: int) -> int:
     return total - ideal_piece_dim(gens, n, d, p)
 
 
+def submodule_piece_dim(
+    vectors: list[tuple[dict, ...]],
+    ideal_gens: list[dict],
+    n: int,
+    shifts: tuple[int, ...],
+    d: int,
+    p: int,
+) -> int:
+    """dim of the degree-d piece of the submodule generated by homogeneous
+    `vectors` of the free module (S/(ideal_gens))(-shifts), by span ranks in
+    S^r: dim (U + I*F)_d - dim (I*F)_d."""
+    basis = [(pos, m) for pos, s in enumerate(shifts) for m in monomials_of_degree(n, d - s)]
+
+    def multiples(vec: tuple[dict, ...]) -> list[dict]:
+        vdeg = next(sum(next(iter(c))) + s for c, s in zip(vec, shifts) if c)
+        out = []
+        for u in monomials_of_degree(n, d - vdeg):
+            out.append({
+                (pos, m): c
+                for pos, comp in enumerate(vec)
+                for m, c in raw_mul(comp, raw_mono(u), p).items()
+            })
+        return out
+
+    relations = []
+    for pos in range(len(shifts)):
+        for g in ideal_gens:
+            unit = tuple(g if k == pos else {} for k in range(len(shifts)))
+            relations += multiples(unit)
+    generated = [w for v in vectors if any(v) for w in multiples(v)]
+    return span_dim(relations + generated, basis, p) - span_dim(relations, basis, p)
+
+
 def in_ideal_brute(f: dict, gens: list[dict], n: int, p: int) -> bool:
     """Degree-wise membership of homogeneous f via span ranks."""
     if not f:

@@ -11,6 +11,7 @@ from koszulkit.groebner import (
     buchberger,
     colon_ideal,
     in_ideal,
+    minimal_module_generators,
     normal_form,
     quotient_generators,
     spolynomial,
@@ -22,6 +23,7 @@ from oracles import (
     in_ideal_brute,
     monomials_of_degree,
     poly_to_dict,
+    submodule_piece_dim,
 )
 
 
@@ -212,3 +214,51 @@ def test_syzygy_rejects_mixed_free_modules(ci2):
         syzygy_basis(
             [FreeModuleVector((x,), (0,)), FreeModuleVector((y,), (1,))], ci2
         )
+
+
+@pytest.mark.parametrize("fixture, seed", [("ci2", 1), ("crv26", 2), ("fitz3", 3)])
+def test_minimal_generators_sieve_drops_redundant_input(request, fixture, seed):
+    ring = request.getfixturevalue(fixture)
+    s, p, shifts = ring.poly_ring, ring.p, (0, 1)
+    rng = random.Random(seed)
+
+    def random_vector(d):
+        return tuple(
+            s.from_dict({m: rng.randrange(p) for m in s.monomials_of_degree(d - sh)})
+            for sh in shifts
+        )
+
+    def combination(vecs):
+        coeffs = [rng.randrange(1, p) for _ in vecs]
+        return tuple(
+            sum((c * v[k] for c, v in zip(coeffs, vecs)), s.zero())
+            for k in range(len(shifts))
+        )
+
+    gens = [(d, random_vector(d)) for d in (1, 1, 2, 2, 3)]
+    products = [(d + 1, tuple(x * c for c in v)) for d, v in gens for x in s.gens()]
+    pool = gens + products
+    combos = []
+    for d in (1, 2, 3, 4):
+        same = [v for e, v in pool if e == d]
+        combos += [(d, combination(rng.sample(same, min(3, len(same))))) for _ in range(2)]
+    inputs = pool + combos
+    rng.shuffle(inputs)
+
+    kept = minimal_module_generators(
+        ring, shifts, [FreeModuleVector(v, shifts) for _d, v in inputs]
+    )
+
+    def as_dicts(vectors):
+        return [tuple(poly_to_dict(c) for c in v) for v in vectors]
+
+    def dim(vectors, d):
+        ideal = [poly_to_dict(g) for g in ring.defining_generators]
+        return submodule_piece_dim(as_dicts(vectors), ideal, ring.nvars, shifts, d, p)
+
+    kept_degrees = [v.internal_degree() for v in kept]
+    for d in range(5):
+        upto = [v for e, v in inputs if e <= d]
+        below = [v for e, v in inputs if e < d]
+        assert kept_degrees.count(d) == dim(upto, d) - dim(below, d)
+        assert dim([v.components for v in kept], d) == dim(upto, d)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from koszulkit.linalg import Echelon, nullspace, rank, rref, solve
+from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank, rref, solve
 from oracles import rank_mod_p
 
 
@@ -72,10 +72,43 @@ def test_nullspace_is_kernel_of_right_dimension(rows):
     assert rank(ns, p) == ns.shape[0] if ns.size else True
 
 
-def test_large_modulus_is_exact():
-    # products near p^2 must not overflow int64
-    p = 32003
-    a = np.array([[p - 1, p - 2], [p - 3, p - 4]], dtype=np.int64)
-    r = rank(a, p)
+def _python_product(a, b, p):
+    return [
+        [sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in zip(*b)]
+        for row in a
+    ]
+
+
+@st.composite
+def _mod_p_operands(draw):
+    p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    entries = st.integers(0, p - 1)
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return p, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mod_p_operands())
+@example((2147483647, [[2147483646] * 6] * 2, [[2147483646] * 3] * 6))
+def test_large_modulus_is_exact(operands):
+    # int64 sums of k products near p^2 wrap for p near 2^31
+    p, a, b = operands
+    got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    assert got.tolist() == _python_product(a, b, p)
+    # single products near p^2 must not overflow in row reduction
+    sq = np.array([[p - 1, p - 2], [p - 3, p - 4]], dtype=np.int64) % p
     det = ((p - 1) * (p - 4) - (p - 2) * (p - 3)) % p
-    assert r == (2 if det else 1)
+    assert rank(sq, p) == (2 if det else 1)
+
+
+def test_matmul_mod_chunks_long_inner_dimension():
+    p = 2147483647
+    k = (1 << 15) + 5
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, p, size=(2, k), dtype=np.int64)
+    b = rng.integers(0, p, size=(k, 2), dtype=np.int64)
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    assert matmul_mod(a, b, p).tolist() == _python_product(a, b, p)

@@ -1,5 +1,7 @@
 """Resolutions, Betti tables, regularity, linear parts and homology."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from koszulkit.resolution import (
     resolve,
 )
 from koszulkit.corpus import random_module
+from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
 
 
 def test_nk3_periodic_shifts(nk3):
@@ -130,6 +133,39 @@ def test_euler_characteristic(ci2, crv26):
             # resolution has settled; restrict to degrees below the last step
             if res.free_shifts[-1] and d < min(res.free_shifts[-1]):
                 assert acc == hm.coefficient(d)
+
+
+def test_largest_modulus_resolution_is_exact():
+    # five dense quadrics in k[a,b,c,d] at p = 2^31 - 1: int64 sums of
+    # products near p^2 wrap here unless the product is done exactly
+    p = 2147483647
+    rng = random.Random("overflow-0")
+    s, _ = polynomial_ring(p, "abcd")
+    quadrics = [
+        s.from_dict({m: rng.randrange(1, p) for m in monomials_of_degree(4, 2)})
+        for _ in range(5)
+    ]
+    ring = make_ring(s, quadrics)
+    res = resolve(residue_field_module(ring), 5, 5)
+    for i in range(2, len(res.steps) + 1):
+        for col in res.differential(i):
+            acc = [s.zero()] * len(res.free_shifts[i - 2])
+            for a, w in zip(col.components, res.differential(i - 1)):
+                for r, entry in enumerate(w.components):
+                    acc[r] = acc[r] + a * entry
+            assert all(ring.is_zero(e) for e in acc)
+    # sum_i (-1)^i H_{F_i} = H_k; F_i starts in degree i, so degrees <= 4
+    # are complete with i_max = 5
+    gens = [poly_to_dict(q) for q in quadrics]
+    h_ring = [quotient_piece_dim(gens, 4, d, p) for d in range(5)]
+    for d in range(5):
+        euler = sum(
+            (-1) ** i * h_ring[d - sh]
+            for i, shifts in enumerate(res.free_shifts)
+            for sh in shifts
+            if sh <= d
+        )
+        assert euler == (1 if d == 0 else 0)
 
 
 def _action_matrix(module, poly, d_from, d_to):
