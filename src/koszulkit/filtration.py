@@ -3,8 +3,10 @@ Conca generators, the Fitzgerald annihilator condition and graded
 minimal-multiplicity reductions.
 
 Linear-form ideals are canonicalized as reduced row echelon bases, so
-subspace equality is exact integer comparison; ideal-level statements are
-settled by reduced Groebner bases of preimages in the polynomial ring.
+subspace equality is exact integer comparison. A colon J : g of a linear
+ideal by a linear form is settled without a Groebner colon: its degree-1
+part is a kernel over F_p, and whether that part generates the colon is an
+identity of Hilbert numerators (see `_linear_colon`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ import numpy as np
 
 from .arith import Polynomial
 from .groebner import GroebnerBasis, buchberger, colon_ideal
-from .linalg import Echelon, rref
-from .quotient import QuotientRing, quotient_by_linear_forms
+from .linalg import Echelon, as_matrix, matmul_mod, nullspace, rref
+from .quotient import (
+    QuotientRing,
+    _monomial_quotient_numerator,
+    _poly_add,
+    _trim,
+    quotient_by_linear_forms,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,27 +92,44 @@ def _ideal_gb(ring: QuotientRing, li: LinearIdeal) -> GroebnerBasis:
     return buchberger(gens, ring.order)
 
 
-def _linear_part_of_gb(gb: GroebnerBasis, ring: QuotientRing) -> LinearIdeal:
-    """Subspace spanned by the degree-1 elements of a reduced basis."""
-    vecs = []
-    for g in gb.generators:
-        if g.degree() == 1:
-            row = [0] * ring.nvars
-            for m, c in g.terms:
-                row[m.index(1)] = c
-            vecs.append(tuple(row))
-    return LinearIdeal.from_vectors(vecs, ring.nvars, ring.p)
+def _linear_numerator(ring: QuotientRing, li: LinearIdeal) -> tuple[int, ...]:
+    """Numerator over (1-t)^n of H_{R/(li)}, for li in RREF; memoized on the ring."""
+    got = ring.linear_numerators.get(li.rows)
+    if got is None:
+        lts = list(_ideal_gb(ring, li).leading_monomials())
+        got = tuple(_monomial_quotient_numerator(lts, ring.nvars))
+        ring.linear_numerators[li.rows] = got
+    return got
 
 
-def _is_linear_generated(gb: GroebnerBasis, ring: QuotientRing) -> tuple[bool, LinearIdeal]:
-    li = _linear_part_of_gb(gb, ring)
-    return _ideal_gb(ring, li) == gb, li
+def _linear_colon(ring: QuotientRing, j: LinearIdeal, g) -> tuple[bool, LinearIdeal]:
+    """(linear_ok, W) for the colon J : g of a linear ideal J (RREF rows) by
+    the linear form with coefficients g.
 
-
-def colon_of_linear(
-    ring: QuotientRing, j: LinearIdeal, i_forms: list[Polynomial]
-) -> GroebnerBasis:
-    return colon_ideal(j.forms(ring), i_forms, ring)
+    W = (J:g)_1 is the kernel of a -> sum_v a_v x_v g from F_p^n to
+    R_2 / (J R_1); R_1 coordinates are the variables' coefficients, as the
+    defining ideal has no linear forms. Since (W) ⊆ J:g and
+    0 -> R/(J:g)(-1) -> R/J -> R/(J+g) -> 0 is exact, J:g = (W), that is,
+    J:g is generated by linear forms, exactly when t*N_W = N_J - N_{J+g} for
+    the Hilbert numerators N over (1-t)^n.
+    """
+    p, n = ring.p, ring.nvars
+    dim2 = ring.dim_piece(2)
+    if dim2 == 0:
+        w = LinearIdeal.full(n)
+    else:
+        # rows (v, i) of x_v * h for h = g, then the rows of J, in R_2 coordinates
+        mult = np.concatenate([ring.var_multiplication(v, 1) for v in range(n)])
+        forms = as_matrix([tuple(g)] + list(j.rows), n, p)
+        prods = matmul_mod(mult, forms.T, p).reshape(n, dim2, -1)
+        g_cols = prods[:, :, 0].T
+        j_cols = prods[:, :, 1:].transpose(1, 0, 2).reshape(dim2, -1)
+        kernel = nullspace(np.concatenate([g_cols, j_cols], axis=1), p)
+        w = LinearIdeal.from_vectors(kernel[:, :n], n, p)
+    n_w = _linear_numerator(ring, w)
+    n_jg = _linear_numerator(ring, j.plus_vector(g, p))
+    linear_ok = _trim(_poly_add([0, *n_w], list(n_jg))) == list(_linear_numerator(ring, j))
+    return linear_ok, w
 
 
 # ------------------------------------------------------------ enumeration
@@ -260,7 +285,7 @@ class VerificationResult:
 def verify_koszul_filtration(
     ring: QuotientRing, cert: FiltrationCertificate
 ) -> VerificationResult:
-    """Check membership of (0) and m, and every colon witness, by Groebner equality."""
+    """Check membership of (0) and m, and every colon witness, by `_linear_colon`."""
     p, n = ring.p, ring.nvars
     rows_set = {m.rows for m in cert.members}
     if LinearIdeal.zero().rows not in rows_set:
@@ -273,14 +298,8 @@ def verify_koszul_filtration(
             continue
         if idx not in witnessed:
             return VerificationResult(False, idx, "nonzero member without a witness")
-    gb_cache: dict[tuple, GroebnerBasis] = {}
-
-    def member_gb(i: int) -> GroebnerBasis:
-        rows = cert.members[i].rows
-        if rows not in gb_cache:
-            gb_cache[rows] = _ideal_gb(ring, cert.members[i])
-        return gb_cache[rows]
-
+    # members read from JSON need not be in RREF; colons are compared canonically
+    canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
     for w in cert.witnesses:
         if not (0 <= w.member < len(cert.members)):
             return VerificationResult(False, w.member, "witness references a missing member")
@@ -294,8 +313,8 @@ def verify_koszul_filtration(
             return VerificationResult(False, w.member, "I/J is not cyclic")
         if small.plus_vector(w.g, p).rows != big.rows:
             return VerificationResult(False, w.member, "I != J + (g)")
-        colon = colon_of_linear(ring, small, [ring.linear_form(w.g)])
-        if colon != member_gb(w.colon):
+        linear_ok, colon = _linear_colon(ring, canonical[w.sub], w.g)
+        if not linear_ok or colon.rows != canonical[w.colon].rows:
             return VerificationResult(
                 False, w.member, f"colon J:I differs from asserted member {w.colon}"
             )
@@ -310,17 +329,13 @@ def verify_groebner_flag(ring: QuotientRing, flag: FlagCertificate) -> Verificat
     full = LinearIdeal.from_vectors(list(flag.forms), n, p)
     if full.dim != n:
         return VerificationResult(False, None, "flag forms are linearly dependent")
-    prefix_gbs = [
-        _ideal_gb(ring, flag.prefix(i, n, p)) for i in range(n + 1)
-    ]
+    prefixes = [flag.prefix(i, n, p) for i in range(n + 1)]
     for i in range(1, n + 1):
         j = flag.colon_indices[i - 1]
         if not (0 <= j <= n):
             return VerificationResult(False, i, f"colon index {j} out of range")
-        colon = colon_of_linear(
-            ring, flag.prefix(i - 1, n, p), [ring.linear_form(flag.forms[i - 1])]
-        )
-        if colon != prefix_gbs[j]:
+        linear_ok, colon = _linear_colon(ring, prefixes[i - 1], flag.forms[i - 1])
+        if not linear_ok or colon.rows != prefixes[j].rows:
             return VerificationResult(
                 False, i, f"colon at step {i} is not the asserted prefix {j}"
             )
@@ -336,16 +351,16 @@ def verify_flag_chain(
         return VerificationResult(False, None, "empty chain")
     if cert.members[chain[-1]].rows != LinearIdeal.full(n).rows:
         return VerificationResult(False, chain[-1], "chain does not end at the maximal ideal")
-    member_gbs = {i: _ideal_gb(ring, cert.members[i]) for i in set(chain)}
-    all_gbs = [(_ideal_gb(ring, m), k) for k, m in enumerate(cert.members)]
+    canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
+    family = {m.rows for m in canonical}
     for step in range(1, len(chain)):
         small = cert.members[chain[step - 1]]
         big = cert.members[chain[step]]
         if not big.contains(small, p) or big.dim != small.dim + 1:
             return VerificationResult(False, chain[step], "chain step is not cyclic")
         new_vec = next(r for r in big.rows if not small.contains_vector(r, p))
-        colon = colon_of_linear(ring, small, [ring.linear_form(new_vec)])
-        if not any(colon == gb for gb, _k in all_gbs):
+        linear_ok, colon = _linear_colon(ring, canonical[chain[step - 1]], new_vec)
+        if not linear_ok or colon.rows not in family:
             return VerificationResult(False, chain[step], "chain colon leaves the family")
     return VerificationResult(True)
 
@@ -375,7 +390,8 @@ def search_groebner_flag(
 ) -> FlagSearchResult:
     """Backtracking over complete flags of R_1 (canonical representatives).
 
-    Each candidate extension costs one colon computation against the budget.
+    Each candidate extension counts once against the budget; its colon is
+    settled by `_linear_colon` (a kernel over F_p and Hilbert numerators).
     Returns the first valid certificate, or the exhaustion outcome with
     search statistics. Intended for small fields (the candidate count grows
     like p^n).
@@ -388,12 +404,6 @@ def search_groebner_flag(
         )
     reps = projective_representatives(n, p)
     stats = {"tested": 0, "completed": 0}
-    gb_memo: dict[tuple, GroebnerBasis] = {}
-
-    def ideal_gb_memo(li: LinearIdeal) -> GroebnerBasis:
-        if li.rows not in gb_memo:
-            gb_memo[li.rows] = _ideal_gb(ring, li)
-        return gb_memo[li.rows]
 
     def dfs(forms: list, prefixes: list[LinearIdeal], js: list[int],
             constraints: dict[int, LinearIdeal]):
@@ -422,8 +432,7 @@ def search_groebner_flag(
                 raise BudgetExceededError(
                     f"flag search exceeded the budget of {budget} candidates"
                 )
-            colon = colon_of_linear(ring, prefixes[-1], [ring.linear_form(l)])
-            linear_ok, w1 = _is_linear_generated(colon, ring)
+            linear_ok, w1 = _linear_colon(ring, prefixes[-1], l)
             if not linear_ok:
                 continue
             j = w1.dim
@@ -466,8 +475,7 @@ def search_groebner_flag(
             nxt = start_prefixes[-1].plus_vector(l, p)
             if nxt.dim != start_prefixes[-1].dim + 1:
                 raise ValueError("initial forms are dependent")
-            colon = colon_of_linear(ring, start_prefixes[-1], [ring.linear_form(l)])
-            linear_ok, w1 = _is_linear_generated(colon, ring)
+            linear_ok, w1 = _linear_colon(ring, start_prefixes[-1], l)
             if not linear_ok:
                 return FlagSearchResult(None, 1, 0, True)
             j = w1.dim
@@ -598,8 +606,7 @@ def check_fitzgerald(ring: QuotientRing, max_forms: int = 5000) -> FitzgeraldChe
         for q in ring.piece(2):
             if not ring.is_zero(l * ring.poly_ring.monomial(q)):
                 return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
-        ann = colon_ideal([], [l], ring)
-        linear_ok, ann1 = _is_linear_generated(ann, ring)
+        linear_ok, ann1 = _linear_colon(ring, LinearIdeal.zero(), vec)
         if not linear_ok:
             return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", len(reps))
         span = Echelon(dim2, p)
@@ -634,8 +641,7 @@ def all_linear_ideals_filtration(
             continue
         j_ideal = LinearIdeal(member.rows[:-1])
         g = member.rows[-1]
-        colon = colon_of_linear(ring, j_ideal, [ring.linear_form(g)])
-        linear_ok, w1 = _is_linear_generated(colon, ring)
+        linear_ok, w1 = _linear_colon(ring, j_ideal, g)
         if not linear_ok:
             raise AssertionError(
                 "theorem-violation finding: colon of a linear ideal is not "
@@ -673,8 +679,7 @@ def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
             continue
         j_ideal = LinearIdeal(member.rows[:-1])
         g = member.rows[-1]
-        colon = colon_of_linear(ring, j_ideal, [ring.linear_form(g)])
-        linear_ok, w1 = _is_linear_generated(colon, ring)
+        linear_ok, w1 = _linear_colon(ring, j_ideal, g)
         if not linear_ok or w1.rows not in index:
             raise AssertionError(
                 f"colon of subset member {idx} is not a subset ideal"
@@ -778,8 +783,8 @@ def minimal_multiplicity_flag(
     if not result:
         computed = []
         for i in range(1, n + 1):
-            colon = colon_of_linear(
-                ring, cert.prefix(i - 1, n, p), [ring.linear_form(forms[i - 1])]
+            colon = colon_ideal(
+                cert.prefix(i - 1, n, p).forms(ring), [ring.linear_form(forms[i - 1])], ring
             )
             computed.append([str(g) for g in colon.generators])
         raise ValueError(

@@ -54,6 +54,8 @@ class QuotientRing:
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
         # groebner.free_var_matrix, keyed by (free-module shifts, d, var)
         self.free_var_mult: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
+        # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
+        self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
     @property
     def p(self) -> int:

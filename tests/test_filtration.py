@@ -1,9 +1,14 @@
 """Certificates: Koszul filtrations, Groebner flags, Conca generators,
 the Fitzgerald condition, reductions and their verifiers."""
 
+import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+
+from oracles import colon_piece_dim, poly_to_dict
 
 from koszulkit.arith import polynomial_ring
 from koszulkit.filtration import (
@@ -26,8 +31,9 @@ from koszulkit.filtration import (
     verify_groebner_flag,
     verify_koszul_filtration,
     _ideal_gb,
+    _linear_colon,
 )
-from koszulkit.groebner import buchberger
+from koszulkit.groebner import colon_ideal
 from koszulkit.koszul import koszul_verdict
 from koszulkit.quotient import cyclic_module, make_ring
 
@@ -46,6 +52,104 @@ def test_echelon_canonicalization_matches_gb_equality(ci2):
         a = LinearIdeal.from_vectors(vecs_a, n, p)
         b = LinearIdeal.from_vectors(vecs_b, n, p)
         assert (a.rows == b.rows) == (_ideal_gb(ci2, a) == _ideal_gb(ci2, b))
+
+
+def _ring4():
+    s, (a, b, c, d) = polynomial_ring(32003, ("a", "b", "c", "d"))
+    return make_ring(s, [a**2, b**2, c * d, a * c + b * d])
+
+
+def _random_quadric_ring(rng: random.Random):
+    p = rng.choice((2, 3, 5))
+    n = rng.randint(2, 3)
+    s, _ = polynomial_ring(p, [f"x{i}" for i in range(n)])
+    quadrics = [
+        s.from_dict({m: rng.randrange(p) for m in s.monomials_of_degree(2)})
+        for _ in range(rng.randint(1, 3))
+    ]
+    return make_ring(s, quadrics)
+
+
+def _groebner_linear_colon(ring, j_rows, g):
+    """The Groebner path: colon_ideal, then the degree-1 part of its reduced
+    basis, linear exactly when that part generates the same basis."""
+    n, p = ring.nvars, ring.p
+    gb = colon_ideal([ring.linear_form(r) for r in j_rows], [ring.linear_form(g)], ring)
+    if any(h.degree() == 0 for h in gb.generators):
+        return False, LinearIdeal.full(n)  # g in J: the colon is the unit ideal
+    rows = []
+    for h in gb.generators:
+        if h.degree() == 1:
+            row = [0] * n
+            for m, c in h.terms:
+                row[m.index(1)] = c
+            rows.append(row)
+    w = LinearIdeal.from_vectors(rows, n, p)
+    return _ideal_gb(ring, w) == gb, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("ci2", "nk3", "crv26", "mm1", "fitz3", "ring4", "random")),
+    st.integers(0, 2**32 - 1),
+)
+def test_linear_colon_matches_groebner_colon(ci2, nk3, crv26, mm1, fitz3, name, seed):
+    rng = random.Random(seed)
+    rings = {"ci2": ci2, "nk3": nk3, "crv26": crv26, "mm1": mm1, "fitz3": fitz3}
+    if name == "ring4":
+        ring = _ring4()
+    elif name == "random":
+        ring = _random_quadric_ring(rng)
+    else:
+        ring = rings[name]
+    n, p = ring.nvars, ring.p
+    # J from redundant, scaled spanning rows; g sometimes a combination of them
+    basis = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+    j_rows = [[rng.randrange(1, p) * c % p for c in r] for r in basis]
+    j_rows += [
+        [sum(rng.randrange(p) * r[i] for r in basis) % p for i in range(n)]
+        for _ in range(rng.randint(0, 2))
+    ]
+    rng.shuffle(j_rows)
+    if basis and rng.random() < 0.25:
+        g = [sum(rng.randrange(p) * r[i] for r in basis) % p for i in range(n)]
+    else:
+        g = [rng.randrange(p) for _ in range(n)]
+    j = LinearIdeal.from_vectors(j_rows, n, p)
+
+    linear_ok, w = _linear_colon(ring, j, g)
+    assert (linear_ok, w) == _groebner_linear_colon(ring, j_rows, g)
+    jd = [poly_to_dict(ring.linear_form(r)) for r in j_rows]
+    jd += [poly_to_dict(h) for h in ring.gb.generators]
+    gd = poly_to_dict(ring.linear_form(g))
+    assert w.dim == colon_piece_dim(jd, [gd], n, 1, p)
+
+
+@pytest.mark.parametrize(
+    "name,j_rows,g,linear_ok,w_rows",
+    [
+        ("nk3", [], (1,), False, ()),  # (0) : x = (x^2)
+        ("ci2", [(1, 0)], (2, 0), False, ((1, 0), (0, 1))),  # g in J: the unit ideal
+        ("ci2", [], (1, 0), True, ((1, 0),)),  # ann(x) = (x)
+        ("mm1", [], (0, 1), True, ((0, 1),)),  # ann(y) = (y)
+    ],
+)
+def test_linear_colon_examples(request, name, j_rows, g, linear_ok, w_rows):
+    ring = request.getfixturevalue(name)
+    j = LinearIdeal.from_vectors(j_rows, ring.nvars, ring.p)
+    got_ok, w = _linear_colon(ring, j, g)
+    assert (got_ok, w.rows) == (linear_ok, w_rows)
+
+
+def test_linear_colon_square_zero_ring():
+    # R_2 = 0: every linear form kills R_1, so (0) : x = m
+    s, (x, y) = polynomial_ring(3, ("x", "y"))
+    ring = make_ring(s, [x**2, x * y, y**2])
+    assert _linear_colon(ring, LinearIdeal.zero(), (1, 0)) == (True, LinearIdeal.full(2))
+    result = search_groebner_flag(ring, 100)
+    assert result.certificate.forms == ((0, 1), (1, 0))
+    assert result.certificate.colon_indices == (2, 2)
+    assert len(all_linear_ideals_filtration(ring).members) == 6
 
 
 def test_subspace_enumeration_counts():
@@ -109,6 +213,21 @@ def test_minimal_filtration_on_dual_numbers():
     assert verify_koszul_filtration(ring, cert).valid
 
 
+def test_scaled_member_rows_rejected_at_own_witness(ci2):
+    # a line member written scaled (not in RREF) still passes as the asserted
+    # colon ann(x + y) of an earlier witness; only its own witness fails
+    cert = all_linear_ideals_filtration(ci2)
+    ann_i = next(w.colon for w in cert.witnesses if cert.members[w.member].rows == ((1, 1),))
+    assert cert.members[ann_i].rows == ((1, 4),)  # ann(x + y) = (x - y)
+    doc = json.loads(json.dumps(cert.to_json()))
+    doc["members"][ann_i] = [[2, 3]]  # 2 * (x - y)
+    doc["witnesses"].sort(key=lambda w: (w["member"] == ann_i, w["colon"] != ann_i))
+    result = verify_koszul_filtration(ci2, FiltrationCertificate.from_json(doc))
+    assert (result.valid, result.failing_index, result.reason) == (
+        False, ann_i, "I != J + (g)"
+    )
+
+
 def test_filtration_must_contain_zero_and_m(ci2):
     members = (LinearIdeal.full(2),)
     cert = FiltrationCertificate(members, ())
@@ -163,6 +282,17 @@ def test_flag_chain_verification(ci2):
     assert verify_flag_chain(ci2, cert, (zero_i, x_i, m_i)).valid
     r = verify_flag_chain(ci2, cert, (zero_i, x_i))
     assert not r.valid and "maximal" in r.reason
+
+
+def test_flag_chain_colon_leaves_family(ci2):
+    # over k[x,y]/(x^2, y^2): (0) : y = (y) and (y) : x = m stay in the family,
+    # but (0) : (x + y) = (x - y) is not a member
+    zero, y, m = LinearIdeal.zero(), LinearIdeal(((0, 1),)), LinearIdeal.full(2)
+    x_plus_y = LinearIdeal(((1, 1),))
+    cert = FiltrationCertificate((zero, x_plus_y, y, m), ())
+    assert verify_flag_chain(ci2, cert, (0, 2, 3)).valid
+    r = verify_flag_chain(ci2, cert, (0, 1, 3))
+    assert (r.valid, r.failing_index, r.reason) == (False, 1, "chain colon leaves the family")
 
 
 # ------------------------------------------------------------- flag search
@@ -254,6 +384,7 @@ def test_fitzgerald_fitz3(fitz3):
 def test_fitzgerald_nk3_witness(nk3):
     r = check_fitzgerald(nk3)
     assert not r.holds and r.witness == (1,)
+    assert r.failed_clause == "ann(l) not generated by linear forms"  # (0) : x = (x^2)
 
 
 def test_fitzgerald_budget(crv26):
