@@ -502,7 +502,8 @@ def syzygies_over_poly_ring(
 # ----------------------------------------------- graded pieces of free modules
 #
 # `ring` is a quotient ring object exposing piece(d), piece_index(d),
-# monomial_nf(m), reduce(f), dim_piece(d), poly_ring, p.
+# monomial_nf(m), reduce(f), dim_piece(d), var_multiplication(v, d),
+# poly_ring, nvars, p.
 
 
 def coords_of_vector(
@@ -536,24 +537,25 @@ def vector_from_coords(
     return FreeModuleVector(tuple(comps), tuple(shifts))
 
 
-def free_var_matrix(ring, shifts: Sequence[int], d: int, var: int) -> np.ndarray:
-    """Block-diagonal matrix of x_var: degree-d to degree-(d+1) coordinates
-    of the free module with the given shifts. Cached on the ring."""
-    key = (tuple(shifts), d, var)
-    got = ring.free_var_mult.get(key)
-    if got is not None:
-        return got
-    blocks = [ring.var_multiplication(var, d - s) for s in shifts]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    ro = co = 0
-    for b in blocks:
-        mat[ro : ro + b.shape[0], co : co + b.shape[1]] = b
-        ro += b.shape[0]
-        co += b.shape[1]
-    ring.free_var_mult[key] = mat
-    return mat
+def times_variable(ring, shifts: Sequence[int], coords: np.ndarray, d: int, var: int) -> np.ndarray:
+    """x_var times the columns of `coords`, degree-d coordinate vectors of the
+    free module with the given shifts, as degree-(d+1) coordinate vectors.
+
+    Applied block by block over the shifts with the cached
+    `QuotientRing.var_multiplication` matrices.
+    """
+    dims = [ring.dim_piece(d + 1 - s) for s in shifts]
+    out = np.zeros((sum(dims), coords.shape[1]), dtype=np.int64)
+    row = prev_row = 0
+    for s, dim in zip(shifts, dims):
+        prev_dim = ring.dim_piece(d - s)
+        if dim and prev_dim:
+            out[row : row + dim] = matmul_mod(
+                ring.var_multiplication(var, d - s), coords[prev_row : prev_row + prev_dim], ring.p
+            )
+        row += dim
+        prev_row += prev_dim
+    return out
 
 
 def nakayama_sieve(
@@ -569,21 +571,24 @@ def nakayama_sieve(
     K_d. Yields (d, index in rows, row) for every kept row as soon as it is
     found, so that `pieces` may be produced lazily.
     """
-    p = ring.p
     span = None
     for d, rows in pieces:
-        ech = Echelon(sum(ring.dim_piece(d - s) for s in shifts), p)
+        ech = Echelon(sum(ring.dim_piece(d - s) for s in shifts), ring.p)
         if span is not None:
-            for var in range(ring.poly_ring.nvars):
-                mat = free_var_matrix(ring, shifts, d - 1, var)
-                for row in matmul_mod(span, mat.T, p):
-                    ech.add(row)
-        # No name outlives this loop bound to a row: a row of a matrix is a
-        # view that would keep the whole degree-d matrix alive next degree.
+            # R_1 * U_{d-1}: rows v*len(span) + k hold x_v times span row k
+            n = len(span)
+            products = np.zeros((ring.nvars * n, ech.ncols), dtype=np.int64)
+            for v in range(ring.nvars):
+                products[v * n : (v + 1) * n] = times_variable(ring, shifts, span.T, d - 1, v).T
+            for k in np.flatnonzero(products.any(axis=1)):
+                ech.add(products[k])
+            del products
+        # No name outlives this loop bound to a row or to `products`: it would
+        # keep the whole degree-d matrix alive while degree d+1 is built.
         for i in range(len(rows)):
             if ech.add(rows[i]):
                 yield d, i, np.array(rows[i])
-        span = np.stack(ech.rows) if ech.rows else None
+        span = ech.rows
 
 
 def minimal_module_generators(

@@ -1,10 +1,11 @@
 """Exact linear algebra over F_p on int64 numpy arrays.
 
-Matrices hold canonical representatives in [0, p). Row reduction (`rref`,
-`Echelon`) forms one product of two entries before each reduction, which
-stays below p^2 < 2^62, so it is exact in int64 for every allowed modulus
-(p < 2^31). A matrix product sums k such products, which can pass 2^63;
-`matmul_mod` is the one product that is exact for every allowed modulus.
+Matrices hold canonical representatives in [0, p). `rref` and the
+back-substitution of `Echelon.add` form one product of two entries before
+each reduction, which stays below p^2 < 2^62, so it is exact in int64 for
+every allowed modulus (p < 2^31). A matrix product sums k such products,
+which can pass 2^63; `matmul_mod` is the one product that is exact for every
+allowed modulus, and `Echelon.reduce` goes through it.
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
+        if a[r, c]:
+            piv = r
+        else:
+            below = a[r + 1 :, c].nonzero()[0]
+            if below.size == 0:
+                continue
+            piv = r + 1 + int(below[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), p - 2, p)
@@ -85,12 +86,13 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
     nrows, ncols = a.shape
     r, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     for k, fc in enumerate(free):
         basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, fc])) % p
+    if pivots:
+        basis[:, pivots] = (-r[:, free].T) % p
     return basis
 
 
@@ -108,41 +110,55 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
 
 
 class Echelon:
-    """Incremental row-echelon container for span bookkeeping over F_p."""
+    """Incremental reduced row-echelon basis of a span over F_p.
+
+    The rows live in a preallocated int64 matrix that doubles when full. Every
+    stored row is zero in the other rows' pivot columns and 1 in its own, so
+    the rows are the RREF of the span, in insertion order.
+    """
 
     def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self._rows = np.zeros((min(ncols, 16), ncols), dtype=np.int64)
+        self._pivots = np.zeros(min(ncols, 16), dtype=np.int64)
+        self.rank = 0
 
     @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def rows(self) -> np.ndarray:
+        """The stored rows, a view of the first `rank` rows of the buffer."""
+        return self._rows[: self.rank]
 
     def reduce(self, v) -> np.ndarray:
-        v = np.mod(np.array(v, dtype=np.int64), self.p)
-        for row, piv in zip(self.rows, self.pivots):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % self.p
+        v = np.asarray(v, dtype=np.int64) % self.p
+        coeffs = v[self._pivots[: self.rank]]
+        hit = coeffs.nonzero()[0]
+        if hit.size:
+            v -= matmul_mod(coeffs[hit][None], self._rows[hit], self.p)[0]
+            v %= self.p
         return v
 
     def add(self, v) -> bool:
         """Reduce v against the span; insert if independent. True if inserted."""
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
+        nz = v.nonzero()[0]
         if nz.size == 0:
             return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        for i, row in enumerate(self.rows):
-            c = int(row[piv])
-            if c:
-                self.rows[i] = (row - c * v) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
+        piv = nz[0]
+        v *= pow(int(v[piv]), self.p - 2, self.p)
+        v %= self.p
+        r = self.rank
+        if r == len(self._rows):
+            grow = min(2 * r, self.ncols)
+            self._rows = np.resize(self._rows, (grow, self.ncols))
+            self._pivots = np.resize(self._pivots, grow)
+        col = self._rows[:r, piv]
+        hit = col.nonzero()[0]
+        if hit.size:
+            self._rows[hit] = (self._rows[hit] - col[hit, None] * v) % self.p
+        self._rows[r] = v
+        self._pivots[r] = piv
+        self.rank += 1
         return True
 
     def contains(self, v) -> bool:

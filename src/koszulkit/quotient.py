@@ -52,8 +52,6 @@ class QuotientRing:
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
-        # groebner.free_var_matrix, keyed by (free-module shifts, d, var)
-        self.free_var_mult: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
         # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 

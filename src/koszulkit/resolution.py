@@ -3,11 +3,18 @@ linear parts and graded-piece homology.
 
 The engine is exact linear algebra over F_p, one internal degree at a time:
 for each step the degree-d syzygies are the kernel K_d of the degree-d map
-(`_degree_map`), and the new minimal generators are a basis of K_d modulo
+(`_degree_maps`), and the new minimal generators are a basis of K_d modulo
 R_1*K_{d-1} (graded Nakayama, `groebner.nakayama_sieve`). Every entry of
 every recorded differential is therefore trustworthy for internal degrees
 <= d_max, and minimality (entries in the maximal ideal) holds by
 construction.
+
+The degree-d map is built from the degree d-1 map: the column of u * col_j,
+for a standard monomial u with first variable x_v, is x_v times the column of
+(u / x_v) * col_j, taken block by block over the target shifts from the
+cached `QuotientRing.var_multiplication` matrices. Only the columns of the
+generators themselves (u = 1) are read from their polynomials; every other
+entry comes from those matrix products, with no normal form taken.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .groebner import (
     coords_of_vector,
     minimal_module_generators,
     nakayama_sieve,
+    times_variable,
     vector_from_coords,
 )
 from .linalg import nullspace, rank
@@ -111,33 +119,78 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
 
     res = Resolution(module, free_shifts, steps, i_max, d_max, warnings)
     for i in range(1, len(steps) + 1):
-        for col in res.differential(i):
+        for col, deg in zip(res.differential(i), res.free_shifts[i]):
             for comp, s in zip(col.components, res.free_shifts[i - 1]):
-                if not comp.is_zero() and comp.degree() + s == col.internal_degree():
+                if not comp.is_zero() and comp.degree() + s == deg:
                     if comp.constant_coefficient():
                         raise AssertionError("non-minimal differential entry")
     module.resolutions[(i_max, d_max)] = res
     return res
 
 
-def _degree_map(ring, target_shifts, source_shifts, columns, d):
-    """Matrix of (a_j) -> sum a_j * col_j on degree-d pieces.
+def _first_variable_splits(ring, e):
+    """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
+    order: x_v is the first variable of u and k the index of u / x_v in the
+    degree e-1 basis (a divisor of a standard monomial is standard)."""
+    index = ring.piece_index(e - 1)
+    first, lower = [], []
+    for u in ring.piece(e):
+        v = next(i for i, a in enumerate(u) if a)
+        first.append(v)
+        lower.append(index[u[:v] + (u[v] - 1,) + u[v + 1 :]])
+    return np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
+
+
+def _degree_maps(ring, target_shifts, source_shifts, columns, d_max):
+    """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
+    from the lowest source shift to d_max.
 
     Rows: degree-d basis of the target free module. Columns: (j, u) with u a
     standard monomial of degree d - source_shifts[j]. The source shifts are
     explicit because a column may be zero and then has no internal degree.
+    Column (j, 1) is the coordinate vector of col_j. Column (j, u), with x_v
+    the first variable of u, is x_v times column (j, u / x_v) of the degree
+    d-1 map (`groebner.times_variable`).
     """
-    blocks = [
-        coords_of_vector(
-            ring, target_shifts, [ring.mul_monomial_nf(c, u) for c in col.components], d
-        )
-        for col, s in zip(columns, source_shifts)
-        for u in ring.piece(d - s)
-    ]
-    if not blocks:
-        tgt_dim = sum(ring.dim_piece(d - s) for s in target_shifts)
-        return np.zeros((tgt_dim, 0), dtype=np.int64)
-    return np.stack(blocks, axis=1)
+    prev = None
+    for d in range(min(source_shifts), d_max + 1):
+        tgt_dim = sum(ring.dim_piece(d - t) for t in target_shifts)
+        mat = np.zeros((tgt_dim, sum(ring.dim_piece(d - s) for s in source_shifts)), dtype=np.int64)
+        # every column (j, u) with deg u >= 1: the first variable of u, its
+        # index in mat and the index in prev of the column it is x_v times
+        empty = np.zeros(0, dtype=np.int64)
+        first, cols, prev_cols = [empty], [empty], [empty]
+        splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        col = prev_col = 0
+        for j, s in enumerate(source_shifts):
+            if d == s:
+                mat[:, col] = coords_of_vector(ring, target_shifts, columns[j].components, d)
+            elif d > s:
+                if d - s not in splits:
+                    splits[d - s] = _first_variable_splits(ring, d - s)
+                v, k = splits[d - s]
+                first.append(v)
+                cols.append(col + np.arange(len(v)))
+                prev_cols.append(prev_col + k)
+            col += ring.dim_piece(d - s)
+            prev_col += ring.dim_piece(d - 1 - s)
+        first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
+        for v in range(ring.nvars):
+            sel = first == v
+            if sel.any():
+                prev_v = prev[:, prev_cols[sel]]
+                mat[:, cols[sel]] = times_variable(ring, target_shifts, prev_v, d - 1, v)
+        prev = mat
+        yield d, mat
+
+
+def _degree_map(ring, target_shifts, source_shifts, columns, d):
+    """The degree-d matrix of `_degree_maps` (no columns below the lowest
+    source shift)."""
+    mat = np.zeros((sum(ring.dim_piece(d - t) for t in target_shifts), 0), dtype=np.int64)
+    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, columns, d):
+        pass
+    return mat
 
 
 def _syzygy_step(ring, target_shifts, columns, d_max):
@@ -148,8 +201,8 @@ def _syzygy_step(ring, target_shifts, columns, d_max):
     """
     src_shifts = tuple(c.internal_degree() for c in columns)
     kernels = (
-        (d, nullspace(_degree_map(ring, target_shifts, src_shifts, columns, d), ring.p))
-        for d in range(min(src_shifts), d_max + 1)
+        (d, nullspace(mat, ring.p))
+        for d, mat in _degree_maps(ring, target_shifts, src_shifts, columns, d_max)
     )
     return [
         vector_from_coords(ring, src_shifts, row, d)
@@ -307,12 +360,11 @@ def linear_part(res: Resolution) -> GradedComplex:
     for i in range(1, len(res.steps) + 1):
         target = res.free_shifts[i - 1]
         cols = []
-        for col in res.differential(i):
+        for col, deg in zip(res.differential(i), res.free_shifts[i]):
             comps = []
             for comp, s in zip(col.components, target):
-                entry_deg = col.internal_degree() - s
                 comps.append(
-                    comp if (not comp.is_zero() and entry_deg == 1) else res.ring.poly_ring.zero()
+                    comp if (not comp.is_zero() and deg - s == 1) else res.ring.poly_ring.zero()
                 )
             cols.append(FreeModuleVector(tuple(comps), col.shifts))
         new_steps.append(tuple(cols))

@@ -47,6 +47,46 @@ def test_echelon_incremental():
     assert not e.contains([0, 0, 1])
 
 
+@st.composite
+def _echelon_inputs(draw):
+    """Rows over F_p, with scaled copies and sums of earlier rows mixed in."""
+    p = draw(st.sampled_from([2, 7, 2147483647]))
+    n = draw(st.integers(1, 6))
+    entries = st.integers(0, p - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "scaled", "sum"]) if rows else st.just("random"))
+        if kind == "random":
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "scaled":
+            c, r = draw(entries), draw(st.sampled_from(rows))
+            rows.append([c * x % p for x in r])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([(x + y) % p for x, y in zip(a, b)])
+    probe = draw(st.lists(entries, min_size=n, max_size=n))
+    return p, n, rows, probe
+
+
+@settings(max_examples=80, deadline=None)
+@given(_echelon_inputs())
+def test_echelon_matches_rank_oracle(inputs):
+    p, n, rows, probe = inputs
+    e = Echelon(n, p)
+    for k, row in enumerate(rows):
+        before, want = e.rank, rank_mod_p(rows[: k + 1], p)
+        assert e.add(row) == (want > before)
+        assert e.rank == want
+        assert e.contains(row)
+        # the stored rows stay reduced: each pivot column is a unit vector
+        stored = e.rows.tolist()
+        for i, r in enumerate(stored):
+            piv = next(c for c, x in enumerate(r) if x)
+            assert [s[piv] for s in stored] == [int(j == i) for j in range(len(stored))]
+    assert e.contains(probe) == (rank_mod_p(rows + [probe], p) == e.rank)
+    assert not np.any(e.reduce(rows[-1]))
+
+
 _matrix = st.lists(
     st.lists(st.integers(0, 6), min_size=4, max_size=4), min_size=1, max_size=5
 )

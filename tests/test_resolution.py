@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from koszulkit.arith import polynomial_ring
-from koszulkit.groebner import normal_form
+from koszulkit.groebner import FreeModuleVector, coords_of_vector, normal_form
 from koszulkit.quotient import (
     cyclic_module,
     free_module,
@@ -15,6 +17,8 @@ from koszulkit.quotient import (
     residue_field_module,
 )
 from koszulkit.resolution import (
+    _degree_map,
+    _degree_maps,
     betti_table,
     homology_dims,
     linear_part,
@@ -117,10 +121,18 @@ def test_h0_equals_module_dims(ci2):
 
 def test_euler_characteristic(ci2, crv26):
     # sum_i (-1)^i H_{F_i} = H_M in every trusted degree
-    for ring, seed in ((ci2, 11), (crv26, 12)):
-        m = random_module(ring, 2, 2, seed)
+    x, y = ci2.poly_ring.gens()
+    cases = [
+        (random_module(ci2, 2, 2, 11), 6),
+        (random_module(crv26, 2, 2, 12), 6),
+        # generators in degree 1 over ci2: the pieces of F_i vanish from
+        # degree shift + 3, so the sieve and the maps meet empty blocks
+        (make_module(ci2, (1, 1), [[x, y]]), 5),
+    ]
+    for m, i_max in cases:
+        ring = m.ring
         d_max = 7
-        res = resolve(m, 6, d_max)
+        res = resolve(m, i_max, d_max)
         hm = m.hilbert_series(d_max)
         hr = ring.hilbert_series(d_max)
         for d in range(d_max + 1):
@@ -166,6 +178,87 @@ def test_largest_modulus_resolution_is_exact():
             if sh <= d
         )
         assert euler == (1 if d == 0 else 0)
+
+
+def _reference_degree_map(ring, target_shifts, source_shifts, columns, d):
+    """Degree-d map built one (column, monomial) pair at a time from normal forms."""
+    blocks = [
+        coords_of_vector(
+            ring, target_shifts, [ring.mul_monomial_nf(c, u) for c in col.components], d
+        )
+        for col, s in zip(columns, source_shifts)
+        for u in ring.piece(d - s)
+    ]
+    if not blocks:
+        tgt_dim = sum(ring.dim_piece(d - t) for t in target_shifts)
+        return np.zeros((tgt_dim, 0), dtype=np.int64)
+    return np.stack(blocks, axis=1)
+
+
+_MAP_RINGS = {
+    "ci2": ("xy", lambda x, y: [x**2, y**2]),
+    "crv26": ("xyz", lambda x, y, z: [x**2, x * y, y * z, z**2]),
+    "ring4": ("abcd", lambda a, b, c, d: [a**2, b**2, c * d, a * c + b * d]),
+    "5-cycle": ("abcde", lambda a, b, c, d, e: [a * b, b * c, c * d, d * e, e * a]),
+}
+
+
+def _map_ring(name, p, rng):
+    if name == "quadrics":
+        n = rng.choice((3, 4))
+        s, _ = polynomial_ring(p, "abcd"[:n])
+        quadrics = [
+            s.from_dict({m: rng.randrange(p) for m in monomials_of_degree(n, 2)})
+            for _ in range(rng.randint(1, n))
+        ]
+        return make_ring(s, quadrics)
+    names, gens = _MAP_RINGS[name]
+    s, xs = polynomial_ring(p, names)
+    return make_ring(s, gens(*xs))
+
+
+def _random_columns(ring, rng):
+    """Graded columns between free modules with mixed shifts; some are zero."""
+    target = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+    source = tuple(rng.randint(min(target), max(target) + 2) for _ in range(rng.randint(1, 4)))
+    columns = []
+    for s in source:
+        comps = []
+        for t in target:
+            keep = rng.random() < 0.8
+            terms = {m: rng.randrange(ring.p) for m in ring.piece(s - t)} if keep else {}
+            comps.append(ring.poly_ring.from_dict(terms))
+        columns.append(FreeModuleVector(tuple(comps), target))
+    return target, source, columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAP_RINGS) + ["quadrics"]),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(0, 2**32),
+)
+def test_degree_map_matches_per_monomial_reference(ring_name, p, seed):
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    d_max = 4
+    # random maps, and the steps of a resolution and of its linear part, whose
+    # quadric entries leave zero columns
+    cases = [_random_columns(ring, rng)]
+    res = resolve(random_module(ring, rng.randint(1, 2), 2, seed), 3, d_max)
+    for cx in (res, linear_part(res)):
+        for i in range(1, len(cx.steps) + 1):
+            if cx.differential(i):
+                cases.append((cx.free_shifts[i - 1], cx.free_shifts[i], cx.differential(i)))
+    for target, source, columns in cases:
+        maps = dict(_degree_maps(ring, target, source, columns, d_max))
+        assert sorted(maps) == list(range(min(source), d_max + 1))
+        for d in range(min(source) - 1, d_max + 1):
+            want = _reference_degree_map(ring, target, source, columns, d)
+            got = _degree_map(ring, target, source, columns, d)
+            assert got.shape == want.shape and np.array_equal(got, want), (target, source, d)
+            if d in maps:
+                assert np.array_equal(maps[d], want)
 
 
 def _action_matrix(module, poly, d_from, d_to):
