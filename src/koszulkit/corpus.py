@@ -450,11 +450,11 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
     # informational only: verdict of a first syzygy module (never scores)
     m = random_module(ring, 2, 2, seed * 400)
     res = resolve(m, *bounds)
-    if res.steps and res.steps[0] and len(res.steps) > 1:
+    if res.length_computed() > 1 and res.free_shifts[1]:
         syz = make_module(
             ring,
             res.free_shifts[1],
-            [[c for c in col.components] for col in res.steps[1]],
+            [[c for c in col.components] for col in res.differential(2)],
         )
         v = koszul_verdict(syz, *bounds) if len(set(syz.shifts)) <= 1 else None
         report.assertions.append(

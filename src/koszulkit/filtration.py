@@ -285,35 +285,38 @@ class VerificationResult:
 def verify_koszul_filtration(
     ring: QuotientRing, cert: FiltrationCertificate
 ) -> VerificationResult:
-    """Check membership of (0) and m, and every colon witness, by `_linear_colon`."""
+    """Check membership of (0) and m, and every colon witness, by `_linear_colon`.
+
+    Members read from JSON need not be in RREF, so every check compares the
+    members put in RREF.
+    """
     p, n = ring.p, ring.nvars
-    rows_set = {m.rows for m in cert.members}
+    canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
+    rows_set = {m.rows for m in canonical}
     if LinearIdeal.zero().rows not in rows_set:
         return VerificationResult(False, None, "the zero ideal is not a member")
     if LinearIdeal.full(n).rows not in rows_set:
         return VerificationResult(False, None, "the maximal ideal is not a member")
     witnessed = {w.member for w in cert.witnesses}
-    for idx, member in enumerate(cert.members):
+    for idx, member in enumerate(canonical):
         if member.dim == 0:
             continue
         if idx not in witnessed:
             return VerificationResult(False, idx, "nonzero member without a witness")
-    # members read from JSON need not be in RREF; colons are compared canonically
-    canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
     for w in cert.witnesses:
         if not (0 <= w.member < len(cert.members)):
             return VerificationResult(False, w.member, "witness references a missing member")
         if not (0 <= w.sub < len(cert.members) and 0 <= w.colon < len(cert.members)):
             return VerificationResult(False, w.member, "witness indices out of range")
-        big = cert.members[w.member]
-        small = cert.members[w.sub]
+        big = canonical[w.member]
+        small = canonical[w.sub]
         if not big.contains(small, p):
             return VerificationResult(False, w.member, "J is not contained in I")
         if big.dim != small.dim + 1:
             return VerificationResult(False, w.member, "I/J is not cyclic")
         if small.plus_vector(w.g, p).rows != big.rows:
             return VerificationResult(False, w.member, "I != J + (g)")
-        linear_ok, colon = _linear_colon(ring, canonical[w.sub], w.g)
+        linear_ok, colon = _linear_colon(ring, small, w.g)
         if not linear_ok or colon.rows != canonical[w.colon].rows:
             return VerificationResult(
                 False, w.member, f"colon J:I differs from asserted member {w.colon}"

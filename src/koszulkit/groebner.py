@@ -527,11 +527,14 @@ def coords_of_vector(
 def vector_from_coords(
     ring, shifts: Sequence[int], coords: np.ndarray, d: int
 ) -> FreeModuleVector:
+    """The degree-d graded vector with the given coordinates; only the nonzero
+    coordinates are read."""
     comps = []
     off = 0
     for s in shifts:
         piece = ring.piece(d - s)
-        terms = {m: int(coords[off + k]) for k, m in enumerate(piece)}
+        block = coords[off : off + len(piece)]
+        terms = {piece[k]: int(block[k]) for k in np.flatnonzero(block)}
         comps.append(ring.poly_ring.from_dict(terms))
         off += len(piece)
     return FreeModuleVector(tuple(comps), tuple(shifts))

@@ -9,11 +9,18 @@ every recorded differential is therefore trustworthy for internal degrees
 <= d_max, and minimality (entries in the maximal ideal) holds by
 construction.
 
+A differential is stored as the engine computes it: for each internal degree
+d, one int64 matrix whose rows are the step's degree-d generators as
+coordinate vectors of the degree-d piece of the target free module, in the
+order the sieve keeps them. `FreeModuleVector` columns are built from those
+rows only when `differential(i)` is asked for; Betti tables, linear parts
+and homology read the matrices.
+
 The degree-d map is built from the degree d-1 map: the column of u * col_j,
 for a standard monomial u with first variable x_v, is x_v times the column of
 (u / x_v) * col_j, taken block by block over the target shifts from the
 cached `QuotientRing.var_multiplication` matrices. Only the columns of the
-generators themselves (u = 1) are read from their polynomials; every other
+generators themselves (u = 1) are the stored coordinate rows; every other
 entry comes from those matrix products, with no normal form taken.
 """
 
@@ -35,17 +42,64 @@ from .linalg import nullspace, rank
 from .quotient import GradedModule
 
 
-@dataclass
-class Resolution:
-    """Steps of a minimal graded free resolution, trusted for degrees <= d_max.
+@dataclass(eq=False)
+class FreeComplex:
+    """A complex F_0 <- F_1 <- ... of shifted free modules, trusted for
+    internal degrees <= d_max.
 
-    free_shifts[i] are the generator degrees of F_i; steps[i-1] holds the
-    columns of the differential F_i -> F_{i-1}.
+    free_shifts[i] are the generator degrees of F_i. blocks[i-1] maps each
+    internal degree d to the matrix whose rows are the degree-d columns of
+    F_i -> F_{i-1}, as coordinate vectors of the degree-d piece of F_{i-1};
+    the generators of F_i are these rows in increasing d. Subclasses supply
+    `ring`, `free_shifts`, `blocks` and `d_max`.
     """
+
+    _columns: dict[int, tuple[FreeModuleVector, ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _ranks: dict[int, dict[int, int]] = field(default_factory=dict, init=False, repr=False)
+
+    def length_computed(self) -> int:
+        return len(self.blocks)
+
+    def differential(self, i: int) -> tuple[FreeModuleVector, ...]:
+        """Columns of F_i -> F_{i-1} (i >= 1), built on the first call."""
+        cols = self._columns.get(i)
+        if cols is None:
+            target = self.free_shifts[i - 1]
+            cols = tuple(
+                vector_from_coords(self.ring, target, row, d)
+                for d, mat in self.blocks[i - 1].items()
+                for row in mat
+            )
+            self._columns[i] = cols
+        return cols
+
+    @property
+    def steps(self) -> list[tuple[FreeModuleVector, ...]]:
+        return [self.differential(i) for i in range(1, len(self.blocks) + 1)]
+
+    def map_ranks(self, i: int) -> dict[int, int]:
+        """Rank of the degree-d map of F_i -> F_{i-1} for every d <= d_max at
+        which F_i has a nonzero piece, from one `_degree_maps` pass on the
+        first call (fill-once cache)."""
+        ranks = self._ranks.get(i)
+        if ranks is None:
+            rows = [row for mat in self.blocks[i - 1].values() for row in mat]
+            target, source = self.free_shifts[i - 1], self.free_shifts[i]
+            maps = _degree_maps(self.ring, target, source, rows, self.d_max) if rows else ()
+            ranks = self._ranks[i] = {d: rank(mat, self.ring.p) for d, mat in maps}
+        return ranks
+
+
+@dataclass(eq=False)
+class Resolution(FreeComplex):
+    """Steps of a minimal graded free resolution of `module`, trusted for
+    degrees <= d_max."""
 
     module: GradedModule
     free_shifts: list[tuple[int, ...]]
-    steps: list[tuple[FreeModuleVector, ...]]
+    blocks: list[dict[int, np.ndarray]]
     i_max: int
     d_max: int
     warnings: list[str] = field(default_factory=list)
@@ -53,13 +107,6 @@ class Resolution:
     @property
     def ring(self):
         return self.module.ring
-
-    def length_computed(self) -> int:
-        return len(self.steps)
-
-    def differential(self, i: int) -> tuple[FreeModuleVector, ...]:
-        """Columns of F_i -> F_{i-1} (i >= 1)."""
-        return self.steps[i - 1]
 
     def betti(self) -> "BettiTable":
         entries: dict[tuple[int, int], int] = {}
@@ -85,7 +132,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     ring = module.ring
     warnings: list[str] = []
     free_shifts: list[tuple[int, ...]] = [module.shifts]
-    steps: list[tuple[FreeModuleVector, ...]] = []
+    blocks: list[dict[int, np.ndarray]] = []
 
     if module.is_zero():
         res = Resolution(module, [()], [], i_max, d_max, warnings)
@@ -103,29 +150,42 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     if module.columns and not cols:
         if not in_window:
             warnings.append("bounds too small to produce step 1")
-    steps.append(tuple(cols))
-    free_shifts.append(tuple(v.internal_degree() for v in cols))
-
+    rows = []
+    for v in cols:
+        d = v.internal_degree()
+        rows.append((d, coords_of_vector(ring, module.shifts, v.components, d)))
+    _append_step(ring, free_shifts, blocks, rows)
     for _i in range(2, i_max + 1):
-        prev = steps[-1]
-        if not prev:
-            steps.append(())
-            free_shifts.append(())
-            continue
-        target_shifts = free_shifts[-2]
-        cols = _syzygy_step(ring, target_shifts, prev, d_max)
-        steps.append(tuple(cols))
-        free_shifts.append(tuple(v.internal_degree() for v in cols))
+        prev = [row for mat in blocks[-1].values() for row in mat]
+        rows = _syzygy_step(ring, free_shifts[-2], free_shifts[-1], prev, d_max) if prev else []
+        _append_step(ring, free_shifts, blocks, rows)
 
-    res = Resolution(module, free_shifts, steps, i_max, d_max, warnings)
-    for i in range(1, len(steps) + 1):
-        for col, deg in zip(res.differential(i), res.free_shifts[i]):
-            for comp, s in zip(col.components, res.free_shifts[i - 1]):
-                if not comp.is_zero() and comp.degree() + s == deg:
-                    if comp.constant_coefficient():
-                        raise AssertionError("non-minimal differential entry")
+    res = Resolution(module, free_shifts, blocks, i_max, d_max, warnings)
     module.resolutions[(i_max, d_max)] = res
     return res
+
+
+def _append_step(ring, free_shifts, blocks, rows):
+    """Record the step whose generators are the (d, coordinate row) pairs
+    `rows`, in increasing d, as one matrix per degree."""
+    by_degree: dict[int, list[np.ndarray]] = {}
+    for d, row in rows:
+        by_degree.setdefault(d, []).append(row)
+    step = {d: np.array(r) for d, r in by_degree.items()}
+    # minimality: no degree-d column has a nonzero constant entry, that is, a
+    # nonzero coordinate in a target block of shift d
+    for d, mat in step.items():
+        if mat[:, _coordinate_shifts(ring, free_shifts[-1], d) == d].any():
+            raise AssertionError("non-minimal differential entry")
+    blocks.append(step)
+    free_shifts.append(tuple(d for d, _row in rows))
+
+
+def _coordinate_shifts(ring, shifts, d):
+    """For each coordinate of the degree-d piece of the free module with the
+    given shifts, the shift of the block it lies in."""
+    dims = [ring.dim_piece(d - s) for s in shifts]
+    return np.repeat(np.array(shifts, dtype=np.int64), dims)
 
 
 def _first_variable_splits(ring, e):
@@ -141,14 +201,14 @@ def _first_variable_splits(ring, e):
     return np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
 
 
-def _degree_maps(ring, target_shifts, source_shifts, columns, d_max):
+def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
     """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
     from the lowest source shift to d_max.
 
-    Rows: degree-d basis of the target free module. Columns: (j, u) with u a
-    standard monomial of degree d - source_shifts[j]. The source shifts are
-    explicit because a column may be zero and then has no internal degree.
-    Column (j, 1) is the coordinate vector of col_j. Column (j, u), with x_v
+    rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
+    piece of the target free module. Rows of the matrix: degree-d basis of
+    the target. Columns: (j, u) with u a standard monomial of degree
+    d - source_shifts[j]. Column (j, 1) is rows[j]. Column (j, u), with x_v
     the first variable of u, is x_v times column (j, u / x_v) of the degree
     d-1 map (`groebner.times_variable`).
     """
@@ -164,7 +224,7 @@ def _degree_maps(ring, target_shifts, source_shifts, columns, d_max):
         col = prev_col = 0
         for j, s in enumerate(source_shifts):
             if d == s:
-                mat[:, col] = coords_of_vector(ring, target_shifts, columns[j].components, d)
+                mat[:, col] = rows[j]
             elif d > s:
                 if d - s not in splits:
                     splits[d - s] = _first_variable_splits(ring, d - s)
@@ -184,30 +244,28 @@ def _degree_maps(ring, target_shifts, source_shifts, columns, d_max):
         yield d, mat
 
 
-def _degree_map(ring, target_shifts, source_shifts, columns, d):
+def _degree_map(ring, target_shifts, source_shifts, rows, d):
     """The degree-d matrix of `_degree_maps` (no columns below the lowest
     source shift)."""
     mat = np.zeros((sum(ring.dim_piece(d - t) for t in target_shifts), 0), dtype=np.int64)
-    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, columns, d):
+    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d):
         pass
     return mat
 
 
-def _syzygy_step(ring, target_shifts, columns, d_max):
-    """New minimal syzygy generators of `columns`, internal degrees <= d_max.
+def _syzygy_step(ring, target_shifts, source_shifts, rows, d_max):
+    """New minimal syzygy generators of the columns with coordinate rows
+    `rows`, internal degrees <= d_max, as (d, coordinate row) pairs in the
+    degree-d piece of the free module with `source_shifts`.
 
     The kernel of each degree map is sieved as soon as it is computed, so
     only one degree's kernel is held at a time.
     """
-    src_shifts = tuple(c.internal_degree() for c in columns)
     kernels = (
         (d, nullspace(mat, ring.p))
-        for d, mat in _degree_maps(ring, target_shifts, src_shifts, columns, d_max)
+        for d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d_max)
     )
-    return [
-        vector_from_coords(ring, src_shifts, row, d)
-        for d, _i, row in nakayama_sieve(ring, src_shifts, kernels)
-    ]
+    return [(d, row) for d, _i, row in nakayama_sieve(ring, source_shifts, kernels)]
 
 
 # ------------------------------------------------------------- Betti tables
@@ -335,18 +393,16 @@ def regularity_verdict(table: BettiTable) -> RegularityVerdict:
 # ------------------------------------------------------------- linear part
 
 
-@dataclass
-class GradedComplex:
-    """A complex of shifted free modules given by differential columns."""
+@dataclass(eq=False)
+class GradedComplex(FreeComplex):
+    """A complex of shifted free modules given by per-degree coordinate
+    matrices (see `FreeComplex`)."""
 
     ring: object
     free_shifts: list[tuple[int, ...]]
-    steps: list[tuple[FreeModuleVector, ...]]
+    blocks: list[dict[int, np.ndarray]]
     i_max: int
     d_max: int
-
-    def differential(self, i: int) -> tuple[FreeModuleVector, ...]:
-        return self.steps[i - 1]
 
 
 def linear_part(res: Resolution) -> GradedComplex:
@@ -356,40 +412,34 @@ def linear_part(res: Resolution) -> GradedComplex:
     matrices is the degree-2 layer of the corresponding entry of d o d = 0,
     and no degree-0 entries exist by minimality.
     """
-    new_steps = []
-    for i in range(1, len(res.steps) + 1):
+    blocks = []
+    for i, step in enumerate(res.blocks, start=1):
         target = res.free_shifts[i - 1]
-        cols = []
-        for col, deg in zip(res.differential(i), res.free_shifts[i]):
-            comps = []
-            for comp, s in zip(col.components, target):
-                comps.append(
-                    comp if (not comp.is_zero() and deg - s == 1) else res.ring.poly_ring.zero()
-                )
-            cols.append(FreeModuleVector(tuple(comps), col.shifts))
-        new_steps.append(tuple(cols))
-    return GradedComplex(
-        res.ring, list(res.free_shifts), new_steps, res.i_max, res.d_max
-    )
+        lin = {}
+        for d, mat in step.items():
+            # a degree-d column's entry in a block of shift s has degree d - s
+            other = _coordinate_shifts(res.ring, target, d) != d - 1
+            if other.any():
+                mat = mat.copy()
+                mat[:, other] = 0
+            lin[d] = mat
+        blocks.append(lin)
+    return GradedComplex(res.ring, list(res.free_shifts), blocks, res.i_max, res.d_max)
 
 
-def homology_dims(complex_like, i: int, d: int) -> int:
+def homology_dims(complex_like: FreeComplex, i: int, d: int) -> int:
     """dim_k H_i in internal degree d, by exact ranks of the degree-d maps.
 
-    i = 0 measures the cokernel of the first differential.
+    i = 0 measures the cokernel of the first differential. The ranks of each
+    map come from `FreeComplex.map_ranks`, computed once per step.
     """
-    n_steps = len(complex_like.steps)
+    n_steps = complex_like.length_computed()
     if i < 0 or i > n_steps - 1:
         raise ValueError(f"homological index {i} out of computed range")
     if d > complex_like.d_max:
         raise ValueError(f"degree {d} beyond the trusted window {complex_like.d_max}")
     ring = complex_like.ring
-    p = ring.p
-    shifts, steps = complex_like.free_shifts, complex_like.steps
-    ker_dim = sum(ring.dim_piece(d - s) for s in shifts[i])
-    if i >= 1 and steps[i - 1]:
-        ker_dim -= rank(_degree_map(ring, shifts[i - 1], shifts[i], steps[i - 1], d), p)
-    img_dim = 0
-    if i + 1 <= n_steps and steps[i]:
-        img_dim = rank(_degree_map(ring, shifts[i], shifts[i + 1], steps[i], d), p)
-    return ker_dim - img_dim
+    ker_dim = sum(ring.dim_piece(d - s) for s in complex_like.free_shifts[i])
+    if i >= 1:
+        ker_dim -= complex_like.map_ranks(i).get(d, 0)
+    return ker_dim - complex_like.map_ranks(i + 1).get(d, 0)

@@ -214,14 +214,20 @@ def test_minimal_filtration_on_dual_numbers():
 
 
 def test_scaled_member_rows_rejected_at_own_witness(ci2):
-    # a line member written scaled (not in RREF) still passes as the asserted
-    # colon ann(x + y) of an earlier witness; only its own witness fails
+    # members written in other rows than RREF are the same ideals: a scaled
+    # line used as an earlier witness's colon and m written by another basis
+    # verify; a different line in place of the member fails at its own witness
     cert = all_linear_ideals_filtration(ci2)
     ann_i = next(w.colon for w in cert.witnesses if cert.members[w.member].rows == ((1, 1),))
     assert cert.members[ann_i].rows == ((1, 4),)  # ann(x + y) = (x - y)
+    full_i = next(i for i, m in enumerate(cert.members) if m.dim == 2)
     doc = json.loads(json.dumps(cert.to_json()))
     doc["members"][ann_i] = [[2, 3]]  # 2 * (x - y)
+    doc["members"][full_i] = [[1, 1], [0, 2]]
     doc["witnesses"].sort(key=lambda w: (w["member"] == ann_i, w["colon"] != ann_i))
+    assert verify_koszul_filtration(ci2, FiltrationCertificate.from_json(doc)).valid
+    doc["members"][ann_i] = [[2, 4]]  # 2 * (x + 2y)
+    doc["witnesses"].sort(key=lambda w: w["member"] != ann_i)
     result = verify_koszul_filtration(ci2, FiltrationCertificate.from_json(doc))
     assert (result.valid, result.failing_index, result.reason) == (
         False, ann_i, "I != J + (g)"

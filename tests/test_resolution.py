@@ -16,6 +16,9 @@ from koszulkit.quotient import (
     make_ring,
     residue_field_module,
 )
+import koszulkit.resolution as resolution_mod
+from koszulkit.koszul import koszul_verdict
+from koszulkit.linalg import rank
 from koszulkit.resolution import (
     _degree_map,
     _degree_maps,
@@ -251,14 +254,111 @@ def test_degree_map_matches_per_monomial_reference(ring_name, p, seed):
             if cx.differential(i):
                 cases.append((cx.free_shifts[i - 1], cx.free_shifts[i], cx.differential(i)))
     for target, source, columns in cases:
-        maps = dict(_degree_maps(ring, target, source, columns, d_max))
+        rows = [coords_of_vector(ring, target, c.components, s) for c, s in zip(columns, source)]
+        maps = dict(_degree_maps(ring, target, source, rows, d_max))
         assert sorted(maps) == list(range(min(source), d_max + 1))
         for d in range(min(source) - 1, d_max + 1):
             want = _reference_degree_map(ring, target, source, columns, d)
-            got = _degree_map(ring, target, source, columns, d)
+            got = _degree_map(ring, target, source, rows, d)
             assert got.shape == want.shape and np.array_equal(got, want), (target, source, d)
             if d in maps:
                 assert np.array_equal(maps[d], want)
+
+
+def _stored_rows(cx, i):
+    return [row for mat in cx.blocks[i - 1].values() for row in mat]
+
+
+def _reference_linear_part(res, i):
+    """Columns of the linear part of step i, filtered component by component."""
+    target = res.free_shifts[i - 1]
+    cols = []
+    for col, deg in zip(res.differential(i), res.free_shifts[i]):
+        comps = []
+        for comp, s in zip(col.components, target):
+            comps.append(
+                comp if (not comp.is_zero() and deg - s == 1) else res.ring.poly_ring.zero()
+            )
+        cols.append(FreeModuleVector(tuple(comps), col.shifts))
+    return cols
+
+
+def _reference_homology(cx, i, d):
+    """dim H_i in degree d from the degree-d maps built for this (i, d) alone."""
+    ring = cx.ring
+
+    def map_rank(k):
+        rows = _stored_rows(cx, k)
+        if not rows:
+            return 0
+        return rank(_degree_map(ring, cx.free_shifts[k - 1], cx.free_shifts[k], rows, d), ring.p)
+
+    ker = sum(ring.dim_piece(d - s) for s in cx.free_shifts[i])
+    if i >= 1:
+        ker -= map_rank(i)
+    return ker - map_rank(i + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAP_RINGS) + ["quadrics"]),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(0, 2**32),
+)
+def test_coordinate_steps_match_columns_linear_part_and_homology(ring_name, p, seed):
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    d_max = 4
+    module = residue_field_module(ring) if rng.random() < 0.3 else random_module(
+        ring, rng.randint(1, 2), 2, seed
+    )
+    res = resolve(module, 3, d_max)
+    lin = linear_part(res)
+    n_steps = res.length_computed()
+    for i in range(1, n_steps + 1):
+        rows = _stored_rows(res, i)
+        cols = res.differential(i)
+        assert len(rows) == len(cols) == len(res.free_shifts[i])
+        for row, col, d in zip(rows, cols, res.free_shifts[i]):
+            assert col.shifts == res.free_shifts[i - 1]
+            got = coords_of_vector(ring, res.free_shifts[i - 1], col.components, d)
+            assert np.array_equal(got, row)
+        assert list(lin.differential(i)) == _reference_linear_part(res, i)
+    queries = [(i, d) for i in range(n_steps) for d in range(d_max + 1)]
+    for cx in (res, lin):
+        rng.shuffle(queries)
+        for i, d in queries:
+            assert homology_dims(cx, i, d) == _reference_homology(cx, i, d), (i, d)
+
+
+def test_resolution_builds_columns_only_on_request(ci2, monkeypatch):
+    built, maps = [], []
+    real_vector, real_maps = resolution_mod.vector_from_coords, resolution_mod._degree_maps
+    monkeypatch.setattr(
+        resolution_mod, "vector_from_coords", lambda *a: built.append(a) or real_vector(*a)
+    )
+    monkeypatch.setattr(
+        resolution_mod, "_degree_maps", lambda *a: maps.append(a) or real_maps(*a)
+    )
+    m = random_module(ci2, 2, 2, 5)
+    res = resolve(m, 4, 6)
+    regularity_verdict(betti_table(res))
+    koszul_verdict(m, 4, 6, method="betti-diagonal")
+    koszul_verdict(m, 4, 6, method="linear-part-acyclic")
+    assert built == []
+    # every homology query of the linear part builds each step's maps once
+    lin = linear_part(res)
+    maps.clear()
+    for i in range(res.length_computed()):
+        for d in range(7):
+            homology_dims(lin, i, d)
+    assert len(maps) == sum(1 for i in range(1, res.length_computed() + 1) if res.free_shifts[i])
+    assert built == []
+    cols = res.differential(2)
+    assert len(built) == len(cols) == len(res.free_shifts[2]) > 0
+    again = res.differential(2)
+    assert again is cols and all(a is b for a, b in zip(again, cols))
+    assert len(built) == len(cols)
 
 
 def _action_matrix(module, poly, d_from, d_to):
