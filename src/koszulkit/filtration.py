@@ -11,7 +11,7 @@ identity of Hilbert numerators (see `_linear_colon`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
 
@@ -41,6 +41,8 @@ class LinearIdeal:
     """Ideal generated by a subspace of R_1, stored as an RREF basis."""
 
     rows: tuple[tuple[int, ...], ...]
+    # p -> (RREF of rows, its pivot columns), for contains_vector
+    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_vectors(vectors, n: int, p: int) -> "LinearIdeal":
@@ -65,10 +67,14 @@ class LinearIdeal:
     def contains_vector(self, v, p: int) -> bool:
         if not self.rows:
             return not any(int(c) % p for c in v)
-        e = Echelon(len(v), p)
-        for row in self.rows:
-            e.add(row)
-        return e.contains(np.array(v, dtype=np.int64))
+        reduced = self._reduced.get(p)
+        if reduced is None:
+            # rows read from JSON need not be in RREF, so reduce them here
+            mat, pivots = rref(np.array(self.rows, dtype=np.int64), p)
+            reduced = self._reduced[p] = (mat, pivots)
+        mat, pivots = reduced
+        v = np.asarray(v, dtype=np.int64) % p
+        return not np.any((v - matmul_mod(v[pivots][None], mat, p)[0]) % p)
 
     def contains(self, other: "LinearIdeal", p: int) -> bool:
         return all(self.contains_vector(r, p) for r in other.rows)
@@ -352,17 +358,18 @@ def verify_flag_chain(
     p, n = ring.p, ring.nvars
     if not chain:
         return VerificationResult(False, None, "empty chain")
-    if cert.members[chain[-1]].rows != LinearIdeal.full(n).rows:
-        return VerificationResult(False, chain[-1], "chain does not end at the maximal ideal")
+    # members read from JSON need not be in RREF: compare them in RREF
     canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
+    if canonical[chain[-1]].rows != LinearIdeal.full(n).rows:
+        return VerificationResult(False, chain[-1], "chain does not end at the maximal ideal")
     family = {m.rows for m in canonical}
     for step in range(1, len(chain)):
-        small = cert.members[chain[step - 1]]
-        big = cert.members[chain[step]]
+        small = canonical[chain[step - 1]]
+        big = canonical[chain[step]]
         if not big.contains(small, p) or big.dim != small.dim + 1:
             return VerificationResult(False, chain[step], "chain step is not cyclic")
         new_vec = next(r for r in big.rows if not small.contains_vector(r, p))
-        linear_ok, colon = _linear_colon(ring, canonical[chain[step - 1]], new_vec)
+        linear_ok, colon = _linear_colon(ring, small, new_vec)
         if not linear_ok or colon.rows not in family:
             return VerificationResult(False, chain[step], "chain colon leaves the family")
     return VerificationResult(True)

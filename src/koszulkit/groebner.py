@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -540,49 +541,61 @@ def vector_from_coords(
     return FreeModuleVector(tuple(comps), tuple(shifts))
 
 
-def times_variable(ring, shifts: Sequence[int], coords: np.ndarray, d: int, var: int) -> np.ndarray:
-    """x_var times the columns of `coords`, degree-d coordinate vectors of the
-    free module with the given shifts, as degree-(d+1) coordinate vectors.
+def shift_runs(ring, shifts: Sequence[int], d: int) -> list[tuple[int, int, int, int]]:
+    """The block layout of the degree-d and degree-(d+1) pieces of the free
+    module with the given shifts: (s, m, dim R_{d-s}, dim R_{d+1-s}) for each
+    run of m equal consecutive shifts s. Callers look it up once per degree
+    and pass it to every `times_variable` of that degree."""
+    return [
+        (s, len(list(run)), ring.dim_piece(d - s), ring.dim_piece(d + 1 - s))
+        for s, run in groupby(shifts)
+    ]
 
-    Applied block by block over the shifts with the cached
-    `QuotientRing.var_multiplication` matrices.
+
+def times_variable(ring, runs, coords: np.ndarray, d: int, var: int) -> np.ndarray:
+    """x_var times the columns of `coords`, degree-d coordinate vectors of the
+    free module with the block layout `runs` (`shift_runs` at d), as
+    degree-(d+1) coordinate vectors.
+
+    Each run of equal shifts is one stacked product with the cached
+    `QuotientRing.var_multiplication` matrix.
     """
-    dims = [ring.dim_piece(d + 1 - s) for s in shifts]
-    out = np.zeros((sum(dims), coords.shape[1]), dtype=np.int64)
+    n = coords.shape[1]
+    out = np.zeros((sum(m * high for _s, m, _low, high in runs), n), dtype=np.int64)
     row = prev_row = 0
-    for s, dim in zip(shifts, dims):
-        prev_dim = ring.dim_piece(d - s)
-        if dim and prev_dim:
-            out[row : row + dim] = matmul_mod(
-                ring.var_multiplication(var, d - s), coords[prev_row : prev_row + prev_dim], ring.p
-            )
-        row += dim
-        prev_row += prev_dim
+    for s, m, low, high in runs:
+        if low and high:
+            block = coords[prev_row : prev_row + m * low].reshape(m, low, n)
+            out[row : row + m * high] = matmul_mod(
+                ring.var_multiplication(var, d - s), block, ring.p
+            ).reshape(m * high, n)
+        row += m * high
+        prev_row += m * low
     return out
 
 
 def nakayama_sieve(
     ring, shifts: Sequence[int], pieces: Iterable[tuple[int, Sequence[np.ndarray]]]
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Graded Nakayama sieve in the free module with the given shifts.
+    """Graded Nakayama sieve behind `minimal_module_generators`, in the free
+    module with the given shifts.
 
     `pieces` gives (d, rows) for consecutive degrees d, where rows are
-    coordinate vectors of degree d. A row is kept when it is independent of
-    R_1 * U_{d-1} plus the rows kept before it in degree d, where U_d is the
-    span of R_1 * U_{d-1} and all of the degree-d rows. For the generators of
-    a submodule U_d is its degree-d part; for the kernels K_d of a map it is
-    K_d. Yields (d, index in rows, row) for every kept row as soon as it is
-    found, so that `pieces` may be produced lazily.
+    coordinate vectors of degree d of the generators of a submodule U. A row
+    is kept when it is independent of R_1 * U_{d-1} plus the rows kept
+    before it in degree d. Yields (d, index in rows, row) for every kept row
+    as soon as it is found, so that `pieces` may be produced lazily.
     """
     span = None
     for d, rows in pieces:
-        ech = Echelon(sum(ring.dim_piece(d - s) for s in shifts), ring.p)
+        runs = shift_runs(ring, shifts, d - 1)
+        ech = Echelon(sum(m * high for _s, m, _low, high in runs), ring.p)
         if span is not None:
             # R_1 * U_{d-1}: rows v*len(span) + k hold x_v times span row k
             n = len(span)
             products = np.zeros((ring.nvars * n, ech.ncols), dtype=np.int64)
             for v in range(ring.nvars):
-                products[v * n : (v + 1) * n] = times_variable(ring, shifts, span.T, d - 1, v).T
+                products[v * n : (v + 1) * n] = times_variable(ring, runs, span.T, d - 1, v).T
             for k in np.flatnonzero(products.any(axis=1)):
                 ech.add(products[k])
             del products

@@ -26,7 +26,8 @@ _CHUNK = 1 << 15
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 matrices with entries in [0, p), p < 2^31.
+    """Exact (a @ b) mod p for int64 matrices with entries in [0, p), p < 2^31;
+    `b` may also be a stack of matrices, one product each.
 
     With inner dimension k, the plain int64 product is used when
     k * (p-1)^2 < 2^63 (always so at p = 32003). Otherwise `a` is split into
@@ -37,9 +38,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if k * (p - 1) ** 2 < 1 << 63:
         return (a @ b) % p
     low, high = a & ((1 << _LIMB_BITS) - 1), a >> _LIMB_BITS
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = np.zeros(b.shape[:-2] + (a.shape[0], b.shape[-1]), dtype=np.int64)
     for lo in range(0, k, _CHUNK):
-        b_c = b[lo : lo + _CHUNK]
+        b_c = b[..., lo : lo + _CHUNK, :]
         out += (low[:, lo : lo + _CHUNK] @ b_c) % p
         out += (((high[:, lo : lo + _CHUNK] @ b_c) % p) << _LIMB_BITS) % p
         out %= p
@@ -48,7 +49,20 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix without zero rows, pivot columns)."""
-    a = np.mod(np.array(a, dtype=np.int64), p)
+    return _echelon(a, p, reduced=True)
+
+
+def pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of `a` (those of its rref), found by elimination below
+    the pivots only."""
+    return _echelon(a, p, reduced=False)[1]
+
+
+def _echelon(a, p, reduced):
+    """Row echelon form of a copy of `a` with monic pivots: (matrix without
+    zero rows, pivot columns). With `reduced`, every pivot column is also
+    cleared above its pivot, which gives the rref."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p, order="C")
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -64,13 +78,20 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             piv = r + 1 + int(below[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
+        # row r is zero left of c, so only columns c.. change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        if reduced:
+            col = a[:, c].copy()
+            col[r] = 0
+            nz = col.nonzero()[0]
+        else:
+            nz = r + 1 + a[r + 1 :, c].nonzero()[0]
         if nz.size:
-            a[nz] = (a[nz] - col[nz, None] * a[r][None, :]) % p
+            # updating one copy in place makes two temporaries of its size, not four
+            sub = a[nz, c:]
+            sub -= sub[:, :1] * a[r, c:]
+            sub %= p
+            a[nz, c:] = sub
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -79,7 +100,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank(a: np.ndarray, p: int) -> int:
     if a.size == 0:
         return 0
-    return rref(a, p)[0].shape[0]
+    return len(pivot_columns(a, p))
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

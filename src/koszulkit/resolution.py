@@ -1,11 +1,17 @@
 """Truncated minimal graded free resolutions, Betti tables, regularity,
 linear parts and graded-piece homology.
 
-The engine is exact linear algebra over F_p, one internal degree at a time:
-for each step the degree-d syzygies are the kernel K_d of the degree-d map
-(`_degree_maps`), and the new minimal generators are a basis of K_d modulo
-R_1*K_{d-1} (graded Nakayama, `groebner.nakayama_sieve`). Every entry of
-every recorded differential is therefore trustworthy for internal degrees
+The engine is exact linear algebra over F_p, one internal degree at a time,
+for all steps together. Step 1 is a minimal generating set of the relations
+(`groebner.minimal_module_generators`). Each later step is a stage
+(`_syzygy_stage`) fed the degree-d maps M_d of the step before: the degree-d
+syzygies are the kernel K_d of M_d, and the new minimal generators are a
+basis of K_d modulo R_1*K_{d-1} (graded Nakayama). The stage's own degree-d
+map N_d, over its generators of degrees < d, has columns spanning
+R_1*K_{d-1}, so one elimination on N_d settles the sieve; N_d with the new
+generators appended is then the next stage's M_d. So each step's degree map
+is built once and serves both its own sieve and the next kernel. Every entry
+of every recorded differential is therefore trustworthy for internal degrees
 <= d_max, and minimality (entries in the maximal ideal) holds by
 construction.
 
@@ -18,7 +24,7 @@ and homology read the matrices.
 
 The degree-d map is built from the degree d-1 map: the column of u * col_j,
 for a standard monomial u with first variable x_v, is x_v times the column of
-(u / x_v) * col_j, taken block by block over the target shifts from the
+(u / x_v) * col_j, taken run by run over equal target shifts from the
 cached `QuotientRing.var_multiplication` matrices. Only the columns of the
 generators themselves (u = 1) are the stored coordinate rows; every other
 entry comes from those matrix products, with no normal form taken.
@@ -34,11 +40,11 @@ from .groebner import (
     FreeModuleVector,
     coords_of_vector,
     minimal_module_generators,
-    nakayama_sieve,
+    shift_runs,
     times_variable,
     vector_from_coords,
 )
-from .linalg import nullspace, rank
+from .linalg import nullspace, pivot_columns, rank
 from .quotient import GradedModule
 
 
@@ -131,8 +137,6 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
 
     ring = module.ring
     warnings: list[str] = []
-    free_shifts: list[tuple[int, ...]] = [module.shifts]
-    blocks: list[dict[int, np.ndarray]] = []
 
     if module.is_zero():
         res = Resolution(module, [()], [], i_max, d_max, warnings)
@@ -150,42 +154,44 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     if module.columns and not cols:
         if not in_window:
             warnings.append("bounds too small to produce step 1")
-    rows = []
+    by_degree: dict[int, list[np.ndarray]] = {}
     for v in cols:
         d = v.internal_degree()
-        rows.append((d, coords_of_vector(ring, module.shifts, v.components, d)))
-    _append_step(ring, free_shifts, blocks, rows)
-    for _i in range(2, i_max + 1):
-        prev = [row for mat in blocks[-1].values() for row in mat]
-        rows = _syzygy_step(ring, free_shifts[-2], free_shifts[-1], prev, d_max) if prev else []
-        _append_step(ring, free_shifts, blocks, rows)
+        by_degree.setdefault(d, []).append(coords_of_vector(ring, module.shifts, v.components, d))
+    blocks: list[dict[int, np.ndarray]] = [{d: np.array(r) for d, r in by_degree.items()}]
 
+    # steps 2..i_max: chained stages, all run degree by degree
+    rows = [row for mat in blocks[0].values() for row in mat]
+    maps = _degree_maps(ring, module.shifts, _shifts(blocks[0]), rows, d_max) if rows else ()
+    for _i in range(2, i_max + 1):
+        blocks.append({})
+        maps = _syzygy_stage(ring, blocks[-2], maps, blocks[-1])
+    for _d, _mat in maps:
+        pass
+
+    free_shifts = [module.shifts]
+    for step in blocks:
+        # minimality: no degree-d column has a nonzero constant entry, that
+        # is, a nonzero coordinate in a target block of shift d
+        for d, mat in step.items():
+            if mat[:, _coordinate_shifts(ring, free_shifts[-1], d) == d].any():
+                raise AssertionError("non-minimal differential entry")
+        free_shifts.append(_shifts(step))
     res = Resolution(module, free_shifts, blocks, i_max, d_max, warnings)
     module.resolutions[(i_max, d_max)] = res
     return res
 
 
-def _append_step(ring, free_shifts, blocks, rows):
-    """Record the step whose generators are the (d, coordinate row) pairs
-    `rows`, in increasing d, as one matrix per degree."""
-    by_degree: dict[int, list[np.ndarray]] = {}
-    for d, row in rows:
-        by_degree.setdefault(d, []).append(row)
-    step = {d: np.array(r) for d, r in by_degree.items()}
-    # minimality: no degree-d column has a nonzero constant entry, that is, a
-    # nonzero coordinate in a target block of shift d
-    for d, mat in step.items():
-        if mat[:, _coordinate_shifts(ring, free_shifts[-1], d) == d].any():
-            raise AssertionError("non-minimal differential entry")
-    blocks.append(step)
-    free_shifts.append(tuple(d for d, _row in rows))
+def _shifts(step):
+    """Generator degrees of a step given as {d: matrix of degree-d rows}."""
+    return tuple(d for d, mat in step.items() for _row in mat)
 
 
 def _coordinate_shifts(ring, shifts, d):
     """For each coordinate of the degree-d piece of the free module with the
     given shifts, the shift of the block it lies in."""
-    dims = [ring.dim_piece(d - s) for s in shifts]
-    return np.repeat(np.array(shifts, dtype=np.int64), dims)
+    runs = shift_runs(ring, shifts, d - 1)
+    return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
 
 
 def _first_variable_splits(ring, e):
@@ -201,6 +207,41 @@ def _first_variable_splits(ring, e):
     return np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
 
 
+def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
+    """The degree-d map of `_degree_maps` from the degree d-1 map `prev`, with
+    the generator columns (j, 1), source_shifts[j] == d, left zero.
+
+    Column (j, u), with x_v the first variable of u, is x_v times column
+    (j, u / x_v) of `prev` (`groebner.times_variable`). `prev` is unused when
+    no source shift is below d. The block layouts of both free modules are
+    looked up once here, for every product by a variable.
+    """
+    target = shift_runs(ring, target_shifts, d - 1)
+    source = shift_runs(ring, source_shifts, d - 1)
+    nrows = sum(m * high for _s, m, _low, high in target)
+    mat = np.zeros((nrows, sum(m * high for _s, m, _low, high in source)), dtype=np.int64)
+    # every column (j, u) with deg u >= 1: the first variable of u, its index
+    # in mat and the index in prev of the column it is x_v times
+    empty = np.zeros(0, dtype=np.int64)
+    first, cols, prev_cols = [empty], [empty], [empty]
+    col = prev_col = 0
+    for s, m, low, high in source:
+        if low and high:
+            v, k = _first_variable_splits(ring, d - s)
+            first.append(np.tile(v, m))
+            cols.append(col + np.arange(m * high))
+            prev_cols.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
+        col += m * high
+        prev_col += m * low
+    first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
+    for v in range(ring.nvars):
+        sel = first == v
+        if sel.any():
+            prev_v = prev[:, prev_cols[sel]]
+            mat[:, cols[sel]] = times_variable(ring, target, prev_v, d - 1, v)
+    return mat
+
+
 def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
     """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
     from the lowest source shift to d_max.
@@ -208,38 +249,18 @@ def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
     rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
     piece of the target free module. Rows of the matrix: degree-d basis of
     the target. Columns: (j, u) with u a standard monomial of degree
-    d - source_shifts[j]. Column (j, 1) is rows[j]. Column (j, u), with x_v
-    the first variable of u, is x_v times column (j, u / x_v) of the degree
-    d-1 map (`groebner.times_variable`).
+    d - source_shifts[j]. Column (j, 1) is rows[j]; the others come from the
+    degree d-1 map (`_next_degree_map`).
     """
     prev = None
     for d in range(min(source_shifts), d_max + 1):
-        tgt_dim = sum(ring.dim_piece(d - t) for t in target_shifts)
-        mat = np.zeros((tgt_dim, sum(ring.dim_piece(d - s) for s in source_shifts)), dtype=np.int64)
-        # every column (j, u) with deg u >= 1: the first variable of u, its
-        # index in mat and the index in prev of the column it is x_v times
-        empty = np.zeros(0, dtype=np.int64)
-        first, cols, prev_cols = [empty], [empty], [empty]
-        splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        col = prev_col = 0
-        for j, s in enumerate(source_shifts):
-            if d == s:
-                mat[:, col] = rows[j]
-            elif d > s:
-                if d - s not in splits:
-                    splits[d - s] = _first_variable_splits(ring, d - s)
-                v, k = splits[d - s]
-                first.append(v)
-                cols.append(col + np.arange(len(v)))
-                prev_cols.append(prev_col + k)
-            col += ring.dim_piece(d - s)
-            prev_col += ring.dim_piece(d - 1 - s)
-        first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
-        for v in range(ring.nvars):
-            sel = first == v
-            if sel.any():
-                prev_v = prev[:, prev_cols[sel]]
-                mat[:, cols[sel]] = times_variable(ring, target_shifts, prev_v, d - 1, v)
+        mat = _next_degree_map(ring, target_shifts, source_shifts, prev, d)
+        col = j = 0
+        for s, m, _low, high in shift_runs(ring, source_shifts, d - 1):
+            if s == d:
+                mat[:, col : col + m] = np.transpose(rows[j : j + m])
+            col += m * high
+            j += m
         prev = mat
         yield d, mat
 
@@ -253,19 +274,57 @@ def _degree_map(ring, target_shifts, source_shifts, rows, d):
     return mat
 
 
-def _syzygy_step(ring, target_shifts, source_shifts, rows, d_max):
-    """New minimal syzygy generators of the columns with coordinate rows
-    `rows`, internal degrees <= d_max, as (d, coordinate row) pairs in the
-    degree-d piece of the free module with `source_shifts`.
+def _syzygy_stage(ring, target, maps, step):
+    """One syzygy step of the resolution, run degree by degree.
 
-    The kernel of each degree map is sieved as soon as it is computed, so
-    only one degree's kernel is held at a time.
+    `maps` yields (d, M_d), the degree-d maps of the step before, for
+    consecutive d; `target` ({d: matrix of degree-d rows}) holds that step's
+    generators up to degree d when M_d arrives. The new minimal generators of
+    each degree are basis rows of K_d = ker M_d, put in `step[d]` as they
+    are found. The stage yields (d, N_d), its own degree-d map, from the
+    degree of its first generator on: the next stage's M_d.
+
+    N_d is built from N_{d-1} before the sieve, over the generators of
+    degrees < d; by induction its columns span R_1 * K_{d-1}, so the sieve
+    takes no products of its own. The new generators are then appended to
+    N_d as its generator columns. At the yield the stage holds N_d and
+    nothing else of degree d.
     """
-    kernels = (
-        (d, nullspace(mat, ring.p))
-        for d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d_max)
-    )
-    return [(d, row) for d, _i, row in nakayama_sieve(ring, source_shifts, kernels)]
+    shifts: tuple[int, ...] = ()
+    prev = None
+    for d, mat in maps:
+        prev = _next_degree_map(ring, _shifts(target), shifts, prev, d)
+        spanned = _last_entries(prev, ring.p)
+        basis = nullspace(mat, ring.p)
+        del mat
+        # Row k of the rref kernel basis is 1 at its free column F_k and zero
+        # at the other free columns and after F_k. So it lies in R_1 * K_{d-1}
+        # plus the rows before it exactly when F_k is the last nonzero entry
+        # of a vector of R_1 * K_{d-1}: the choice an incremental echelon fed
+        # the products and then the rows in order would make.
+        if len(basis):
+            free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+            new = basis[~spanned[free]]
+        else:
+            new = basis
+        del basis
+        if len(new):
+            step[d] = new
+            shifts += (d,) * len(new)
+            prev = np.concatenate([prev, new.T], axis=1)
+        if shifts:
+            yield d, prev
+
+
+def _last_entries(vectors, p):
+    """Mask of the coordinates that are the last nonzero entry of some vector
+    in the span of the columns of `vectors`: the pivot columns of the vectors
+    as rows, with the coordinates reversed."""
+    n = vectors.shape[0]
+    last = np.zeros(n, dtype=bool)
+    if vectors.shape[1]:
+        last[n - 1 - np.array(pivot_columns(vectors[::-1].T, p), dtype=np.int64)] = True
+    return last
 
 
 # ------------------------------------------------------------- Betti tables

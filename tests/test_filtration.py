@@ -301,6 +301,41 @@ def test_flag_chain_colon_leaves_family(ci2):
     assert (r.valid, r.failing_index, r.reason) == (False, 1, "chain colon leaves the family")
 
 
+def test_flag_chain_compares_members_in_rref(ci2):
+    # m written [[1, 1], [0, 2]] and (y) written by two dependent rows are
+    # the same ideals, so the chain (0) < (y) < m still verifies, as the
+    # filtration does; m written by two dependent rows spans only a line
+    cert = all_linear_ideals_filtration(ci2)
+    zero_i = next(i for i, m in enumerate(cert.members) if m.dim == 0)
+    y_i = next(i for i, m in enumerate(cert.members) if m.rows == ((0, 1),))
+    m_i = next(i for i, m in enumerate(cert.members) if m.dim == 2)
+    doc = json.loads(json.dumps(cert.to_json()))
+    doc["members"][m_i] = [[1, 1], [0, 2]]
+    doc["members"][y_i] = [[0, 1], [0, 3]]
+    rewritten = FiltrationCertificate.from_json(doc)
+    assert verify_koszul_filtration(ci2, rewritten).valid
+    assert verify_flag_chain(ci2, rewritten, (zero_i, y_i, m_i)).valid
+    doc["members"][m_i] = [[1, 1], [2, 2]]
+    r = verify_flag_chain(ci2, FiltrationCertificate.from_json(doc), (zero_i, y_i, m_i))
+    assert (r.valid, r.failing_index, r.reason) == (
+        False, m_i, "chain does not end at the maximal ideal"
+    )
+
+
+def test_contains_vector_reduces_rows_in_any_form():
+    # rows that are not in RREF (scaled, dependent, unsorted) span the same
+    # space; the cached reduction is made once per modulus
+    li = LinearIdeal(((0, 2, 4), (3, 0, 0), (0, 1, 2)))
+    assert li.contains_vector((1, 1, 2), 5)
+    assert li.contains_vector((6, 3, 6), 5)
+    assert not li.contains_vector((0, 0, 1), 5)
+    assert not li.contains_vector((0, 1, 0), 5)
+    # over F_2 the rows are 0, x and y
+    assert li.contains_vector((0, 1, 0), 2)
+    assert not li.contains_vector((0, 1, 1), 2)
+    assert li.contains_vector((0, 1, 2), 5)
+
+
 # ------------------------------------------------------------- flag search
 
 

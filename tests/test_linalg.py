@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank, rref, solve
+from koszulkit.linalg import Echelon, matmul_mod, nullspace, pivot_columns, rank, rref, solve
 from oracles import rank_mod_p
 
 
@@ -152,3 +152,45 @@ def test_matmul_mod_chunks_long_inner_dimension():
     a[0] = p - 1
     b[:, 0] = p - 1
     assert matmul_mod(a, b, p).tolist() == _python_product(a, b, p)
+    # a stack of right operands gives one product each
+    stacked = matmul_mod(a, np.stack([b, b[::-1]]), p)
+    want = [_python_product(a, b, p), _python_product(a, b[::-1], p)]
+    assert [m.tolist() for m in stacked] == want
+
+
+@st.composite
+def _stacked_operands(draw):
+    p, a, b = draw(_mod_p_operands())
+    entries = st.integers(0, p - 1)
+    k, n = len(b), len(b[0])
+    more = draw(st.lists(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k), max_size=3
+    ))
+    return p, a, [b] + more
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacked_operands())
+def test_matmul_mod_stacked_matches_each_product(operands):
+    p, a, stack = operands
+    got = matmul_mod(np.array(a, dtype=np.int64), np.array(stack, dtype=np.int64), p)
+    assert [m.tolist() for m in got] == [_python_product(a, b, p) for b in stack]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(0, 2**32),
+)
+def test_pivot_columns_match_rref(p, m, n, seed):
+    # low-rank products and zero columns make the pivots skip columns
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(m, n) + 1))
+    left = rng.integers(0, p, size=(m, k), dtype=np.int64)
+    right = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    right[:, rng.random(n) < 0.3] = 0
+    a = matmul_mod(left, right, p)
+    assert pivot_columns(a, p) == rref(a, p)[1]
+    assert rank(a, p) == rank_mod_p(a.tolist(), p)

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from koszulkit.arith import polynomial_ring
-from koszulkit.groebner import FreeModuleVector, coords_of_vector, normal_form
+from koszulkit.groebner import (
+    FreeModuleVector,
+    coords_of_vector,
+    nakayama_sieve,
+    normal_form,
+)
 from koszulkit.quotient import (
     cyclic_module,
     free_module,
@@ -18,7 +23,7 @@ from koszulkit.quotient import (
 )
 import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
-from koszulkit.linalg import rank
+from koszulkit.linalg import nullspace, rank
 from koszulkit.resolution import (
     _degree_map,
     _degree_maps,
@@ -267,6 +272,61 @@ def test_degree_map_matches_per_monomial_reference(ring_name, p, seed):
 
 def _stored_rows(cx, i):
     return [row for mat in cx.blocks[i - 1].values() for row in mat]
+
+
+def _reference_syzygy_step(ring, target_shifts, source_shifts, rows, d_max):
+    """New minimal syzygies of the columns with coordinate rows `rows`, step by
+    step: each degree map's kernel, sieved by `nakayama_sieve` against the
+    products R_1 * K_{d-1}. Returns (d, coordinate row) pairs."""
+    kernels = (
+        (d, nullspace(mat, ring.p))
+        for d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d_max)
+    )
+    return [(d, row) for d, _i, row in nakayama_sieve(ring, source_shifts, kernels)]
+
+
+def _assert_steps_match_reference(res):
+    """Every step >= 2 of `res`, degree by degree, equals the reference step
+    run on the step before it. Returns the number of (step, degree) pairs
+    whose kernel is empty."""
+    ring, empty = res.ring, 0
+    for i in range(2, res.length_computed() + 1):
+        prev = _stored_rows(res, i - 1)
+        target, source = res.free_shifts[i - 2], res.free_shifts[i - 1]
+        want = _reference_syzygy_step(ring, target, source, prev, res.d_max) if prev else []
+        got = [(d, row) for d, mat in res.blocks[i - 1].items() for row in mat]
+        assert [d for d, _row in got] == [d for d, _row in want], i
+        for (d, row), (_d, ref) in zip(got, want):
+            assert np.array_equal(row, ref), (i, d)
+        if prev:
+            maps = _degree_maps(ring, target, source, prev, res.d_max)
+            empty += sum(1 for _d, mat in maps if not len(nullspace(mat, ring.p)))
+    return empty
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAP_RINGS) + ["quadrics"]),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(0, 2**32),
+)
+def test_resolution_steps_match_reference_sieve(ring_name, p, seed):
+    # the degree-by-degree stages keep the same rows, in the same order, as
+    # the kernel of each degree map sieved step by step
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    for module in (residue_field_module(ring), random_module(ring, rng.randint(1, 2), 2, seed)):
+        _assert_steps_match_reference(resolve(module, 4, 5))
+
+
+def test_resolution_steps_match_reference_with_empty_kernels():
+    # generators in degree 1 over k[x,y]/(x^2,y^2): the pieces of F_i vanish
+    # from degree shift + 3, so some degree maps have no kernel at all
+    for p in (2, 3, 32003, 2147483647):
+        ring = _map_ring("ci2", p, random.Random(0))
+        x, y = ring.poly_ring.gens()
+        for module in (make_module(ring, (1, 1), [[x, y]]), random_module(ring, 2, 2, p)):
+            assert _assert_steps_match_reference(resolve(module, 5, 7)) > 0
 
 
 def _reference_linear_part(res, i):
