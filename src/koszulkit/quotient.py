@@ -38,9 +38,9 @@ from .linalg import rref
 class QuotientRing:
     """Presentation of a standard graded algebra F_p[x_1..x_n]/I.
 
-    Immutable after construction; piece bases, monomial normal forms and
-    variable multiplication matrices are cached lazily (fill-once, so
-    concurrent readers are safe).
+    Immutable after construction; piece bases, monomial normal forms,
+    variable multiplication matrices and first-variable splits are cached
+    lazily (fill-once, so concurrent readers are safe).
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -52,6 +52,7 @@ class QuotientRing:
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
+        self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
@@ -165,6 +166,23 @@ class QuotientRing:
                 mat[tgt_idx[mm], j] = c
         self._var_mult[key] = mat
         return mat
+
+    def first_variable_splits(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
+        order: x_v is the first variable of u and k the index of u / x_v in the
+        degree e-1 basis (a divisor of a standard monomial is standard)."""
+        got = self._first_var_splits.get(e)
+        if got is not None:
+            return got
+        index = self.piece_index(e - 1)
+        first, lower = [], []
+        for u in self.piece(e):
+            v = next(i for i, a in enumerate(u) if a)
+            first.append(v)
+            lower.append(index[u[:v] + (u[v] - 1,) + u[v + 1 :]])
+        got = np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
+        self._first_var_splits[e] = got
+        return got
 
     def hilbert_series(self, expand_to: int) -> "HilbertSeries":
         lts = list(self.gb.leading_monomials())

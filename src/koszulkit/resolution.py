@@ -22,6 +22,15 @@ order the sieve keeps them. `FreeModuleVector` columns are built from those
 rows only when `differential(i)` is asked for; Betti tables, linear parts
 and homology read the matrices.
 
+The rank of every degree-d map is recorded by the stages as they eliminate
+it, so homology never ranks a map of a resolution again: a stage takes the
+rank of its incoming M_d from rank-nullity on its kernel, and the rank of
+its own N_d from the pivots of its sieve plus the new generators, which are
+independent modulo the older columns. A linear part shares the blocks and
+ranks of every step whose entries are all linear. Only a map no stage
+eliminated (map 1 when i_max = 1, or a linear-part step that drops a
+nonzero entry) is rebuilt and ranked, once, on the first homology query.
+
 The degree-d map is built from the degree d-1 map: the column of u * col_j,
 for a standard monomial u with first variable x_v, is x_v times the column of
 (u / x_v) * col_j, taken run by run over equal target shifts from the
@@ -58,12 +67,20 @@ class FreeComplex:
     F_i -> F_{i-1}, as coordinate vectors of the degree-d piece of F_{i-1};
     the generators of F_i are these rows in increasing d. Subclasses supply
     `ring`, `free_shifts`, `blocks` and `d_max`.
+
+    _ranks[i] is an int64 array whose entry d - lo, for lo the lowest shift
+    of F_0 and lo <= d <= d_max, is the rank of the degree-d map of
+    F_i -> F_{i-1} (no map has a lower degree). `resolve` fills it from its
+    own eliminations and `linear_part` shares the arrays of the steps it
+    leaves unchanged; `map_ranks` fills any other step on demand. Arrays,
+    not dicts, so that the ranks add no objects for the cycle collector to
+    count.
     """
 
     _columns: dict[int, tuple[FreeModuleVector, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _ranks: dict[int, dict[int, int]] = field(default_factory=dict, init=False, repr=False)
+    _ranks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def length_computed(self) -> int:
         return len(self.blocks)
@@ -85,16 +102,20 @@ class FreeComplex:
     def steps(self) -> list[tuple[FreeModuleVector, ...]]:
         return [self.differential(i) for i in range(1, len(self.blocks) + 1)]
 
-    def map_ranks(self, i: int) -> dict[int, int]:
-        """Rank of the degree-d map of F_i -> F_{i-1} for every d <= d_max at
-        which F_i has a nonzero piece, from one `_degree_maps` pass on the
-        first call (fill-once cache)."""
+    def map_ranks(self, i: int) -> np.ndarray:
+        """Ranks of the degree-d maps of F_i -> F_{i-1}, laid out as `_ranks[i]`
+        (fill-once cache). The ranks recorded when the complex was built are
+        returned as they are; a step without them is rebuilt by one
+        `_degree_maps` pass and ranked on the first call."""
         ranks = self._ranks.get(i)
         if ranks is None:
+            lo = min(self.free_shifts[0])
+            ranks = self._ranks[i] = np.zeros(max(self.d_max + 1 - lo, 0), dtype=np.int64)
             rows = [row for mat in self.blocks[i - 1].values() for row in mat]
-            target, source = self.free_shifts[i - 1], self.free_shifts[i]
-            maps = _degree_maps(self.ring, target, source, rows, self.d_max) if rows else ()
-            ranks = self._ranks[i] = {d: rank(mat, self.ring.p) for d, mat in maps}
+            if rows:
+                target, source = self.free_shifts[i - 1], self.free_shifts[i]
+                for d, mat in _degree_maps(self.ring, target, source, rows, self.d_max):
+                    ranks[d - lo] = rank(mat, self.ring.p)
         return ranks
 
 
@@ -160,12 +181,15 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
         by_degree.setdefault(d, []).append(coords_of_vector(ring, module.shifts, v.components, d))
     blocks: list[dict[int, np.ndarray]] = [{d: np.array(r) for d, r in by_degree.items()}]
 
-    # steps 2..i_max: chained stages, all run degree by degree
+    # steps 2..i_max: chained stages, all run degree by degree; row i-1 of
+    # ranks collects the degree ranks of map i, laid out as FreeComplex._ranks
+    lo = min(module.shifts)
+    ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
     rows = [row for mat in blocks[0].values() for row in mat]
     maps = _degree_maps(ring, module.shifts, _shifts(blocks[0]), rows, d_max) if rows else ()
-    for _i in range(2, i_max + 1):
+    for i in range(2, i_max + 1):
         blocks.append({})
-        maps = _syzygy_stage(ring, blocks[-2], maps, blocks[-1])
+        maps = _syzygy_stage(ring, blocks[-2], maps, blocks[-1], ranks[i - 2], ranks[i - 1], lo)
     for _d, _mat in maps:
         pass
 
@@ -178,6 +202,9 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
                 raise AssertionError("non-minimal differential entry")
         free_shifts.append(_shifts(step))
     res = Resolution(module, free_shifts, blocks, i_max, d_max, warnings)
+    if i_max >= 2:
+        # with no stage, map 1 was never eliminated
+        res._ranks.update(enumerate(ranks, start=1))
     module.resolutions[(i_max, d_max)] = res
     return res
 
@@ -192,19 +219,6 @@ def _coordinate_shifts(ring, shifts, d):
     given shifts, the shift of the block it lies in."""
     runs = shift_runs(ring, shifts, d - 1)
     return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
-
-
-def _first_variable_splits(ring, e):
-    """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
-    order: x_v is the first variable of u and k the index of u / x_v in the
-    degree e-1 basis (a divisor of a standard monomial is standard)."""
-    index = ring.piece_index(e - 1)
-    first, lower = [], []
-    for u in ring.piece(e):
-        v = next(i for i, a in enumerate(u) if a)
-        first.append(v)
-        lower.append(index[u[:v] + (u[v] - 1,) + u[v + 1 :]])
-    return np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
 
 
 def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
@@ -227,7 +241,7 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     col = prev_col = 0
     for s, m, low, high in source:
         if low and high:
-            v, k = _first_variable_splits(ring, d - s)
+            v, k = ring.first_variable_splits(d - s)
             first.append(np.tile(v, m))
             cols.append(col + np.arange(m * high))
             prev_cols.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
@@ -265,16 +279,7 @@ def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
         yield d, mat
 
 
-def _degree_map(ring, target_shifts, source_shifts, rows, d):
-    """The degree-d matrix of `_degree_maps` (no columns below the lowest
-    source shift)."""
-    mat = np.zeros((sum(ring.dim_piece(d - t) for t in target_shifts), 0), dtype=np.int64)
-    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d):
-        pass
-    return mat
-
-
-def _syzygy_stage(ring, target, maps, step):
+def _syzygy_stage(ring, target, maps, step, in_ranks, own_ranks, lo):
     """One syzygy step of the resolution, run degree by degree.
 
     `maps` yields (d, M_d), the degree-d maps of the step before, for
@@ -289,6 +294,13 @@ def _syzygy_stage(ring, target, maps, step):
     takes no products of its own. The new generators are then appended to
     N_d as its generator columns. At the yield the stage holds N_d and
     nothing else of degree d.
+
+    `in_ranks[d - lo]` gets the rank of M_d, its column count less dim K_d,
+    and `own_ranks[d - lo]` the rank of N_d: the pivots of the sieve's
+    elimination plus the new generators, which are independent modulo the
+    older columns (each is the only one nonzero at its own free column, and
+    none after it). A map between two stages is thus recorded by both, with
+    equal numbers.
     """
     shifts: tuple[int, ...] = ()
     prev = None
@@ -296,6 +308,7 @@ def _syzygy_stage(ring, target, maps, step):
         prev = _next_degree_map(ring, _shifts(target), shifts, prev, d)
         spanned = _last_entries(prev, ring.p)
         basis = nullspace(mat, ring.p)
+        in_ranks[d - lo] = mat.shape[1] - len(basis)
         del mat
         # Row k of the rref kernel basis is 1 at its free column F_k and zero
         # at the other free columns and after F_k. So it lies in R_1 * K_{d-1}
@@ -313,6 +326,7 @@ def _syzygy_stage(ring, target, maps, step):
             shifts += (d,) * len(new)
             prev = np.concatenate([prev, new.T], axis=1)
         if shifts:
+            own_ranks[d - lo] = spanned.sum() + len(new)
             yield d, prev
 
 
@@ -469,28 +483,36 @@ def linear_part(res: Resolution) -> GradedComplex:
 
     The result is automatically a complex: a composite entry of two linear
     matrices is the degree-2 layer of the corresponding entry of d o d = 0,
-    and no degree-0 entries exist by minimality.
+    and no degree-0 entries exist by minimality. A step with no nonzero
+    non-linear entry is the resolution's own step: its matrices and recorded
+    ranks are shared, not copied.
     """
-    blocks = []
+    blocks, ranks = [], {}
     for i, step in enumerate(res.blocks, start=1):
         target = res.free_shifts[i - 1]
-        lin = {}
+        lin, changed = {}, False
         for d, mat in step.items():
             # a degree-d column's entry in a block of shift s has degree d - s
             other = _coordinate_shifts(res.ring, target, d) != d - 1
-            if other.any():
+            if mat[:, other].any():
                 mat = mat.copy()
                 mat[:, other] = 0
+                changed = True
             lin[d] = mat
         blocks.append(lin)
-    return GradedComplex(res.ring, list(res.free_shifts), blocks, res.i_max, res.d_max)
+        if not changed and i in res._ranks:
+            ranks[i] = res._ranks[i]
+    part = GradedComplex(res.ring, list(res.free_shifts), blocks, res.i_max, res.d_max)
+    part._ranks.update(ranks)
+    return part
 
 
 def homology_dims(complex_like: FreeComplex, i: int, d: int) -> int:
     """dim_k H_i in internal degree d, by exact ranks of the degree-d maps.
 
     i = 0 measures the cokernel of the first differential. The ranks of each
-    map come from `FreeComplex.map_ranks`, computed once per step.
+    map come from `FreeComplex.map_ranks`: those the resolution recorded, or
+    one rebuild per step that has none.
     """
     n_steps = complex_like.length_computed()
     if i < 0 or i > n_steps - 1:
@@ -498,7 +520,11 @@ def homology_dims(complex_like: FreeComplex, i: int, d: int) -> int:
     if d > complex_like.d_max:
         raise ValueError(f"degree {d} beyond the trusted window {complex_like.d_max}")
     ring = complex_like.ring
+    k = d - min(complex_like.free_shifts[0])
+    if k < 0:
+        # every F_i is zero below the lowest shift of F_0
+        return 0
     ker_dim = sum(ring.dim_piece(d - s) for s in complex_like.free_shifts[i])
     if i >= 1:
-        ker_dim -= complex_like.map_ranks(i).get(d, 0)
-    return ker_dim - complex_like.map_ranks(i + 1).get(d, 0)
+        ker_dim -= int(complex_like.map_ranks(i)[k])
+    return ker_dim - int(complex_like.map_ranks(i + 1)[k])

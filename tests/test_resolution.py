@@ -25,7 +25,6 @@ import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import nullspace, rank
 from koszulkit.resolution import (
-    _degree_map,
     _degree_maps,
     betti_table,
     homology_dims,
@@ -203,9 +202,19 @@ def _reference_degree_map(ring, target_shifts, source_shifts, columns, d):
     return np.stack(blocks, axis=1)
 
 
+def _degree_map(ring, target_shifts, source_shifts, rows, d):
+    """The degree-d matrix of `_degree_maps` (no columns below the lowest
+    source shift)."""
+    mat = np.zeros((sum(ring.dim_piece(d - t) for t in target_shifts), 0), dtype=np.int64)
+    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d):
+        pass
+    return mat
+
+
 _MAP_RINGS = {
     "ci2": ("xy", lambda x, y: [x**2, y**2]),
     "crv26": ("xyz", lambda x, y, z: [x**2, x * y, y * z, z**2]),
+    "fitz3": ("xyz", lambda x, y, z: [x**2, y**2, z**2, x * y]),
     "ring4": ("abcd", lambda a, b, c, d: [a**2, b**2, c * d, a * c + b * d]),
     "5-cycle": ("abcde", lambda a, b, c, d, e: [a * b, b * c, c * d, d * e, e * a]),
 }
@@ -391,29 +400,134 @@ def test_coordinate_steps_match_columns_linear_part_and_homology(ring_name, p, s
             assert homology_dims(cx, i, d) == _reference_homology(cx, i, d), (i, d)
 
 
+def _rebuilt_ranks(cx, i):
+    """Rank of every degree-d map of step i, from the rebuilt `_degree_maps`, at
+    index d - (lowest shift of F_0) for d up to d_max."""
+    lo = min(cx.free_shifts[0])
+    ranks = np.zeros(cx.d_max + 1 - lo, dtype=np.int64)
+    rows = _stored_rows(cx, i)
+    if rows:
+        target, source = cx.free_shifts[i - 1], cx.free_shifts[i]
+        for d, mat in _degree_maps(cx.ring, target, source, rows, cx.d_max):
+            ranks[d - lo] = rank(mat, cx.ring.p)
+    return ranks
+
+
+def _assert_recorded_ranks(res):
+    """The ranks `resolve` recorded equal those of the rebuilt degree maps; the
+    linear part shares the blocks and ranks of exactly the steps whose linear
+    part zeroes no nonzero entry. Returns those dropping steps."""
+    lin = linear_part(res)
+    dropped = _dropped_steps(res, lin)
+    for i in range(1, res.length_computed() + 1):
+        want = _rebuilt_ranks(res, i)
+        if res.i_max >= 2:
+            assert np.array_equal(res._ranks[i], want), i
+        else:
+            assert i not in res._ranks
+        assert np.array_equal(res.map_ranks(i), want), i
+        if i in dropped or res.i_max < 2:
+            assert i not in lin._ranks, i
+        else:
+            assert lin._ranks[i] is res._ranks[i], i
+            assert all(lin.blocks[i - 1][d] is mat for d, mat in res.blocks[i - 1].items())
+        assert np.array_equal(lin.map_ranks(i), _rebuilt_ranks(lin, i)), i
+    return dropped
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["ci2", "crv26", "fitz3", "quadrics"]),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_recorded_ranks_match_rebuilt_maps(ring_name, p, i_max, seed):
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    for module in (residue_field_module(ring), random_module(ring, rng.randint(1, 2), 2, seed)):
+        _assert_recorded_ranks(resolve(module, i_max, rng.randint(2, 5)))
+
+
+def test_recorded_ranks_edge_cases(ci2):
+    x, y = ci2.poly_ring.gens()
+    k = residue_field_module(ci2)
+    # no stage: map 1 is ranked on demand
+    _assert_recorded_ranks(resolve(k, 1, 5))
+    # empty steps: F_4 and F_5 start above d_max; a free module has no maps
+    res = resolve(k, 5, 3)
+    assert not res.blocks[3] and not res.blocks[4]
+    _assert_recorded_ranks(res)
+    res = resolve(free_module(ci2, (0, 2)), 3, 5)
+    assert not any(res.blocks)
+    _assert_recorded_ranks(res)
+    # generators in degree 1: some degree maps have an empty kernel; in
+    # degree -1 the ranks start below degree 0
+    _assert_recorded_ranks(resolve(make_module(ci2, (1, 1), [[x, y]]), 5, 7))
+    res = resolve(make_module(ci2, (-1, -1), [[x, y]]), 3, 4)
+    _assert_recorded_ranks(res)
+    assert [homology_dims(res, 0, d) for d in range(-2, 2)] == [0, 2, 3, 0]
+    # below the lowest shift of F_0 every piece is zero, whatever d_max ranks
+    res = resolve(k, 3, 2)
+    assert [homology_dims(res, i, -1) for i in range(3)] == [0, 0, 0]
+    # k over ring4 at p = 2^31 - 1: steps 3-5 have quadric entries
+    ring4 = _map_ring("ring4", 2147483647, random.Random(0))
+    assert _assert_recorded_ranks(resolve(residue_field_module(ring4), 5, 6)) == [3, 4, 5]
+
+
+def _dropped_steps(res, lin):
+    """The steps whose linear part zeroes some nonzero entry."""
+    return [
+        i
+        for i in range(1, res.length_computed() + 1)
+        if any(
+            not np.array_equal(lin.blocks[i - 1][d], mat) for d, mat in res.blocks[i - 1].items()
+        )
+    ]
+
+
 def test_resolution_builds_columns_only_on_request(ci2, monkeypatch):
-    built, maps = [], []
+    built, maps, ranked = [], [], []
     real_vector, real_maps = resolution_mod.vector_from_coords, resolution_mod._degree_maps
+    real_rank = resolution_mod.rank
     monkeypatch.setattr(
         resolution_mod, "vector_from_coords", lambda *a: built.append(a) or real_vector(*a)
     )
     monkeypatch.setattr(
         resolution_mod, "_degree_maps", lambda *a: maps.append(a) or real_maps(*a)
     )
-    m = random_module(ci2, 2, 2, 5)
-    res = resolve(m, 4, 6)
-    regularity_verdict(betti_table(res))
-    koszul_verdict(m, 4, 6, method="betti-diagonal")
-    koszul_verdict(m, 4, 6, method="linear-part-acyclic")
-    assert built == []
-    # every homology query of the linear part builds each step's maps once
-    lin = linear_part(res)
-    maps.clear()
-    for i in range(res.length_computed()):
-        for d in range(7):
-            homology_dims(lin, i, d)
-    assert len(maps) == sum(1 for i in range(1, res.length_computed() + 1) if res.free_shifts[i])
-    assert built == []
+    monkeypatch.setattr(resolution_mod, "rank", lambda *a: ranked.append(a) or real_rank(*a))
+    dropped_any = kept_any = False
+    # seed 5: every step of the linear part is the resolution's own; seed 4:
+    # the linear part of step 1 drops a quadric entry
+    for seed in (5, 4):
+        m = random_module(ci2, 2, 2, seed)
+        res = resolve(m, 4, 6)
+        regularity_verdict(betti_table(res))
+        koszul_verdict(m, 4, 6, method="betti-diagonal")
+        # homology of the resolution reads the ranks its stages recorded
+        maps.clear()
+        ranked.clear()
+        for i in range(res.length_computed()):
+            for d in range(7):
+                homology_dims(res, i, d)
+        assert maps == [] and ranked == []
+        # the linear part rebuilds only the steps whose linear part drops a
+        # nonzero entry, once each, in step order
+        lin = linear_part(res)
+        rebuilt = [res.free_shifts[i] for i in _dropped_steps(res, lin)]
+        for i in range(res.length_computed()):
+            for d in range(7):
+                homology_dims(lin, i, d)
+        assert [a[2] for a in maps] == rebuilt
+        dropped_any |= bool(rebuilt)
+        kept_any |= len(rebuilt) < res.length_computed()
+        # the verdict may stop at a witness before it reaches the last step
+        maps.clear()
+        koszul_verdict(m, 4, 6, method="linear-part-acyclic")
+        assert [a[2] for a in maps] == rebuilt[: len(maps)]
+        assert built == []
+    assert dropped_any and kept_any
     cols = res.differential(2)
     assert len(built) == len(cols) == len(res.free_shifts[2]) > 0
     again = res.differential(2)
