@@ -280,11 +280,6 @@ class Polynomial:
             buckets.setdefault(mono_degree(m), {})[m] = c
         return {d: self.ring.from_dict(t) for d, t in sorted(buckets.items())}
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return self.ring.from_dict(
-            {m: c for m, c in self.terms if mono_degree(m) == d}
-        )
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")

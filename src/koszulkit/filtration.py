@@ -212,12 +212,6 @@ class FiltrationCertificate:
     members: tuple[LinearIdeal, ...]
     witnesses: tuple[FiltrationWitness, ...]
 
-    def member_index(self, li: LinearIdeal) -> int | None:
-        for i, m in enumerate(self.members):
-            if m.rows == li.rows:
-                return i
-        return None
-
     def to_json(self) -> dict:
         return {
             "kind": "filtration",

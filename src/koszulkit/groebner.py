@@ -504,7 +504,7 @@ def syzygies_over_poly_ring(
 #
 # `ring` is a quotient ring object exposing piece(d), piece_index(d),
 # monomial_nf(m), reduce(f), dim_piece(d), var_multiplication(v, d),
-# poly_ring, nvars, p.
+# var_copies(v, d), poly_ring, nvars, p.
 
 
 def coords_of_vector(
@@ -552,25 +552,53 @@ def shift_runs(ring, shifts: Sequence[int], d: int) -> list[tuple[int, int, int,
     ]
 
 
+def variable_rows(ring, runs, d: int, var: int):
+    """Multiplication by x_var from degree-d to degree-(d+1) coordinates of the
+    free module with the block layout `runs` (`shift_runs` at d), split by
+    run: (source, target, products).
+
+    Where the block of a run is a copy (`QuotientRing.var_copies`), x_var
+    moves coordinate source[k] unchanged to coordinate target[k]. `products`
+    lists (row, prev_row, m, block) for every other nonzero block: the m
+    stacked pieces from coordinate prev_row on, times the
+    `var_multiplication` matrix `block`, give the coordinates from row on.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    source, target, products = [empty], [empty], []
+    row = prev_row = 0
+    for s, m, low, high in runs:
+        if low and high:
+            copies = ring.var_copies(var, d - s)
+            if copies is None:
+                products.append((row, prev_row, m, ring.var_multiplication(var, d - s)))
+            else:
+                k = np.arange(m)[:, None]
+                source.append((prev_row + low * k + copies[0]).ravel())
+                target.append((row + high * k + copies[1]).ravel())
+        row += m * high
+        prev_row += m * low
+    return np.concatenate(source), np.concatenate(target), products
+
+
 def times_variable(ring, runs, coords: np.ndarray, d: int, var: int) -> np.ndarray:
     """x_var times the columns of `coords`, degree-d coordinate vectors of the
     free module with the block layout `runs` (`shift_runs` at d), as
     degree-(d+1) coordinate vectors.
 
-    Each run of equal shifts is one stacked product with the cached
-    `QuotientRing.var_multiplication` matrix.
+    The runs whose block is a copy (a partial permutation with entries 1, as
+    every block of a monomial ring is) take one row gather of `coords`, with
+    no product and no reduction mod p (`variable_rows`); each other run is
+    one stacked product with the cached `QuotientRing.var_multiplication`
+    matrix.
     """
     n = coords.shape[1]
     out = np.zeros((sum(m * high for _s, m, _low, high in runs), n), dtype=np.int64)
-    row = prev_row = 0
-    for s, m, low, high in runs:
-        if low and high:
-            block = coords[prev_row : prev_row + m * low].reshape(m, low, n)
-            out[row : row + m * high] = matmul_mod(
-                ring.var_multiplication(var, d - s), block, ring.p
-            ).reshape(m * high, n)
-        row += m * high
-        prev_row += m * low
+    source, target, products = variable_rows(ring, runs, d, var)
+    out[target] = coords[source]
+    for row, prev_row, m, block in products:
+        high, low = block.shape
+        stack = coords[prev_row : prev_row + m * low].reshape(m, low, n)
+        out[row : row + m * high] = matmul_mod(block, stack, ring.p).reshape(m * high, n)
     return out
 
 

@@ -39,8 +39,8 @@ class QuotientRing:
     """Presentation of a standard graded algebra F_p[x_1..x_n]/I.
 
     Immutable after construction; piece bases, monomial normal forms,
-    variable multiplication matrices and first-variable splits are cached
-    lazily (fill-once, so concurrent readers are safe).
+    variable multiplication matrices, their copy maps and first-variable
+    splits are cached lazily (fill-once, so concurrent readers are safe).
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -52,6 +52,7 @@ class QuotientRing:
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
+        self._var_copies: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
         self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
@@ -142,12 +143,6 @@ class QuotientRing:
             v[idx[m]] = c
         return v
 
-    def from_coords(self, coords, d: int) -> Polynomial:
-        piece = self.piece(d)
-        return self.poly_ring.from_dict(
-            {m: int(c) for m, c in zip(piece, coords)}
-        )
-
     def var_multiplication(self, var: int, d: int) -> np.ndarray:
         """Matrix of multiplication by x_var from R_d to R_{d+1} coordinates."""
         key = (var, d)
@@ -166,6 +161,29 @@ class QuotientRing:
                 mat[tgt_idx[mm], j] = c
         self._var_mult[key] = mat
         return mat
+
+    def var_copies(self, var: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(source, target) index arrays when multiplication by x_var from R_d
+        to R_{d+1} is a partial permutation: every nonzero column of
+        `var_multiplication(var, d)` is a unit vector with entry 1 and no two
+        of them share a row, so x_var moves coordinate source[k] unchanged to
+        coordinate target[k]. None otherwise, for instance when two products
+        have the same normal form and their coefficients must be added."""
+        key = (var, d)
+        if key in self._var_copies:
+            return self._var_copies[key]
+        mat = self.var_multiplication(var, d)
+        nonzero = mat != 0
+        got = None
+        if (
+            (mat[nonzero] == 1).all()
+            and (nonzero.sum(axis=0) <= 1).all()
+            and (nonzero.sum(axis=1) <= 1).all()
+        ):
+            target, source = nonzero.nonzero()
+            got = source, target
+        self._var_copies[key] = got
+        return got
 
     def first_variable_splits(self, e: int) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
@@ -337,17 +355,6 @@ class HilbertSeries:
             return self.expansion[d]
         raise IndexError(f"expansion not computed to degree {d}")
 
-    def rational_equal(self, other: "HilbertSeries") -> bool:
-        """Exact equality of the rational forms (cross-multiplied)."""
-        a = _poly_shift(list(self.numerator), self.offset + max(0, -other.offset))
-        b = _poly_shift(list(other.numerator), other.offset + max(0, -self.offset))
-        da, db = self.denominator_power, other.denominator_power
-        if da < db:
-            a = _poly_mul(a, _one_minus_t_power(db - da))
-        elif db < da:
-            b = _poly_mul(b, _one_minus_t_power(da - db))
-        return _trim(a) == _trim(b)
-
     def to_json(self) -> dict:
         return {
             "numerator": list(self.numerator),
@@ -358,13 +365,6 @@ class HilbertSeries:
             "multiplicity": self.multiplicity,
             "codim": self.codim,
         }
-
-
-def _one_minus_t_power(k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [1, -1])
-    return out
 
 
 def _expand_rational(num: list[int], offset: int, n: int, d_max: int) -> list[int]:

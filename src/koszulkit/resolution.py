@@ -33,10 +33,17 @@ nonzero entry) is rebuilt and ranked, once, on the first homology query.
 
 The degree-d map is built from the degree d-1 map: the column of u * col_j,
 for a standard monomial u with first variable x_v, is x_v times the column of
-(u / x_v) * col_j, taken run by run over equal target shifts from the
-cached `QuotientRing.var_multiplication` matrices. Only the columns of the
-generators themselves (u = 1) are the stored coordinate rows; every other
-entry comes from those matrix products, with no normal form taken.
+(u / x_v) * col_j, taken run by run over equal target shifts. Where
+multiplication by x_v on a run's piece is a partial permutation with entries
+1 (`QuotientRing.var_copies`; every block of a monomial ring is one), those
+rows are copied from the degree d-1 map, with no product and no reduction
+mod p; every other block is a product with the cached
+`QuotientRing.var_multiplication` matrix. Only the columns of the generators
+themselves (u = 1) are the stored coordinate rows; every other entry comes
+from those copies and products, with no normal form taken. Over monomial
+rings the large maps are at most a few percent nonzero, so their
+eliminations (the sieve's `_last_entries` and the kernels) take the sparse
+path of `linalg`.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ from .groebner import (
     coords_of_vector,
     minimal_module_generators,
     shift_runs,
-    times_variable,
+    variable_rows,
     vector_from_coords,
 )
-from .linalg import nullspace, pivot_columns, rank
+from .linalg import _sparse_echelon, _sparse_nonzeros, matmul_mod, nullspace, pivot_columns, rank
 from .quotient import GradedModule
 
 
@@ -226,9 +233,11 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     the generator columns (j, 1), source_shifts[j] == d, left zero.
 
     Column (j, u), with x_v the first variable of u, is x_v times column
-    (j, u / x_v) of `prev` (`groebner.times_variable`). `prev` is unused when
+    (j, u / x_v) of `prev`, split by target block as `groebner.variable_rows`
+    splits it: the rows of all copy blocks of x_v are one 2-D gather of
+    `prev`, and each other block one stacked product. `prev` is unused when
     no source shift is below d. The block layouts of both free modules are
-    looked up once here, for every product by a variable.
+    looked up once here, for every variable.
     """
     target = shift_runs(ring, target_shifts, d - 1)
     source = shift_runs(ring, source_shifts, d - 1)
@@ -251,8 +260,15 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     for v in range(ring.nvars):
         sel = first == v
         if sel.any():
-            prev_v = prev[:, prev_cols[sel]]
-            mat[:, cols[sel]] = times_variable(ring, target, prev_v, d - 1, v)
+            dst, src = cols[sel], prev_cols[sel]
+            copy_src, copy_dst, products = variable_rows(ring, target, d - 1, v)
+            mat[copy_dst[:, None], dst] = prev[copy_src[:, None], src]
+            for row, prev_row, m, block in products:
+                high, low = block.shape
+                stack = prev[prev_row : prev_row + m * low, src].reshape(m, low, len(src))
+                mat[row : row + m * high, dst] = matmul_mod(block, stack, ring.p).reshape(
+                    m * high, len(src)
+                )
     return mat
 
 
@@ -333,11 +349,20 @@ def _syzygy_stage(ring, target, maps, step, in_ranks, own_ranks, lo):
 def _last_entries(vectors, p):
     """Mask of the coordinates that are the last nonzero entry of some vector
     in the span of the columns of `vectors`: the pivot columns of the vectors
-    as rows, with the coordinates reversed."""
-    n = vectors.shape[0]
+    as rows, with the coordinates reversed. When `vectors` takes the sparse
+    path its nonzeros go to it with the roles swapped, and the reversed
+    transpose is never built."""
+    n, k = vectors.shape
     last = np.zeros(n, dtype=bool)
-    if vectors.shape[1]:
-        last[n - 1 - np.array(pivot_columns(vectors[::-1].T, p), dtype=np.int64)] = True
+    if k:
+        nonzeros = _sparse_nonzeros(vectors)
+        if nonzeros is None:
+            pivots = pivot_columns(vectors[::-1].T, p)
+        else:
+            rows, cols = nonzeros
+            entries = vectors[rows, cols]
+            pivots = _sparse_echelon((k, n), cols, n - 1 - rows, entries, p, reduced=False)[1]
+        last[n - 1 - np.array(pivots, dtype=np.int64)] = True
     return last
 
 
@@ -360,11 +385,6 @@ class BettiTable:
 
     def totals(self) -> list[int]:
         return [self.total(i) for i in range(self.i_max + 1)]
-
-    def max_shift(self) -> int | None:
-        if not self.entries:
-            return None
-        return max(j for (_i, j) in self.entries)
 
     def has_frontier_entries(self) -> bool:
         """True when some entry sits on the degree frontier j = d_max."""

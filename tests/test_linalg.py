@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from koszulkit import linalg
 from koszulkit.linalg import Echelon, matmul_mod, nullspace, pivot_columns, rank, rref, solve
+from koszulkit.resolution import _last_entries
 from oracles import rank_mod_p
 
 
@@ -194,3 +196,84 @@ def test_pivot_columns_match_rref(p, m, n, seed):
     a = matmul_mod(left, right, p)
     assert pivot_columns(a, p) == rref(a, p)[1]
     assert rank(a, p) == rank_mod_p(a.tolist(), p)
+
+
+@st.composite
+def _gate_matrices(draw):
+    """Matrices on both sides of the sparse path's size and density gate, with
+    entries that are negative or nonzero multiples of p, zero rows and
+    columns, duplicate rows, and ranks from 0 to full."""
+    p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "multiples", "full"]))
+    density = draw(st.sampled_from([0.005, 0.02, 0.05, 0.1, 0.4]))
+    a = np.zeros((m, n), dtype=np.int64)
+    hit = rng.random((m, n)) < density
+    a[hit] = rng.integers(-3 * p, 3 * p, size=int(hit.sum()))
+    if kind == "multiples":
+        # nonzero as integers, zero mod p: rank 0 on either path
+        a[hit] = p * rng.choice([-2, -1, 1, 2], size=int(hit.sum()))
+    elif kind == "full":
+        # a staircase of units with entries right of it: full rank
+        cols = np.sort(rng.choice(n, size=min(m, n), replace=False))
+        a[: len(cols)] *= np.arange(n) > cols[:, None]
+        units = rng.integers(1, p, size=len(cols)) - p * rng.integers(0, 2, size=len(cols))
+        a[np.arange(len(cols)), cols] = units
+        a = a[rng.permutation(m)]
+    elif draw(st.booleans()):
+        a[rng.random(m) < 0.2] = 0
+        a[:, rng.random(n) < 0.2] = 0
+        if m > 1:
+            a[rng.integers(0, m)] = a[rng.integers(0, m)]
+    return p, a
+
+
+def _both_paths(fn, *args):
+    """fn(*args) with every matrix sent to the dense path, then to the sparse one."""
+    out = []
+    for min_entries, max_density in ((10**18, 0.0), (0, 1.0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_SPARSE_MIN_ENTRIES", min_entries)
+            mp.setattr(linalg, "_SPARSE_MAX_DENSITY", max_density)
+            out.append(fn(*args))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gate_matrices())
+def test_sparse_and_dense_elimination_agree(inputs):
+    p, a = inputs
+    rows, cols = a.nonzero()
+    for reduced in (True, False):
+        dense = linalg._dense_echelon(a, p, reduced)
+        sparse = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
+        assert sparse[1] == dense[1]
+        if reduced:
+            assert sparse[0].tolist() == dense[0].tolist()
+    assert len(dense[1]) == rank_mod_p((a % p).tolist(), p)
+    # the public functions, on either path and through the default gate
+    for fn in (rref, pivot_columns, nullspace):
+        results = _both_paths(fn, a, p) + [fn(a, p)]
+        if fn is rref:
+            results = [(r.tolist(), piv) for r, piv in results]
+        elif fn is nullspace:
+            results = [r.tolist() for r in results]
+        assert results[0] == results[1] == results[2]
+    last = _both_paths(_last_entries, a, p) + [_last_entries(a, p)]
+    assert last[0].tolist() == last[1].tolist() == last[2].tolist()
+    # the last nonzero entries of the column span are the pivots of the
+    # reversed transpose
+    want = sorted(a.shape[0] - 1 - c for c in rref(a[::-1].T, p)[1])
+    assert np.flatnonzero(last[2]).tolist() == want
+
+
+def test_sparse_gate_takes_large_sparse_matrices_only():
+    n = linalg._SPARSE_MIN_ENTRIES
+    k = int(n * linalg._SPARSE_MAX_DENSITY)
+    a = np.zeros((1, n), dtype=np.int64)
+    a[0, :k] = 1
+    assert [x.tolist() for x in linalg._sparse_nonzeros(a)] == [[0] * k, list(range(k))]
+    assert linalg._sparse_nonzeros(a[:, 1:]) is None
+    a[0, k] = 1
+    assert linalg._sparse_nonzeros(a) is None

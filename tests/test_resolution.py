@@ -13,6 +13,8 @@ from koszulkit.groebner import (
     coords_of_vector,
     nakayama_sieve,
     normal_form,
+    shift_runs,
+    times_variable,
 )
 from koszulkit.quotient import (
     cyclic_module,
@@ -217,6 +219,8 @@ _MAP_RINGS = {
     "fitz3": ("xyz", lambda x, y, z: [x**2, y**2, z**2, x * y]),
     "ring4": ("abcd", lambda a, b, c, d: [a**2, b**2, c * d, a * c + b * d]),
     "5-cycle": ("abcde", lambda a, b, c, d, e: [a * b, b * c, c * d, d * e, e * a]),
+    # x*y and x*z have one normal form, so x times R_e is no copy for e >= 1
+    "xy-xz": ("xyz", lambda x, y, z: [x * y - x * z]),
 }
 
 
@@ -277,6 +281,48 @@ def test_degree_map_matches_per_monomial_reference(ring_name, p, seed):
             assert got.shape == want.shape and np.array_equal(got, want), (target, source, d)
             if d in maps:
                 assert np.array_equal(maps[d], want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2147483647])
+def test_colliding_products_are_added_not_copied(p):
+    # Modulo x*y - x*z, x*y and x*z both have the normal form x*z with
+    # coefficient 1: multiplication by x from R_1 sends two standard monomials
+    # to one, so copying columns would keep one of the two entries.
+    rng = random.Random(p)
+    ring = _map_ring("xy-xz", p, rng)
+    x_times = ring.var_multiplication(0, 1)
+    assert sorted(x_times.sum(axis=1).tolist()) == [0, 0, 0, 1, 2]
+    assert set(x_times.ravel().tolist()) == {0, 1}
+    assert ring.var_copies(0, 1) is None
+    assert ring.var_copies(0, 0) is not None and ring.var_copies(1, 1) is not None
+    np_rng = np.random.default_rng(p)
+    for shifts in ((0,), (0, 0, 1), (1, 0, 2)):
+        for e in range(4):
+            runs = shift_runs(ring, shifts, e)
+            dim = sum(m * low for _s, m, low, _high in runs)
+            coords = np_rng.integers(0, p, size=(dim, 4), dtype=np.int64)
+            for v in range(3):
+                want, row = [], 0
+                for t in shifts:
+                    piece = coords[row : row + ring.dim_piece(e - t)].astype(object)
+                    if len(piece):
+                        want.append(ring.var_multiplication(v, e - t).astype(object) @ piece % p)
+                    else:
+                        want.append(np.zeros((ring.dim_piece(e + 1 - t), 4), dtype=object))
+                    row += len(piece)
+                got = times_variable(ring, runs, coords, e, v)
+                assert got.tolist() == np.concatenate(want).tolist(), (shifts, e, v)
+    # the degree maps of a resolution over it, whose x-blocks are products
+    # and whose other blocks are copies, against per-monomial normal forms
+    res = resolve(random_module(ring, 2, 2, p), 3, 4)
+    checked = 0
+    for i in range(1, len(res.steps) + 1):
+        target, source, columns = res.free_shifts[i - 1], res.free_shifts[i], res.differential(i)
+        rows = _stored_rows(res, i)
+        for d, mat in _degree_maps(ring, target, source, rows, 4) if rows else ():
+            checked += 1
+            assert np.array_equal(mat, _reference_degree_map(ring, target, source, columns, d))
+    assert checked
 
 
 def _stored_rows(cx, i):
