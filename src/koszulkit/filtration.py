@@ -6,27 +6,25 @@ Linear-form ideals are canonicalized as reduced row echelon bases, so
 subspace equality is exact integer comparison. A colon J : g of a linear
 ideal by a linear form is settled without a Groebner colon: its degree-1
 part is a kernel over F_p, and whether that part generates the colon is an
-identity of Hilbert numerators (see `_linear_colon`).
+identity of Hilbert numerators (see `_linear_colon`). Those numerators come
+from ranks of products by linear forms, up to the degree where Gotzmann's
+persistence theorem fixes the rest (see `_linear_numerator`), so no
+Groebner basis is computed for them. The span conditions of the Conca,
+Fitzgerald and reduction checks are ranks of the same products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from .arith import Polynomial
-from .groebner import GroebnerBasis, buchberger, colon_ideal
-from .linalg import Echelon, as_matrix, matmul_mod, nullspace, rref
-from .quotient import (
-    QuotientRing,
-    _monomial_quotient_numerator,
-    _poly_add,
-    _trim,
-    quotient_by_linear_forms,
-)
+from .groebner import colon_ideal
+from .linalg import as_matrix, matmul_mod, nullspace, rank, rref
+from .quotient import QuotientRing, _poly_add, _trim, quotient_by_linear_forms
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,21 +88,72 @@ class LinearIdeal:
         return [list(r) for r in self.rows]
 
 
-def _ideal_gb(ring: QuotientRing, li: LinearIdeal) -> GroebnerBasis:
-    """Reduced preimage basis of the ideal generated by the subspace."""
-    gens = li.forms(ring) + list(ring.gb.generators)
-    if not gens:
-        return GroebnerBasis((), ring.order, True)
-    return buchberger(gens, ring.order)
+def _form_products(ring: QuotientRing, rows, d: int) -> np.ndarray:
+    """Products of linear forms (rows of R_1 coordinates) with R_d, as an
+    array (forms, dim R_d, dim R_{d+1}): entry [k, j] holds the coordinates
+    of the k-th form times the j-th basis monomial of R_d."""
+    n, p = ring.nvars, ring.p
+    low, high = ring.dim_piece(d), ring.dim_piece(d + 1)
+    stack = ring.var_multiplication_stack(d).reshape(n, high * low)
+    prods = matmul_mod(as_matrix(rows, n, p), stack, p)
+    return prods.reshape(len(prods), high, low).transpose(0, 2, 1)
+
+
+def _span_rank(ring: QuotientRing, rows, d: int) -> int:
+    """dim (forms) * R_d inside R_{d+1}, for linear forms given by their rows."""
+    prods = _form_products(ring, rows, d)
+    k, low, high = prods.shape
+    return rank(prods.reshape(k * low, high), ring.p)
+
+
+def _macaulay_bound(h: int, d: int) -> int:
+    """h^<d> for d >= 1: the largest dim A_{d+1} of a standard graded algebra
+    A with dim A_d = h (Macaulay). With h = C(k_d, d) + C(k_{d-1}, d-1) + ...
+    the greedy d-binomial expansion, h^<d> = C(k_d + 1, d + 1) + ..."""
+    out = 0
+    while h:
+        k = d
+        while comb(k + 1, d) <= h:
+            k += 1
+        h -= comb(k, d)
+        out += comb(k + 1, d + 1)
+        d -= 1
+    return out
 
 
 def _linear_numerator(ring: QuotientRing, li: LinearIdeal) -> tuple[int, ...]:
-    """Numerator over (1-t)^n of H_{R/(li)}, for li in RREF; memoized on the ring."""
+    """Numerator over (1-t)^n of H_{R/(li)}, for li in RREF; memoized on the ring.
+
+    h(e) = dim (R/(li))_e is dim R_e minus the rank of li * R_{e-1}, with
+    h(0) = 1 and h(1) = n - dim li (the defining ideal has no linear forms).
+    The ideal I + (li) of the polynomial ring is generated in degrees <= D,
+    the top degree of the ring's Groebner basis (at least 1). At the first
+    e >= D with h(e+1) = h(e)^<e>, Gotzmann's persistence theorem (Math. Z.
+    158 (1978); Bruns-Herzog Thm 4.3.3) gives h(d+1) = h(d)^<d> for every
+    d >= e; once h(e) = 0 every later value is 0 too. From degree e on, h
+    is the Hilbert function of the lex ideal generated in degree e, whose
+    resolution is linear, so the numerator has degree < e + n and the values
+    h(0..e+n-1) settle it.
+    """
     got = ring.linear_numerators.get(li.rows)
-    if got is None:
-        lts = list(_ideal_gb(ring, li).leading_monomials())
-        got = tuple(_monomial_quotient_numerator(lts, ring.nvars))
-        ring.linear_numerators[li.rows] = got
+    if got is not None:
+        return got
+    n = ring.nvars
+    top = max((g.degree() for g in ring.gb.generators), default=1)
+    h = [1, n - li.dim]
+    e = 1
+    while h[e]:
+        h.append(ring.dim_piece(e + 1) - _span_rank(ring, li.rows, e))
+        if e >= top and h[e + 1] == _macaulay_bound(h[e], e):
+            break
+        e += 1
+    while len(h) < e + n:
+        h.append(_macaulay_bound(h[-1], len(h) - 1))
+    num = [
+        sum((-1) ** i * comb(n, i) * h[k - i] for i in range(min(n, k) + 1))
+        for k in range(e + n)
+    ]
+    got = ring.linear_numerators[li.rows] = tuple(_trim(num))
     return got
 
 
@@ -124,12 +173,10 @@ def _linear_colon(ring: QuotientRing, j: LinearIdeal, g) -> tuple[bool, LinearId
     if dim2 == 0:
         w = LinearIdeal.full(n)
     else:
-        # rows (v, i) of x_v * h for h = g, then the rows of J, in R_2 coordinates
-        mult = np.concatenate([ring.var_multiplication(v, 1) for v in range(n)])
-        forms = as_matrix([tuple(g)] + list(j.rows), n, p)
-        prods = matmul_mod(mult, forms.T, p).reshape(n, dim2, -1)
-        g_cols = prods[:, :, 0].T
-        j_cols = prods[:, :, 1:].transpose(1, 0, 2).reshape(dim2, -1)
+        # columns x_v * g, then x_v * h for the rows h of J, in R_2 coordinates
+        prods = _form_products(ring, [tuple(g)] + list(j.rows), 1)
+        g_cols = prods[0].T
+        j_cols = prods[1:].reshape(-1, dim2).T
         kernel = nullspace(np.concatenate([g_cols, j_cols], axis=1), p)
         w = LinearIdeal.from_vectors(kernel[:, :n], n, p)
     n_w = _linear_numerator(ring, w)
@@ -524,29 +571,19 @@ class ConcaCheck:
 def check_conca_generator(ring: QuotientRing, form) -> ConcaCheck:
     """x != 0, x^2 = 0 and x*R_1 = R_2; on success the derived facts
     dim R_3 = 0 and x not in m^2 (automatic for a nonzero linear form) hold."""
-    x = _as_form(ring, form)
-    if ring.reduce(x).is_zero():
+    x = _form_coeffs(ring, form)
+    if not any(x):
         return ConcaCheck(False, "x = 0 in R_1")
-    if not ring.is_zero(x * x):
+    times_x = _form_products(ring, [x], 1)[0]  # row v: x * x_v in R_2
+    if matmul_mod(as_matrix([x], ring.nvars, ring.p), times_x, ring.p).any():
         return ConcaCheck(False, "x^2 != 0")
-    dim2 = ring.dim_piece(2)
-    span = Echelon(dim2, ring.p)
-    for i in range(ring.nvars):
-        prod_ = ring.reduce(x * ring.poly_ring.gen(i))
-        span.add(ring.coords(prod_, 2))
-    if span.rank != dim2:
+    if rank(times_x, ring.p) != ring.dim_piece(2):
         return ConcaCheck(False, "x*R_1 != R_2")
     cube_zero = ring.dim_piece(3) == 0
     if not cube_zero:
         # x*m = m^2 and x^2 = 0 force m^3 = x*m*m = 0; failure would be a defect
         return ConcaCheck(False, "derived fact m^3 = 0 fails")
     return ConcaCheck(True, None, cube_is_zero=cube_zero)
-
-
-def _as_form(ring: QuotientRing, form) -> Polynomial:
-    if isinstance(form, Polynomial):
-        return form
-    return ring.linear_form(list(form))
 
 
 def _form_coeffs(ring: QuotientRing, form) -> tuple[int, ...]:
@@ -606,19 +643,12 @@ def check_fitzgerald(ring: QuotientRing, max_forms: int = 5000) -> FitzgeraldChe
     reps = projective_representatives(n, p)
     dim2 = ring.dim_piece(2)
     for vec in reps:
-        l = ring.linear_form(vec)
-        for q in ring.piece(2):
-            if not ring.is_zero(l * ring.poly_ring.monomial(q)):
-                return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
+        if _form_products(ring, [vec], 2).any():
+            return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
         linear_ok, ann1 = _linear_colon(ring, LinearIdeal.zero(), vec)
         if not linear_ok:
             return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", len(reps))
-        span = Echelon(dim2, p)
-        for row in ann1.rows:
-            f = ring.linear_form(row)
-            for i in range(n):
-                span.add(ring.coords(ring.reduce(f * ring.poly_ring.gen(i)), 2))
-        if span.rank != dim2:
+        if _span_rank(ring, ann1.rows, 1) != dim2:
             return FitzgeraldCheck(False, vec, "ann(l)_1 * R_1 != R_2", len(reps))
     return FitzgeraldCheck(True, None, None, len(reps))
 
@@ -730,16 +760,9 @@ def check_reduction(ring: QuotientRing, j_ideal, d_stab: int) -> ReductionCheck:
     """J*R_d = R_{d+1} for 1 <= d <= d_stab, plus the Hilbert-series regular
     sequence test and the multiplicity bound e = h + 1 report."""
     li = _as_linear_ideal(ring, j_ideal)
-    p = ring.p
-    forms = li.forms(ring)
     failing = None
     for d in range(1, d_stab + 1):
-        target = ring.dim_piece(d + 1)
-        span = Echelon(target, p)
-        for f in forms:
-            for m in ring.piece(d):
-                span.add(ring.coords(ring.reduce(f * ring.poly_ring.monomial(m)), d + 1))
-        if span.rank != target:
+        if _span_rank(ring, li.rows, d) != ring.dim_piece(d + 1):
             failing = d
             break
     elim = quotient_by_linear_forms(ring, li.rows)

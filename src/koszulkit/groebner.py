@@ -324,28 +324,64 @@ def _melt_scale(elt: ModElt, c: int, p: int) -> ModElt:
     return {k: (v * c) % p for k, v in elt.items()}
 
 
+def _descending(k):
+    """A key whose ascending order is the descending order of the key `k`, a
+    tuple of ints and of such tuples."""
+    return tuple(_descending(x) if x.__class__ is tuple else -x for x in k)
+
+
+def _melt_reduce(elt: ModElt, leads: Sequence[tuple], key: ModKey, p: int) -> ModElt:
+    """Remainder of `elt` under full division by basis elements given as
+    `leads`: ((position, monomial) of the leading term, inverse of its
+    coefficient, element) for each, in the basis order.
+
+    The terms left to reduce sit in one dict, and their keys, each computed
+    once, in a heap, so that the leading term is the heap's top. Both orders
+    are module monomial orders, so reducing a term brings in only smaller
+    terms and a term once taken never returns; a heap entry whose term has
+    since cancelled is skipped.
+    """
+    h = dict(elt)
+    heap = [(_descending(key(pm)), pm) for pm in h]
+    heapq.heapify(heap)
+    remainder: ModElt = {}
+    while heap:
+        pm = heapq.heappop(heap)[1]
+        c = h.get(pm)
+        if c is None:
+            continue
+        pos, m = pm
+        for (bpos, bm), inv, b in leads:
+            if bpos == pos and mono_divides(bm, m):
+                break
+        else:
+            remainder[pm] = c
+            del h[pm]
+            continue
+        # h -= f * u * b; its leading term cancels pm
+        u, f = mono_quotient(m, bm), c * inv % p
+        for (q, bmm), bc in b.items():
+            t = (q, mono_mul(bmm, u))
+            old = h.get(t)
+            nc = ((old or 0) - f * bc) % p
+            if nc:
+                if old is None:
+                    heapq.heappush(heap, (_descending(key(t)), t))
+                h[t] = nc
+            elif old is not None:
+                del h[t]
+    return remainder
+
+
 def module_normal_form(
     elt: ModElt, basis: Sequence[ModElt], key: ModKey, p: int
 ) -> ModElt:
-    lts = [(_melt_lt(b, key), b) for b in basis]
-    remainder: ModElt = {}
-    h = dict(elt)
-    while h:
-        pm = max(h, key=key)
-        pos, m = pm
-        c = h[pm]
-        hit = None
-        for ((bpos, bm), bc), b in lts:
-            if bpos == pos and mono_divides(bm, m):
-                hit = (bm, bc, b)
-                break
-        if hit is None:
-            remainder[pm] = c
-            del h[pm]
-        else:
-            bm, bc, b = hit
-            h = _melt_axpy(h, b, mono_quotient(m, bm), c * pow(bc, p - 2, p) % p, p)
-    return remainder
+    """Remainder of `elt` under full division by `basis` in the order `key`."""
+    leads = []
+    for b in basis:
+        pm, c = _melt_lt(b, key)
+        leads.append((pm, pow(c, p - 2, p), b))
+    return _melt_reduce(elt, leads, key, p)
 
 
 def module_buchberger(
@@ -366,38 +402,40 @@ def module_buchberger(
         raise ValueError("degree truncation needs the shift vector")
 
     basis: list[ModElt] = []
+    # the leading term of each (monic) basis element, as `_melt_reduce` takes them
+    leads: list[tuple] = []
+
+    def append(e: ModElt) -> None:
+        pm, c = _melt_lt(e, key)
+        e = _melt_scale(e, pow(c, p - 2, p), p)
+        basis.append(e)
+        leads.append((pm, 1, e))
+
     for e in elements:
         e = {k: v % p for k, v in e.items() if v % p}
         if not e:
             continue
         if max_degree is not None and _melt_degree(e, shifts) > max_degree:
             continue
-        _, c = _melt_lt(e, key)
-        basis.append(_melt_scale(e, pow(c, p - 2, p), p))
+        append(e)
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
     counter = 0
 
-    def pair_degree(i: int, j: int) -> tuple | None:
-        (pi, mi), _ = _melt_lt(basis[i], key)
-        (pj, mj), _ = _melt_lt(basis[j], key)
-        if pi != pj:
-            return None
-        lcm = mono_lcm(mi, mj)
-        deg = mono_degree(lcm) + (shifts[pi] if shifts is not None else 0)
-        return (deg, key((pi, lcm)))
-
     def push_pairs(j: int) -> None:
         nonlocal counter
+        pj, mj = leads[j][0]
         for i in range(j):
-            pd = pair_degree(i, j)
-            if pd is None:
+            pi, mi = leads[i][0]
+            if pi != pj:
                 continue
-            if max_degree is not None and pd[0] > max_degree:
+            lcm = mono_lcm(mi, mj)
+            deg = mono_degree(lcm) + (shifts[pi] if shifts is not None else 0)
+            if max_degree is not None and deg > max_degree:
                 continue
             counter += 1
-            heapq.heappush(heap, (pd[0], pd[1], counter, i, j))
+            heapq.heappush(heap, (deg, key((pi, lcm)), counter, i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -408,16 +446,12 @@ def module_buchberger(
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        (pi, mi), ci = _melt_lt(basis[i], key)
-        (pj, mj), cj = _melt_lt(basis[j], key)
-        if pi != pj:
-            continue
+        (pi, mi), (_pj, mj) = leads[i][0], leads[j][0]
         lcm = mono_lcm(mi, mj)
         skip = False
-        for k in range(len(basis)):
+        for k, ((pk, mk), _inv, _b) in enumerate(leads):
             if k in (i, j):
                 continue
-            (pk, mk), _ = _melt_lt(basis[k], key)
             if pk == pi and mono_divides(mk, lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -429,10 +463,9 @@ def module_buchberger(
         # s = u_i * basis[i] - u_j * basis[j], both already monic
         s = _melt_axpy({}, basis[i], mono_quotient(lcm, mi), p - 1, p)
         s = _melt_axpy(s, basis[j], mono_quotient(lcm, mj), 1, p)
-        r = module_normal_form(s, basis, key, p)
+        r = _melt_reduce(s, leads, key, p)
         if r:
-            _, c = _melt_lt(r, key)
-            basis.append(_melt_scale(r, pow(c, p - 2, p), p))
+            append(r)
             push_pairs(len(basis) - 1)
 
     return basis

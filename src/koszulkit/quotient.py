@@ -52,6 +52,7 @@ class QuotientRing:
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
+        self._var_stack: dict[int, np.ndarray] = {}
         self._var_copies: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
         self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
@@ -161,6 +162,16 @@ class QuotientRing:
                 mat[tgt_idx[mm], j] = c
         self._var_mult[key] = mat
         return mat
+
+    def var_multiplication_stack(self, d: int) -> np.ndarray:
+        """The `var_multiplication(v, d)` matrices for v = 0..n-1 stacked into
+        one (n * dim R_{d+1}) x dim R_d matrix: R_1 * R_d in one product."""
+        got = self._var_stack.get(d)
+        if got is None:
+            blocks = [self.var_multiplication(v, d) for v in range(self.nvars)]
+            got = np.concatenate(blocks) if blocks else np.zeros((0, self.dim_piece(d)), np.int64)
+            self._var_stack[d] = got
+        return got
 
     def var_copies(self, var: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(source, target) index arrays when multiplication by x_var from R_d

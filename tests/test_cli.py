@@ -195,6 +195,8 @@ def test_flag_conca(write_doc, capsys):
     assert code == 0 and "verified flag" in out
     code2, out2, _ = run(capsys, ["flag", "conca", write_doc(CI2), "--x", "x + y"])
     assert code2 == 1 and "not a Conca generator" in out2
+    code3, _, err3 = run(capsys, ["flag", "conca", write_doc(CI2), "--x", "x*y"])
+    assert code3 == 3 and "not a linear form" in err3
 
 
 def test_flag_minmult(write_doc, capsys):

@@ -3,18 +3,22 @@ the Fitzgerald condition, reductions and their verifiers."""
 
 import json
 import random
+from itertools import product
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from oracles import colon_piece_dim, poly_to_dict
+from oracles import colon_piece_dim, monomials_of_degree, poly_to_dict
 
-from koszulkit.arith import polynomial_ring
+from koszulkit.arith import Polynomial, polynomial_ring
 from koszulkit.filtration import (
     BudgetExceededError,
+    ConcaCheck,
     FiltrationCertificate,
     FiltrationWitness,
+    FitzgeraldCheck,
     FlagCertificate,
     LinearIdeal,
     all_linear_ideals_filtration,
@@ -25,20 +29,31 @@ from koszulkit.filtration import (
     count_subspaces,
     enumerate_subspaces,
     minimal_multiplicity_flag,
+    projective_representatives,
     search_groebner_flag,
     subsets_filtration,
     verify_flag_chain,
     verify_groebner_flag,
     verify_koszul_filtration,
-    _ideal_gb,
     _linear_colon,
+    _linear_numerator,
+    _macaulay_bound,
 )
-from koszulkit.groebner import colon_ideal
+from koszulkit.groebner import GroebnerBasis, buchberger, colon_ideal
 from koszulkit.koszul import koszul_verdict
-from koszulkit.quotient import cyclic_module, make_ring
+from koszulkit.linalg import Echelon
+from koszulkit.quotient import _monomial_quotient_numerator, cyclic_module, make_ring
 
 
 # ----------------------------------------------------------- linear ideals
+
+
+def _ideal_gb(ring, li):
+    """Reference: reduced preimage basis of the ideal generated by the subspace."""
+    gens = li.forms(ring) + list(ring.gb.generators)
+    if not gens:
+        return GroebnerBasis((), ring.order, True)
+    return buchberger(gens, ring.order)
 
 
 def test_echelon_canonicalization_matches_gb_equality(ci2):
@@ -54,13 +69,30 @@ def test_echelon_canonicalization_matches_gb_equality(ci2):
         assert (a.rows == b.rows) == (_ideal_gb(ci2, a) == _ideal_gb(ci2, b))
 
 
-def _ring4():
-    s, (a, b, c, d) = polynomial_ring(32003, ("a", "b", "c", "d"))
-    return make_ring(s, [a**2, b**2, c * d, a * c + b * d])
+# name -> (variables, their defining generators); built at any modulus
+_NAMED_RINGS = {
+    "ci2": ("xy", lambda x, y: [x**2, y**2]),
+    "nk3": ("x", lambda x: [x**3]),
+    "crv26": ("xyz", lambda x, y, z: [x**2, x * y, y * z, z**2]),
+    "mm1": ("xy", lambda x, y: [y**2]),
+    "fitz3": ("xyz", lambda x, y, z: [x**2, y**2, z**2, x * y]),
+    "ring4": ("abcd", lambda a, b, c, d: [a**2, b**2, c * d, a * c + b * d]),
+    "4-cycle": ("abcd", lambda a, b, c, d: [a * b, b * c, c * d, d * a]),
+    "path": ("abcd", lambda a, b, c, d: [a**2, a * b, b * c, c * d, d**2]),
+    "square-zero": ("xy", lambda x, y: [x**2, x * y, y**2]),  # dim R_2 = 0
+}
+
+_PRIMES = (2, 3, 5, 32003, 2**31 - 1)
 
 
-def _random_quadric_ring(rng: random.Random):
-    p = rng.choice((2, 3, 5))
+def _named_ring(name, p):
+    names, gens = _NAMED_RINGS[name]
+    s, xs = polynomial_ring(p, tuple(names))
+    return make_ring(s, gens(*xs))
+
+
+def _random_quadric_ring(rng: random.Random, p=None):
+    p = p or rng.choice((2, 3, 5))
     n = rng.randint(2, 3)
     s, _ = polynomial_ring(p, [f"x{i}" for i in range(n)])
     quadrics = [
@@ -68,6 +100,20 @@ def _random_quadric_ring(rng: random.Random):
         for _ in range(rng.randint(1, 3))
     ]
     return make_ring(s, quadrics)
+
+
+def _random_subspace(rng: random.Random, n: int, k: int, p: int) -> LinearIdeal:
+    """A random k-dimensional subspace of F_p^n, written in RREF."""
+    pivots = sorted(rng.sample(range(n), k))
+    rows = []
+    for c in pivots:
+        row = [0] * n
+        row[c] = 1
+        for j in range(c + 1, n):
+            if j not in pivots:
+                row[j] = rng.randrange(p)
+        rows.append(tuple(row))
+    return LinearIdeal(tuple(rows))
 
 
 def _groebner_linear_colon(ring, j_rows, g):
@@ -97,7 +143,7 @@ def test_linear_colon_matches_groebner_colon(ci2, nk3, crv26, mm1, fitz3, name, 
     rng = random.Random(seed)
     rings = {"ci2": ci2, "nk3": nk3, "crv26": crv26, "mm1": mm1, "fitz3": fitz3}
     if name == "ring4":
-        ring = _ring4()
+        ring = _named_ring("ring4", 32003)
     elif name == "random":
         ring = _random_quadric_ring(rng)
     else:
@@ -150,6 +196,54 @@ def test_linear_colon_square_zero_ring():
     assert result.certificate.forms == ((0, 1), (1, 0))
     assert result.certificate.colon_indices == (2, 2)
     assert len(all_linear_ideals_filtration(ring).members) == 6
+
+
+def _buchberger_numerator(ring, li):
+    """Reference: the numerator from the leading monomials of a Groebner basis."""
+    lts = list(_ideal_gb(ring, li).leading_monomials())
+    return _monomial_quotient_numerator(lts, ring.nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_NAMED_RINGS) + ["random"]),
+    st.sampled_from(_PRIMES),
+    st.integers(0, 2**32 - 1),
+)
+@example("nk3", 5, 0)  # a cubic: persistence may only be read from degree 3 on
+@example("ci2", 2, 0)  # J = 0 has the numerator (1 - t^2)^2 of degree e + n - 1
+@example("path", 2**31 - 1, 1)
+def test_linear_numerator_matches_buchberger(name, p, seed):
+    # numerators from ranks and Gotzmann persistence equal the Groebner ones,
+    # for a subspace of every dimension from 0 to n
+    rng = random.Random(seed)
+    ring = _random_quadric_ring(rng, p) if name == "random" else _named_ring(name, p)
+    n = ring.nvars
+    for k in range(n + 1):
+        li = _random_subspace(rng, n, k, p)
+        assert LinearIdeal.from_vectors(li.rows, n, p) == li
+        want = tuple(_buchberger_numerator(ring, li))
+        assert _linear_numerator(ring, li) == want
+        assert ring.linear_numerators[li.rows] == want
+
+
+def _lex_segment_bound(h: int, d: int, m: int) -> int:
+    """Brute force: dim (S/(L))_{d+1} in S = F[x_1..x_m], where L spans all but
+    the h lex-smallest monomials of degree d."""
+    monos = sorted(monomials_of_degree(m, d), reverse=True)
+    segment = monos[: len(monos) - h]
+    above = {tuple(a + (i == v) for i, a in enumerate(u)) for u in segment for v in range(m)}
+    return comb(m + d, d + 1) - len(above)
+
+
+def test_macaulay_bound_matches_lex_segments():
+    assert _macaulay_bound(0, 3) == 0
+    assert _macaulay_bound(1, 1) == 1
+    assert _macaulay_bound(5, 2) == 7  # 5 = C(3,2) + C(2,1) -> C(4,3) + C(3,2)
+    for m in range(1, 5):
+        for d in range(1, 5):
+            for h in range(comb(m + d - 1, d) + 1):
+                assert _macaulay_bound(h, d) == _lex_segment_bound(h, d, m), (m, d, h)
 
 
 def test_subspace_enumeration_counts():
@@ -496,6 +590,154 @@ def test_minmult_flag_degenerate_polynomial_ring():
 def test_minmult_flag_rejects_failing_ring(ci2):
     with pytest.raises(ValueError, match="reduction checks failed"):
         minimal_multiplicity_flag(ci2, [(1, 0)])
+
+
+# ------------------------------- coordinate checks against the Polynomial path
+
+
+def _conca_reference(ring, form):
+    """check_conca_generator by Polynomial products and normal forms."""
+    x = form if isinstance(form, Polynomial) else ring.linear_form(list(form))
+    if ring.reduce(x).is_zero():
+        return ConcaCheck(False, "x = 0 in R_1")
+    if not ring.is_zero(x * x):
+        return ConcaCheck(False, "x^2 != 0")
+    dim2 = ring.dim_piece(2)
+    span = Echelon(dim2, ring.p)
+    for i in range(ring.nvars):
+        span.add(ring.coords(ring.reduce(x * ring.poly_ring.gen(i)), 2))
+    if span.rank != dim2:
+        return ConcaCheck(False, "x*R_1 != R_2")
+    if ring.dim_piece(3) != 0:
+        return ConcaCheck(False, "derived fact m^3 = 0 fails")
+    return ConcaCheck(True, None, cube_is_zero=True)
+
+
+def _fitzgerald_reference(ring):
+    """check_fitzgerald by Polynomial products, normal forms and Groebner colons."""
+    reps = projective_representatives(ring.nvars, ring.p)
+    dim2 = ring.dim_piece(2)
+    for vec in reps:
+        l = ring.linear_form(vec)
+        for q in ring.piece(2):
+            if not ring.is_zero(l * ring.poly_ring.monomial(q)):
+                return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
+        linear_ok, ann1 = _groebner_linear_colon(ring, [], vec)
+        if not linear_ok:
+            return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", len(reps))
+        span = Echelon(dim2, ring.p)
+        for row in ann1.rows:
+            f = ring.linear_form(row)
+            for i in range(ring.nvars):
+                span.add(ring.coords(ring.reduce(f * ring.poly_ring.gen(i)), 2))
+        if span.rank != dim2:
+            return FitzgeraldCheck(False, vec, "ann(l)_1 * R_1 != R_2", len(reps))
+    return FitzgeraldCheck(True, None, None, len(reps))
+
+
+def _reduction_failing_reference(ring, rows, d_stab):
+    """The first d <= d_stab with J*R_d != R_{d+1}, by Polynomial products."""
+    forms = [ring.linear_form(r) for r in rows]
+    for d in range(1, d_stab + 1):
+        target = ring.dim_piece(d + 1)
+        span = Echelon(target, ring.p)
+        for f in forms:
+            for m in ring.piece(d):
+                span.add(ring.coords(ring.reduce(f * ring.poly_ring.monomial(m)), d + 1))
+        if span.rank != target:
+            return d
+    return None
+
+
+# rings over small fields for the form-by-form checks: square-zero has
+# dim R_2 = 0, and ci2, fitz3 and mm1's quotient by m^3 have dim R_3 = 0
+_CHECK_RINGS = [(name, p) for name in sorted(_NAMED_RINGS) for p in (2, 3)]
+
+
+@pytest.mark.parametrize("name,p", _CHECK_RINGS + [("ci2", 5), ("mm1", 32003), ("random", 0)])
+def test_conca_check_matches_polynomial_path(name, p):
+    rng = random.Random(p)
+    rings = [_random_quadric_ring(rng) for _ in range(4)] if name == "random" else [
+        _named_ring(name, p)
+    ]
+    for ring in rings:
+        n, q = ring.nvars, ring.p
+        forms = list(product(range(q), repeat=n)) if q**n <= 81 else [
+            tuple(rng.randrange(q) for _ in range(n)) for _ in range(40)
+        ] + [(0,) * n]
+        for vec in forms:
+            want = _conca_reference(ring, vec)
+            assert check_conca_generator(ring, vec) == want, vec
+            assert check_conca_generator(ring, ring.linear_form(vec)) == want
+
+
+def test_conca_check_clauses():
+    ci2, mm1 = _named_ring("ci2", 5), _named_ring("mm1", 5)
+    assert check_conca_generator(ci2, (0, 0)) == ConcaCheck(False, "x = 0 in R_1")
+    assert check_conca_generator(ci2, (1, 1)) == ConcaCheck(False, "x^2 != 0")
+    assert check_conca_generator(mm1, (0, 1)) == ConcaCheck(False, "x*R_1 != R_2")
+    # dim R_3 = 0 over ci2, and dim R_2 = 0 = x * R_1 over the square-zero ring
+    assert check_conca_generator(ci2, (1, 0)) == ConcaCheck(True, None, cube_is_zero=True)
+    square_zero = _named_ring("square-zero", 5)
+    assert check_conca_generator(square_zero, (1, 0)) == ConcaCheck(True, None, True)
+    x, y = ci2.poly_ring.gens()
+    with pytest.raises(ValueError, match="not a linear form"):
+        check_conca_generator(ci2, x * y)
+
+
+@pytest.mark.parametrize("name,p", _CHECK_RINGS + [("ci2", 5), ("random", 0)])
+def test_fitzgerald_matches_polynomial_path(name, p):
+    rng = random.Random(p)
+    rings = [_random_quadric_ring(rng) for _ in range(3)] if name == "random" else [
+        _named_ring(name, p)
+    ]
+    for ring in rings:
+        assert check_fitzgerald(ring) == _fitzgerald_reference(ring)
+
+
+def test_fitzgerald_clauses_and_witnesses(monkeypatch):
+    # each clause with its witness: the first projective form that fails it
+    crv = _named_ring("crv26", 2)
+    assert check_fitzgerald(crv) == FitzgeraldCheck(
+        False, (0, 1, 0), "R_2 not contained in ann(l)", 7
+    )  # y * y^2 != 0
+    nk3 = _named_ring("nk3", 3)
+    assert check_fitzgerald(nk3) == FitzgeraldCheck(
+        False, (1,), "ann(l) not generated by linear forms", 1
+    )
+    assert check_fitzgerald(_named_ring("square-zero", 3)) == FitzgeraldCheck(True, None, None, 4)
+    assert check_fitzgerald(_named_ring("fitz3", 2)) == FitzgeraldCheck(True, None, None, 7)
+    # R_2 * l = 0 and ann(l) = (ann(l)_1) give ann(l)_1 * R_1 = ann(l)_2 ⊇ R_2,
+    # so the third clause fails only if the colon is misreported
+    monkeypatch.setattr(
+        "koszulkit.filtration._linear_colon", lambda ring, j, g: (True, LinearIdeal.zero())
+    )
+    assert check_fitzgerald(_named_ring("ci2", 3)) == FitzgeraldCheck(
+        False, (0, 1), "ann(l)_1 * R_1 != R_2", 4
+    )
+
+
+@pytest.mark.parametrize("name,p", _CHECK_RINGS + [("ring4", 32003), ("random", 0)])
+def test_reduction_matches_polynomial_path(name, p):
+    rng = random.Random(p + 7)
+    rings = [_random_quadric_ring(rng) for _ in range(3)] if name == "random" else [
+        _named_ring(name, p)
+    ]
+    for ring in rings:
+        n = ring.nvars
+        for k in range(n + 1):
+            li = _random_subspace(rng, n, k, ring.p)
+            d_stab = rng.randint(1, 3)
+            failing = _reduction_failing_reference(ring, li.rows, d_stab)
+            got = check_reduction(ring, li, d_stab)
+            assert (got.reduction_ok, got.failing_degree) == (failing is None, failing)
+
+
+def test_reduction_failing_degree():
+    mm1 = _named_ring("mm1", 3)
+    assert check_reduction(mm1, [(0, 1)], 3).failing_degree == 1  # y*R_1 misses x^2
+    assert check_reduction(mm1, [(1, 0)], 3).failing_degree is None
+    assert check_reduction(_named_ring("square-zero", 3), [], 2).reduction_ok
 
 
 # --------------------------------------------------------------- JSON

@@ -3,19 +3,27 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from koszulkit.arith import polynomial_ring
+from koszulkit.arith import MonomialOrder, mono_divides, mono_quotient, polynomial_ring
 from koszulkit.groebner import (
     FreeModuleVector,
     buchberger,
     colon_ideal,
     in_ideal,
     minimal_module_generators,
+    module_buchberger,
+    module_normal_form,
     normal_form,
+    pot_elim_key,
     quotient_generators,
     spolynomial,
     syzygy_basis,
+    top_order_key,
+    _melt_axpy,
+    _melt_lt,
 )
 from koszulkit.quotient import make_ring
 from oracles import (
@@ -262,3 +270,57 @@ def test_minimal_generators_sieve_drops_redundant_input(request, fixture, seed):
         below = [v for e, v in inputs if e < d]
         assert kept_degrees.count(d) == dim(upto, d) - dim(below, d)
         assert dim([v.components for v in kept], d) == dim(upto, d)
+
+
+def _module_normal_form_reference(elt, basis, key, p):
+    """Full division that finds each leading term by a max over the remainder."""
+    lts = [(_melt_lt(b, key), b) for b in basis]
+    remainder = {}
+    h = dict(elt)
+    while h:
+        pm = max(h, key=key)
+        pos, m = pm
+        c = h[pm]
+        hit = next(
+            ((bm, bc, b) for ((bpos, bm), bc), b in lts if bpos == pos and mono_divides(bm, m)),
+            None,
+        )
+        if hit is None:
+            remainder[pm] = c
+            del h[pm]
+        else:
+            bm, bc, b = hit
+            h = _melt_axpy(h, b, mono_quotient(m, bm), c * pow(bc, p - 2, p) % p, p)
+    return remainder
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 32003, 2**31 - 1)),
+    st.sampled_from(("degrevlex", "lex")),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_module_normal_form_matches_max_search(p, kind, top, seed):
+    # the heap of term keys gives the remainder of the max-search division,
+    # against a random list of elements and against a module Groebner basis
+    rng = random.Random(seed)
+    n, r = rng.randint(1, 3), rng.randint(1, 3)
+    order = MonomialOrder(kind, n)
+    shifts = tuple(rng.randint(0, 2) for _ in range(r))
+    key = top_order_key(shifts, order) if top else pot_elim_key(rng.randint(0, r), order)
+
+    def element(terms):
+        out = {}
+        for _ in range(terms):
+            m = tuple(rng.randint(0, 2) for _ in range(n))
+            out[(rng.randrange(r), m)] = rng.randrange(1, p)
+        return out
+
+    basis = [element(rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    elts = [element(rng.randint(0, 8)) for _ in range(4)]
+    for b in (basis, module_buchberger(basis, key, p)):
+        for elt in elts:
+            assert module_normal_form(elt, b, key, p) == _module_normal_form_reference(
+                elt, b, key, p
+            )
