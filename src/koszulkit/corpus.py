@@ -395,7 +395,9 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
     # (i): modules with ann(x) M = 0 are Koszul
     for s in range(10):
         x_row = reps[rng.randrange(len(reps))]
-        linear_ok, ann1 = _linear_colon(ring, LinearIdeal.zero(), x_row)
+        linear_ok, ann1 = _linear_colon(
+            ring, LinearIdeal.zero(), x_row, LinearIdeal.from_vectors([x_row], ring.nvars, ring.p)
+        )
         if not linear_ok:
             report.assertions.append(
                 Assertion(f"annx-killed-koszul-{s}", False, {"x": list(x_row)})

@@ -157,9 +157,12 @@ def _linear_numerator(ring: QuotientRing, li: LinearIdeal) -> tuple[int, ...]:
     return got
 
 
-def _linear_colon(ring: QuotientRing, j: LinearIdeal, g) -> tuple[bool, LinearIdeal]:
+def _linear_colon(
+    ring: QuotientRing, j: LinearIdeal, g, jg: LinearIdeal
+) -> tuple[bool, LinearIdeal]:
     """(linear_ok, W) for the colon J : g of a linear ideal J (RREF rows) by
-    the linear form with coefficients g.
+    the linear form with coefficients g, given jg = J + (g) in RREF, which
+    every caller has already formed.
 
     W = (J:g)_1 is the kernel of a -> sum_v a_v x_v g from F_p^n to
     R_2 / (J R_1); R_1 coordinates are the variables' coefficients, as the
@@ -180,7 +183,7 @@ def _linear_colon(ring: QuotientRing, j: LinearIdeal, g) -> tuple[bool, LinearId
         kernel = nullspace(np.concatenate([g_cols, j_cols], axis=1), p)
         w = LinearIdeal.from_vectors(kernel[:, :n], n, p)
     n_w = _linear_numerator(ring, w)
-    n_jg = _linear_numerator(ring, j.plus_vector(g, p))
+    n_jg = _linear_numerator(ring, jg)
     linear_ok = _trim(_poly_add([0, *n_w], list(n_jg))) == list(_linear_numerator(ring, j))
     return linear_ok, w
 
@@ -363,7 +366,7 @@ def verify_koszul_filtration(
             return VerificationResult(False, w.member, "I/J is not cyclic")
         if small.plus_vector(w.g, p).rows != big.rows:
             return VerificationResult(False, w.member, "I != J + (g)")
-        linear_ok, colon = _linear_colon(ring, small, w.g)
+        linear_ok, colon = _linear_colon(ring, small, w.g, big)
         if not linear_ok or colon.rows != canonical[w.colon].rows:
             return VerificationResult(
                 False, w.member, f"colon J:I differs from asserted member {w.colon}"
@@ -384,7 +387,7 @@ def verify_groebner_flag(ring: QuotientRing, flag: FlagCertificate) -> Verificat
         j = flag.colon_indices[i - 1]
         if not (0 <= j <= n):
             return VerificationResult(False, i, f"colon index {j} out of range")
-        linear_ok, colon = _linear_colon(ring, prefixes[i - 1], flag.forms[i - 1])
+        linear_ok, colon = _linear_colon(ring, prefixes[i - 1], flag.forms[i - 1], prefixes[i])
         if not linear_ok or colon.rows != prefixes[j].rows:
             return VerificationResult(
                 False, i, f"colon at step {i} is not the asserted prefix {j}"
@@ -410,7 +413,7 @@ def verify_flag_chain(
         if not big.contains(small, p) or big.dim != small.dim + 1:
             return VerificationResult(False, chain[step], "chain step is not cyclic")
         new_vec = next(r for r in big.rows if not small.contains_vector(r, p))
-        linear_ok, colon = _linear_colon(ring, small, new_vec)
+        linear_ok, colon = _linear_colon(ring, small, new_vec, big)
         if not linear_ok or colon.rows not in family:
             return VerificationResult(False, chain[step], "chain colon leaves the family")
     return VerificationResult(True)
@@ -483,7 +486,7 @@ def search_groebner_flag(
                 raise BudgetExceededError(
                     f"flag search exceeded the budget of {budget} candidates"
                 )
-            linear_ok, w1 = _linear_colon(ring, prefixes[-1], l)
+            linear_ok, w1 = _linear_colon(ring, prefixes[-1], l, nxt)
             if not linear_ok:
                 continue
             j = w1.dim
@@ -526,7 +529,7 @@ def search_groebner_flag(
             nxt = start_prefixes[-1].plus_vector(l, p)
             if nxt.dim != start_prefixes[-1].dim + 1:
                 raise ValueError("initial forms are dependent")
-            linear_ok, w1 = _linear_colon(ring, start_prefixes[-1], l)
+            linear_ok, w1 = _linear_colon(ring, start_prefixes[-1], l, nxt)
             if not linear_ok:
                 return FlagSearchResult(None, 1, 0, True)
             j = w1.dim
@@ -645,7 +648,9 @@ def check_fitzgerald(ring: QuotientRing, max_forms: int = 5000) -> FitzgeraldChe
     for vec in reps:
         if _form_products(ring, [vec], 2).any():
             return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
-        linear_ok, ann1 = _linear_colon(ring, LinearIdeal.zero(), vec)
+        linear_ok, ann1 = _linear_colon(
+            ring, LinearIdeal.zero(), vec, LinearIdeal.from_vectors([vec], n, p)
+        )
         if not linear_ok:
             return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", len(reps))
         if _span_rank(ring, ann1.rows, 1) != dim2:
@@ -675,7 +680,7 @@ def all_linear_ideals_filtration(
             continue
         j_ideal = LinearIdeal(member.rows[:-1])
         g = member.rows[-1]
-        linear_ok, w1 = _linear_colon(ring, j_ideal, g)
+        linear_ok, w1 = _linear_colon(ring, j_ideal, g, member)
         if not linear_ok:
             raise AssertionError(
                 "theorem-violation finding: colon of a linear ideal is not "
@@ -713,7 +718,7 @@ def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
             continue
         j_ideal = LinearIdeal(member.rows[:-1])
         g = member.rows[-1]
-        linear_ok, w1 = _linear_colon(ring, j_ideal, g)
+        linear_ok, w1 = _linear_colon(ring, j_ideal, g, member)
         if not linear_ok or w1.rows not in index:
             raise AssertionError(
                 f"colon of subset member {idx} is not a subset ideal"
@@ -758,13 +763,16 @@ class ReductionCheck:
 
 def check_reduction(ring: QuotientRing, j_ideal, d_stab: int) -> ReductionCheck:
     """J*R_d = R_{d+1} for 1 <= d <= d_stab, plus the Hilbert-series regular
-    sequence test and the multiplicity bound e = h + 1 report."""
+    sequence test and the multiplicity bound e = h + 1 report.
+
+    Only J*R_1 is ranked against R_2: the ring is generated in degree 1, so
+    J*R_1 = R_2 gives J*R_d = R_1^{d-1}*J*R_1 = R_{d+1} for every d >= 1.
+    The failing degree is therefore 1 or None.
+    """
     li = _as_linear_ideal(ring, j_ideal)
     failing = None
-    for d in range(1, d_stab + 1):
-        if _span_rank(ring, li.rows, d) != ring.dim_piece(d + 1):
-            failing = d
-            break
+    if d_stab >= 1 and _span_rank(ring, li.rows, 1) != ring.dim_piece(2):
+        failing = 1
     elim = quotient_by_linear_forms(ring, li.rows)
     h_ring = ring.hilbert_series(max(4, d_stab))
     h_quot = elim.target.hilbert_series(max(4, d_stab))

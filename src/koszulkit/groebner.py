@@ -5,6 +5,12 @@ degree-ordered S-pair queue (so graded computations can be truncated soundly),
 module Groebner bases for submodules of shifted free modules, syzygy
 generators via tagged elimination, colon ideals and ideal intersections.
 
+Graded pieces of free modules are coordinate vectors over F_p. The
+degree-d map of a homomorphism of free modules is built from its degree
+d-1 map (`_next_degree_map`), with no normal form taken; the graded
+Nakayama sieve behind minimal generators (`_generator_stage`) and every
+step of a resolution (`koszulkit.resolution`) run on these maps.
+
 Quotient rings enter only through duck-typed parameters (`ring.gb`,
 `ring.reduce`, `ring.piece`, ...) supplied by `koszulkit.quotient`.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .arith import (
     mono_mul,
     mono_quotient,
 )
-from .linalg import Echelon, matmul_mod
+from .linalg import matmul_mod, pivot_columns
 
 # ---------------------------------------------------------------- ideals
 
@@ -210,10 +216,6 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     return GroebnerBasis(tuple(_interreduce(basis)), ring.order, True)
-
-
-def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(f, gb).is_zero()
 
 
 # ---------------------------------------------------- free module vectors
@@ -536,8 +538,8 @@ def syzygies_over_poly_ring(
 # ----------------------------------------------- graded pieces of free modules
 #
 # `ring` is a quotient ring object exposing piece(d), piece_index(d),
-# monomial_nf(m), reduce(f), dim_piece(d), var_multiplication(v, d),
-# var_copies(v, d), poly_ring, nvars, p.
+# reduce(f), dim_piece(d), var_multiplication(v, d), var_copies(v, d),
+# first_variable_splits(d), poly_ring, nvars, p.
 
 
 def coords_of_vector(
@@ -577,8 +579,7 @@ def vector_from_coords(
 def shift_runs(ring, shifts: Sequence[int], d: int) -> list[tuple[int, int, int, int]]:
     """The block layout of the degree-d and degree-(d+1) pieces of the free
     module with the given shifts: (s, m, dim R_{d-s}, dim R_{d+1-s}) for each
-    run of m equal consecutive shifts s. Callers look it up once per degree
-    and pass it to every `times_variable` of that degree."""
+    run of m equal consecutive shifts s."""
     return [
         (s, len(list(run)), ring.dim_piece(d - s), ring.dim_piece(d + 1 - s))
         for s, run in groupby(shifts)
@@ -613,59 +614,125 @@ def variable_rows(ring, runs, d: int, var: int):
     return np.concatenate(source), np.concatenate(target), products
 
 
-def times_variable(ring, runs, coords: np.ndarray, d: int, var: int) -> np.ndarray:
-    """x_var times the columns of `coords`, degree-d coordinate vectors of the
-    free module with the block layout `runs` (`shift_runs` at d), as
-    degree-(d+1) coordinate vectors.
+def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
+    """The degree-d map of `_degree_maps` from the degree d-1 map `prev`, with
+    the generator columns (j, 1), source_shifts[j] == d, left zero.
 
-    The runs whose block is a copy (a partial permutation with entries 1, as
-    every block of a monomial ring is) take one row gather of `coords`, with
-    no product and no reduction mod p (`variable_rows`); each other run is
-    one stacked product with the cached `QuotientRing.var_multiplication`
-    matrix.
+    Column (j, u), with x_v the first variable of u, is x_v times column
+    (j, u / x_v) of `prev`, split by target block as `variable_rows` splits
+    it. Where multiplication by x_v on a block is a partial permutation with
+    entries 1 (`QuotientRing.var_copies`; every block of a monomial ring is
+    one), its rows are copied, with no product and no reduction mod p: the
+    rows of all copy blocks of x_v are one 2-D gather of `prev`. Each other
+    block is one stacked product with the cached
+    `QuotientRing.var_multiplication` matrix. `prev` is unused when no
+    source shift is below d. The block layouts of both free modules are
+    looked up once here, for every variable.
     """
-    n = coords.shape[1]
-    out = np.zeros((sum(m * high for _s, m, _low, high in runs), n), dtype=np.int64)
-    source, target, products = variable_rows(ring, runs, d, var)
-    out[target] = coords[source]
-    for row, prev_row, m, block in products:
-        high, low = block.shape
-        stack = coords[prev_row : prev_row + m * low].reshape(m, low, n)
-        out[row : row + m * high] = matmul_mod(block, stack, ring.p).reshape(m * high, n)
-    return out
+    target = shift_runs(ring, target_shifts, d - 1)
+    source = shift_runs(ring, source_shifts, d - 1)
+    nrows = sum(m * high for _s, m, _low, high in target)
+    mat = np.zeros((nrows, sum(m * high for _s, m, _low, high in source)), dtype=np.int64)
+    # every column (j, u) with deg u >= 1: the first variable of u, its index
+    # in mat and the index in prev of the column it is x_v times
+    empty = np.zeros(0, dtype=np.int64)
+    first, cols, prev_cols = [empty], [empty], [empty]
+    col = prev_col = 0
+    for s, m, low, high in source:
+        if low and high:
+            v, k = ring.first_variable_splits(d - s)
+            first.append(np.tile(v, m))
+            cols.append(col + np.arange(m * high))
+            prev_cols.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
+        col += m * high
+        prev_col += m * low
+    first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
+    for v in range(ring.nvars):
+        sel = first == v
+        if sel.any():
+            dst, src = cols[sel], prev_cols[sel]
+            copy_src, copy_dst, products = variable_rows(ring, target, d - 1, v)
+            mat[copy_dst[:, None], dst] = prev[copy_src[:, None], src]
+            for row, prev_row, m, block in products:
+                high, low = block.shape
+                stack = prev[prev_row : prev_row + m * low, src].reshape(m, low, len(src))
+                mat[row : row + m * high, dst] = matmul_mod(block, stack, ring.p).reshape(
+                    m * high, len(src)
+                )
+    return mat
 
 
-def nakayama_sieve(
-    ring, shifts: Sequence[int], pieces: Iterable[tuple[int, Sequence[np.ndarray]]]
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Graded Nakayama sieve behind `minimal_module_generators`, in the free
-    module with the given shifts.
+def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
+    """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
+    from the lowest source shift to d_max.
 
-    `pieces` gives (d, rows) for consecutive degrees d, where rows are
-    coordinate vectors of degree d of the generators of a submodule U. A row
-    is kept when it is independent of R_1 * U_{d-1} plus the rows kept
-    before it in degree d. Yields (d, index in rows, row) for every kept row
-    as soon as it is found, so that `pieces` may be produced lazily.
+    rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
+    piece of the target free module. Rows of the matrix: degree-d basis of
+    the target. Columns: (j, u) with u a standard monomial of degree
+    d - source_shifts[j]. Column (j, 1) is rows[j]; the others come from the
+    degree d-1 map (`_next_degree_map`).
     """
-    span = None
-    for d, rows in pieces:
-        runs = shift_runs(ring, shifts, d - 1)
-        ech = Echelon(sum(m * high for _s, m, _low, high in runs), ring.p)
-        if span is not None:
-            # R_1 * U_{d-1}: rows v*len(span) + k hold x_v times span row k
-            n = len(span)
-            products = np.zeros((ring.nvars * n, ech.ncols), dtype=np.int64)
-            for v in range(ring.nvars):
-                products[v * n : (v + 1) * n] = times_variable(ring, runs, span.T, d - 1, v).T
-            for k in np.flatnonzero(products.any(axis=1)):
-                ech.add(products[k])
-            del products
-        # No name outlives this loop bound to a row or to `products`: it would
-        # keep the whole degree-d matrix alive while degree d+1 is built.
-        for i in range(len(rows)):
-            if ech.add(rows[i]):
-                yield d, i, np.array(rows[i])
-        span = ech.rows
+    prev = None
+    for d in range(min(source_shifts), d_max + 1):
+        mat = _next_degree_map(ring, target_shifts, source_shifts, prev, d)
+        col = j = 0
+        for s, m, _low, high in shift_runs(ring, source_shifts, d - 1):
+            if s == d:
+                mat[:, col : col + m] = np.transpose(rows[j : j + m])
+            col += m * high
+            j += m
+        prev = mat
+        yield d, mat
+
+
+def _generator_stage(ring, shifts, candidates, d_last, step):
+    """The graded Nakayama sieve of a submodule U of the free module with the
+    given shifts, run degree by degree from the lowest degree of `candidates`
+    to d_last.
+
+    candidates[d] (absent: none) is an int64 matrix whose rows are degree-d
+    coordinate vectors of generators of U. A row is kept when it is
+    independent of R_1 * U_{d-1} plus the rows before it in degree d; the
+    kept rows of degree d go to `step[d]`. The stage yields (d, N_d), the
+    degree-d map of the kept generators (as `_degree_maps` builds it), from
+    the degree of the first kept row on.
+
+    N_d is built from N_{d-1} over the generators of degrees < d, so its
+    columns span R_1 * U_{d-1}. One `pivot_columns` on N_d followed by the
+    degree-d candidates as columns keeps the candidates at pivot columns: the
+    choice an incremental echelon fed the products and then the rows in order
+    would make. The kept rows are then appended to N_d as its generator
+    columns.
+    """
+    gens: tuple[int, ...] = ()
+    prev = None
+    for d in range(min(candidates, default=d_last + 1), d_last + 1):
+        prev = _next_degree_map(ring, shifts, gens, prev, d)
+        rows = candidates.get(d)
+        if rows is not None:
+            n = prev.shape[1]
+            pivots = pivot_columns(np.concatenate([prev, rows.T], axis=1), ring.p)
+            pivots = np.array(pivots, dtype=np.int64)
+            kept = rows[pivots[pivots >= n] - n]
+            if len(kept):
+                step[d] = kept
+                gens += (d,) * len(kept)
+                prev = np.concatenate([prev, kept.T], axis=1)
+        if gens:
+            yield d, prev
+
+
+def _candidate_rows(ring, shifts, vectors, d_max):
+    """{d: int64 matrix whose rows are the coordinate vectors of the reduced
+    `vectors` of internal degree d}, in input order, for d <= d_max (None:
+    every d). Vectors that reduce to zero are dropped."""
+    rows: dict[int, list[np.ndarray]] = {}
+    for v in vectors:
+        comps = tuple(ring.reduce(c) for c in v.components)
+        d = FreeModuleVector(comps, shifts).internal_degree()
+        if d is not None and (d_max is None or d <= d_max):
+            rows.setdefault(d, []).append(coords_of_vector(ring, shifts, comps, d))
+    return {d: np.array(r) for d, r in rows.items()}
 
 
 def minimal_module_generators(
@@ -676,25 +743,17 @@ def minimal_module_generators(
 ) -> list[FreeModuleVector]:
     """Minimal homogeneous generating set of the span of `vectors` over the ring.
 
-    Vectors of internal degree above `d_max` are dropped. The rest go through
-    `nakayama_sieve`, from their lowest degree to their highest.
+    Vectors of internal degree above `d_max` are dropped. The rest, reduced,
+    go through `_generator_stage` from their lowest degree to their highest;
+    the kept ones are returned in increasing degree, in input order within a
+    degree.
     """
     shifts = tuple(shifts)
-    by_degree: dict[int, list[FreeModuleVector]] = {}
-    for v in vectors:
-        w = FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts)
-        if w.is_zero():
-            continue
-        d = w.internal_degree()
-        if d_max is None or d <= d_max:
-            by_degree.setdefault(d, []).append(w)
-    if not by_degree:
-        return []
-    pieces = (
-        (d, [coords_of_vector(ring, shifts, w.components, d) for w in by_degree.get(d, [])])
-        for d in range(min(by_degree), max(by_degree) + 1)
-    )
-    return [by_degree[d][i] for d, i, _row in nakayama_sieve(ring, shifts, pieces)]
+    candidates = _candidate_rows(ring, shifts, vectors, d_max)
+    step: dict[int, np.ndarray] = {}
+    for _d, _mat in _generator_stage(ring, shifts, candidates, max(candidates, default=0), step):
+        pass
+    return [vector_from_coords(ring, shifts, row, d) for d, mat in step.items() for row in mat]
 
 
 # ------------------------------------------------------------ public ops

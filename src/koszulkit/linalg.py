@@ -7,6 +7,10 @@ every allowed modulus (p < 2^31). A matrix product sums k such products,
 which can pass 2^63; `matmul_mod` is the one product that is exact for every
 allowed modulus, and `Echelon.reduce` goes through it.
 
+No code of the package uses the incremental `Echelon`: it serves only the
+tests, as the reference the sieves are checked against, and the
+benchmark's span recorder, which counts its calls.
+
 `rref` and `pivot_columns` eliminate on one of two paths, chosen from the
 matrix alone. A matrix with at least `_SPARSE_MIN_ENTRIES` entries of which
 at most a `_SPARSE_MAX_DENSITY` share are nonzero goes to
@@ -229,19 +233,6 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     if pivots:
         basis[:, pivots] = (-r[:, free].T) % p
     return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a @ x = b mod p, or None."""
-    nrows, ncols = a.shape
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = r[i, ncols]
-    return x
 
 
 class Echelon:

@@ -2,18 +2,17 @@
 linear parts and graded-piece homology.
 
 The engine is exact linear algebra over F_p, one internal degree at a time,
-for all steps together. Step 1 is a minimal generating set of the relations
-(`groebner.minimal_module_generators`). Each later step is a stage
-(`_syzygy_stage`) fed the degree-d maps M_d of the step before: the degree-d
-syzygies are the kernel K_d of M_d, and the new minimal generators are a
-basis of K_d modulo R_1*K_{d-1} (graded Nakayama). The stage's own degree-d
-map N_d, over its generators of degrees < d, has columns spanning
-R_1*K_{d-1}, so one elimination on N_d settles the sieve; N_d with the new
-generators appended is then the next stage's M_d. So each step's degree map
-is built once and serves both its own sieve and the next kernel. Every entry
-of every recorded differential is therefore trustworthy for internal degrees
-<= d_max, and minimality (entries in the maximal ideal) holds by
-construction.
+for all steps together. Each step is a stage that yields its degree-d map
+N_d to the next step's stage, as that stage's M_d. Step 1
+(`groebner._generator_stage`) sieves the presentation columns; each later
+step (`_syzygy_stage`) sieves the kernel K_d of M_d, the degree-d syzygies.
+Both build N_d from N_{d-1} over their generators of degrees < d, so its
+columns span R_1 times the degree d-1 part, and one elimination on N_d
+settles the graded Nakayama sieve; the new generators are then appended to
+N_d. So each step's degree map is built once and serves both its own sieve
+and the next kernel. Every entry of every recorded differential is
+therefore trustworthy for internal degrees <= d_max, and minimality
+(entries in the maximal ideal) holds by construction.
 
 A differential is stored as the engine computes it: for each internal degree
 d, one int64 matrix whose rows are the step's degree-d generators as
@@ -23,27 +22,18 @@ rows only when `differential(i)` is asked for; Betti tables, linear parts
 and homology read the matrices.
 
 The rank of every degree-d map is recorded by the stages as they eliminate
-it, so homology never ranks a map of a resolution again: a stage takes the
-rank of its incoming M_d from rank-nullity on its kernel, and the rank of
-its own N_d from the pivots of its sieve plus the new generators, which are
-independent modulo the older columns. A linear part shares the blocks and
-ranks of every step whose entries are all linear. Only a map no stage
-eliminated (map 1 when i_max = 1, or a linear-part step that drops a
-nonzero entry) is rebuilt and ranked, once, on the first homology query.
+it, so homology never ranks a map of a resolution again: a syzygy stage
+takes the rank of its incoming M_d from rank-nullity on its kernel, and the
+rank of its own N_d from the pivots of its sieve plus the new generators,
+which are independent modulo the older columns. A linear part shares the
+blocks and ranks of every step whose entries are all linear. Only a map no
+syzygy stage eliminated (map 1 when i_max = 1, or a linear-part step that
+drops a nonzero entry) is rebuilt and ranked, once, on the first homology
+query.
 
-The degree-d map is built from the degree d-1 map: the column of u * col_j,
-for a standard monomial u with first variable x_v, is x_v times the column of
-(u / x_v) * col_j, taken run by run over equal target shifts. Where
-multiplication by x_v on a run's piece is a partial permutation with entries
-1 (`QuotientRing.var_copies`; every block of a monomial ring is one), those
-rows are copied from the degree d-1 map, with no product and no reduction
-mod p; every other block is a product with the cached
-`QuotientRing.var_multiplication` matrix. Only the columns of the generators
-themselves (u = 1) are the stored coordinate rows; every other entry comes
-from those copies and products, with no normal form taken. Over monomial
-rings the large maps are at most a few percent nonzero, so their
-eliminations (the sieve's `_last_entries` and the kernels) take the sparse
-path of `linalg`.
+Over monomial rings the large degree maps are at most a few percent
+nonzero, so their eliminations (the sieve's `_last_entries` and the
+kernels) take the sparse path of `linalg`.
 """
 
 from __future__ import annotations
@@ -54,13 +44,14 @@ import numpy as np
 
 from .groebner import (
     FreeModuleVector,
-    coords_of_vector,
-    minimal_module_generators,
+    _candidate_rows,
+    _degree_maps,
+    _generator_stage,
+    _next_degree_map,
     shift_runs,
-    variable_rows,
     vector_from_coords,
 )
-from .linalg import _sparse_echelon, _sparse_nonzeros, matmul_mod, nullspace, pivot_columns, rank
+from .linalg import _sparse_echelon, _sparse_nonzeros, nullspace, pivot_columns, rank
 from .quotient import GradedModule
 
 
@@ -171,29 +162,24 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
         module.resolutions[(i_max, d_max)] = res
         return res
 
-    # step 1: minimal generators of the relation submodule
+    # step 1 sieves the presentation columns in the window
     in_window = [c for c in module.columns if (c.internal_degree() or 0) <= d_max]
     if len(in_window) < len(module.columns):
         warnings.append(
             "presentation columns above d_max were dropped; step 1 is "
             "incomplete beyond the degree window"
         )
-    cols = minimal_module_generators(ring, module.shifts, in_window, d_max=d_max)
-    if module.columns and not cols:
-        if not in_window:
-            warnings.append("bounds too small to produce step 1")
-    by_degree: dict[int, list[np.ndarray]] = {}
-    for v in cols:
-        d = v.internal_degree()
-        by_degree.setdefault(d, []).append(coords_of_vector(ring, module.shifts, v.components, d))
-    blocks: list[dict[int, np.ndarray]] = [{d: np.array(r) for d, r in by_degree.items()}]
+    if module.columns and not in_window:
+        warnings.append("bounds too small to produce step 1")
+    candidates = _candidate_rows(ring, module.shifts, in_window, d_max)
 
-    # steps 2..i_max: chained stages, all run degree by degree; row i-1 of
-    # ranks collects the degree ranks of map i, laid out as FreeComplex._ranks
+    # one stage per step, chained and all run degree by degree: each yields
+    # its degree maps to the next; row i-1 of ranks collects the degree
+    # ranks of map i, laid out as FreeComplex._ranks
     lo = min(module.shifts)
     ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
-    rows = [row for mat in blocks[0].values() for row in mat]
-    maps = _degree_maps(ring, module.shifts, _shifts(blocks[0]), rows, d_max) if rows else ()
+    blocks: list[dict[int, np.ndarray]] = [{}]
+    maps = _generator_stage(ring, module.shifts, candidates, d_max, blocks[0])
     for i in range(2, i_max + 1):
         blocks.append({})
         maps = _syzygy_stage(ring, blocks[-2], maps, blocks[-1], ranks[i - 2], ranks[i - 1], lo)
@@ -210,7 +196,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
         free_shifts.append(_shifts(step))
     res = Resolution(module, free_shifts, blocks, i_max, d_max, warnings)
     if i_max >= 2:
-        # with no stage, map 1 was never eliminated
+        # with no syzygy stage, map 1 was never ranked
         res._ranks.update(enumerate(ranks, start=1))
     module.resolutions[(i_max, d_max)] = res
     return res
@@ -226,73 +212,6 @@ def _coordinate_shifts(ring, shifts, d):
     given shifts, the shift of the block it lies in."""
     runs = shift_runs(ring, shifts, d - 1)
     return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
-
-
-def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
-    """The degree-d map of `_degree_maps` from the degree d-1 map `prev`, with
-    the generator columns (j, 1), source_shifts[j] == d, left zero.
-
-    Column (j, u), with x_v the first variable of u, is x_v times column
-    (j, u / x_v) of `prev`, split by target block as `groebner.variable_rows`
-    splits it: the rows of all copy blocks of x_v are one 2-D gather of
-    `prev`, and each other block one stacked product. `prev` is unused when
-    no source shift is below d. The block layouts of both free modules are
-    looked up once here, for every variable.
-    """
-    target = shift_runs(ring, target_shifts, d - 1)
-    source = shift_runs(ring, source_shifts, d - 1)
-    nrows = sum(m * high for _s, m, _low, high in target)
-    mat = np.zeros((nrows, sum(m * high for _s, m, _low, high in source)), dtype=np.int64)
-    # every column (j, u) with deg u >= 1: the first variable of u, its index
-    # in mat and the index in prev of the column it is x_v times
-    empty = np.zeros(0, dtype=np.int64)
-    first, cols, prev_cols = [empty], [empty], [empty]
-    col = prev_col = 0
-    for s, m, low, high in source:
-        if low and high:
-            v, k = ring.first_variable_splits(d - s)
-            first.append(np.tile(v, m))
-            cols.append(col + np.arange(m * high))
-            prev_cols.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
-        col += m * high
-        prev_col += m * low
-    first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
-    for v in range(ring.nvars):
-        sel = first == v
-        if sel.any():
-            dst, src = cols[sel], prev_cols[sel]
-            copy_src, copy_dst, products = variable_rows(ring, target, d - 1, v)
-            mat[copy_dst[:, None], dst] = prev[copy_src[:, None], src]
-            for row, prev_row, m, block in products:
-                high, low = block.shape
-                stack = prev[prev_row : prev_row + m * low, src].reshape(m, low, len(src))
-                mat[row : row + m * high, dst] = matmul_mod(block, stack, ring.p).reshape(
-                    m * high, len(src)
-                )
-    return mat
-
-
-def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
-    """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
-    from the lowest source shift to d_max.
-
-    rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
-    piece of the target free module. Rows of the matrix: degree-d basis of
-    the target. Columns: (j, u) with u a standard monomial of degree
-    d - source_shifts[j]. Column (j, 1) is rows[j]; the others come from the
-    degree d-1 map (`_next_degree_map`).
-    """
-    prev = None
-    for d in range(min(source_shifts), d_max + 1):
-        mat = _next_degree_map(ring, target_shifts, source_shifts, prev, d)
-        col = j = 0
-        for s, m, _low, high in shift_runs(ring, source_shifts, d - 1):
-            if s == d:
-                mat[:, col : col + m] = np.transpose(rows[j : j + m])
-            col += m * high
-            j += m
-        prev = mat
-        yield d, mat
 
 
 def _syzygy_stage(ring, target, maps, step, in_ranks, own_ranks, lo):

@@ -163,7 +163,7 @@ def test_linear_colon_matches_groebner_colon(ci2, nk3, crv26, mm1, fitz3, name, 
         g = [rng.randrange(p) for _ in range(n)]
     j = LinearIdeal.from_vectors(j_rows, n, p)
 
-    linear_ok, w = _linear_colon(ring, j, g)
+    linear_ok, w = _linear_colon(ring, j, g, j.plus_vector(g, p))
     assert (linear_ok, w) == _groebner_linear_colon(ring, j_rows, g)
     jd = [poly_to_dict(ring.linear_form(r)) for r in j_rows]
     jd += [poly_to_dict(h) for h in ring.gb.generators]
@@ -183,7 +183,7 @@ def test_linear_colon_matches_groebner_colon(ci2, nk3, crv26, mm1, fitz3, name, 
 def test_linear_colon_examples(request, name, j_rows, g, linear_ok, w_rows):
     ring = request.getfixturevalue(name)
     j = LinearIdeal.from_vectors(j_rows, ring.nvars, ring.p)
-    got_ok, w = _linear_colon(ring, j, g)
+    got_ok, w = _linear_colon(ring, j, g, j.plus_vector(g, ring.p))
     assert (got_ok, w.rows) == (linear_ok, w_rows)
 
 
@@ -191,7 +191,8 @@ def test_linear_colon_square_zero_ring():
     # R_2 = 0: every linear form kills R_1, so (0) : x = m
     s, (x, y) = polynomial_ring(3, ("x", "y"))
     ring = make_ring(s, [x**2, x * y, y**2])
-    assert _linear_colon(ring, LinearIdeal.zero(), (1, 0)) == (True, LinearIdeal.full(2))
+    x_ideal = LinearIdeal.from_vectors([(1, 0)], 2, 3)
+    assert _linear_colon(ring, LinearIdeal.zero(), (1, 0), x_ideal) == (True, LinearIdeal.full(2))
     result = search_groebner_flag(ring, 100)
     assert result.certificate.forms == ((0, 1), (1, 0))
     assert result.certificate.colon_indices == (2, 2)
@@ -710,7 +711,7 @@ def test_fitzgerald_clauses_and_witnesses(monkeypatch):
     # R_2 * l = 0 and ann(l) = (ann(l)_1) give ann(l)_1 * R_1 = ann(l)_2 ⊇ R_2,
     # so the third clause fails only if the colon is misreported
     monkeypatch.setattr(
-        "koszulkit.filtration._linear_colon", lambda ring, j, g: (True, LinearIdeal.zero())
+        "koszulkit.filtration._linear_colon", lambda ring, j, g, jg: (True, LinearIdeal.zero())
     )
     assert check_fitzgerald(_named_ring("ci2", 3)) == FitzgeraldCheck(
         False, (0, 1), "ann(l)_1 * R_1 != R_2", 4
@@ -737,6 +738,8 @@ def test_reduction_failing_degree():
     mm1 = _named_ring("mm1", 3)
     assert check_reduction(mm1, [(0, 1)], 3).failing_degree == 1  # y*R_1 misses x^2
     assert check_reduction(mm1, [(1, 0)], 3).failing_degree is None
+    no_degree = check_reduction(mm1, [(0, 1)], 0)  # d_stab = 0 asks for no degree
+    assert no_degree.reduction_ok and no_degree.failing_degree is None
     assert check_reduction(_named_ring("square-zero", 3), [], 2).reduction_ok
 
 

@@ -10,11 +10,14 @@ import hypothesis.strategies as st
 from koszulkit.arith import polynomial_ring
 from koszulkit.groebner import (
     FreeModuleVector,
+    _candidate_rows,
+    _generator_stage,
     coords_of_vector,
-    nakayama_sieve,
+    minimal_module_generators,
     normal_form,
     shift_runs,
-    times_variable,
+    variable_rows,
+    vector_from_coords,
 )
 from koszulkit.quotient import (
     cyclic_module,
@@ -25,7 +28,7 @@ from koszulkit.quotient import (
 )
 import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
-from koszulkit.linalg import nullspace, rank
+from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank
 from koszulkit.resolution import (
     _degree_maps,
     betti_table,
@@ -323,6 +326,143 @@ def test_colliding_products_are_added_not_copied(p):
             checked += 1
             assert np.array_equal(mat, _reference_degree_map(ring, target, source, columns, d))
     assert checked
+
+
+def times_variable(ring, runs, coords, d, var):
+    """Reference: x_var times the columns of `coords`, degree-d coordinate
+    vectors of the free module with the block layout `runs` (`shift_runs` at
+    d), as degree-(d+1) coordinate vectors: a row gather for the copy blocks
+    of `variable_rows`, one stacked product for each other block."""
+    n = coords.shape[1]
+    out = np.zeros((sum(m * high for _s, m, _low, high in runs), n), dtype=np.int64)
+    source, target, products = variable_rows(ring, runs, d, var)
+    out[target] = coords[source]
+    for row, prev_row, m, block in products:
+        high, low = block.shape
+        stack = coords[prev_row : prev_row + m * low].reshape(m, low, n)
+        out[row : row + m * high] = matmul_mod(block, stack, ring.p).reshape(m * high, n)
+    return out
+
+
+def nakayama_sieve(ring, shifts, pieces):
+    """Reference graded Nakayama sieve, row by row: `pieces` gives (d, rows)
+    for consecutive degrees d; a row is kept when it is independent of
+    R_1 * U_{d-1} (every x_v times a basis of U_{d-1}, fed to an incremental
+    echelon) plus the rows kept before it in degree d. Yields (d, index in
+    rows, row) for every kept row."""
+    span = None
+    for d, rows in pieces:
+        runs = shift_runs(ring, shifts, d - 1)
+        ech = Echelon(sum(m * high for _s, m, _low, high in runs), ring.p)
+        if span is not None:
+            for v in range(ring.nvars):
+                products = times_variable(ring, runs, span.T, d - 1, v).T
+                for row in products[products.any(axis=1)]:
+                    ech.add(row)
+        for i in range(len(rows)):
+            if ech.add(rows[i]):
+                yield d, i, np.array(rows[i])
+        span = ech.rows
+
+
+def _stage_inputs(ring, rng, d_max):
+    """Shifts with repeats and graded vectors of that free module for the
+    generator stage: random columns, then duplicates, scalar multiples,
+    products x_v * (earlier column), columns that reduce to zero and columns
+    above d_max, shuffled."""
+    shifts = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+    s = ring.poly_ring
+
+    def column(d):
+        comps = tuple(
+            s.from_dict({m: rng.randrange(ring.p) for m in ring.piece(d - t)})
+            if rng.random() < 0.8
+            else s.zero()
+            for t in shifts
+        )
+        return FreeModuleVector(comps, shifts)
+
+    vectors = [column(min(shifts) + rng.randint(0, 2)) for _ in range(rng.randint(2, 6))]
+    for _ in range(rng.randint(2, 6)):
+        v = rng.choice(vectors)
+        kind = rng.choice(["duplicate", "scaled", "product", "zero", "above"])
+        if kind == "duplicate":
+            vectors.append(v)
+        elif kind == "scaled":
+            c = rng.randrange(1, ring.p)
+            vectors.append(FreeModuleVector(tuple(c * f for f in v.components), shifts))
+        elif kind == "product":
+            x = s.gen(rng.randrange(ring.nvars))
+            vectors.append(FreeModuleVector(tuple(x * f for f in v.components), shifts))
+        elif kind == "zero":
+            k = rng.randrange(len(shifts))
+            comps = [s.zero()] * len(shifts)
+            comps[k] = rng.choice(ring.gb.generators)
+            vectors.append(FreeModuleVector(tuple(comps), shifts))
+        else:
+            vectors.append(column(d_max + rng.randint(1, 2)))
+    rng.shuffle(vectors)
+    return shifts, vectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAP_RINGS)),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(0, 2**32),
+)
+def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
+    # the stage keeps the rows the row-by-row sieve keeps, in its order, and
+    # yields the degree maps of the kept generators up to d_max
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    d_max = 4
+    shifts, vectors = _stage_inputs(ring, rng, d_max)
+    by_degree = {}
+    for v in vectors:
+        w = FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts)
+        if not w.is_zero() and w.internal_degree() <= d_max:
+            by_degree.setdefault(w.internal_degree(), []).append(w)
+    want = []
+    if by_degree:
+        pieces = (
+            (d, [coords_of_vector(ring, shifts, w.components, d) for w in by_degree.get(d, [])])
+            for d in range(min(by_degree), max(by_degree) + 1)
+        )
+        want = [(d, by_degree[d][i], row) for d, i, row in nakayama_sieve(ring, shifts, pieces)]
+    assert minimal_module_generators(ring, shifts, vectors, d_max) == [w for _d, w, _r in want]
+    candidates = _candidate_rows(ring, shifts, vectors, d_max)
+    assert (not candidates) == (not by_degree)
+    step = {}
+    yielded = list(_generator_stage(ring, shifts, candidates, d_max, step))
+    got = [(d, row) for d, mat in step.items() for row in mat]
+    assert [d for d, _row in got] == [d for d, _w, _row in want]
+    for (_d, row), (_e, _w, ref) in zip(got, want):
+        assert np.array_equal(row, ref)
+    kept_shifts = tuple(d for d, _w, _r in want)
+    kept = [w for _d, w, _r in want]
+    assert [d for d, _mat in yielded] == list(range(min(kept_shifts, default=d_max + 1), d_max + 1))
+    for d, mat in yielded:
+        assert np.array_equal(mat, _reference_degree_map(ring, shifts, kept_shifts, kept, d)), d
+
+
+def test_step_one_warnings(ci2):
+    # the window is read from the columns' degrees; a column above d_max
+    # is dropped, and with none left step 1 is empty
+    x, y = ci2.poly_ring.gens()
+    dropped = (
+        "presentation columns above d_max were dropped; step 1 is "
+        "incomplete beyond the degree window"
+    )
+    too_small = "bounds too small to produce step 1"
+    some = make_module(ci2, (0,), [[x], [x * y]])
+    res = resolve(some, 2, 1)
+    assert res.warnings == [dropped] and res.free_shifts[1] == (1,)
+    assert resolve(some, 2, 2).warnings == []
+    none = make_module(ci2, (0,), [[x * y]])
+    res = resolve(none, 2, 1)
+    assert res.warnings == [dropped, too_small] and res.free_shifts == [(0,), (), ()]
+    assert resolve(none, 1, 2).warnings == []
 
 
 def _stored_rows(cx, i):
