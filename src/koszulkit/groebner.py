@@ -382,7 +382,7 @@ def module_normal_form(
     leads = []
     for b in basis:
         pm, c = _melt_lt(b, key)
-        leads.append((pm, pow(c, p - 2, p), b))
+        leads.append((pm, pow(c, -1, p), b))
     return _melt_reduce(elt, leads, key, p)
 
 
@@ -409,7 +409,7 @@ def module_buchberger(
 
     def append(e: ModElt) -> None:
         pm, c = _melt_lt(e, key)
-        e = _melt_scale(e, pow(c, p - 2, p), p)
+        e = _melt_scale(e, pow(c, -1, p), p)
         basis.append(e)
         leads.append((pm, 1, e))
 
@@ -627,12 +627,15 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     block is one stacked product with the cached
     `QuotientRing.var_multiplication` matrix. `prev` is unused when no
     source shift is below d. The block layouts of both free modules are
-    looked up once here, for every variable.
+    looked up once here, for every variable. A map with no rows or no columns
+    is returned at once.
     """
     target = shift_runs(ring, target_shifts, d - 1)
     source = shift_runs(ring, source_shifts, d - 1)
     nrows = sum(m * high for _s, m, _low, high in target)
     mat = np.zeros((nrows, sum(m * high for _s, m, _low, high in source)), dtype=np.int64)
+    if not mat.size:
+        return mat
     # every column (j, u) with deg u >= 1: the first variable of u, its index
     # in mat and the index in prev of the column it is x_v times
     empty = np.zeros(0, dtype=np.int64)
@@ -693,9 +696,10 @@ def _generator_stage(ring, shifts, candidates, d_last, step):
     candidates[d] (absent: none) is an int64 matrix whose rows are degree-d
     coordinate vectors of generators of U. A row is kept when it is
     independent of R_1 * U_{d-1} plus the rows before it in degree d; the
-    kept rows of degree d go to `step[d]`. The stage yields (d, N_d), the
-    degree-d map of the kept generators (as `_degree_maps` builds it), from
-    the degree of the first kept row on.
+    kept rows of degree d go to `step[d]`. The stage yields (d, N_d, gens)
+    for consecutive d from the degree of the first kept row on: N_d is the
+    degree-d map of the kept generators (as `_degree_maps` builds it) and
+    gens their degrees, the source shifts of N_d.
 
     N_d is built from N_{d-1} over the generators of degrees < d, so its
     columns span R_1 * U_{d-1}. One `pivot_columns` on N_d followed by the
@@ -703,9 +707,14 @@ def _generator_stage(ring, shifts, candidates, d_last, step):
     choice an incremental echelon fed the products and then the rows in order
     would make. The kept rows are then appended to N_d as its generator
     columns.
+
+    The stage ends at d_last, or at the first d from the top candidate degree
+    on where N_d has no columns: R is generated in degree 1, so R_e = 0 gives
+    R_{e+1} = 0, and every later piece of the span is zero too.
     """
     gens: tuple[int, ...] = ()
     prev = None
+    top = max(candidates, default=d_last)
     for d in range(min(candidates, default=d_last + 1), d_last + 1):
         prev = _next_degree_map(ring, shifts, gens, prev, d)
         rows = candidates.get(d)
@@ -719,19 +728,21 @@ def _generator_stage(ring, shifts, candidates, d_last, step):
                 gens += (d,) * len(kept)
                 prev = np.concatenate([prev, kept.T], axis=1)
         if gens:
-            yield d, prev
+            yield d, prev, gens
+        if d >= top and not prev.shape[1]:
+            return
 
 
 def _candidate_rows(ring, shifts, vectors, d_max):
-    """{d: int64 matrix whose rows are the coordinate vectors of the reduced
+    """{d: int64 matrix whose rows are the coordinate vectors of the
     `vectors` of internal degree d}, in input order, for d <= d_max (None:
-    every d). Vectors that reduce to zero are dropped."""
+    every d). The vectors' components must be reduced; zero vectors are
+    dropped."""
     rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
-        comps = tuple(ring.reduce(c) for c in v.components)
-        d = FreeModuleVector(comps, shifts).internal_degree()
+        d = v.internal_degree()
         if d is not None and (d_max is None or d <= d_max):
-            rows.setdefault(d, []).append(coords_of_vector(ring, shifts, comps, d))
+            rows.setdefault(d, []).append(coords_of_vector(ring, shifts, v.components, d))
     return {d: np.array(r) for d, r in rows.items()}
 
 
@@ -749,9 +760,10 @@ def minimal_module_generators(
     degree.
     """
     shifts = tuple(shifts)
-    candidates = _candidate_rows(ring, shifts, vectors, d_max)
+    reduced = [FreeModuleVector(tuple(map(ring.reduce, v.components)), shifts) for v in vectors]
+    candidates = _candidate_rows(ring, shifts, reduced, d_max)
     step: dict[int, np.ndarray] = {}
-    for _d, _mat in _generator_stage(ring, shifts, candidates, max(candidates, default=0), step):
+    for _ in _generator_stage(ring, shifts, candidates, max(candidates, default=0), step):
         pass
     return [vector_from_coords(ring, shifts, row, d) for d, mat in step.items() for row in mat]
 
@@ -788,14 +800,10 @@ def syzygy_basis(
     raw = syzygies_over_poly_ring(
         columns, shifts, relations, max_degree=max_degree
     )
-    col_degs = [v.internal_degree() or 0 for v in vectors]
-    out = []
-    for comps, _deg in raw:
-        reduced = tuple(ring.reduce(c) for c in comps)
-        w = FreeModuleVector(reduced, tuple(col_degs))
-        if not w.is_zero():
-            out.append(w)
-    minimal = minimal_module_generators(ring, tuple(col_degs), out, d_max=max_degree)
+    col_degs = tuple(v.internal_degree() or 0 for v in vectors)
+    # minimal_module_generators reduces the syzygies and drops the zero ones
+    out = [FreeModuleVector(comps, col_degs) for comps, _deg in raw]
+    minimal = minimal_module_generators(ring, col_degs, out, d_max=max_degree)
     minimal.sort(key=lambda v: (v.internal_degree(), str(v)))
     return minimal
 

@@ -126,7 +126,7 @@ def _dense_echelon(a, p, reduced):
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         # row r is zero left of c, so only columns c.. change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
         if reduced:
             col = a[:, c].copy()
             col[r] = 0
@@ -175,7 +175,7 @@ def _sparse_echelon(shape, rows, cols, values, p, reduced):
         row = entries[r]
         for k in row:
             rows_at[k].discard(r)
-        inv = pow(row[c], p - 2, p)
+        inv = pow(row[c], -1, p)
         if inv != 1:
             row = {k: v * inv % p for k, v in row.items()}
         for r2 in list(rows_at[c]):
@@ -271,7 +271,7 @@ class Echelon:
         if nz.size == 0:
             return False
         piv = nz[0]
-        v *= pow(int(v[piv]), self.p - 2, self.p)
+        v *= pow(int(v[piv]), -1, self.p)
         v %= self.p
         r = self.rank
         if r == len(self._rows):

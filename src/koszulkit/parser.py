@@ -349,6 +349,11 @@ def parse_input(text: str) -> InputDocument:
                     line_no,
                     positions["char"],
                 )
+            # the range first: is_prime is never asked about a huge number
+            if not 2 <= p < 2**31:
+                raise ParseError(
+                    f"characteristic {p} out of range [2, 2^31)", line_no, positions["char"]
+                )
             if not is_prime(p):
                 raise ParseError(
                     f"characteristic {p} is not prime", line_no, positions["char"]

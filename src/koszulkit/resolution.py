@@ -6,13 +6,25 @@ for all steps together. Each step is a stage that yields its degree-d map
 N_d to the next step's stage, as that stage's M_d. Step 1
 (`groebner._generator_stage`) sieves the presentation columns; each later
 step (`_syzygy_stage`) sieves the kernel K_d of M_d, the degree-d syzygies.
-Both build N_d from N_{d-1} over their generators of degrees < d, so its
-columns span R_1 times the degree d-1 part, and one elimination on N_d
-settles the graded Nakayama sieve; the new generators are then appended to
-N_d. So each step's degree map is built once and serves both its own sieve
-and the next kernel. Every entry of every recorded differential is
-therefore trustworthy for internal degrees <= d_max, and minimality
-(entries in the maximal ideal) holds by construction.
+Each yields (d, N_d, shifts), with the degrees of its generators so far, the
+target shifts of the next step's N_d. Both build N_d from N_{d-1} over their
+generators of degrees < d, so its columns span R_1 times the degree d-1
+part, and one elimination on N_d settles the graded Nakayama sieve; the new
+generators are then appended to N_d. So each step's degree map is built once
+and serves both its own sieve and the next kernel. Every entry of every
+recorded differential is therefore trustworthy for internal degrees <=
+d_max, and minimality (entries in the maximal ideal) holds by construction.
+
+Only nonzero pieces cost work. A degree map with no rows or no columns is
+returned at once, and a syzygy stage whose M_d has no columns takes no
+kernel. A stage ends once its piece vanishes for good: R is generated in
+degree 1, so R_e = 0 gives R_{e+1} = 0, and a step all of whose generators
+have degree <= d has only zero pieces after a zero degree-d piece. Step 1
+ends there once no presentation column of a higher degree is left; a later
+step once the step before it has ended (so no generator can come).
+`resolve` stops when the last stage ends, and the ranks of the degrees it
+did not reach are 0. Over an Artinian ring the work is thus bounded by its
+socle degree, not by d_max; other rings run to d_max.
 
 A differential is stored as the engine computes it: for each internal degree
 d, one int64 matrix whose rows are the step's degree-d generators as
@@ -182,8 +194,10 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     maps = _generator_stage(ring, module.shifts, candidates, d_max, blocks[0])
     for i in range(2, i_max + 1):
         blocks.append({})
-        maps = _syzygy_stage(ring, blocks[-2], maps, blocks[-1], ranks[i - 2], ranks[i - 1], lo)
-    for _d, _mat in maps:
+        maps = _syzygy_stage(ring, maps, blocks[-1], ranks[i - 2], ranks[i - 1], lo, d_max)
+    # the last stage ends after every other; the ranks it did not reach are
+    # those of maps between zero pieces
+    for _ in maps:
         pass
 
     free_shifts = [module.shifts]
@@ -214,15 +228,16 @@ def _coordinate_shifts(ring, shifts, d):
     return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
 
 
-def _syzygy_stage(ring, target, maps, step, in_ranks, own_ranks, lo):
-    """One syzygy step of the resolution, run degree by degree.
+def _syzygy_stage(ring, maps, step, in_ranks, own_ranks, lo, d_last):
+    """One syzygy step of the resolution, run degree by degree up to d_last.
 
-    `maps` yields (d, M_d), the degree-d maps of the step before, for
-    consecutive d; `target` ({d: matrix of degree-d rows}) holds that step's
-    generators up to degree d when M_d arrives. The new minimal generators of
-    each degree are basis rows of K_d = ker M_d, put in `step[d]` as they
-    are found. The stage yields (d, N_d), its own degree-d map, from the
-    degree of its first generator on: the next stage's M_d.
+    `maps` yields (d, M_d, target) for consecutive d: M_d is the degree-d map
+    of the step before and target the degrees of that step's generators so
+    far, the target shifts of N_d. The new minimal generators of each degree
+    are basis rows of K_d = ker M_d, put in `step[d]` as they are found. The
+    stage yields (d, N_d, shifts), its own degree-d map and its generator
+    degrees so far, from the degree of its first generator on: the next
+    stage's M_d and target.
 
     N_d is built from N_{d-1} before the sieve, over the generators of
     degrees < d; by induction its columns span R_1 * K_{d-1}, so the sieve
@@ -235,34 +250,52 @@ def _syzygy_stage(ring, target, maps, step, in_ranks, own_ranks, lo):
     elimination plus the new generators, which are independent modulo the
     older columns (each is the only one nonzero at its own free column, and
     none after it). A map between two stages is thus recorded by both, with
-    equal numbers.
+    equal numbers. Where M_d has no columns (the step before has a zero
+    degree-d piece) there is no kernel, no new generator and no elimination,
+    and both ranks stay 0.
+
+    Once `maps` has ended, the step before has only zero pieces left (see
+    `_generator_stage`), so no generator comes any more. The stage goes on
+    building N_d until it has no columns: every generator has degree <= d,
+    and R_e = 0 gives R_{e+1} = 0, so every later piece of this step is zero
+    too.
     """
     shifts: tuple[int, ...] = ()
     prev = None
-    for d, mat in maps:
-        prev = _next_degree_map(ring, _shifts(target), shifts, prev, d)
-        spanned = _last_entries(prev, ring.p)
-        basis = nullspace(mat, ring.p)
-        in_ranks[d - lo] = mat.shape[1] - len(basis)
-        del mat
-        # Row k of the rref kernel basis is 1 at its free column F_k and zero
-        # at the other free columns and after F_k. So it lies in R_1 * K_{d-1}
-        # plus the rows before it exactly when F_k is the last nonzero entry
-        # of a vector of R_1 * K_{d-1}: the choice an incremental echelon fed
-        # the products and then the rows in order would make.
-        if len(basis):
+    d = d_last
+    for d, mat, target in maps:
+        if shifts:
+            prev = _next_degree_map(ring, target, shifts, prev, d)
+        else:
+            # no generator yet: N_d has no columns, one row per column of M_d
+            prev = np.zeros((mat.shape[1], 0), dtype=np.int64)
+        # F_{i-1,d} = 0 (M_d has no columns): no kernel, no new generator,
+        # and both ranks are 0
+        if mat.shape[1]:
+            spanned = _last_entries(prev, ring.p)
+            basis = nullspace(mat, ring.p)
+            in_ranks[d - lo] = mat.shape[1] - len(basis)
+            del mat
+            # Row k of the rref kernel basis is 1 at its free column F_k and
+            # zero at the other free columns and after F_k. So it lies in
+            # R_1 * K_{d-1} plus the rows before it exactly when F_k is the
+            # last nonzero entry of a vector of R_1 * K_{d-1}: the choice an
+            # incremental echelon fed the products and then the rows in order
+            # would make.
             free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
             new = basis[~spanned[free]]
-        else:
-            new = basis
-        del basis
-        if len(new):
-            step[d] = new
-            shifts += (d,) * len(new)
-            prev = np.concatenate([prev, new.T], axis=1)
-        if shifts:
+            del basis
+            if len(new):
+                step[d] = new
+                shifts += (d,) * len(new)
+                prev = np.concatenate([prev, new.T], axis=1)
             own_ranks[d - lo] = spanned.sum() + len(new)
-            yield d, prev
+        if shifts:
+            yield d, prev, shifts
+    while shifts and prev.shape[1] and d < d_last:
+        d += 1
+        prev = _next_degree_map(ring, target, shifts, prev, d)
+        yield d, prev, shifts
 
 
 def _last_entries(vectors, p):

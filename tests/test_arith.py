@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from koszulkit.arith import MonomialOrder, PrimeField, polynomial_ring
+from koszulkit.arith import MonomialOrder, PrimeField, is_prime, polynomial_ring
 from oracles import raw_mul, poly_to_dict, reference_degrevlex
 
 
@@ -30,6 +30,55 @@ def test_prime_field_rejects_composite_and_range():
         PrimeField(1)
     with pytest.raises(ValueError):
         PrimeField(2**31)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if _trial_division(n)
+    ]
+    near = range(2**31 - 300, 2**31 + 300)
+    assert [n for n in near if is_prime(n)] == [n for n in near if _trial_division(n)]
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # composite n with a factor: Carmichael numbers (Fermat pseudoprimes to
+    # every base prime to n), then strong pseudoprimes to base 2, the last
+    # four to every base of 2..7, 2..13, 2..17 and 2..23
+    factored = {
+        561: 3, 1105: 5, 1729: 7, 2465: 5, 2821: 7, 6601: 7, 8911: 7,
+        41041: 7, 825265: 5, 321197185: 5,
+        2047: 23, 3277: 29, 4033: 37, 4681: 31, 8321: 53, 3215031751: 151,
+        3474749660383: 1303, 341550071728321: 10670053, 3825123056546413051: 149491,
+    }
+    for n, f in factored.items():
+        assert n % f == 0 and 1 < f < n
+        assert not is_prime(n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 32003, 2**31 - 1]), st.integers(1, 2**31))
+def test_field_inverse_is_fermat_inverse(p, a):
+    f = PrimeField(p)
+    if a % p == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(a)
+    else:
+        assert f.inv(a) == pow(a % p, p - 2, p)
+        assert f.mul(a, f.inv(a)) == 1
 
 
 def test_add_cancellation():

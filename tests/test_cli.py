@@ -57,6 +57,14 @@ def test_parse_error_exit_3(write_doc, capsys):
     assert "non-homogeneous generator at 2:7" in err
 
 
+@pytest.mark.parametrize("char", ["2305843009213693951", "4294967311"])
+def test_char_out_of_range_exit_3(write_doc, capsys, char):
+    # the range is checked before primality, so 2^61 - 1 fails at once too
+    code, _, err = run(capsys, ["betti", write_doc(f"ring char={char} vars=x,y\nideal x^2\n")])
+    assert code == 3
+    assert f"characteristic {char} out of range [2, 2^31) at 1:11" in err
+
+
 def test_unknown_module_exit_3(write_doc, capsys):
     code, _, err = run(capsys, ["betti", write_doc(CI2), "--module", "Q"])
     assert code == 3

@@ -26,6 +26,7 @@ from koszulkit.quotient import (
     make_ring,
     residue_field_module,
 )
+import koszulkit.groebner as groebner_mod
 import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank
@@ -224,7 +225,11 @@ _MAP_RINGS = {
     "5-cycle": ("abcde", lambda a, b, c, d, e: [a * b, b * c, c * d, d * e, e * a]),
     # x*y and x*z have one normal form, so x times R_e is no copy for e >= 1
     "xy-xz": ("xyz", lambda x, y, z: [x * y - x * z]),
+    # square-zero: (x, y)^2 = 0
+    "sq0": ("xy", lambda x, y: [x**2, x * y, y**2]),
 }
+# rings with R_3 = 0, whose resolutions end each stage before a large d_max
+_ARTINIAN = ("ci2", "fitz3", "sq0")
 
 
 def _map_ring(name, p, rng):
@@ -413,14 +418,16 @@ def _stage_inputs(ring, rng, d_max):
 )
 def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
     # the stage keeps the rows the row-by-row sieve keeps, in its order, and
-    # yields the degree maps of the kept generators up to d_max
+    # yields the degree maps of the kept generators, with their degrees, for
+    # consecutive degrees until their pieces vanish for good (or d_max)
     rng = random.Random(seed)
     ring = _map_ring(ring_name, p, rng)
-    d_max = 4
+    # at d_max = 8 the pieces over the _ARTINIAN rings vanish before d_max
+    d_max = rng.choice((4, 8))
     shifts, vectors = _stage_inputs(ring, rng, d_max)
+    reduced = [FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts) for v in vectors]
     by_degree = {}
-    for v in vectors:
-        w = FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts)
+    for w in reduced:
         if not w.is_zero() and w.internal_degree() <= d_max:
             by_degree.setdefault(w.internal_degree(), []).append(w)
     want = []
@@ -431,7 +438,8 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
         )
         want = [(d, by_degree[d][i], row) for d, i, row in nakayama_sieve(ring, shifts, pieces)]
     assert minimal_module_generators(ring, shifts, vectors, d_max) == [w for _d, w, _r in want]
-    candidates = _candidate_rows(ring, shifts, vectors, d_max)
+    # the stage's input columns are reduced, as `make_module` stores them
+    candidates = _candidate_rows(ring, shifts, reduced, d_max)
     assert (not candidates) == (not by_degree)
     step = {}
     yielded = list(_generator_stage(ring, shifts, candidates, d_max, step))
@@ -441,9 +449,13 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
         assert np.array_equal(row, ref)
     kept_shifts = tuple(d for d, _w, _r in want)
     kept = [w for _d, w, _r in want]
-    assert [d for d, _mat in yielded] == list(range(min(kept_shifts, default=d_max + 1), d_max + 1))
-    for d, mat in yielded:
+    degrees = [d for d, _mat, _gens in yielded]
+    assert degrees == list(range(min(kept_shifts, default=d_max + 1), max(degrees, default=d_max) + 1))
+    for d, mat, gens in yielded:
+        assert gens == tuple(s for s in kept_shifts if s <= d), d
         assert np.array_equal(mat, _reference_degree_map(ring, shifts, kept_shifts, kept, d)), d
+    for d in range(max(degrees, default=d_max) + 1, d_max + 1):
+        assert not _reference_degree_map(ring, shifts, kept_shifts, kept, d).shape[1], d
 
 
 def test_step_one_warnings(ci2):
@@ -507,11 +519,13 @@ def _assert_steps_match_reference(res):
 )
 def test_resolution_steps_match_reference_sieve(ring_name, p, seed):
     # the degree-by-degree stages keep the same rows, in the same order, as
-    # the kernel of each degree map sieved step by step
+    # the kernel of each degree map sieved step by step; over an Artinian ring
+    # also at a d_max far past the degrees where every stage has ended
     rng = random.Random(seed)
     ring = _map_ring(ring_name, p, rng)
+    d_max = 12 if ring_name in _ARTINIAN else 5
     for module in (residue_field_module(ring), random_module(ring, rng.randint(1, 2), 2, seed)):
-        _assert_steps_match_reference(resolve(module, 4, 5))
+        _assert_steps_match_reference(resolve(module, 4, d_max))
 
 
 def test_resolution_steps_match_reference_with_empty_kernels():
@@ -623,16 +637,19 @@ def _assert_recorded_ranks(res):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["ci2", "crv26", "fitz3", "quadrics"]),
+    st.sampled_from(["ci2", "crv26", "fitz3", "sq0", "quadrics"]),
     st.sampled_from([2, 3, 32003, 2147483647]),
     st.integers(1, 4),
     st.integers(0, 2**32),
 )
 def test_recorded_ranks_match_rebuilt_maps(ring_name, p, i_max, seed):
+    # over an Artinian ring d_max may lie far past the degrees the stages
+    # reach; the ranks there are 0, as the rebuilt maps have
     rng = random.Random(seed)
     ring = _map_ring(ring_name, p, rng)
+    top = 14 if ring_name in _ARTINIAN else 5
     for module in (residue_field_module(ring), random_module(ring, rng.randint(1, 2), 2, seed)):
-        _assert_recorded_ranks(resolve(module, i_max, rng.randint(2, 5)))
+        _assert_recorded_ranks(resolve(module, i_max, rng.randint(2, top)))
 
 
 def test_recorded_ranks_edge_cases(ci2):
@@ -659,6 +676,42 @@ def test_recorded_ranks_edge_cases(ci2):
     # k over ring4 at p = 2^31 - 1: steps 3-5 have quadric entries
     ring4 = _map_ring("ring4", 2147483647, random.Random(0))
     assert _assert_recorded_ranks(resolve(residue_field_module(ring4), 5, 6)) == [3, 4, 5]
+
+
+def test_stages_end_when_their_pieces_vanish(monkeypatch):
+    # over ci2 (R_3 = 0) F_i = R(-i)^(i+1) has no piece from degree i + 3 on,
+    # so the stages of k's resolution end by degree 8, whatever d_max is
+    ring = _map_ring("ci2", 32003, random.Random(0))
+    calls = []
+    build = groebner_mod._next_degree_map
+
+    def counted(ring, target_shifts, source_shifts, prev, d):
+        calls.append(d)
+        return build(ring, target_shifts, source_shifts, prev, d)
+
+    monkeypatch.setattr(groebner_mod, "_next_degree_map", counted)
+    monkeypatch.setattr(resolution_mod, "_next_degree_map", counted)
+    tables = []
+    for d_max in (12, 40):
+        calls.clear()
+        tables.append((resolve(residue_field_module(ring), 5, d_max).betti().entries, len(calls)))
+        assert max(calls) == 8
+    assert tables[0] == tables[1]
+    assert tables[0][0] == {(i, i): i + 1 for i in range(6)}
+
+
+def test_stages_run_past_zero_pieces_before_new_generators():
+    # over sq0 (R_2 = 0) the pieces of F_1 = R(-1) + R(-6) are zero in degrees
+    # 3..5 and those of F_2 in degrees 4..6, before their generators of degrees
+    # 6 and 7 come: no stage may end in such a gap
+    ring = _map_ring("sq0", 32003, random.Random(0))
+    x, _y = ring.poly_ring.gens()
+    zero = ring.poly_ring.zero()
+    res = resolve(make_module(ring, (0, 5), [[x, zero], [zero, x]]), 4, 12)
+    assert res.free_shifts[1:3] == [(1, 6), (2, 2, 7, 7)]
+    assert res.free_shifts[4] == (4,) * 8 + (9,) * 8
+    _assert_steps_match_reference(res)
+    _assert_recorded_ranks(res)
 
 
 def _dropped_steps(res, lin):
