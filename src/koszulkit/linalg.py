@@ -3,25 +3,30 @@
 Matrices hold canonical representatives in [0, p). `rref` and the
 back-substitution of `Echelon.add` form one product of two entries before
 each reduction, which stays below p^2 < 2^62, so it is exact in int64 for
-every allowed modulus (p < 2^31). A matrix product sums k such products,
-which can pass 2^63; `matmul_mod` is the one product that is exact for every
-allowed modulus, and `Echelon.reduce` goes through it.
+every allowed modulus (p < 2^31); the small and sparse paths of `rref`
+compute in Python ints, which are exact at any p. A matrix product sums k
+such products, which can pass 2^63; `matmul_mod` is the one product that is
+exact for every allowed modulus, and `Echelon.reduce` goes through it.
 
 No code of the package uses the incremental `Echelon`: it serves only the
 tests, as the reference the sieves are checked against, and the
 benchmark's span recorder, which counts its calls.
 
-`rref` and `pivot_columns` eliminate on one of two paths, chosen from the
-matrix alone. A matrix with at least `_SPARSE_MIN_ENTRIES` entries of which
-at most a `_SPARSE_MAX_DENSITY` share are nonzero goes to
-`_sparse_echelon`, which keeps each row as a dict of its nonzero entries
-reduced mod p and computes in Python ints, so it is exact for every p; the
-degree maps of resolutions over monomial rings are such matrices. Every
+`rref` and `pivot_columns` eliminate on one of three paths, chosen from the
+matrix alone, by gates taken in this order. A matrix of at most
+`_SMALL_MAX_ENTRIES` entries goes to `_small_echelon`, which keeps its rows
+as Python lists; the certificate checks and most syzygy steps of the
+theorem suites make thousands of such matrices, whose cost on the other
+paths is per-call and per-column set-up. A larger matrix with at least
+`_SPARSE_MIN_ENTRIES` entries of which at most a `_SPARSE_MAX_DENSITY` share
+are nonzero goes to `_sparse_echelon`, which keeps each row as a dict of its
+nonzero entries; the degree maps of resolutions over monomial rings are such
+matrices. Both reduce entries mod p and combine them in Python ints. Every
 other matrix goes to `_dense_echelon`, the int64 loop whose single products
-stay below 2^62 as said above. The sparse path is faster where few entries are
-nonzero, the dense one where many are. Both take the columns left to right
-and make every pivot 1, and the pivot columns and the rref of a matrix are
-unique, so the two paths give identical results.
+stay below 2^62 as said above; it is the fastest where the matrix is large
+and many entries are nonzero. All three take the columns left to right and
+make every pivot 1, and the pivot columns and the rref of a matrix are
+unique, so the three paths give identical results.
 """
 
 from __future__ import annotations
@@ -83,11 +88,30 @@ def pivot_columns(a: np.ndarray, p: int) -> list[int]:
 _SPARSE_MIN_ENTRIES = 300
 _SPARSE_MAX_DENSITY = 0.05
 
+# Chosen by timing the list kernel against the dense loop on the
+# eliminations of one seed-101 pass of each benchmark workload, on a 2-vCPU
+# virtual machine (matrices in the range: dense -> list seconds, summed,
+# best of 9):
+#
+#   workload        at most 100 entries          101 to 300 entries
+#   certificates    3,987: 0.076  -> 0.025 s      12: 0.0008 -> 0.0003 s
+#   suites          2,208: 0.048  -> 0.017 s     136: 0.0135 -> 0.0058 s
+#   resolve            81: 0.0047 -> 0.0024 s     36: 0.0043 -> 0.0016 s
+#   resolve-largep     43: 0.0014 -> 0.0011 s     25: 0.0029 -> 0.0055 s
+#
+# The dense loop pays some six numpy calls per column whatever the size; the
+# list kernel pays per entry, and more at p = 2^31 - 1, whose products near
+# p^2 are multi-digit Python ints. Past 100 entries it still wins at
+# p <= 32003 but loses at p = 2^31 - 1.
+_SMALL_MAX_ENTRIES = 100
+
 
 def _echelon(a, p, reduced):
     """(rref without zero rows, pivot columns) of `a` with `reduced`, and
     (None, pivot columns) without, by the path the module docstring names."""
     a = np.asarray(a, dtype=np.int64)
+    if a.size <= _SMALL_MAX_ENTRIES:
+        return _small_echelon(a, p, reduced)
     nonzeros = _sparse_nonzeros(a)
     if nonzeros is None:
         return _dense_echelon(a, p, reduced)
@@ -104,6 +128,44 @@ def _sparse_nonzeros(a):
     if len(flat) > _SPARSE_MAX_DENSITY * a.size:
         return None
     return np.divmod(flat, a.shape[1])
+
+
+def _small_echelon(a, p, reduced):
+    """`_echelon` of `a` on Python lists: row echelon form with monic pivots,
+    and with `reduced` every pivot column also cleared above its pivot.
+
+    The rows are lists reduced mod p and combined in Python ints. The pivot
+    of a column is its first nonzero row at or below the current one, as on
+    the dense path; the rows it clears are each rebuilt by one list
+    comprehension.
+    """
+    rows = [[x % p for x in row] for row in a.tolist()]
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        row = rows[piv]
+        rows[piv] = rows[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for i in range(0 if reduced else r + 1, nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+        pivots.append(c)
+        r += 1
+    if not reduced:
+        return None, pivots
+    return np.array(rows[:r], dtype=np.int64).reshape(r, ncols), pivots
 
 
 def _dense_echelon(a, p, reduced):

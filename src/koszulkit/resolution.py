@@ -64,7 +64,7 @@ from .groebner import (
     vector_from_coords,
 )
 from .linalg import _sparse_echelon, _sparse_nonzeros, nullspace, pivot_columns, rank
-from .quotient import GradedModule
+from .quotient import GradedModule, QuotientRing
 
 
 @dataclass(eq=False)
@@ -131,19 +131,16 @@ class FreeComplex:
 
 @dataclass(eq=False)
 class Resolution(FreeComplex):
-    """Steps of a minimal graded free resolution of `module`, trusted for
-    degrees <= d_max."""
+    """Steps of a minimal graded free resolution of a module over `ring`,
+    trusted for degrees <= d_max. The module caches its resolutions; a
+    resolution holds only the ring, so the two form no reference cycle."""
 
-    module: GradedModule
+    ring: QuotientRing
     free_shifts: list[tuple[int, ...]]
     blocks: list[dict[int, np.ndarray]]
     i_max: int
     d_max: int
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ring(self):
-        return self.module.ring
 
     def betti(self) -> "BettiTable":
         entries: dict[tuple[int, int], int] = {}
@@ -170,7 +167,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     warnings: list[str] = []
 
     if module.is_zero():
-        res = Resolution(module, [()], [], i_max, d_max, warnings)
+        res = Resolution(ring, [()], [], i_max, d_max, warnings)
         module.resolutions[(i_max, d_max)] = res
         return res
 
@@ -208,7 +205,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
             if mat[:, _coordinate_shifts(ring, free_shifts[-1], d) == d].any():
                 raise AssertionError("non-minimal differential entry")
         free_shifts.append(_shifts(step))
-    res = Resolution(module, free_shifts, blocks, i_max, d_max, warnings)
+    res = Resolution(ring, free_shifts, blocks, i_max, d_max, warnings)
     if i_max >= 2:
         # with no syzygy stage, map 1 was never ranked
         res._ranks.update(enumerate(ranks, start=1))

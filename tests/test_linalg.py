@@ -213,12 +213,13 @@ def test_pivot_columns_match_rref(p, m, n, seed):
 
 @st.composite
 def _gate_matrices(draw):
-    """Matrices on both sides of the sparse path's size and density gate, with
-    entries that are negative or nonzero multiples of p, zero rows and
-    columns, duplicate rows, and ranks from 0 to full."""
+    """Matrices on both sides of the small path's size gate and of the sparse
+    path's size and density gate, with entries that are negative or nonzero
+    multiples of p, zero rows and columns, duplicate rows, ranks from 0 to
+    full, and shapes with no rows or no columns."""
     p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 60))
     kind = draw(st.sampled_from(["random", "multiples", "full"]))
     density = draw(st.sampled_from([0.005, 0.02, 0.05, 0.1, 0.4]))
     a = np.zeros((m, n), dtype=np.int64)
@@ -242,43 +243,59 @@ def _gate_matrices(draw):
     return p, a
 
 
-def _both_paths(fn, *args):
-    """fn(*args) with every matrix sent to the dense path, then to the sparse one."""
+# (_SMALL_MAX_ENTRIES, _SPARSE_MIN_ENTRIES, _SPARSE_MAX_DENSITY) that send
+# every matrix to one path
+_FORCED_PATHS = {
+    "small": (10**18, 10**18, 0.0),
+    "sparse": (-1, 0, 1.0),
+    "dense": (-1, 10**18, 0.0),
+}
+
+
+def _all_paths(fn, *args):
+    """fn(*args) with every matrix sent to the small, the sparse and the dense
+    path in turn."""
     out = []
-    for min_entries, max_density in ((10**18, 0.0), (0, 1.0)):
+    for small_max, sparse_min, sparse_density in _FORCED_PATHS.values():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_SPARSE_MIN_ENTRIES", min_entries)
-            mp.setattr(linalg, "_SPARSE_MAX_DENSITY", max_density)
+            mp.setattr(linalg, "_SMALL_MAX_ENTRIES", small_max)
+            mp.setattr(linalg, "_SPARSE_MIN_ENTRIES", sparse_min)
+            mp.setattr(linalg, "_SPARSE_MAX_DENSITY", sparse_density)
             out.append(fn(*args))
     return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(_gate_matrices())
+@example((3, np.zeros((0, 5), dtype=np.int64)))
+@example((32003, np.full((4, 0), 7, dtype=np.int64)))
+@example((2, np.zeros((0, 0), dtype=np.int64)))
 def test_sparse_and_dense_elimination_agree(inputs):
     p, a = inputs
     rows, cols = a.nonzero()
     for reduced in (True, False):
         dense = linalg._dense_echelon(a, p, reduced)
         sparse = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
-        assert sparse[1] == dense[1]
+        small = linalg._small_echelon(a, p, reduced)
+        assert sparse[1] == dense[1] == small[1]
         if reduced:
-            assert sparse[0].tolist() == dense[0].tolist()
+            assert sparse[0].tolist() == dense[0].tolist() == small[0].tolist()
+            assert small[0].shape == (len(small[1]), a.shape[1])
     assert len(dense[1]) == rank_mod_p((a % p).tolist(), p)
-    # the public functions, on either path and through the default gate
+    # the public functions, on each path and through the default gate
     for fn in (rref, pivot_columns, nullspace):
-        results = _both_paths(fn, a, p) + [fn(a, p)]
+        results = _all_paths(fn, a, p) + [fn(a, p)]
         if fn is rref:
             results = [(r.tolist(), piv) for r, piv in results]
         elif fn is nullspace:
             results = [r.tolist() for r in results]
-        assert results[0] == results[1] == results[2]
-    last = _both_paths(_last_entries, a, p) + [_last_entries(a, p)]
-    assert last[0].tolist() == last[1].tolist() == last[2].tolist()
+        assert results[1:] == results[:-1]
+    last = [x.tolist() for x in _all_paths(_last_entries, a, p) + [_last_entries(a, p)]]
+    assert last[1:] == last[:-1]
     # the last nonzero entries of the column span are the pivots of the
     # reversed transpose
     want = sorted(a.shape[0] - 1 - c for c in rref(a[::-1].T, p)[1])
-    assert np.flatnonzero(last[2]).tolist() == want
+    assert np.flatnonzero(last[-1]).tolist() == want
 
 
 def test_sparse_gate_takes_large_sparse_matrices_only():
@@ -290,3 +307,32 @@ def test_sparse_gate_takes_large_sparse_matrices_only():
     assert linalg._sparse_nonzeros(a[:, 1:]) is None
     a[0, k] = 1
     assert linalg._sparse_nonzeros(a) is None
+
+
+def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
+    taken = []
+
+    def counting(name):
+        kernel = getattr(linalg, name)
+
+        def wrapper(*args):
+            taken.append(name)
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("_small_echelon", "_sparse_echelon", "_dense_echelon"):
+        monkeypatch.setattr(linalg, name, counting(name))
+    n = linalg._SMALL_MAX_ENTRIES
+    assert n + 1 < linalg._SPARSE_MIN_ENTRIES
+    for a, path in (
+        (np.ones((1, n), dtype=np.int64), "_small_echelon"),
+        (np.zeros((1, n), dtype=np.int64), "_small_echelon"),
+        (np.zeros((0, 7), dtype=np.int64), "_small_echelon"),
+        (np.ones((1, n + 1), dtype=np.int64), "_dense_echelon"),
+        (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon"),
+    ):
+        for fn in (rref, pivot_columns, nullspace):
+            taken.clear()
+            fn(a, 5)
+            assert taken == [path], (a.shape, fn.__name__)

@@ -1,6 +1,8 @@
 """Resolutions, Betti tables, regularity, linear parts and homology."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,24 @@ def test_zero_module_resolution(ci2):
     assert t.is_empty()
     v = regularity_verdict(t)
     assert v.kind == "Exact" and v.value is None
+
+
+def test_resolution_is_freed_without_the_cycle_collector(ci2, crv26):
+    # the module caches its resolutions, so a resolution that held its module
+    # back would be freed only by the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        for ring in (ci2, crv26):
+            module = residue_field_module(ring)
+            res = resolve(module, 3, 5)
+            assert res.ring is ring and resolve(module, 3, 5) is res
+            res.differential(2)
+            dead = weakref.ref(res)
+            del module, res
+            assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_bounds_validation(ci2):
