@@ -47,7 +47,7 @@ class LinearIdeal:
         if not len(vectors):
             return LinearIdeal(())
         mat, _ = rref(np.array(vectors, dtype=np.int64).reshape(-1, n), p)
-        return LinearIdeal(tuple(tuple(int(c) for c in row) for row in mat))
+        return LinearIdeal(tuple(map(tuple, mat.tolist())))
 
     @staticmethod
     def zero() -> "LinearIdeal":
@@ -479,8 +479,6 @@ def search_groebner_flag(
             if not ok:
                 continue
             nxt = prefixes[-1].plus_vector(l, p)
-            if any(nxt.rows == q.rows for q in prefixes):
-                continue
             stats["tested"] += 1
             if stats["tested"] > budget:
                 raise BudgetExceededError(
@@ -610,7 +608,6 @@ def conca_flag(ring: QuotientRing, form, budget: int = 1000) -> FlagCertificate:
     if not check:
         raise ValueError(f"not a Conca generator: {check.failed_clause}")
     x = _form_coeffs(ring, form)
-    p, n = ring.p, ring.nvars
     result = search_groebner_flag(ring, budget, initial_forms=[x])
     if result.certificate is None:
         raise ValueError(
@@ -702,7 +699,7 @@ def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
             raise ValueError(
                 "the subsets family applies to rings defined by quadratic monomials"
             )
-    n, p = ring.nvars, ring.p
+    n = ring.nvars
     members = []
     for k in range(n + 1):
         for subset in combinations(range(n), k):

@@ -1,8 +1,9 @@
 """Groebner bases and module machinery over F_p[x_1..x_n].
 
-Polynomial-level Buchberger with both classical pair criteria and a
-degree-ordered S-pair queue (so graded computations can be truncated soundly),
-module Groebner bases for submodules of shifted free modules, syzygy
+One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
+for submodules of shifted free modules, with a degree-ordered S-pair queue (so
+graded computations can be truncated soundly); an ideal runs on them as a
+submodule of the free module of rank 1 (`buchberger`, `normal_form`). Syzygy
 generators via tagged elimination, colon ideals and ideal intersections.
 
 Graded pieces of free modules are coordinate vectors over F_p. The
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -66,15 +68,22 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.generators)
 
+    @cached_property
+    def _leads(self) -> list[tuple]:
+        """The generators as `normal_form` divides by them, built once."""
+        return _division_leads(self.generators)
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = mono_lcm(mf, mg)
-    field = f.ring.field
-    a = f.mul_monomial(mono_quotient(lcm, mf), field.inv(cf))
-    b = g.mul_monomial(mono_quotient(lcm, mg), field.inv(cg))
-    return a - b
+
+def _division_leads(gens: Sequence[Polynomial]) -> list[tuple]:
+    """The polynomials as rank-1 divisors, in the form `_melt_reduce` takes."""
+    return [
+        (
+            (0, g.leading_monomial()),
+            g.ring.field.inv(g.leading_coefficient()),
+            _melt_from_components((g,)),
+        )
+        for g in gens
+    ]
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -82,33 +91,24 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
     When the basis is a reduced Groebner basis the result is the canonical
     representative mod the ideal; normal_form(f) == 0 iff f lies in the ideal.
+    Each leading term is divided by the first basis element whose leading
+    monomial divides it (`_melt_reduce` on rank-1 elements).
     """
     if isinstance(basis, GroebnerBasis):
         if basis.order != f.ring.order:
             raise ValueError("monomial order mismatch between polynomial and basis")
-        gens = basis.generators
+        gens, leads = basis.generators, basis._leads
     else:
         gens = tuple(g for g in basis if not g.is_zero())
+        leads = _division_leads(gens)
     if not gens:
         return f
-    field = f.ring.field
-    lts = [(g.leading_monomial(), g.leading_coefficient(), g) for g in gens]
-    remainder: dict[Monomial, int] = {}
-    h = f
-    while not h.is_zero():
-        m, c = h.leading_term()
-        hit = None
-        for mg, cg, g in lts:
-            if mono_divides(mg, m):
-                hit = (mg, cg, g)
-                break
-        if hit is None:
-            remainder[m] = c
-            h = Polynomial(h.ring, h.terms[1:])
-        else:
-            mg, cg, g = hit
-            h = h - g.mul_monomial(mono_quotient(m, mg), field.div(c, cg))
-    return f.ring.from_dict(remainder)
+    ring = f.ring
+    ring.check_compatible(gens[0].ring)
+    okey = ring.order.key
+    elt = _melt_from_components((f,))
+    r = _melt_reduce(elt, leads, lambda pm: okey(pm[1]), ring.p)
+    return f if r == elt else _melt_to_components(r, 1, ring)[0]
 
 
 def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
@@ -164,58 +164,16 @@ def buchberger(
     if order is not None and order != ring.order:
         raise ValueError("order does not match the generators' ring order")
 
-    basis: list[Polynomial] = []
-    for g in gens:
-        r = normal_form(g, basis).monic()
-        if not r.is_zero():
-            basis.append(r)
-
-    key = ring.order.key
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pairs(j: int) -> None:
-        mj = basis[j].leading_monomial()
-        for i in range(j):
-            lcm = mono_lcm(basis[i].leading_monomial(), mj)
-            if max_degree is not None and mono_degree(lcm) > max_degree:
-                continue
-            heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        mi, mj = fi.leading_monomial(), fj.leading_monomial()
-        if mono_coprime(mi, mj):
-            continue
-        lcm = mono_lcm(mi, mj)
-        # chain criterion: another basis element divides the lcm and both
-        # companion pairs were already handled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(basis[k].leading_monomial(), lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(spolynomial(fi, fj), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            push_pairs(len(basis) - 1)
-
-    return GroebnerBasis(tuple(_interreduce(basis)), ring.order, True)
+    okey = ring.order.key
+    basis = module_buchberger(
+        [_melt_from_components((g,)) for g in gens],
+        lambda pm: okey(pm[1]),
+        ring.p,
+        shifts=(0,),
+        max_degree=max_degree,
+    )
+    gb = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
+    return GroebnerBasis(tuple(gb), ring.order, True)
 
 
 # ---------------------------------------------------- free module vectors
@@ -394,11 +352,14 @@ def module_buchberger(
     shifts: Sequence[int] | None = None,
     max_degree: int | None = None,
 ) -> list[ModElt]:
-    """Groebner basis of the submodule generated by homogeneous `elements`.
+    """Groebner basis of the submodule generated by `elements`.
 
-    Only the chain criterion is used (the coprime criterion is unsound for
-    modules). With `max_degree` and graded input the result is the full
-    basis in internal degrees <= max_degree.
+    S-pairs are processed in increasing degree and skipped by the chain
+    criterion, and by Buchberger's first criterion (coprime leading monomials)
+    when both elements lie in a single position: it holds for f*e_k, g*e_k,
+    not for general module elements. With `max_degree` and graded input the
+    result is the full basis in internal degrees <= max_degree; inputs above
+    it are dropped.
     """
     if max_degree is not None and shifts is None:
         raise ValueError("degree truncation needs the shift vector")
@@ -406,12 +367,15 @@ def module_buchberger(
     basis: list[ModElt] = []
     # the leading term of each (monic) basis element, as `_melt_reduce` takes them
     leads: list[tuple] = []
+    # whether each basis element lies in a single position
+    single: list[bool] = []
 
     def append(e: ModElt) -> None:
         pm, c = _melt_lt(e, key)
         e = _melt_scale(e, pow(c, -1, p), p)
         basis.append(e)
         leads.append((pm, 1, e))
+        single.append(all(pos == pm[0] for pos, _m in e))
 
     for e in elements:
         e = {k: v % p for k, v in e.items() if v % p}
@@ -449,6 +413,8 @@ def module_buchberger(
             continue
         pending.discard((i, j))
         (pi, mi), (_pj, mj) = leads[i][0], leads[j][0]
+        if single[i] and single[j] and mono_coprime(mi, mj):
+            continue
         lcm = mono_lcm(mi, mj)
         skip = False
         for k, ((pk, mk), _inv, _b) in enumerate(leads):

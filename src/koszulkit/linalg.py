@@ -285,7 +285,7 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
-    nrows, ncols = a.shape
+    ncols = a.shape[1]
     r, pivots = rref(a, p)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

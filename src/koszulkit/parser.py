@@ -247,32 +247,17 @@ def parse_input(text: str) -> InputDocument:
     """Parse a document; ring construction errors carry source positions."""
     ring: QuotientRing | None = None
     poly_ring: PolynomialRing | None = None
-    pending_p: int | None = None
     ideal_gens: list[Polynomial] = []
-    ideal_positions: list[tuple[int, int]] = []
     modules: dict[str, ModuleBlock] = {}
     certs: list[tuple[str, object]] = []
     current_module: tuple[str, tuple[int, ...], list[list[Polynomial]], int] | None = None
-    ring_done = False
 
     def finish_ring(line_no: int) -> QuotientRing:
-        nonlocal ring, ring_done
+        nonlocal ring
         if poly_ring is None:
             raise ParseError("no ring declared", line_no, 1)
         if ring is None:
-            for g, (gl, gc) in zip(ideal_gens, ideal_positions):
-                if g.is_zero():
-                    continue
-                if not g.is_homogeneous():
-                    raise ParseError("non-homogeneous generator", gl, gc)
-                if g.degree() < 2:
-                    raise ParseError(
-                        f"degree-{g.degree()} generator; eliminate the variable instead",
-                        gl,
-                        gc,
-                    )
             ring = make_ring(poly_ring, [g for g in ideal_gens if not g.is_zero()])
-            ring_done = True
         return ring
 
     def finish_module(line_no: int) -> None:
@@ -367,11 +352,10 @@ def parse_input(text: str) -> InputDocument:
                         f"invalid variable name {v!r}", line_no, positions["vars"]
                     )
             poly_ring = PolynomialRing(p, names)
-            pending_p = p
         elif keyword == "ideal":
             if poly_ring is None:
                 raise ParseError("ideal before ring declaration", line_no, col0)
-            if ring_done:
+            if ring is not None:
                 raise ParseError("ideal after the ring was completed", line_no, col0)
             if rest.strip():
                 for piece, pcol in _split_outside(rest, ";", rest_col):
@@ -391,7 +375,6 @@ def parse_input(text: str) -> InputDocument:
                             pcol + lead_ws,
                         )
                     ideal_gens.append(g)
-                    ideal_positions.append((line_no, pcol + lead_ws))
         elif keyword == "module":
             finish_ring(line_no)
             items = dict()

@@ -1,5 +1,6 @@
 """Buchberger, normal forms, colon ideals and syzygies."""
 
+import heapq
 import itertools
 import random
 
@@ -7,9 +8,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from koszulkit.arith import MonomialOrder, mono_divides, mono_quotient, polynomial_ring
+from koszulkit.arith import (
+    MonomialOrder,
+    PolynomialRing,
+    mono_coprime,
+    mono_degree,
+    mono_divides,
+    mono_lcm,
+    mono_quotient,
+    polynomial_ring,
+)
 from koszulkit.groebner import (
     FreeModuleVector,
+    GroebnerBasis,
     buchberger,
     colon_ideal,
     minimal_module_generators,
@@ -18,9 +29,9 @@ from koszulkit.groebner import (
     normal_form,
     pot_elim_key,
     quotient_generators,
-    spolynomial,
     syzygy_basis,
     top_order_key,
+    _interreduce,
     _melt_axpy,
     _melt_lt,
 )
@@ -37,6 +48,162 @@ from oracles import (
 def in_ideal(f, gb):
     """Reference membership test: f reduces to zero modulo the basis."""
     return normal_form(f, gb).is_zero()
+
+
+# The polynomial-level Buchberger that `buchberger` replaced with the module
+# engine, kept as the reference: its S-polynomial, its division loop and its
+# pair loop with both classical criteria. Only the final `_interreduce` is
+# shared with `buchberger`; reduced bases are unique.
+
+
+def _reference_spolynomial(f, g):
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
+    lcm = mono_lcm(mf, mg)
+    field = f.ring.field
+    a = f.mul_monomial(mono_quotient(lcm, mf), field.inv(cf))
+    b = g.mul_monomial(mono_quotient(lcm, mg), field.inv(cg))
+    return a - b
+
+
+def _reference_normal_form(f, basis):
+    """Full division by the first divisor in basis order, in Polynomial arithmetic."""
+    if isinstance(basis, GroebnerBasis):
+        gens = basis.generators
+    else:
+        gens = tuple(g for g in basis if not g.is_zero())
+    if not gens:
+        return f
+    field = f.ring.field
+    lts = [(g.leading_monomial(), g.leading_coefficient(), g) for g in gens]
+    remainder = {}
+    h = f
+    while not h.is_zero():
+        m, c = h.leading_term()
+        hit = next(((mg, cg, g) for mg, cg, g in lts if mono_divides(mg, m)), None)
+        if hit is None:
+            remainder[m] = c
+            h = type(h)(h.ring, h.terms[1:])
+        else:
+            mg, cg, g = hit
+            h = h - g.mul_monomial(mono_quotient(m, mg), field.div(c, cg))
+    return f.ring.from_dict(remainder)
+
+
+def _reference_buchberger(gens):
+    gens = [g for g in gens if not g.is_zero()]
+    ring = gens[0].ring
+    basis = []
+    for g in gens:
+        r = _reference_normal_form(g, basis).monic()
+        if not r.is_zero():
+            basis.append(r)
+    key = ring.order.key
+    heap, pending = [], set()
+
+    def push_pairs(j):
+        mj = basis[j].leading_monomial()
+        for i in range(j):
+            lcm = mono_lcm(basis[i].leading_monomial(), mj)
+            heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
+        pending.discard((i, j))
+        mi, mj = basis[i].leading_monomial(), basis[j].leading_monomial()
+        if mono_coprime(mi, mj):
+            continue
+        lcm = mono_lcm(mi, mj)
+        if any(
+            k not in (i, j)
+            and mono_divides(basis[k].leading_monomial(), lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        r = _reference_normal_form(_reference_spolynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            basis.append(r.monic())
+            push_pairs(len(basis) - 1)
+    return GroebnerBasis(tuple(_interreduce(basis)), ring.order, True)
+
+
+def _random_polys(rng, ring, count, max_deg, max_terms, homogeneous):
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, max_deg)
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            e = d if homogeneous else rng.randint(0, d)
+            terms[rng.choice(ring.monomials_of_degree(e))] = rng.randrange(1, ring.p)
+        out.append(ring.from_dict(terms))
+    return out
+
+
+_PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_PRIMES),
+    st.sampled_from(("degrevlex", "lex")),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_buchberger_matches_polynomial_reference(p, kind, homogeneous, seed):
+    # one Buchberger on rank-1 module elements gives the reduced basis of the
+    # polynomial-level loop it replaced; normal forms agree term for term on
+    # that basis and on plain lists (the `_interreduce` path)
+    rng = random.Random(seed)
+    ring = PolynomialRing(p, ("x", "y", "z")[: rng.randint(1, 3)], kind)
+    gens = _random_polys(rng, ring, rng.randint(1, 3), 3, 3, homogeneous)
+    gb = buchberger(gens)
+    assert gb == _reference_buchberger(gens)
+    elts = _random_polys(rng, ring, 4, 4, 6, False)
+    for f in elts:
+        assert normal_form(f, gb) == _reference_normal_form(f, gb)
+        assert normal_form(f, gens) == _reference_normal_form(f, gens)
+        assert normal_form(f, elts) == _reference_normal_form(f, elts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_PRIMES),
+    st.sampled_from(("degrevlex", "lex")),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_truncated_buchberger_is_the_low_degree_part(p, kind, max_degree, seed):
+    # with homogeneous input the truncated basis is exactly the elements of
+    # degree <= max_degree of the full reduced basis, inputs above it dropped
+    rng = random.Random(seed)
+    ring = PolynomialRing(p, ("x", "y", "z")[: rng.randint(1, 3)], kind)
+    gens = _random_polys(rng, ring, rng.randint(1, 4), 3, 3, True)
+    full = buchberger(gens)
+    want = tuple(g for g in full.generators if g.degree() <= max_degree)
+    assert buchberger(gens, max_degree=max_degree).generators == want
+
+
+def test_truncated_buchberger_drops_inputs_above_the_bound():
+    s, (x, y, z) = polynomial_ring(7, ("x", "y", "z"))
+    gb = buchberger([x**2, y**3, x * y - z**2], max_degree=2)
+    assert [str(g) for g in gb.generators] == ["x*y + 6*z^2", "x^2"]
+
+
+def test_normal_form_rejects_a_basis_over_another_field():
+    _s5, (x5, _y5) = polynomial_ring(5, ("x", "y"))
+    _s7, (x7, y7) = polynomial_ring(7, ("x", "y"))
+    gb = buchberger([x5**2])
+    # no term of x*y is divisible by x^2, so no reduction step is taken
+    for basis in (gb, list(gb.generators)):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            normal_form(x7 * y7, basis)
 
 
 def test_buchberger_principal():
@@ -56,7 +223,7 @@ def test_buchberger_spair_example():
     s, (x, y) = polynomial_ring(32003, ("x", "y"))
     f, g = x**2 - y**2, x * y
     # the single S-polynomial reduces to -y^3: frozen from the S-pair oracle
-    assert spolynomial(f, g) == -(y**3)
+    assert _reference_spolynomial(f, g) == -(y**3)
     gb = buchberger([f, g])
     assert [str(t) for t in gb.generators] == ["x*y", "x^2 + 32002*y^2", "y^3"]
     # brute normal-form checks: every element is in the ideal
@@ -328,3 +495,45 @@ def test_module_normal_form_matches_max_search(p, kind, top, seed):
             assert module_normal_form(elt, b, key, p) == _module_normal_form_reference(
                 elt, b, key, p
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_PRIMES),
+    st.sampled_from(("degrevlex", "lex")),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_module_buchberger_meets_the_spair_criterion(p, kind, top, seed):
+    # every input and every S-pair of the result reduces to zero by the result,
+    # so the pairs skipped by a criterion (coprime leading monomials among the
+    # single-position elements, the chain criterion) were redundant; the
+    # inputs mix single-position elements, as ring relations g*e_k are, with
+    # elements spread over several positions
+    rng = random.Random(seed)
+    n, r = rng.randint(1, 3), rng.randint(1, 3)
+    order = MonomialOrder(kind, n)
+    shifts = tuple(rng.randint(0, 2) for _ in range(r))
+    key = top_order_key(shifts, order) if top else pot_elim_key(rng.randint(0, r), order)
+
+    def element(single):
+        pos = rng.randrange(r)
+        out = {}
+        for _ in range(rng.randint(1, 3)):
+            m = tuple(rng.randint(0, 2) for _ in range(n))
+            out[(pos if single else rng.randrange(r), m)] = rng.randrange(1, p)
+        return out
+
+    elements = [element(rng.random() < 0.6) for _ in range(rng.randint(1, 5))]
+    gb = module_buchberger(elements, key, p)
+    for e in elements:
+        assert module_normal_form(e, gb, key, p) == {}
+    lts = [_melt_lt(b, key) for b in gb]
+    for i, j in itertools.combinations(range(len(gb)), 2):
+        ((pi, mi), ci), ((pj, mj), cj) = lts[i], lts[j]
+        if pi != pj:
+            continue
+        lcm = mono_lcm(mi, mj)
+        s = _melt_axpy({}, gb[i], mono_quotient(lcm, mi), -pow(ci, -1, p), p)
+        s = _melt_axpy(s, gb[j], mono_quotient(lcm, mj), pow(cj, -1, p), p)
+        assert module_normal_form(s, gb, key, p) == {}
