@@ -70,17 +70,11 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("no inverse of 0 in a prime field")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 # ---------------------------------------------------------------- monomials
@@ -135,17 +129,6 @@ class MonomialOrder:
         if self.kind == "degrevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         return m
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as a <, =, > b under this order."""
-        if len(a) != len(b) or len(a) != self.nvars:
-            raise ValueError("monomial length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
 
 
 # ------------------------------------------------------------- polynomials

@@ -11,6 +11,12 @@ from ranks of products by linear forms, up to the degree where Gotzmann's
 persistence theorem fixes the rest (see `_linear_numerator`), so no
 Groebner basis is computed for them. The span conditions of the Conca,
 Fitzgerald and reduction checks are ranks of the same products.
+
+Every colon question has one path: the flag search takes a seed (such as a
+Conca generator) as the only candidates of its first depths, tested and
+counted like every other form; the all-linear and subsets families share
+one witness loop; the failure message of a minimal-multiplicity flag lists
+the linear colons. The module computes no Groebner colon ideal.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from math import comb, prod
 import numpy as np
 
 from .arith import Polynomial
-from .groebner import colon_ideal
 from .linalg import as_matrix, matmul_mod, nullspace, rank, rref
 from .quotient import QuotientRing, _poly_add, _trim, quotient_by_linear_forms
 
@@ -446,6 +451,9 @@ def search_groebner_flag(
 
     Each candidate extension counts once against the budget; its colon is
     settled by `_linear_colon` (a kernel over F_p and Hilbert numerators).
+    The i-th of the independent `initial_forms` (a seed) is the only
+    candidate at depth i, tested and counted like any other, so a seeded
+    search returns a flag that starts with the seed, or exhausts.
     Returns the first valid certificate, or the exhaustion outcome with
     search statistics. Intended for small fields (the candidate count grows
     like p^n).
@@ -456,6 +464,9 @@ def search_groebner_flag(
             f"flag search over F_{p}^{n} exceeds the supported enumeration range "
             "(n <= 4, p <= 5)"
         )
+    seed = [tuple(int(c) % p for c in l) for l in initial_forms or ()]
+    if LinearIdeal.from_vectors(seed, n, p).dim != len(seed):
+        raise ValueError("initial forms are dependent")
     reps = projective_representatives(n, p)
     stats = {"tested": 0, "completed": 0}
 
@@ -466,7 +477,7 @@ def search_groebner_flag(
             stats["completed"] += 1
             return FlagCertificate(tuple(forms), tuple(js))
         want = constraints.get(depth + 1)
-        for l in reps:
+        for l in seed[depth : depth + 1] or reps:
             if prefixes[-1].contains_vector(l, p):
                 continue
             if want is not None and not want.contains_vector(l, p):
@@ -517,36 +528,7 @@ def search_groebner_flag(
                     return found
         return None
 
-    start_forms: list = []
-    start_prefixes = [LinearIdeal.zero()]
-    start_js: list[int] = []
-    constraints: dict[int, LinearIdeal] = {}
-    if initial_forms:
-        for l in initial_forms:
-            l = tuple(int(c) % p for c in l)
-            nxt = start_prefixes[-1].plus_vector(l, p)
-            if nxt.dim != start_prefixes[-1].dim + 1:
-                raise ValueError("initial forms are dependent")
-            linear_ok, w1 = _linear_colon(ring, start_prefixes[-1], l, nxt)
-            if not linear_ok:
-                return FlagSearchResult(None, 1, 0, True)
-            j = w1.dim
-            depth = len(start_forms)
-            if j <= depth + 1:
-                prefix_j = nxt if j == depth + 1 else (
-                    start_prefixes[j]
-                )
-                if w1.rows != prefix_j.rows:
-                    return FlagSearchResult(None, 1, 0, True)
-            else:
-                if not w1.contains(nxt, p):
-                    return FlagSearchResult(None, 1, 0, True)
-                constraints[j] = w1
-            start_forms.append(l)
-            start_prefixes.append(nxt)
-            start_js.append(j)
-
-    cert = dfs(start_forms, start_prefixes, start_js, constraints)
+    cert = dfs([], [LinearIdeal.zero()], [], {})
     if cert is not None:
         check = verify_groebner_flag(ring, cert)
         if not check:
@@ -601,8 +583,8 @@ def _form_coeffs(ring: QuotientRing, form) -> tuple[int, ...]:
 def conca_flag(ring: QuotientRing, form, budget: int = 1000) -> FlagCertificate:
     """Groebner flag starting with a Conca generator, verified before return.
 
-    Basis completions are tried in canonical order (standard vectors first,
-    then the full search) within the budget.
+    The flag search runs seeded with the generator, which counts as one
+    candidate; completions are tried in the search's order within the budget.
     """
     check = check_conca_generator(ring, form)
     if not check:
@@ -670,25 +652,12 @@ def all_linear_ideals_filtration(
             f"{fitz.failed_clause}); the all-linear family is not applicable"
         )
     members = enumerate_subspaces(ring.nvars, ring.p, cap=max_subspaces)
-    index = {m.rows: i for i, m in enumerate(members)}
-    witnesses = []
-    for idx, member in enumerate(members):
-        if member.dim == 0:
-            continue
-        j_ideal = LinearIdeal(member.rows[:-1])
-        g = member.rows[-1]
-        linear_ok, w1 = _linear_colon(ring, j_ideal, g, member)
-        if not linear_ok:
-            raise AssertionError(
-                "theorem-violation finding: colon of a linear ideal is not "
-                f"generated by linear forms (member {idx})"
-            )
-        witnesses.append(FiltrationWitness(idx, index[j_ideal.rows], g, index[w1.rows]))
-    cert = FiltrationCertificate(tuple(members), tuple(witnesses))
-    check = verify_koszul_filtration(ring, cert)
-    if not check:
-        raise AssertionError(f"constructed certificate failed verification: {check.reason}")
-    return cert
+    return _witnessed_filtration(
+        ring,
+        members,
+        "theorem-violation finding: colon of a linear ideal is not "
+        "generated by linear forms (member {idx})",
+    )
 
 
 def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
@@ -708,6 +677,19 @@ def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
             )
             members.append(LinearIdeal(rows))
     members.sort(key=lambda li: (li.dim, li.rows))
+    return _witnessed_filtration(
+        ring, members, "colon of subset member {idx} is not a subset ideal"
+    )
+
+
+def _witnessed_filtration(
+    ring: QuotientRing, members: list[LinearIdeal], failure: str
+) -> FiltrationCertificate:
+    """The family of `members` (RREF, each with its last row dropped also a
+    member), witnessed by J = the member without its last row, g = that row
+    and the colon by `_linear_colon`, and verified before return. A colon not
+    generated by linear forms, or not a member, raises AssertionError with
+    `failure` formatted with the member's index `idx`."""
     index = {m.rows: i for i, m in enumerate(members)}
     witnesses = []
     for idx, member in enumerate(members):
@@ -717,9 +699,7 @@ def subsets_filtration(ring: QuotientRing) -> FiltrationCertificate:
         g = member.rows[-1]
         linear_ok, w1 = _linear_colon(ring, j_ideal, g, member)
         if not linear_ok or w1.rows not in index:
-            raise AssertionError(
-                f"colon of subset member {idx} is not a subset ideal"
-            )
+            raise AssertionError(failure.format(idx=idx))
         witnesses.append(FiltrationWitness(idx, index[j_ideal.rows], g, index[w1.rows]))
     cert = FiltrationCertificate(tuple(members), tuple(witnesses))
     check = verify_koszul_filtration(ring, cert)
@@ -815,12 +795,13 @@ def minimal_multiplicity_flag(
     if not result:
         computed = []
         for i in range(1, n + 1):
-            colon = colon_ideal(
-                cert.prefix(i - 1, n, p).forms(ring), [ring.linear_form(forms[i - 1])], ring
+            linear_ok, w = _linear_colon(
+                ring, cert.prefix(i - 1, n, p), forms[i - 1], cert.prefix(i, n, p)
             )
-            computed.append([str(g) for g in colon.generators])
+            gens = "(" + (", ".join(str(f) for f in w.forms(ring)) or "0") + ")"
+            computed.append(gens if linear_ok else gens + " + forms of degree >= 2")
         raise ValueError(
             f"flag verification failed at step {result.failing_index}: "
-            f"{result.reason}; computed colons: {computed}"
+            f"{result.reason}; linear colons by step: {'; '.join(computed)}"
         )
     return cert

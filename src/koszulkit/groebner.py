@@ -4,7 +4,8 @@ One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
 for submodules of shifted free modules, with a degree-ordered S-pair queue (so
 graded computations can be truncated soundly); an ideal runs on them as a
 submodule of the free module of rank 1 (`buchberger`, `normal_form`). Syzygy
-generators via tagged elimination, colon ideals and ideal intersections.
+generators via tagged elimination; a colon ideal J : (g_1..g_k) is one such
+elimination, of the column (g_1..g_k) modulo (J + I_R) in every position.
 
 Graded pieces of free modules are coordinate vectors over F_p. The
 degree-d map of a homomorphism of free modules is built from its degree
@@ -112,7 +113,12 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
-    """Minimalize leading terms, then fully auto-reduce and sort ascending."""
+    """Minimalize leading terms, then fully auto-reduce; sorted ascending.
+
+    Tail reduction leaves the (monic) leading terms of a minimal basis as
+    they are, so every element is reduced once by the others' current
+    versions, and no term of a reduced element becomes divisible later.
+    """
     gens = [g.monic() for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -125,17 +131,13 @@ def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
         if any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             continue
         minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(minimal[i], others).monic()
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    minimal = [g for g in minimal if not g.is_zero()]
-    minimal.sort(key=lambda g: key(g.leading_monomial()))
+    leads = _division_leads(minimal)
+    mkey = lambda pm: key(pm[1])
+    for i, (lead, _inv, elt) in enumerate(leads):
+        r = _melt_reduce(elt, leads[:i] + leads[i + 1 :], mkey, ring.p)
+        if r != elt:
+            minimal[i] = _melt_to_components(r, 1, ring)[0]
+            leads[i] = (lead, 1, r)
     return minimal
 
 
@@ -503,7 +505,7 @@ def syzygies_over_poly_ring(
 
 # ----------------------------------------------- graded pieces of free modules
 #
-# `ring` is a quotient ring object exposing piece(d), piece_index(d),
+# `ring` is a quotient ring object exposing piece(d), coords(f, d),
 # reduce(f), dim_piece(d), var_multiplication(v, d), var_copies(v, d),
 # first_variable_splits(d), poly_ring, nvars, p.
 
@@ -512,18 +514,9 @@ def coords_of_vector(
     ring, shifts: Sequence[int], components: Sequence[Polynomial], d: int
 ) -> np.ndarray:
     """Coordinates of a degree-d graded vector (components already reduced)."""
-    blocks = []
-    for pos, s in enumerate(shifts):
-        idx = ring.piece_index(d - s)
-        v = np.zeros(len(idx), dtype=np.int64)
-        comp = components[pos]
-        if not comp.is_zero():
-            for m, c in comp.terms:
-                v[idx[m]] = c
-        blocks.append(v)
-    if not blocks:
+    if not shifts:
         return np.zeros(0, dtype=np.int64)
-    return np.concatenate(blocks)
+    return np.concatenate([ring.coords(c, d - s) for c, s in zip(components, shifts)])
 
 
 def vector_from_coords(
@@ -774,37 +767,6 @@ def syzygy_basis(
     return minimal
 
 
-def _colon_by_element(
-    j_gens: Sequence[Polynomial], g: Polynomial, poly_ring: PolynomialRing
-) -> list[Polynomial]:
-    """Generators of (J : g) over the polynomial ring (J given by j_gens)."""
-    columns = [(g,)] + [(h,) for h in j_gens]
-    raw = syzygies_over_poly_ring(columns, (0,))
-    return [comps[0] for comps, _ in raw if not comps[0].is_zero()]
-
-
-def ideal_intersection(
-    a_gens: Sequence[Polynomial],
-    b_gens: Sequence[Polynomial],
-    poly_ring: PolynomialRing,
-) -> list[Polynomial]:
-    """Generators of (a_gens) ∩ (b_gens) over the polynomial ring."""
-    a = [g for g in a_gens if not g.is_zero()]
-    b = [g for g in b_gens if not g.is_zero()]
-    if not a or not b:
-        return []
-    columns = [(g,) for g in a] + [(h,) for h in b]
-    raw = syzygies_over_poly_ring(columns, (0,))
-    out = []
-    for comps, _ in raw:
-        f = poly_ring.zero()
-        for u, g in zip(comps[: len(a)], a):
-            f = f + u * g
-        if not f.is_zero():
-            out.append(f)
-    return out
-
-
 def colon_ideal(
     j_gens: Sequence[Polynomial], i_gens: Sequence[Polynomial], ring
 ) -> GroebnerBasis:
@@ -812,31 +774,31 @@ def colon_ideal(
 
     The preimage (containing the defining ideal) is the canonical
     representation of an ideal of the quotient; equality of ideals is
-    equality of these bases. For I with several generators the result is the
-    intersection of the single-element colons.
+    equality of these bases. With J' = J + I_R and I = (g_1..g_k), the
+    colon is the tags of the syzygies of the one column (g_1..g_k) modulo
+    the relations J'*e_i, in the free module with shifts -deg g_i: one
+    tagged elimination for all the g_i, then the tags plus I_R reduced.
     """
     poly_ring = ring.poly_ring
     j_full = [ring.reduce(g) for g in j_gens] + list(ring.gb.generators)
     j_full = [g for g in j_full if not g.is_zero()]
-    colons: list[list[Polynomial]] = []
-    for g in i_gens:
-        g = ring.reduce(g)
-        if g.is_zero():
-            continue
-        if g.degree() == 0:
-            # unit generator: (J : unit) = J
-            colons.append(list(j_full))
-            continue
-        if not g.is_homogeneous():
-            raise ValueError("non-homogeneous colon input")
-        colons.append(_colon_by_element(j_full, g, poly_ring))
-    if not colons:
+    column = [g for g in map(ring.reduce, i_gens) if not g.is_zero()]
+    if not column:
         # I = (0): the colon is the whole ring
         return buchberger([poly_ring.one()], poly_ring.order)
-    current = colons[0]
-    for nxt in colons[1:]:
-        current = ideal_intersection(current, nxt, poly_ring)
-    return buchberger(current + list(ring.gb.generators), poly_ring.order)
+    if not all(g.is_homogeneous() for g in column):
+        raise ValueError("non-homogeneous colon input")
+    zero = poly_ring.zero()
+    relations = [
+        tuple(h if k == i else zero for k in range(len(column)))
+        for i in range(len(column))
+        for h in j_full
+    ]
+    raw = syzygies_over_poly_ring(
+        [tuple(column)], tuple(-g.degree() for g in column), relations
+    )
+    tags = [comps[0] for comps, _deg in raw if not comps[0].is_zero()]
+    return buchberger(tags + list(ring.gb.generators), poly_ring.order)
 
 
 def quotient_generators(gb: GroebnerBasis, ring) -> list[Polynomial]:

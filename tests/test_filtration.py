@@ -472,6 +472,103 @@ def test_search_budget():
         search_groebner_flag(ring7, 100)
 
 
+def _brute_flags(ring):
+    """Colon indices of every ordered basis of projective representatives of
+    R_1, or None where some colon is no prefix; by Groebner colon ideals."""
+    p, n = ring.p, ring.nvars
+    reps = projective_representatives(n, p)
+    prefix_gb, colon_gb = {}, {}
+
+    def gb_of(rows):
+        li = LinearIdeal.from_vectors(list(rows), n, p)
+        if li.rows not in prefix_gb:
+            prefix_gb[li.rows] = _ideal_gb(ring, li)
+        return li.rows, prefix_gb[li.rows]
+
+    def colon(span, l):
+        if (span, l) not in colon_gb:
+            colon_gb[span, l] = colon_ideal(
+                [ring.linear_form(r) for r in span], [ring.linear_form(l)], ring
+            )
+        return colon_gb[span, l]
+
+    flags = {}
+
+    def extend(forms, prefixes):
+        if len(forms) == n:
+            js = []
+            for i in range(1, n + 1):
+                got = colon(prefixes[i - 1], forms[i - 1])
+                js.append(next((j for j, q in enumerate(prefixes) if prefix_gb[q] == got), None))
+            flags[tuple(forms)] = None if None in js else tuple(js)
+            return
+        span = LinearIdeal(prefixes[-1])
+        for l in reps:
+            if not span.contains_vector(l, p):
+                extend(forms + [l], prefixes + [gb_of(prefixes[-1] + (l,))[0]])
+
+    extend([], [gb_of(())[0]])
+    return flags
+
+
+def _projective(l, p):
+    lead = next(c for c in l if c)
+    return tuple(c * pow(lead, -1, p) % p for c in l)
+
+
+def _seeded_search_rings():
+    out = []
+    for p in (2, 3):
+        s, (x,) = polynomial_ring(p, ("x",))
+        out.append(make_ring(s, [x**2]))
+        s, (x, y) = polynomial_ring(p, ("x", "y"))
+        out += [make_ring(s, [x**2, y**2]), make_ring(s, [x * y]),
+                make_ring(s, [x**2 + x * y, y**2])]
+        s, (x, y, z) = polynomial_ring(p, ("x", "y", "z"))
+        out += [make_ring(s, [x**2, x * y, y * z, z**2]),
+                make_ring(s, [x**2, y**2, z**2, x * y]),
+                make_ring(s, [x * y, x * z + y**2])]
+    return out
+
+
+@pytest.mark.parametrize("ring", _seeded_search_rings(), ids=lambda r: str(r))
+def test_seeded_search_matches_brute_force_enumeration(ring):
+    # a seeded search returns a flag that starts with its seed exactly when an
+    # ordered projective basis starting with the seed is a Groebner flag
+    p, n = ring.p, ring.nvars
+    reps = projective_representatives(n, p)
+    seeds = [[l] for l in reps]
+    if p == 2 or n < 3:  # two-form seeds where they are few
+        seeds += [[a, b] for a in reps for b in reps
+                  if LinearIdeal.from_vectors([a, b], n, p).dim == 2]
+    flags = _brute_flags(ring)
+    for seed in seeds:
+        # scaled by p - 1, the seed names the same lines, and for p = 3 it is
+        # no projective representative
+        seed = [tuple(c * (p - 1) % p for c in l) for l in seed]
+        lines = tuple(_projective(l, p) for l in seed)
+        result = search_groebner_flag(ring, 10**6, initial_forms=seed)
+        if all(js is None for forms, js in flags.items() if forms[: len(seed)] == lines):
+            assert result.certificate is None and result.exhausted, seed
+            continue
+        cert = result.certificate
+        assert cert is not None, seed
+        assert list(cert.forms[: len(seed)]) == seed
+        lines = tuple(_projective(l, p) for l in cert.forms)
+        assert flags[lines] == cert.colon_indices
+
+
+def test_seeded_search_counts_the_seed_as_a_candidate(ci2):
+    # the seed x is the one candidate at depth 0, and y completes the flag at
+    # depth 1: two candidates, each tested once
+    seeded = search_groebner_flag(ci2, 100, initial_forms=[(1, 0)])
+    assert seeded.certificate.forms == ((1, 0), (0, 1))
+    assert (seeded.candidates_tested, seeded.flags_completed) == (2, 1)
+    for dependent in ([(1, 0), (2, 0)], [(0, 0)], [(1, 0), (0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="dependent"):
+            search_groebner_flag(ci2, 100, initial_forms=dependent)
+
+
 # --------------------------------------------------------------- conca
 
 
@@ -586,6 +683,26 @@ def test_minmult_flag_degenerate_polynomial_ring():
     cert = minimal_multiplicity_flag(ring, [(1, 0), (0, 1)])
     assert cert.colon_indices == (0, 1)
     assert verify_groebner_flag(ring, cert).valid
+
+
+def test_minmult_flag_failure_lists_every_linear_colon(monkeypatch):
+    # the failure branch, reached by forcing the verifier to fail: the message
+    # lists the linear colon (J:g)_1 of every step
+    import koszulkit.filtration as filtration
+
+    s, (x, y, z) = polynomial_ring(5, ("x", "y", "z"))
+    ring = make_ring(s, [y**2, y * z, z**2])
+    monkeypatch.setattr(
+        filtration, "verify_groebner_flag",
+        lambda ring, flag: filtration.VerificationResult(False, 2, "forced failure"),
+    )
+    with pytest.raises(ValueError) as info:
+        minimal_multiplicity_flag(ring, [(1, 0, 0)])
+    # in k[x,y,z]/(y^2, yz, z^2): 0 : x = 0, and (x) : y = (x) : z = (x, y, z)
+    assert str(info.value) == (
+        "flag verification failed at step 2: forced failure; "
+        "linear colons by step: (0); (x, y, z); (x, y, z)"
+    )
 
 
 def test_minmult_flag_rejects_failing_ring(ci2):

@@ -29,6 +29,7 @@ from koszulkit.groebner import (
     normal_form,
     pot_elim_key,
     quotient_generators,
+    syzygies_over_poly_ring,
     syzygy_basis,
     top_order_key,
     _interreduce,
@@ -86,7 +87,7 @@ def _reference_normal_form(f, basis):
             h = type(h)(h.ring, h.terms[1:])
         else:
             mg, cg, g = hit
-            h = h - g.mul_monomial(mono_quotient(m, mg), field.div(c, cg))
+            h = h - g.mul_monomial(mono_quotient(m, mg), field.mul(c, field.inv(cg)))
     return f.ring.from_dict(remainder)
 
 
@@ -331,6 +332,76 @@ def test_colon_correctness_and_maximality(crv26, j_rows, i_rows):
     for d in range(0, 4):
         brute = colon_piece_dim(jd, idl, 3, d, ring.p)
         assert _ideal_piece_dim_from_gb(gb, d) == brute
+
+
+def _reference_colon_ideal(j_gens, i_gens, ring):
+    """The pairwise path that `colon_ideal` replaced: one tagged elimination
+    per generator of I for J' : g (J' = J + I_R), then the colons intersected
+    pairwise, each intersection a tagged elimination of its own."""
+    poly_ring = ring.poly_ring
+    j_full = [g for g in [ring.reduce(g) for g in j_gens] + list(ring.gb.generators)
+              if not g.is_zero()]
+
+    def colon_by_element(g):
+        raw = syzygies_over_poly_ring([(g,)] + [(h,) for h in j_full], (0,))
+        return [comps[0] for comps, _ in raw if not comps[0].is_zero()]
+
+    def intersection(a, b):
+        if not a or not b:
+            return []
+        raw = syzygies_over_poly_ring([(g,) for g in a] + [(h,) for h in b], (0,))
+        out = []
+        for comps, _ in raw:
+            f = poly_ring.zero()
+            for u, g in zip(comps[: len(a)], a):
+                f = f + u * g
+            if not f.is_zero():
+                out.append(f)
+        return out
+
+    colons = []
+    for g in i_gens:
+        g = ring.reduce(g)
+        if g.is_zero():
+            continue
+        colons.append(list(j_full) if g.degree() == 0 else colon_by_element(g))
+    if not colons:
+        return buchberger([poly_ring.one()], poly_ring.order)
+    current = colons[0]
+    for nxt in colons[1:]:
+        current = intersection(current, nxt)
+    return buchberger(current + list(ring.gb.generators), poly_ring.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_PRIMES),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_colon_ideal_matches_pairwise_reference(p, k, seed):
+    # one elimination of the column (g_1..g_k) gives the reduced basis of the
+    # intersection of the single-element colons; I may mix degrees, hold a
+    # unit or a generator that is zero in R
+    rng = random.Random(seed)
+    s = PolynomialRing(p, ("x", "y", "z")[: rng.randint(2, 3)])
+
+    def forms(count, degrees):
+        return [
+            s.from_dict({rng.choice(s.monomials_of_degree(d)): rng.randrange(1, p)
+                         for _ in range(rng.randint(1, 3))})
+            for d in (rng.choice(degrees) for _ in range(count))
+        ]
+
+    defining = forms(rng.randint(0, 3), (2, 2, 3))
+    ring = make_ring(s, defining)
+    j_gens = forms(rng.randint(0, 2), (1, 2))
+    i_gens = forms(k, (1, 1, 2))
+    if rng.random() < 0.15:
+        i_gens[0] = s.one()
+    if defining and rng.random() < 0.15:
+        i_gens[-1] = defining[0]
+    assert colon_ideal(j_gens, i_gens, ring) == _reference_colon_ideal(j_gens, i_gens, ring)
 
 
 def _ideal_piece_dim_from_gb(gb, d):
