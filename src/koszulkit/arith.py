@@ -61,15 +61,6 @@ class PrimeField:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

@@ -232,7 +232,7 @@ def run_command(args) -> tuple[dict, str, int]:
     if cmd in ("resolve", "betti", "reg", "koszul", "linpart", "poincare"):
         module = _pick_module(doc, args)
         if cmd == "poincare":
-            ph = poincare_hilbert_check(module, args.imax, d_max=args.dmax)
+            ph = poincare_hilbert_check(module, args.imax, args.dmax)
             report["poincare_hilbert"] = ph.to_json()
             body = _header(report) + "\n" + (
                 f"lhs: {list(ph.lhs)}\nrhs: {list(ph.rhs)}\n"
@@ -416,7 +416,7 @@ def _run_flag(doc, args, report):
     if args.j is None:
         raise ValueError("flag minmult needs --j <forms>")
     forms = _parse_forms(doc, args.j)
-    check = check_reduction(ring, forms, max(args.dmax, 1))
+    check = check_reduction(ring, forms)
     report["reduction_check"] = check.to_json()
     if not check:
         body = _header(report) + f"\nreduction checks failed: {check.to_json()}\n"

@@ -123,7 +123,7 @@ def _verify_tags(ring: QuotientRing, tags: dict, name: str) -> None:
         if not f:
             raise AssertionError(f"fixture {name}: fitzgerald tag failed ({f.failed_clause})")
     if "minmult_reduction" in tags:
-        r = check_reduction(ring, list(tags["minmult_reduction"]), 4)
+        r = check_reduction(ring, list(tags["minmult_reduction"]))
         if not (r.holds and r.is_minimal_multiplicity):
             raise AssertionError(f"fixture {name}: minimal multiplicity tag failed ({r})")
     if tags.get("quadratic_monomial"):
@@ -248,6 +248,52 @@ def _module_witness(module: GradedModule, extra: dict | None = None) -> dict:
     return out
 
 
+def _koszul_claim(
+    report: SuiteReport, id: str, module: GradedModule, bounds, extra: dict | None = None
+) -> None:
+    """The module is Koszul within the bounds; its witness on failure is the
+    module with `extra`, or with the verdict when no `extra` is given."""
+    v = koszul_verdict(module, *bounds)
+    report.assertions.append(
+        Assertion(
+            id,
+            v.is_yes,
+            None if v.is_yes else _module_witness(module, extra or {"verdict": v.to_json()}),
+        )
+    )
+
+
+def _regularity_claims(report: SuiteReport, ring: QuotientRing, base: int, bounds) -> None:
+    """Ten random modules of regularity at most 1 (module seeds base + s)."""
+    for s in range(10):
+        m = random_module(ring, 1 + s % 3, 2, base + s)
+        r = regularity_verdict(betti_table(resolve(m, *bounds)))
+        ok = r.value is None or r.value <= 1
+        report.assertions.append(
+            Assertion(
+                f"reg-le-1-{s}",
+                ok,
+                None if ok else _module_witness(m, {"regularity": r.to_json()}),
+            )
+        )
+
+
+def _quotient_claims(
+    report: SuiteReport, ring: QuotientRing, rng: random.Random, count: int, bounds
+) -> None:
+    """`count` quotient rings drawn from the suite's rng stay Koszul."""
+    for s in range(count):
+        quot = _sampled_quotient_ring(ring, rng)
+        v = koszul_verdict(residue_field_module(quot), *bounds)
+        report.assertions.append(
+            Assertion(
+                f"quotient-koszul-{s}",
+                v.is_yes,
+                None if v.is_yes else {"ring": repr(quot), "verdict": v.to_json()},
+            )
+        )
+
+
 def theorem_suite(
     suite_id: str,
     fixture: Fixture | str,
@@ -264,21 +310,18 @@ def theorem_suite(
     """
     if isinstance(fixture, str):
         fixture = build_fixture(fixture)
-    if suite_id == "reg":
-        return _suite_reg(fixture, seed, bounds)
-    if suite_id == "minmult":
-        return _suite_minmult(fixture, seed, bounds)
-    if suite_id == "fitz":
-        return _suite_fitz(fixture, seed, bounds)
-    raise ValueError(f"unknown suite {suite_id!r}")
+    if suite_id not in _SUITES:
+        raise ValueError(f"unknown suite {suite_id!r}")
+    run, tag, hypothesis = _SUITES[suite_id]
+    if not fixture.tags.get(tag):
+        raise ValueError(
+            f"fixture {fixture.name!r} carries no {hypothesis} tag; "
+            f"the {suite_id} suite hypothesis does not apply"
+        )
+    return run(fixture, seed, bounds)
 
 
 def _suite_reg(fixture: Fixture, seed: int, bounds) -> SuiteReport:
-    if "conca" not in fixture.tags:
-        raise ValueError(
-            f"fixture {fixture.name!r} carries no Conca-generator tag; "
-            "the reg suite hypothesis does not apply"
-        )
     ring = fixture.ring
     x_row = tuple(fixture.tags["conca"])
     x_ideal = LinearIdeal.from_vectors([x_row], ring.nvars, ring.p)
@@ -287,62 +330,23 @@ def _suite_reg(fixture: Fixture, seed: int, bounds) -> SuiteReport:
 
     for s in range(10):
         m = module_killed_by(ring, x_ideal, 1 + s % 3, 2, seed * 100 + s)
-        v = koszul_verdict(m, *bounds)
-        report.assertions.append(
-            Assertion(
-                f"xM0-koszul-{s}",
-                v.is_yes,
-                None if v.is_yes else _module_witness(m, {"verdict": v.to_json()}),
-            )
-        )
-    for s in range(10):
-        m = random_module(ring, 1 + s % 3, 2, seed * 200 + s)
-        r = regularity_verdict(betti_table(resolve(m, *bounds)))
-        ok = r.value is None or r.value <= 1
-        report.assertions.append(
-            Assertion(
-                f"reg-le-1-{s}",
-                ok,
-                None if ok else _module_witness(m, {"regularity": r.to_json()}),
-            )
-        )
+        _koszul_claim(report, f"xM0-koszul-{s}", m, bounds)
+    _regularity_claims(report, ring, seed * 200, bounds)
     all_vars = [ring.poly_ring.gen(i) for i in range(ring.nvars)]
     for s in range(3):
         m = random_module(ring, 1 + s % 2, 2, seed * 300 + s)
-        mm = scaled_submodule(m, all_vars)
-        v = koszul_verdict(mm, *bounds)
-        report.assertions.append(
-            Assertion(
-                f"mM-1-linear-{s}",
-                v.is_yes,
-                None if v.is_yes else _module_witness(mm, {"verdict": v.to_json()}),
-            )
-        )
-    for s in range(5):
-        quot = _sampled_quotient_ring(ring, rng)
-        v = koszul_verdict(residue_field_module(quot), *bounds)
-        report.assertions.append(
-            Assertion(
-                f"quotient-koszul-{s}",
-                v.is_yes,
-                None if v.is_yes else {"ring": repr(quot), "verdict": v.to_json()},
-            )
-        )
+        _koszul_claim(report, f"mM-1-linear-{s}", scaled_submodule(m, all_vars), bounds)
+    _quotient_claims(report, ring, rng, 5, bounds)
     return report
 
 
 def _suite_minmult(fixture: Fixture, seed: int, bounds) -> SuiteReport:
-    if "minmult_reduction" not in fixture.tags:
-        raise ValueError(
-            f"fixture {fixture.name!r} carries no minimal-multiplicity tag; "
-            "the minmult suite hypothesis does not apply"
-        )
     ring = fixture.ring
     j_ideal = LinearIdeal.from_vectors(
         list(fixture.tags["minmult_reduction"]), ring.nvars, ring.p
     )
     report = SuiteReport("minmult", fixture.name, seed, bounds)
-    check = check_reduction(ring, j_ideal, 6)
+    check = check_reduction(ring, j_ideal)
     report.assertions.append(
         Assertion("reduction-clause", check.reduction_ok,
                   None if check.reduction_ok else check.to_json())
@@ -362,23 +366,11 @@ def _suite_minmult(fixture: Fixture, seed: int, bounds) -> SuiteReport:
         report.assertions.append(Assertion("flag-valid", False, {"error": str(exc)}))
     for s in range(5):
         m = module_killed_by(ring, j_ideal, 1 + s % 3, 2, seed * 100 + s)
-        v = koszul_verdict(m, *bounds)
-        report.assertions.append(
-            Assertion(
-                f"JM0-koszul-{s}",
-                v.is_yes,
-                None if v.is_yes else _module_witness(m, {"verdict": v.to_json()}),
-            )
-        )
+        _koszul_claim(report, f"JM0-koszul-{s}", m, bounds)
     return report
 
 
 def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
-    if not fixture.tags.get("fitzgerald"):
-        raise ValueError(
-            f"fixture {fixture.name!r} carries no Fitzgerald tag; "
-            "the fitz suite hypothesis does not apply"
-        )
     ring = fixture.ring
     report = SuiteReport("fitz", fixture.name, seed, bounds)
     rng = random.Random(("fitz", fixture.name, seed).__repr__())
@@ -404,51 +396,17 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
             )
             continue
         m = module_killed_by(ring, ann1, 1 + s % 2, 2, seed * 100 + s)
-        v = koszul_verdict(m, *bounds)
-        report.assertions.append(
-            Assertion(
-                f"annx-killed-koszul-{s}",
-                v.is_yes,
-                None if v.is_yes else _module_witness(m, {"x": list(x_row)}),
-            )
-        )
+        _koszul_claim(report, f"annx-killed-koszul-{s}", m, bounds, {"x": list(x_row)})
     # (ii): (x_1..x_s) M has a 1-linear resolution
     for s in range(10):
         count = 1 + rng.randrange(ring.nvars)
         forms = [ring.linear_form(reps[rng.randrange(len(reps))]) for _ in range(count)]
         m = random_module(ring, 1 + s % 2, 2, seed * 200 + s)
-        u = scaled_submodule(m, forms)
-        v = koszul_verdict(u, *bounds)
-        report.assertions.append(
-            Assertion(
-                f"xM-1-linear-{s}",
-                v.is_yes,
-                None if v.is_yes else _module_witness(u, {"verdict": v.to_json()}),
-            )
-        )
+        _koszul_claim(report, f"xM-1-linear-{s}", scaled_submodule(m, forms), bounds)
     # (iii): regularity at most 1
-    for s in range(10):
-        m = random_module(ring, 1 + s % 3, 2, seed * 300 + s)
-        r = regularity_verdict(betti_table(resolve(m, *bounds)))
-        ok = r.value is None or r.value <= 1
-        report.assertions.append(
-            Assertion(
-                f"reg-le-1-{s}",
-                ok,
-                None if ok else _module_witness(m, {"regularity": r.to_json()}),
-            )
-        )
+    _regularity_claims(report, ring, seed * 300, bounds)
     # (iv): sampled quotient rings remain Koszul
-    for s in range(3):
-        quot = _sampled_quotient_ring(ring, rng)
-        v = koszul_verdict(residue_field_module(quot), *bounds)
-        report.assertions.append(
-            Assertion(
-                f"quotient-koszul-{s}",
-                v.is_yes,
-                None if v.is_yes else {"ring": repr(quot), "verdict": v.to_json()},
-            )
-        )
+    _quotient_claims(report, ring, rng, 3, bounds)
     # informational only: verdict of a first syzygy module (never scores)
     m = random_module(ring, 2, 2, seed * 400)
     res = resolve(m, *bounds)
@@ -467,3 +425,11 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
             )
         )
     return report
+
+
+# suite id -> (suite, the fixture tag its hypothesis needs, the tag's name)
+_SUITES = {
+    "reg": (_suite_reg, "conca", "Conca-generator"),
+    "minmult": (_suite_minmult, "minmult_reduction", "minimal-multiplicity"),
+    "fitz": (_suite_fitz, "fitzgerald", "Fitzgerald"),
+}

@@ -46,11 +46,10 @@ from .linalg import matmul_mod, pivot_columns
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis; `reduced` means monic, auto-reduced and LT-minimal."""
+    """A reduced Groebner basis: monic, auto-reduced and LT-minimal."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -159,7 +158,7 @@ def buchberger(
         ring_order = order
         if ring_order is None:
             raise ValueError("cannot infer order from an empty generator list")
-        return GroebnerBasis((), ring_order, True)
+        return GroebnerBasis((), ring_order)
     ring = gens[0].ring
     for g in gens:
         ring.check_compatible(g.ring)
@@ -175,7 +174,7 @@ def buchberger(
         max_degree=max_degree,
     )
     gb = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
-    return GroebnerBasis(tuple(gb), ring.order, True)
+    return GroebnerBasis(tuple(gb), ring.order)
 
 
 # ---------------------------------------------------- free module vectors

@@ -151,17 +151,22 @@ def _series_divide(num: list[int], den: list[int], d_max: int) -> list[int]:
 
 
 def poincare_hilbert_check(
-    module: GradedModule, expand_to: int, d_max: int | None = None
+    module: GradedModule, expand_to: int, d_max: int
 ) -> PoincareHilbertResult:
-    """Compare sum beta_i t^i with the expansion of H_M(-t)/H_R(-t) to degree D.
+    """Compare sum beta_i t^i with the expansion of H_M(-t)/H_R(-t) in the
+    degrees e <= min(expand_to, d_max - g), g the generation degree.
 
-    Equality to all orders characterizes Koszulness; the op is a bounded
-    numerical semi-test.
+    The linear strand beta_{e,e+g} lies inside the internal-degree window
+    d_max only for those e, so no later degree is compared. Equality to all
+    orders characterizes Koszulness; the op is a bounded numerical semi-test.
     """
     g = _generation_degree(module)
-    d = expand_to
-    if d_max is None:
-        d_max = max(8, d + g + 1)
+    d = min(expand_to, d_max - g)
+    if d < 0:
+        raise ValueError(
+            f"no degree to compare: expand_to {expand_to}, d_max {d_max}, "
+            f"generation degree {g}"
+        )
     ring = module.ring
     if module.is_zero():
         zero = tuple(0 for _ in range(d + 1))

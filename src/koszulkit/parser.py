@@ -21,6 +21,9 @@ from .filtration import FiltrationCertificate, FlagCertificate
 from .quotient import GradedModule, QuotientRing, make_module, make_ring
 
 
+_CERT_KINDS = {"filtration": FiltrationCertificate, "flag": FlagCertificate}
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at {line}:{col}")
@@ -395,12 +398,17 @@ def parse_input(text: str) -> InputDocument:
                 doc = json.loads(payload)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad certificate JSON ({exc.msg})", line_no, rest_col)
-            if kind == "filtration":
-                certs.append(("filtration", FiltrationCertificate.from_json(doc)))
-            elif kind == "flag":
-                certs.append(("flag", FlagCertificate.from_json(doc)))
-            else:
+            if kind not in _CERT_KINDS:
                 raise ParseError(f"unknown certificate kind {kind!r}", line_no, rest_col)
+            try:
+                certs.append((kind, _CERT_KINDS[kind].from_json(doc)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # well-formed JSON of the wrong shape; OverflowError is
+                # int() of a JSON Infinity
+                raise ParseError(
+                    f"malformed {kind} certificate ({type(exc).__name__}: {exc})",
+                    line_no, rest_col + len(kind) + 1,
+                ) from exc
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no, col0)
 

@@ -47,7 +47,7 @@ class QuotientRing:
         self.poly_ring = poly_ring
         self.defining_generators = tuple(ideal_gens)
         self.gb = buchberger(list(ideal_gens), poly_ring.order) if ideal_gens else \
-            GroebnerBasis((), poly_ring.order, True)
+            GroebnerBasis((), poly_ring.order)
         self._pieces: dict[int, tuple[Monomial, ...]] = {}
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
@@ -86,9 +86,6 @@ class QuotientRing:
 
     def is_zero(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
-
-    def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.reduce(f * g)
 
     def monomial_nf(self, m: Monomial) -> Polynomial:
         nf = self._mono_nf.get(m)

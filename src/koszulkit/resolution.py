@@ -75,8 +75,8 @@ class FreeComplex:
     free_shifts[i] are the generator degrees of F_i. blocks[i-1] maps each
     internal degree d to the matrix whose rows are the degree-d columns of
     F_i -> F_{i-1}, as coordinate vectors of the degree-d piece of F_{i-1};
-    the generators of F_i are these rows in increasing d. Subclasses supply
-    `ring`, `free_shifts`, `blocks` and `d_max`.
+    the generators of F_i are these rows in increasing d. A linear part is
+    a bare FreeComplex; a resolution adds its warnings and Betti table.
 
     _ranks[i] is an int64 array whose entry d - lo, for lo the lowest shift
     of F_0 and lo <= d <= d_max, is the rank of the degree-d map of
@@ -87,6 +87,11 @@ class FreeComplex:
     count.
     """
 
+    ring: QuotientRing
+    free_shifts: list[tuple[int, ...]]
+    blocks: list[dict[int, np.ndarray]]
+    i_max: int
+    d_max: int
     _columns: dict[int, tuple[FreeModuleVector, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -135,11 +140,6 @@ class Resolution(FreeComplex):
     trusted for degrees <= d_max. The module caches its resolutions; a
     resolution holds only the ring, so the two form no reference cycle."""
 
-    ring: QuotientRing
-    free_shifts: list[tuple[int, ...]]
-    blocks: list[dict[int, np.ndarray]]
-    i_max: int
-    d_max: int
     warnings: list[str] = field(default_factory=list)
 
     def betti(self) -> "BettiTable":
@@ -435,19 +435,7 @@ def regularity_verdict(table: BettiTable) -> RegularityVerdict:
 # ------------------------------------------------------------- linear part
 
 
-@dataclass(eq=False)
-class GradedComplex(FreeComplex):
-    """A complex of shifted free modules given by per-degree coordinate
-    matrices (see `FreeComplex`)."""
-
-    ring: object
-    free_shifts: list[tuple[int, ...]]
-    blocks: list[dict[int, np.ndarray]]
-    i_max: int
-    d_max: int
-
-
-def linear_part(res: Resolution) -> GradedComplex:
+def linear_part(res: Resolution) -> FreeComplex:
     """Keep only the degree-1 components of the differential entries.
 
     The result is automatically a complex: a composite entry of two linear
@@ -471,7 +459,7 @@ def linear_part(res: Resolution) -> GradedComplex:
         blocks.append(lin)
         if not changed and i in res._ranks:
             ranks[i] = res._ranks[i]
-    part = GradedComplex(res.ring, list(res.free_shifts), blocks, res.i_max, res.d_max)
+    part = FreeComplex(res.ring, list(res.free_shifts), blocks, res.i_max, res.d_max)
     part._ranks.update(ranks)
     return part
 

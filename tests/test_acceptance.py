@@ -70,7 +70,7 @@ def test_criterion_03_koszul_negative_control():
     k = residue_field_module(ring)
     v = koszul_verdict(k, 5, 8)
     assert v.is_no and v.witness == (2, 3)
-    ph = poincare_hilbert_check(k, 2)
+    ph = poincare_hilbert_check(k, 2, 8)
     assert not ph.holds and ph.fail_degree == 2
     _report(3, "k over nk3: verdict no at (2,3); series identity fails at 2")
 
@@ -86,7 +86,7 @@ def test_criterion_04_equivalence_suite():
         for idx, m in enumerate(modules):
             v1 = koszul_verdict(m, 5, 8)
             v2 = koszul_verdict(m, 5, 8, "linear-part-acyclic")
-            ph = poincare_hilbert_check(m, 5)
+            ph = poincare_hilbert_check(m, 5, 8)
             if not (v1.verdict == v2.verdict and ph.holds == v1.is_yes):
                 disagreements.append((name, idx, v1.verdict, v2.verdict, ph.holds))
     assert disagreements == []
@@ -156,7 +156,7 @@ def test_criterion_08_fitz_suites():
 def test_criterion_09_minimal_multiplicity_mm1():
     mm1 = build_fixture("mm1").ring
     j_rows = [(1, 0)]
-    check = check_reduction(mm1, j_rows, 6)
+    check = check_reduction(mm1, j_rows)
     assert check.reduction_ok and check.failing_degree is None
     assert check.regular_sequence_ok
     assert check.is_minimal_multiplicity

@@ -154,6 +154,19 @@ def test_poincare_command(write_doc, capsys):
     assert code2 == 1 and "fails at degree 2" in out2
 
 
+def test_poincare_stays_inside_the_window(write_doc, capsys):
+    # with d_max = 3 only the degrees e <= 3 of the 1-linear strand are in
+    # the window; degree 4 must not be compared against a truncated table
+    argv = ["poincare", write_doc(CI2), "--imax", "5", "--dmax", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    ph = json.loads(out)["poincare_hilbert"]
+    assert code == 0
+    assert ph == {
+        "holds": True, "checked_to": 3, "fail_degree": None,
+        "lhs": [1, 2, 3, 4], "rhs": [1, 2, 3, 4],
+    }
+
+
 def test_filtration_subsets_and_verify(write_doc, capsys, tmp_path):
     code, out, _ = run(
         capsys, ["filtration", "subsets", write_doc(CRV2), "--format", "json"]
@@ -212,6 +225,21 @@ def test_flag_minmult(write_doc, capsys):
     assert code == 0 and "verified flag" in out
     code2, out2, _ = run(capsys, ["flag", "minmult", write_doc(CI2), "--j", "x"])
     assert code2 == 1
+
+
+@pytest.mark.parametrize(
+    "line,col",
+    [
+        ("cert flag {}", 11),
+        ("cert filtration []", 17),
+        ('cert flag {"forms":[[1,"a"]],"colon_indices":[0]}', 11),
+    ],
+)
+def test_malformed_cert_exit_3_with_position(write_doc, capsys, line, col):
+    code, out, err = run(capsys, ["flag", "verify", write_doc(MM1 + line + "\n")])
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: malformed ")
+    assert err.endswith(f" at 3:{col}\n")
 
 
 def test_factorize_command(write_doc, capsys):

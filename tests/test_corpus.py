@@ -1,7 +1,13 @@
 """Fixtures, random module generation, theorem suites."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from koszulkit import corpus
 from koszulkit.corpus import (
     FIXTURE_NAMES,
     build_fixture,
@@ -10,7 +16,8 @@ from koszulkit.corpus import (
     theorem_suite,
 )
 from koszulkit.filtration import LinearIdeal
-from koszulkit.resolution import resolve
+from koszulkit.koszul import KoszulVerdict
+from koszulkit.resolution import RegularityVerdict, resolve
 from koszulkit.quotient import hilbert_series
 
 
@@ -119,6 +126,23 @@ def test_suite_hypothesis_mismatch():
         theorem_suite("bogus", "ci2", 1)
 
 
+@pytest.mark.parametrize(
+    "suite_id,message",
+    [
+        ("reg", "fixture 'nk3' carries no Conca-generator tag; "
+                "the reg suite hypothesis does not apply"),
+        ("minmult", "fixture 'nk3' carries no minimal-multiplicity tag; "
+                    "the minmult suite hypothesis does not apply"),
+        ("fitz", "fixture 'nk3' carries no Fitzgerald tag; "
+                 "the fitz suite hypothesis does not apply"),
+    ],
+)
+def test_suite_tag_error_messages(suite_id, message):
+    with pytest.raises(ValueError) as info:
+        theorem_suite(suite_id, "nk3", 1)
+    assert str(info.value) == message
+
+
 def test_suite_report_json_schema():
     rep = theorem_suite("minmult", "mm1", 3)
     doc = rep.to_json()
@@ -132,3 +156,76 @@ def test_suite_reproducible():
     a = theorem_suite("reg", "ci2", 5).to_json()
     b = theorem_suite("reg", "ci2", 5).to_json()
     assert a == b
+
+
+# ------------------------------------------------------- recorded reports
+#
+# tests/golden/suites.json holds the `scripts/run_suites.py --json` lines at
+# suite seeds 2 and 3 (seed 1 is the benchmark's fingerprint), and the five
+# reports with every Koszul verdict "no" and every regularity 2, which pin
+# the witness of each failing claim. Regenerate it only when an output is
+# shown to be wrong:
+#
+#     PYTHONPATH=src python tests/test_corpus.py
+
+SUITE_GOLDEN = Path(__file__).parent / "golden" / "suites.json"
+SUITE_RUNS = (
+    ("reg", "ci2"),
+    ("reg", "fitz3"),
+    ("minmult", "mm1"),
+    ("fitz", "ci2"),
+    ("fitz", "fitz3"),
+)
+
+
+def _suite_lines(seed):
+    return [
+        json.dumps(theorem_suite(suite_id, fixture, seed).to_json(), sort_keys=True)
+        for suite_id, fixture in SUITE_RUNS
+    ]
+
+
+def _failing_verdict(module, i_max, d_max, method="betti-diagonal"):
+    return KoszulVerdict("no", method, i_max, d_max, witness=(1, 2))
+
+
+def _failing_regularity(table):
+    return RegularityVerdict("UpToBounds", 2, table.i_max, table.d_max)
+
+
+def _failing_lines(setattr_):
+    for name in FIXTURE_NAMES:
+        build_fixture(name)  # tags are verified with the true verdicts
+    setattr_(corpus, "koszul_verdict", _failing_verdict)
+    setattr_(corpus, "regularity_verdict", _failing_regularity)
+    return _suite_lines(1)
+
+
+def record_suites():
+    script = Path(__file__).parent.parent / "scripts" / "run_suites.py"
+    seeds = {}
+    for seed in (2, 3):
+        out = subprocess.run(
+            [sys.executable, str(script), "--json", "--seed", str(seed)],
+            capture_output=True, text=True, check=False,
+        ).stdout
+        seeds[str(seed)] = out.splitlines()
+    with pytest.MonkeyPatch.context() as mp:
+        failing = _failing_lines(mp.setattr)
+    golden = {"seeds": seeds, "failing": failing}
+    SUITE_GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_suites_match_recorded_reports(seed):
+    golden = json.loads(SUITE_GOLDEN.read_text())
+    assert _suite_lines(seed) == golden["seeds"][str(seed)]
+
+
+def test_failing_witnesses_match_recorded_reports(monkeypatch):
+    golden = json.loads(SUITE_GOLDEN.read_text())
+    assert _failing_lines(monkeypatch.setattr) == golden["failing"]
+
+
+if __name__ == "__main__":
+    record_suites()

@@ -42,7 +42,12 @@ from koszulkit.filtration import (
 from koszulkit.groebner import GroebnerBasis, buchberger, colon_ideal
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import Echelon
-from koszulkit.quotient import _monomial_quotient_numerator, cyclic_module, make_ring
+from koszulkit.quotient import (
+    _monomial_quotient_numerator,
+    cyclic_module,
+    make_ring,
+    quotient_by_linear_forms,
+)
 
 
 # ----------------------------------------------------------- linear ideals
@@ -52,7 +57,7 @@ def _ideal_gb(ring, li):
     """Reference: reduced preimage basis of the ideal generated by the subspace."""
     gens = li.forms(ring) + list(ring.gb.generators)
     if not gens:
-        return GroebnerBasis((), ring.order, True)
+        return GroebnerBasis((), ring.order)
     return buchberger(gens, ring.order)
 
 
@@ -646,7 +651,7 @@ def test_all_linear_requires_fitzgerald(nk3):
 
 
 def test_reduction_mm1(mm1):
-    r = check_reduction(mm1, [(1, 0)], 6)
+    r = check_reduction(mm1, [(1, 0)])
     assert r.holds
     assert r.reduction_ok and r.failing_degree is None
     assert r.regular_sequence_ok
@@ -656,7 +661,7 @@ def test_reduction_mm1(mm1):
 
 def test_reduction_ci2_mixed_verdict(ci2):
     # x*R_d = R_{d+1} holds but x is a zerodivisor: mixed verdict
-    r = check_reduction(ci2, [(1, 0)], 4)
+    r = check_reduction(ci2, [(1, 0)])
     assert r.reduction_ok
     assert not r.regular_sequence_ok
     assert not r.holds
@@ -665,7 +670,7 @@ def test_reduction_ci2_mixed_verdict(ci2):
 def test_reduction_trivial_on_squarezero_ring():
     s, (x, y) = polynomial_ring(5, ("x", "y"))
     ring = make_ring(s, [x**2, x * y, y**2])  # m^2 = 0
-    r = check_reduction(ring, [(1, 0), (0, 1)], 1)
+    r = check_reduction(ring, [(1, 0), (0, 1)])
     assert r.reduction_ok  # J*R_1 = 0 = R_2 trivially
 
 
@@ -753,10 +758,10 @@ def _fitzgerald_reference(ring):
     return FitzgeraldCheck(True, None, None, len(reps))
 
 
-def _reduction_failing_reference(ring, rows, d_stab):
-    """The first d <= d_stab with J*R_d != R_{d+1}, by Polynomial products."""
+def _reduction_failing_reference(ring, rows, d_top):
+    """The first d <= d_top with J*R_d != R_{d+1}, by Polynomial products."""
     forms = [ring.linear_form(r) for r in rows]
-    for d in range(1, d_stab + 1):
+    for d in range(1, d_top + 1):
         target = ring.dim_piece(d + 1)
         span = Echelon(target, ring.p)
         for f in forms:
@@ -845,19 +850,59 @@ def test_reduction_matches_polynomial_path(name, p):
         n = ring.nvars
         for k in range(n + 1):
             li = _random_subspace(rng, n, k, ring.p)
-            d_stab = rng.randint(1, 3)
-            failing = _reduction_failing_reference(ring, li.rows, d_stab)
-            got = check_reduction(ring, li, d_stab)
+            # J*R_1 = R_2 settles every degree, so a reference window of
+            # 1 to 3 degrees must agree with the check
+            d_top = rng.randint(1, 3)
+            failing = _reduction_failing_reference(ring, li.rows, d_top)
+            got = check_reduction(ring, li)
             assert (got.reduction_ok, got.failing_degree) == (failing is None, failing)
 
 
 def test_reduction_failing_degree():
     mm1 = _named_ring("mm1", 3)
-    assert check_reduction(mm1, [(0, 1)], 3).failing_degree == 1  # y*R_1 misses x^2
-    assert check_reduction(mm1, [(1, 0)], 3).failing_degree is None
-    no_degree = check_reduction(mm1, [(0, 1)], 0)  # d_stab = 0 asks for no degree
-    assert no_degree.reduction_ok and no_degree.failing_degree is None
-    assert check_reduction(_named_ring("square-zero", 3), [], 2).reduction_ok
+    assert check_reduction(mm1, [(0, 1)]).failing_degree == 1  # y*R_1 misses x^2
+    assert check_reduction(mm1, [(1, 0)]).failing_degree is None
+    assert check_reduction(_named_ring("square-zero", 3), []).reduction_ok
+
+
+def _reference_regular_sequence(ring, rows):
+    """The quotient-ring path: J's forms are a regular sequence exactly when
+    R/(J), presented on the surviving variables, has the numerator of R."""
+    elim = quotient_by_linear_forms(ring, rows)
+    return ring.hilbert_series(4).numerator == elim.target.hilbert_series(4).numerator
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([*sorted(_NAMED_RINGS), "random"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_regular_sequence_matches_quotient_ring_path(name, p, seed):
+    rng = random.Random(seed)
+    ring = _random_quadric_ring(rng, p) if name == "random" else _named_ring(name, p)
+    n = ring.nvars
+    for k in range(n + 1):
+        li = _random_subspace(rng, n, k, p)
+        got = check_reduction(ring, li)
+        assert got.regular_sequence_ok == _reference_regular_sequence(ring, li.rows), li
+        # the same J from scaled rows out of RREF order plus a dependent row
+        rows = [tuple(u * c % p for c in r) for r in li.rows for u in [rng.randrange(1, p)]]
+        mix = [rng.randrange(p) for _ in rows]
+        rows.append(tuple(sum(u * r[i] for u, r in zip(mix, rows)) % p for i in range(n)))
+        rng.shuffle(rows)
+        assert check_reduction(ring, LinearIdeal(tuple(rows))) == got
+        assert check_reduction(ring, [ring.linear_form(r) for r in rows]) == got
+
+
+def test_regular_sequence_examples():
+    # x is a regular element of k[x,y]/(y^2) but a zerodivisor of k[x,y]/(x^2, y^2);
+    # over the polynomial ring every basis of R_1 is a regular sequence
+    assert check_reduction(_named_ring("mm1", 3), [(1, 0)]).regular_sequence_ok
+    assert not check_reduction(_named_ring("ci2", 3), [(1, 0)]).regular_sequence_ok
+    s, _ = polynomial_ring(5, ("x", "y"))
+    polynomial = make_ring(s, [])
+    assert check_reduction(polynomial, LinearIdeal(((1, 1), (2, 2), (0, 3)))).regular_sequence_ok
 
 
 # --------------------------------------------------------------- JSON

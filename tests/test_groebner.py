@@ -87,7 +87,7 @@ def _reference_normal_form(f, basis):
             h = type(h)(h.ring, h.terms[1:])
         else:
             mg, cg, g = hit
-            h = h - g.mul_monomial(mono_quotient(m, mg), field.mul(c, field.inv(cg)))
+            h = h - g.mul_monomial(mono_quotient(m, mg), c * field.inv(cg) % field.p)
     return f.ring.from_dict(remainder)
 
 
@@ -132,7 +132,7 @@ def _reference_buchberger(gens):
         if not r.is_zero():
             basis.append(r.monic())
             push_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis)), ring.order, True)
+    return GroebnerBasis(tuple(_interreduce(basis)), ring.order)
 
 
 def _random_polys(rng, ring, count, max_deg, max_terms, homogeneous):

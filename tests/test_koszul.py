@@ -76,7 +76,7 @@ def test_verdict_json_schema(ci2, nk3):
 
 def test_poincare_hilbert_ci2(ci2):
     k = residue_field_module(ci2)
-    r = poincare_hilbert_check(k, 5)
+    r = poincare_hilbert_check(k, 5, 8)
     assert r.holds
     assert list(r.lhs) == [1, 2, 3, 4, 5, 6]
     assert list(r.rhs) == [1, 2, 3, 4, 5, 6]
@@ -84,7 +84,7 @@ def test_poincare_hilbert_ci2(ci2):
 
 def test_poincare_hilbert_nk3_fails_at_2(nk3):
     k = residue_field_module(nk3)
-    r = poincare_hilbert_check(k, 2)
+    r = poincare_hilbert_check(k, 2, 8)
     assert not r.holds and r.fail_degree == 2
     # rhs frozen from the series-division oracle: 1/(1 - t + t^2)
     assert list(r.rhs) == series_divide([1], [1, -1, 1], 2) == [1, 1, 0]
@@ -93,8 +93,20 @@ def test_poincare_hilbert_nk3_fails_at_2(nk3):
 
 def test_poincare_hilbert_free_module(ci2):
     fm = free_module(ci2, (0,))
-    r = poincare_hilbert_check(fm, 5)
+    r = poincare_hilbert_check(fm, 5, 8)
     assert r.holds and list(r.lhs) == [1, 0, 0, 0, 0, 0]
+
+
+def test_poincare_hilbert_window(ci2):
+    # only e <= min(expand_to, d_max - g) is compared; checked_to reports it
+    k = residue_field_module(ci2)
+    r = poincare_hilbert_check(k, 5, 3)
+    assert r.holds and r.checked_to == 3
+    assert list(r.lhs) == list(r.rhs) == [1, 2, 3, 4]
+    shifted = free_module(ci2, (2,))
+    assert poincare_hilbert_check(shifted, 5, 4).checked_to == 2
+    with pytest.raises(ValueError, match="no degree to compare"):
+        poincare_hilbert_check(shifted, 5, 1)
 
 
 def test_lofwall_k_case_on_koszul_fixtures(ci2, crv26, fitz3):
@@ -186,6 +198,6 @@ def test_equivalence_of_methods_on_fixtures(ci2, nk3, crv26, mm1, fitz3):
         for m in mods:
             v1 = koszul_verdict(m, 5, 8)
             v2 = koszul_verdict(m, 5, 8, "linear-part-acyclic")
-            ph = poincare_hilbert_check(m, 5)
+            ph = poincare_hilbert_check(m, 5, 8)
             assert v1.verdict == v2.verdict
             assert ph.holds == v1.is_yes

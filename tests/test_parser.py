@@ -1,8 +1,11 @@
 """Input grammar: documents, diagnostics, round trips."""
 
+import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from koszulkit.filtration import FlagCertificate, all_linear_ideals_filtration
 from koszulkit.parser import (
@@ -139,3 +142,25 @@ def test_round_trip_50_seeded_documents():
         assert print_document(doc2) == printed
         ok += 1
     assert ok >= 40
+
+
+_CERT_KEYS = ("kind", "forms", "colon_indices", "members", "witnesses", "member", "sub", "g", "colon")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_CERT_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("flag", "filtration")), _JSON)
+def test_cert_line_parses_or_raises_parse_error(kind, value):
+    # any JSON value: a certificate or a ParseError with a position, nothing else
+    text = CI2_TEXT + f"cert {kind} {json.dumps(value)}\n"
+    try:
+        doc = parse_input(text)
+    except ParseError as exc:
+        assert exc.line == 3
+    else:
+        assert [k for k, _ in doc.certs] == [kind]
