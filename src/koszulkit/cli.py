@@ -144,14 +144,11 @@ def _base_report(command: str, args, p: int | None) -> dict:
     }
 
 
-def emit_report(report: dict, fmt: str, text_body: str | None = None) -> str:
+def emit_report(report: dict, fmt: str, text_body: str) -> str:
     """JSON (stable key order) or the prepared text body."""
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if text_body is not None:
-        return text_body
-    lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in report.items()]
-    return "\n".join(lines) + "\n"
+    return text_body
 
 
 def _header(report: dict) -> str:

@@ -476,18 +476,12 @@ def search_groebner_flag(
         if depth == n:
             stats["completed"] += 1
             return FlagCertificate(tuple(forms), tuple(js))
-        want = constraints.get(depth + 1)
         for l in seed[depth : depth + 1] or reps:
             if prefixes[-1].contains_vector(l, p):
                 continue
-            if want is not None and not want.contains_vector(l, p):
-                continue
-            ok = True
-            for dim_c, c in constraints.items():
-                if dim_c > depth and not c.contains_vector(l, p):
-                    ok = False
-                    break
-            if not ok:
+            if any(
+                dim_c > depth and not c.contains_vector(l, p) for dim_c, c in constraints.items()
+            ):
                 continue
             nxt = prefixes[-1].plus_vector(l, p)
             stats["tested"] += 1
@@ -511,15 +505,10 @@ def search_groebner_flag(
                     continue
                 if not w1.contains(nxt, p):
                     continue
-                nested_ok = True
-                for dim_c, c in constraints.items():
-                    if dim_c < j and not w1.contains(c, p) and c.dim < w1.dim:
-                        nested_ok = False
-                        break
-                    if dim_c > j and not c.contains(w1, p):
-                        nested_ok = False
-                        break
-                if not nested_ok:
+                if any(
+                    (dim_c < j and not w1.contains(c, p)) or (dim_c > j and not c.contains(w1, p))
+                    for dim_c, c in constraints.items()
+                ):
                     continue
                 new_constraints = dict(constraints)
                 new_constraints[j] = w1
@@ -642,10 +631,11 @@ def all_linear_ideals_filtration(
 ) -> FiltrationCertificate:
     """The family of all linear-form ideals, with computed colon witnesses.
 
-    Requires the Fitzgerald condition; a colon that fails to be generated by
-    linear forms would contradict it and raises with a finding message.
+    Requires the Fitzgerald condition, checked within the same budget; a
+    colon that fails to be generated by linear forms would contradict it and
+    raises with a finding message.
     """
-    fitz = check_fitzgerald(ring)
+    fitz = check_fitzgerald(ring, max_forms=max_subspaces)
     if not fitz:
         raise ValueError(
             f"ring fails the annihilator condition (witness {fitz.witness}, "

@@ -7,11 +7,14 @@ submodule of the free module of rank 1 (`buchberger`, `normal_form`). Syzygy
 generators via tagged elimination; a colon ideal J : (g_1..g_k) is one such
 elimination, of the column (g_1..g_k) modulo (J + I_R) in every position.
 
-Graded pieces of free modules are coordinate vectors over F_p. The
-degree-d map of a homomorphism of free modules is built from its degree
-d-1 map (`_next_degree_map`), with no normal form taken; the graded
-Nakayama sieve behind minimal generators (`_generator_stage`) and every
-step of a resolution (`koszulkit.resolution`) run on these maps.
+Graded pieces of free modules are coordinate vectors over F_p. One stage
+loop (`_stage`) runs every degree-by-degree computation on them: it builds
+the degree-d map of its generators from the degree d-1 map
+(`_next_degree_map`), with no normal form taken, and a sieve picks the new
+generators of degree d. `_pivot_sieve`, the graded Nakayama sieve of given
+vectors, serves minimal generators and step 1 of a resolution;
+`koszulkit.resolution` adds the kernel sieve of its syzygy steps and a
+keep-all sieve that rebuilds the maps of a complex.
 
 Quotient rings enter only through duck-typed parameters (`ring.gb`,
 `ring.reduce`, `ring.piece`, ...) supplied by `koszulkit.quotient`.
@@ -573,8 +576,12 @@ def variable_rows(ring, runs, d: int, var: int):
 
 
 def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
-    """The degree-d map of `_degree_maps` from the degree d-1 map `prev`, with
+    """The degree-d map (a_j) -> sum a_j * col_j of graded columns col_j of
+    degrees source_shifts[j] (sorted), from the degree d-1 map `prev`, with
     the generator columns (j, 1), source_shifts[j] == d, left zero.
+
+    Rows: the degree-d basis of the target free module. Columns: (j, u) with
+    u a standard monomial of degree d - source_shifts[j].
 
     Column (j, u), with x_v the first variable of u, is x_v times column
     (j, u / x_v) of `prev`, split by target block as `variable_rows` splits
@@ -623,72 +630,74 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     return mat
 
 
-def _degree_maps(ring, target_shifts, source_shifts, rows, d_max):
-    """Yield (d, matrix of (a_j) -> sum a_j * col_j on degree-d pieces) for d
-    from the lowest source shift to d_max.
+def _stage(ring, incoming, sieve, step, d_last):
+    """One step of a minimal presentation or resolution, run degree by degree:
+    the generators it keeps, and the degree-d map N_d of those generators
+    into the free module before it.
 
-    rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
-    piece of the target free module. Rows of the matrix: degree-d basis of
-    the target. Columns: (j, u) with u a standard monomial of degree
-    d - source_shifts[j]. Column (j, 1) is rows[j]; the others come from the
-    degree d-1 map (`_next_degree_map`).
-    """
-    prev = None
-    for d in range(min(source_shifts), d_max + 1):
-        mat = _next_degree_map(ring, target_shifts, source_shifts, prev, d)
-        col = j = 0
-        for s, m, _low, high in shift_runs(ring, source_shifts, d - 1):
-            if s == d:
-                mat[:, col : col + m] = np.transpose(rows[j : j + m])
-            col += m * high
-            j += m
-        prev = mat
-        yield d, mat
+    `incoming` yields (d, target, x) for consecutive d, where target are the
+    shifts of the free module N_d maps into and x.shape[1] the dimension of
+    its degree-d piece (an x with no rows, which brings no generator, may
+    have no columns either). At each d the stage builds N_d over its
+    generators of degrees < d (`_next_degree_map` from N_{d-1}; with no
+    generator yet, a matrix with no columns), so the columns of N_d span R_1
+    times the degree d-1 part of the span. `sieve(N_d, x, d)` returns the
+    rows of the new degree-d generators; they go to `step[d]` and are
+    appended to N_d as its generator columns. The stage then yields
+    (d, gens, N_d), with gens the degrees of its generators so far: the
+    (d, target, x) of the next step's stage.
 
-
-def _generator_stage(ring, shifts, candidates, d_last, step):
-    """The graded Nakayama sieve of a submodule U of the free module with the
-    given shifts, run degree by degree from the lowest degree of `candidates`
-    to d_last.
-
-    candidates[d] (absent: none) is an int64 matrix whose rows are degree-d
-    coordinate vectors of generators of U. A row is kept when it is
-    independent of R_1 * U_{d-1} plus the rows before it in degree d; the
-    kept rows of degree d go to `step[d]`. The stage yields (d, N_d, gens)
-    for consecutive d from the degree of the first kept row on: N_d is the
-    degree-d map of the kept generators (as `_degree_maps` builds it) and
-    gens their degrees, the source shifts of N_d.
-
-    N_d is built from N_{d-1} over the generators of degrees < d, so its
-    columns span R_1 * U_{d-1}. One `pivot_columns` on N_d followed by the
-    degree-d candidates as columns keeps the candidates at pivot columns: the
-    choice an incremental echelon fed the products and then the rows in order
-    would make. The kept rows are then appended to N_d as its generator
-    columns.
-
-    The stage ends at d_last, or at the first d from the top candidate degree
-    on where N_d has no columns: R is generated in degree 1, so R_e = 0 gives
-    R_{e+1} = 0, and every later piece of the span is zero too.
+    Once `incoming` has ended no generator comes any more. The stage goes on
+    building N_d up to d_last until N_d has no columns: every generator has
+    degree <= d, and R_e = 0 gives R_{e+1} = 0 (R is generated in degree 1),
+    so every later piece of the span is zero too.
     """
     gens: tuple[int, ...] = ()
-    prev = None
-    top = max(candidates, default=d_last)
-    for d in range(min(candidates, default=d_last + 1), d_last + 1):
-        prev = _next_degree_map(ring, shifts, gens, prev, d)
-        rows = candidates.get(d)
-        if rows is not None:
-            n = prev.shape[1]
-            pivots = pivot_columns(np.concatenate([prev, rows.T], axis=1), ring.p)
-            pivots = np.array(pivots, dtype=np.int64)
-            kept = rows[pivots[pivots >= n] - n]
-            if len(kept):
-                step[d] = kept
-                gens += (d,) * len(kept)
-                prev = np.concatenate([prev, kept.T], axis=1)
+    for d, target, x in incoming:
         if gens:
-            yield d, prev, gens
-        if d >= top and not prev.shape[1]:
-            return
+            mat = _next_degree_map(ring, target, gens, mat, d)
+        else:
+            mat = np.zeros((x.shape[1], 0), dtype=np.int64)
+        new = sieve(mat, x, d)
+        if len(new):
+            step[d] = new
+            gens += (d,) * len(new)
+            mat = np.concatenate([mat, new.T], axis=1)
+        if gens:
+            yield d, gens, mat
+    while gens and mat.shape[1] and d < d_last:
+        d += 1
+        mat = _next_degree_map(ring, target, gens, mat, d)
+        yield d, gens, mat
+
+
+_NO_ROWS = np.zeros((0, 0), dtype=np.int64)
+
+
+def _by_degree(shifts, rows_by_degree):
+    """The `incoming` of a `_stage` that sieves given rows: (d, shifts,
+    rows_by_degree[d]) for d from the lowest to the highest key, with an
+    empty matrix at the degrees between that have none."""
+    if rows_by_degree:
+        for d in range(min(rows_by_degree), max(rows_by_degree) + 1):
+            yield d, shifts, rows_by_degree.get(d, _NO_ROWS)
+
+
+def _pivot_sieve(p):
+    """The graded Nakayama sieve of given rows: a row is kept when it is
+    independent of the columns of N_d (R_1 times the span of degree d-1)
+    plus the rows before it. One `pivot_columns` on N_d followed by the rows
+    as columns keeps the rows at pivot columns: the choice an incremental
+    echelon fed the products and then the rows in order would make."""
+
+    def sieve(mat, rows, _d):
+        if not len(rows):
+            return rows
+        n = mat.shape[1]
+        pivots = np.array(pivot_columns(np.concatenate([mat, rows.T], axis=1), p), dtype=np.int64)
+        return rows[pivots[pivots >= n] - n]
+
+    return sieve
 
 
 def _candidate_rows(ring, shifts, vectors, d_max):
@@ -713,15 +722,16 @@ def minimal_module_generators(
     """Minimal homogeneous generating set of the span of `vectors` over the ring.
 
     Vectors of internal degree above `d_max` are dropped. The rest, reduced,
-    go through `_generator_stage` from their lowest degree to their highest;
-    the kept ones are returned in increasing degree, in input order within a
-    degree.
+    go through a `_stage` with the `_pivot_sieve`, from their lowest degree
+    to their highest; the kept ones are returned in increasing degree, in
+    input order within a degree.
     """
     shifts = tuple(shifts)
     reduced = [FreeModuleVector(tuple(map(ring.reduce, v.components)), shifts) for v in vectors]
     candidates = _candidate_rows(ring, shifts, reduced, d_max)
     step: dict[int, np.ndarray] = {}
-    for _ in _generator_stage(ring, shifts, candidates, max(candidates, default=0), step):
+    incoming = _by_degree(shifts, candidates)
+    for _ in _stage(ring, incoming, _pivot_sieve(ring.p), step, max(candidates, default=0)):
         pass
     return [vector_from_coords(ring, shifts, row, d) for d, mat in step.items() for row in mat]
 

@@ -55,8 +55,10 @@ class QuotientRing:
         self._var_stack: dict[int, np.ndarray] = {}
         self._var_copies: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
         self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # filtration._linear_numerator, keyed by the RREF rows of a linear ideal
+        # filtration._linear_numerator and quotient_by_linear_forms, keyed by
+        # the RREF rows of a linear ideal
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self.linear_eliminations: dict[tuple[tuple[int, ...], ...], LinearElimination] = {}
 
     @property
     def p(self) -> int:
@@ -594,11 +596,10 @@ def graded_piece_basis(obj, d: int):
 
 @dataclass(frozen=True)
 class LinearElimination:
-    """Change of presentation R -> R/(linear forms) by variable elimination."""
+    """Change of presentation R -> R/(linear forms) by variable elimination.
+    It holds no reference to R, which caches it."""
 
-    source: QuotientRing
     target: QuotientRing
-    kept_vars: tuple[int, ...]
     substitute: Callable[[Polynomial], Polynomial]
     inject: Callable[[Polynomial], Polynomial]
 
@@ -606,7 +607,11 @@ class LinearElimination:
 def quotient_by_linear_forms(
     ring: QuotientRing, rows: Sequence[Sequence[int]]
 ) -> LinearElimination:
-    """R/(span of linear forms) presented on the surviving variables."""
+    """R/(span of linear forms) presented on the surviving variables.
+
+    Cached on the ring, keyed by the RREF rows of the span, so one span given
+    in any basis gets one object (immutable, with pure closures).
+    """
     p = ring.p
     n = ring.nvars
     rows = list(rows)
@@ -614,7 +619,12 @@ def quotient_by_linear_forms(
         mat, pivots = rref(np.array(rows, dtype=np.int64).reshape(-1, n), p)
     else:
         mat, pivots = np.zeros((0, n), dtype=np.int64), []
+    key = tuple(tuple(int(c) for c in row) for row in mat)
+    cached = ring.linear_eliminations.get(key)
+    if cached is not None:
+        return cached
     free = tuple(c for c in range(n) if c not in pivots)
+    source_poly = ring.poly_ring
     target_poly = PolynomialRing(p, [ring.names[c] for c in free], ring.order.kind)
     pos_of = {c: i for i, c in enumerate(free)}
 
@@ -644,15 +654,16 @@ def quotient_by_linear_forms(
             for i, var in enumerate(free):
                 e[var] = m[i]
             d[tuple(e)] = c
-        return ring.poly_ring.from_dict(d)
+        return source_poly.from_dict(d)
 
     gens = []
     for g in ring.gb.generators:
         img = substitute(g)
         if not img.is_zero():
             gens.append(img)
-    target = make_ring(target_poly, gens)
-    return LinearElimination(ring, target, free, substitute, inject)
+    elim = LinearElimination(make_ring(target_poly, gens), substitute, inject)
+    ring.linear_eliminations[key] = elim
+    return elim
 
 
 def restrict_module_to_quotient(

@@ -2,29 +2,30 @@
 linear parts and graded-piece homology.
 
 The engine is exact linear algebra over F_p, one internal degree at a time,
-for all steps together. Each step is a stage that yields its degree-d map
-N_d to the next step's stage, as that stage's M_d. Step 1
-(`groebner._generator_stage`) sieves the presentation columns; each later
-step (`_syzygy_stage`) sieves the kernel K_d of M_d, the degree-d syzygies.
-Each yields (d, N_d, shifts), with the degrees of its generators so far, the
-target shifts of the next step's N_d. Both build N_d from N_{d-1} over their
-generators of degrees < d, so its columns span R_1 times the degree d-1
-part, and one elimination on N_d settles the graded Nakayama sieve; the new
-generators are then appended to N_d. So each step's degree map is built once
-and serves both its own sieve and the next kernel. Every entry of every
+for all steps together. Each step is a `groebner._stage`, chained so that
+the degree-d map N_d one stage yields is the next stage's M_d. A stage
+builds N_d from N_{d-1} over its generators of degrees < d, so its columns
+span R_1 times the degree d-1 part, and one elimination on N_d settles the
+graded Nakayama sieve; the new generators are then appended to N_d. So each
+step's degree map is built once and serves both its own sieve and the next
+kernel. The stages differ only in their sieve: step 1 keeps presentation
+columns (`groebner._pivot_sieve`), each later step rows of the kernel K_d
+of M_d, the degree-d syzygies (`_kernel_sieve`), and a map rebuilt for its
+ranks keeps every stored column (`_keep_all`). Every entry of every
 recorded differential is therefore trustworthy for internal degrees <=
 d_max, and minimality (entries in the maximal ideal) holds by construction.
 
-Only nonzero pieces cost work. A degree map with no rows or no columns is
-returned at once, and a syzygy stage whose M_d has no columns takes no
-kernel. A stage ends once its piece vanishes for good: R is generated in
-degree 1, so R_e = 0 gives R_{e+1} = 0, and a step all of whose generators
-have degree <= d has only zero pieces after a zero degree-d piece. Step 1
-ends there once no presentation column of a higher degree is left; a later
-step once the step before it has ended (so no generator can come).
-`resolve` stops when the last stage ends, and the ranks of the degrees it
-did not reach are 0. Over an Artinian ring the work is thus bounded by its
-socle degree, not by d_max; other rings run to d_max.
+Only nonzero pieces cost work. A stage builds no map before its first
+generator, a degree map with no rows or no columns is returned at once, and
+a kernel sieve whose M_d has no columns takes no kernel. A stage ends once
+its piece vanishes for good: R is generated in degree 1, so R_e = 0 gives
+R_{e+1} = 0, and a step all of whose generators have degree <= d has only
+zero pieces after a zero degree-d piece. Step 1 ends there once no
+presentation column of a higher degree is left; a later step once the step
+before it has ended (so no generator can come). `resolve` stops when the
+last stage ends, and the ranks of the degrees it did not reach are 0. Over
+an Artinian ring the work is thus bounded by its socle degree, not by
+d_max; other rings run to d_max.
 
 A differential is stored as the engine computes it: for each internal degree
 d, one int64 matrix whose rows are the step's degree-d generators as
@@ -33,15 +34,12 @@ order the sieve keeps them. `FreeModuleVector` columns are built from those
 rows only when `differential(i)` is asked for; Betti tables, linear parts
 and homology read the matrices.
 
-The rank of every degree-d map is recorded by the stages as they eliminate
-it, so homology never ranks a map of a resolution again: a syzygy stage
-takes the rank of its incoming M_d from rank-nullity on its kernel, and the
-rank of its own N_d from the pivots of its sieve plus the new generators,
-which are independent modulo the older columns. A linear part shares the
-blocks and ranks of every step whose entries are all linear. Only a map no
-syzygy stage eliminated (map 1 when i_max = 1, or a linear-part step that
-drops a nonzero entry) is rebuilt and ranked, once, on the first homology
-query.
+The rank of every degree-d map is recorded by the kernel sieves as they
+eliminate it, so homology never ranks a map of a resolution again. A linear
+part shares the blocks and ranks of every step whose entries are all
+linear. Only a map no kernel sieve eliminated (map 1 when i_max = 1, or a
+linear-part step that drops a nonzero entry) is rebuilt and ranked, once,
+on the first homology query.
 
 Over monomial rings the large degree maps are at most a few percent
 nonzero, so their eliminations (the sieve's `_last_entries` and the
@@ -56,10 +54,10 @@ import numpy as np
 
 from .groebner import (
     FreeModuleVector,
+    _by_degree,
     _candidate_rows,
-    _degree_maps,
-    _generator_stage,
-    _next_degree_map,
+    _pivot_sieve,
+    _stage,
     shift_runs,
     vector_from_coords,
 )
@@ -120,17 +118,16 @@ class FreeComplex:
     def map_ranks(self, i: int) -> np.ndarray:
         """Ranks of the degree-d maps of F_i -> F_{i-1}, laid out as `_ranks[i]`
         (fill-once cache). The ranks recorded when the complex was built are
-        returned as they are; a step without them is rebuilt by one
-        `_degree_maps` pass and ranked on the first call."""
+        returned as they are; a step without them is rebuilt by one `_stage`
+        that keeps every stored row and ranked on the first call. The maps it
+        does not yield have no rows or no columns."""
         ranks = self._ranks.get(i)
         if ranks is None:
             lo = min(self.free_shifts[0])
             ranks = self._ranks[i] = np.zeros(max(self.d_max + 1 - lo, 0), dtype=np.int64)
-            rows = [row for mat in self.blocks[i - 1].values() for row in mat]
-            if rows:
-                target, source = self.free_shifts[i - 1], self.free_shifts[i]
-                for d, mat in _degree_maps(self.ring, target, source, rows, self.d_max):
-                    ranks[d - lo] = rank(mat, self.ring.p)
+            incoming = _by_degree(self.free_shifts[i - 1], self.blocks[i - 1])
+            for d, _gens, mat in _stage(self.ring, incoming, _keep_all, {}, self.d_max):
+                ranks[d - lo] = rank(mat, self.ring.p)
         return ranks
 
 
@@ -188,10 +185,12 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     lo = min(module.shifts)
     ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
     blocks: list[dict[int, np.ndarray]] = [{}]
-    maps = _generator_stage(ring, module.shifts, candidates, d_max, blocks[0])
+    incoming = _by_degree(module.shifts, candidates)
+    maps = _stage(ring, incoming, _pivot_sieve(ring.p), blocks[0], d_max)
     for i in range(2, i_max + 1):
         blocks.append({})
-        maps = _syzygy_stage(ring, maps, blocks[-1], ranks[i - 2], ranks[i - 1], lo, d_max)
+        sieve = _kernel_sieve(ring.p, ranks[i - 2], ranks[i - 1], lo)
+        maps = _stage(ring, maps, sieve, blocks[-1], d_max)
     # the last stage ends after every other; the ranks it did not reach are
     # those of maps between zero pieces
     for _ in maps:
@@ -225,22 +224,10 @@ def _coordinate_shifts(ring, shifts, d):
     return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
 
 
-def _syzygy_stage(ring, maps, step, in_ranks, own_ranks, lo, d_last):
-    """One syzygy step of the resolution, run degree by degree up to d_last.
-
-    `maps` yields (d, M_d, target) for consecutive d: M_d is the degree-d map
-    of the step before and target the degrees of that step's generators so
-    far, the target shifts of N_d. The new minimal generators of each degree
-    are basis rows of K_d = ker M_d, put in `step[d]` as they are found. The
-    stage yields (d, N_d, shifts), its own degree-d map and its generator
-    degrees so far, from the degree of its first generator on: the next
-    stage's M_d and target.
-
-    N_d is built from N_{d-1} before the sieve, over the generators of
-    degrees < d; by induction its columns span R_1 * K_{d-1}, so the sieve
-    takes no products of its own. The new generators are then appended to
-    N_d as its generator columns. At the yield the stage holds N_d and
-    nothing else of degree d.
+def _kernel_sieve(p, in_ranks, own_ranks, lo):
+    """The sieve of a syzygy step: its x is M_d, the degree-d map of the step
+    before, and the new generators are basis rows of K_d = ker M_d that lie
+    outside R_1 * K_{d-1} (the columns of N_d) plus the rows before them.
 
     `in_ranks[d - lo]` gets the rank of M_d, its column count less dim K_d,
     and `own_ranks[d - lo]` the rank of N_d: the pivots of the sieve's
@@ -250,49 +237,30 @@ def _syzygy_stage(ring, maps, step, in_ranks, own_ranks, lo, d_last):
     equal numbers. Where M_d has no columns (the step before has a zero
     degree-d piece) there is no kernel, no new generator and no elimination,
     and both ranks stay 0.
-
-    Once `maps` has ended, the step before has only zero pieces left (see
-    `_generator_stage`), so no generator comes any more. The stage goes on
-    building N_d until it has no columns: every generator has degree <= d,
-    and R_e = 0 gives R_{e+1} = 0, so every later piece of this step is zero
-    too.
     """
-    shifts: tuple[int, ...] = ()
-    prev = None
-    d = d_last
-    for d, mat, target in maps:
-        if shifts:
-            prev = _next_degree_map(ring, target, shifts, prev, d)
-        else:
-            # no generator yet: N_d has no columns, one row per column of M_d
-            prev = np.zeros((mat.shape[1], 0), dtype=np.int64)
-        # F_{i-1,d} = 0 (M_d has no columns): no kernel, no new generator,
-        # and both ranks are 0
-        if mat.shape[1]:
-            spanned = _last_entries(prev, ring.p)
-            basis = nullspace(mat, ring.p)
-            in_ranks[d - lo] = mat.shape[1] - len(basis)
-            del mat
-            # Row k of the rref kernel basis is 1 at its free column F_k and
-            # zero at the other free columns and after F_k. So it lies in
-            # R_1 * K_{d-1} plus the rows before it exactly when F_k is the
-            # last nonzero entry of a vector of R_1 * K_{d-1}: the choice an
-            # incremental echelon fed the products and then the rows in order
-            # would make.
-            free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
-            new = basis[~spanned[free]]
-            del basis
-            if len(new):
-                step[d] = new
-                shifts += (d,) * len(new)
-                prev = np.concatenate([prev, new.T], axis=1)
-            own_ranks[d - lo] = spanned.sum() + len(new)
-        if shifts:
-            yield d, prev, shifts
-    while shifts and prev.shape[1] and d < d_last:
-        d += 1
-        prev = _next_degree_map(ring, target, shifts, prev, d)
-        yield d, prev, shifts
+
+    def sieve(mat, x, d):
+        if not x.shape[1]:
+            return x[:0]
+        spanned = _last_entries(mat, p)
+        basis = nullspace(x, p)
+        in_ranks[d - lo] = x.shape[1] - len(basis)
+        # Row k of the rref kernel basis is 1 at its free column F_k and zero
+        # at the other free columns and after F_k. So it lies in R_1 * K_{d-1}
+        # plus the rows before it exactly when F_k is the last nonzero entry
+        # of a vector of R_1 * K_{d-1}: the choice an incremental echelon fed
+        # the products and then the rows in order would make.
+        free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+        new = basis[~spanned[free]]
+        own_ranks[d - lo] = spanned.sum() + len(new)
+        return new
+
+    return sieve
+
+
+def _keep_all(_mat, rows, _d):
+    """The sieve of a rebuilt step: every stored row is a generator."""
+    return rows
 
 
 def _last_entries(vectors, p):

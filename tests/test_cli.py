@@ -185,6 +185,20 @@ def test_filtration_all_linear(write_doc, capsys):
     assert code2 == 3  # precondition: not a Fitzgerald ring
 
 
+def test_filtration_all_linear_honours_the_budget(write_doc, capsys):
+    # the Fitzgerald precondition is checked within --budget: 5,113 forms at
+    # p = 71 pass a budget of 20,000 but not the default 1,000, and 13 forms
+    # at p = 3 fail a budget of 10
+    fitz71 = "ring char=71 vars=x,y,z\nideal x^2; y^2; z^2; x*y\n"
+    code, out, _ = run(capsys, ["filtration", "all-linear", write_doc(fitz71), "--budget", "20000"])
+    assert code == 0 and "10228 members" in out
+    code2, out2, err2 = run(capsys, ["filtration", "all-linear", write_doc(fitz71)])
+    assert code2 == 2 and out2 == "" and "5113 projective forms exceed the budget of 1000" in err2
+    fitz3 = "ring char=3 vars=x,y,z\nideal x^2; y^2; z^2; x*y\n"
+    code3, _, err3 = run(capsys, ["filtration", "all-linear", write_doc(fitz3), "--budget", "10"])
+    assert code3 == 2 and "13 projective forms exceed the budget of 10" in err3
+
+
 def test_flag_search_exit_codes(write_doc, capsys):
     code, out, _ = run(capsys, ["flag", "search", write_doc(CRV2), "--budget", "200"])
     assert code == 1

@@ -169,6 +169,23 @@ def test_quotient_by_linear_forms(ci2):
     assert elim2.target.dim_piece(0) == 1 and elim2.target.dim_piece(1) == 0
 
 
+def test_linear_elimination_is_cached_by_span(fitz3):
+    # one span given in different bases (scaled, mixed, with a dependent and
+    # a zero row) gets one object; another span gets another
+    p = fitz3.p
+    elim = quotient_by_linear_forms(fitz3, [(1, 0, 0), (0, 1, 0)])
+    for rows in (
+        [(0, 1, 0), (1, 0, 0)],
+        [(2, 0, 0), (1, 1, 0)],
+        [(1, 1, 0), (1, 2, 0), (2, 2, 0), (0, 0, 0)],
+        [(p - 1, 0, 0), (0, p + 1, 0)],
+    ):
+        assert quotient_by_linear_forms(fitz3, rows) is elim, rows
+    assert quotient_by_linear_forms(fitz3, [(1, 0, 1), (0, 1, 0)]) is not elim
+    assert quotient_by_linear_forms(fitz3, []) is quotient_by_linear_forms(fitz3, [(0, 0, 0)])
+    assert elim.target.names == ("z",)
+
+
 def test_restrict_module_along_elimination(ci2):
     x, y = ci2.poly_ring.gens()
     m = make_module(ci2, (0,), [[x]])

@@ -12,8 +12,10 @@ import hypothesis.strategies as st
 from koszulkit.arith import polynomial_ring
 from koszulkit.groebner import (
     FreeModuleVector,
+    _by_degree,
     _candidate_rows,
-    _generator_stage,
+    _pivot_sieve,
+    _stage,
     coords_of_vector,
     minimal_module_generators,
     normal_form,
@@ -33,7 +35,8 @@ import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank
 from koszulkit.resolution import (
-    _degree_maps,
+    _keep_all,
+    _shifts,
     betti_table,
     homology_dims,
     linear_part,
@@ -228,13 +231,17 @@ def _reference_degree_map(ring, target_shifts, source_shifts, columns, d):
     return np.stack(blocks, axis=1)
 
 
-def _degree_map(ring, target_shifts, source_shifts, rows, d):
-    """The degree-d matrix of `_degree_maps` (no columns below the lowest
-    source shift)."""
-    mat = np.zeros((sum(ring.dim_piece(d - t) for t in target_shifts), 0), dtype=np.int64)
-    for _d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d):
-        pass
-    return mat
+def _stage_maps(ring, target_shifts, source_shifts, rows, d_last):
+    """{d: N_d} of the shipped `_stage` that keeps every row, run up to d_last:
+    rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
+    piece of the target free module, and the source shifts are sorted. The
+    degree maps it does not yield have no columns."""
+    assert list(source_shifts) == sorted(source_shifts)
+    by_degree = {}
+    for row, s in zip(rows, source_shifts):
+        by_degree.setdefault(s, []).append(row)
+    incoming = _by_degree(tuple(target_shifts), {d: np.array(r) for d, r in by_degree.items()})
+    return {d: mat for d, _gens, mat in _stage(ring, incoming, _keep_all, {}, d_last)}
 
 
 _MAP_RINGS = {
@@ -269,7 +276,8 @@ def _map_ring(name, p, rng):
 def _random_columns(ring, rng):
     """Graded columns between free modules with mixed shifts; some are zero."""
     target = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
-    source = tuple(rng.randint(min(target), max(target) + 2) for _ in range(rng.randint(1, 4)))
+    n_source = rng.randint(1, 4)
+    source = tuple(sorted(rng.randint(min(target), max(target) + 2) for _ in range(n_source)))
     columns = []
     for s in source:
         comps = []
@@ -301,14 +309,16 @@ def test_degree_map_matches_per_monomial_reference(ring_name, p, seed):
                 cases.append((cx.free_shifts[i - 1], cx.free_shifts[i], cx.differential(i)))
     for target, source, columns in cases:
         rows = [coords_of_vector(ring, target, c.components, s) for c, s in zip(columns, source)]
-        maps = dict(_degree_maps(ring, target, source, rows, d_max))
-        assert sorted(maps) == list(range(min(source), d_max + 1))
+        maps = _stage_maps(ring, target, source, rows, d_max)
+        # every degree from the lowest source shift on, at least to the highest
+        assert list(maps) == list(range(min(source), max(max(maps), max(source)) + 1))
         for d in range(min(source) - 1, d_max + 1):
             want = _reference_degree_map(ring, target, source, columns, d)
-            got = _degree_map(ring, target, source, rows, d)
-            assert got.shape == want.shape and np.array_equal(got, want), (target, source, d)
             if d in maps:
-                assert np.array_equal(maps[d], want)
+                assert np.array_equal(maps[d], want), (target, source, d)
+            else:
+                # below the lowest shift, or past the last nonzero piece
+                assert not want.shape[1], (target, source, d)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2147483647])
@@ -347,7 +357,7 @@ def test_colliding_products_are_added_not_copied(p):
     for i in range(1, len(res.steps) + 1):
         target, source, columns = res.free_shifts[i - 1], res.free_shifts[i], res.differential(i)
         rows = _stored_rows(res, i)
-        for d, mat in _degree_maps(ring, target, source, rows, 4) if rows else ():
+        for d, mat in _stage_maps(ring, target, source, rows, 4).items():
             checked += 1
             assert np.array_equal(mat, _reference_degree_map(ring, target, source, columns, d))
     assert checked
@@ -462,16 +472,16 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
     candidates = _candidate_rows(ring, shifts, reduced, d_max)
     assert (not candidates) == (not by_degree)
     step = {}
-    yielded = list(_generator_stage(ring, shifts, candidates, d_max, step))
+    yielded = list(_stage(ring, _by_degree(shifts, candidates), _pivot_sieve(p), step, d_max))
     got = [(d, row) for d, mat in step.items() for row in mat]
     assert [d for d, _row in got] == [d for d, _w, _row in want]
     for (_d, row), (_e, _w, ref) in zip(got, want):
         assert np.array_equal(row, ref)
     kept_shifts = tuple(d for d, _w, _r in want)
     kept = [w for _d, w, _r in want]
-    degrees = [d for d, _mat, _gens in yielded]
+    degrees = [d for d, _gens, _mat in yielded]
     assert degrees == list(range(min(kept_shifts, default=d_max + 1), max(degrees, default=d_max) + 1))
-    for d, mat, gens in yielded:
+    for d, gens, mat in yielded:
         assert gens == tuple(s for s in kept_shifts if s <= d), d
         assert np.array_equal(mat, _reference_degree_map(ring, shifts, kept_shifts, kept, d)), d
     for d in range(max(degrees, default=d_max) + 1, d_max + 1):
@@ -505,10 +515,8 @@ def _reference_syzygy_step(ring, target_shifts, source_shifts, rows, d_max):
     """New minimal syzygies of the columns with coordinate rows `rows`, step by
     step: each degree map's kernel, sieved by `nakayama_sieve` against the
     products R_1 * K_{d-1}. Returns (d, coordinate row) pairs."""
-    kernels = (
-        (d, nullspace(mat, ring.p))
-        for d, mat in _degree_maps(ring, target_shifts, source_shifts, rows, d_max)
-    )
+    maps = _stage_maps(ring, target_shifts, source_shifts, rows, d_max)
+    kernels = ((d, nullspace(mat, ring.p)) for d, mat in maps.items())
     return [(d, row) for d, _i, row in nakayama_sieve(ring, source_shifts, kernels)]
 
 
@@ -526,8 +534,12 @@ def _assert_steps_match_reference(res):
         for (d, row), (_d, ref) in zip(got, want):
             assert np.array_equal(row, ref), (i, d)
         if prev:
-            maps = _degree_maps(ring, target, source, prev, res.d_max)
-            empty += sum(1 for _d, mat in maps if not len(nullspace(mat, ring.p)))
+            maps = _stage_maps(ring, target, source, prev, res.d_max)
+            empty += sum(
+                1
+                for d in range(min(source), res.d_max + 1)
+                if d not in maps or not len(nullspace(maps[d], ring.p))
+            )
     return empty
 
 
@@ -577,10 +589,8 @@ def _reference_homology(cx, i, d):
     ring = cx.ring
 
     def map_rank(k):
-        rows = _stored_rows(cx, k)
-        if not rows:
-            return 0
-        return rank(_degree_map(ring, cx.free_shifts[k - 1], cx.free_shifts[k], rows, d), ring.p)
+        maps = _stage_maps(ring, cx.free_shifts[k - 1], cx.free_shifts[k], _stored_rows(cx, k), d)
+        return rank(maps[d], ring.p) if d in maps else 0
 
     ker = sum(ring.dim_piece(d - s) for s in cx.free_shifts[i])
     if i >= 1:
@@ -621,15 +631,14 @@ def test_coordinate_steps_match_columns_linear_part_and_homology(ring_name, p, s
 
 
 def _rebuilt_ranks(cx, i):
-    """Rank of every degree-d map of step i, from the rebuilt `_degree_maps`, at
-    index d - (lowest shift of F_0) for d up to d_max."""
+    """Rank of every degree-d map of step i, from the maps `_stage_maps`
+    rebuilds out of the stored rows, at index d - (lowest shift of F_0) for d
+    up to d_max."""
     lo = min(cx.free_shifts[0])
     ranks = np.zeros(cx.d_max + 1 - lo, dtype=np.int64)
-    rows = _stored_rows(cx, i)
-    if rows:
-        target, source = cx.free_shifts[i - 1], cx.free_shifts[i]
-        for d, mat in _degree_maps(cx.ring, target, source, rows, cx.d_max):
-            ranks[d - lo] = rank(mat, cx.ring.p)
+    target, source = cx.free_shifts[i - 1], cx.free_shifts[i]
+    for d, mat in _stage_maps(cx.ring, target, source, _stored_rows(cx, i), cx.d_max).items():
+        ranks[d - lo] = rank(mat, cx.ring.p)
     return ranks
 
 
@@ -710,7 +719,6 @@ def test_stages_end_when_their_pieces_vanish(monkeypatch):
         return build(ring, target_shifts, source_shifts, prev, d)
 
     monkeypatch.setattr(groebner_mod, "_next_degree_map", counted)
-    monkeypatch.setattr(resolution_mod, "_next_degree_map", counted)
     tables = []
     for d_max in (12, 40):
         calls.clear()
@@ -718,6 +726,33 @@ def test_stages_end_when_their_pieces_vanish(monkeypatch):
         assert max(calls) == 8
     assert tables[0] == tables[1]
     assert tables[0][0] == {(i, i): i + 1 for i in range(6)}
+
+
+def test_stages_build_no_map_before_their_first_generator(monkeypatch):
+    # a stage with no generator yet makes its degree map, with no columns,
+    # itself: every step of a resolution, minimal generators and rebuilt maps
+    sources = []
+    build = groebner_mod._next_degree_map
+
+    def counted(ring, target_shifts, source_shifts, prev, d):
+        sources.append(source_shifts)
+        return build(ring, target_shifts, source_shifts, prev, d)
+
+    monkeypatch.setattr(groebner_mod, "_next_degree_map", counted)
+    for name in sorted(_MAP_RINGS):
+        ring = _map_ring(name, 32003, random.Random(0))
+        x = ring.poly_ring.gen(0)
+        zero = ring.poly_ring.zero()
+        # F_1 = R(-1) + R(-4): step 2 and later start before step 1's
+        # second generator comes
+        late = make_module(ring, (0, 3), [[x, zero], [zero, x]])
+        for module in (residue_field_module(ring), random_module(ring, 2, 2, 7), late):
+            res = resolve(module, 4, 6)
+            for cx in (res, linear_part(res)):
+                for i in range(cx.length_computed()):
+                    homology_dims(cx, i, 4)
+            minimal_module_generators(ring, res.free_shifts[1], res.differential(2))
+    assert sources and all(sources)
 
 
 def test_stages_run_past_zero_pieces_before_new_generators():
@@ -747,14 +782,12 @@ def _dropped_steps(res, lin):
 
 def test_resolution_builds_columns_only_on_request(ci2, monkeypatch):
     built, maps, ranked = [], [], []
-    real_vector, real_maps = resolution_mod.vector_from_coords, resolution_mod._degree_maps
+    real_vector, real_stage = resolution_mod.vector_from_coords, resolution_mod._stage
     real_rank = resolution_mod.rank
     monkeypatch.setattr(
         resolution_mod, "vector_from_coords", lambda *a: built.append(a) or real_vector(*a)
     )
-    monkeypatch.setattr(
-        resolution_mod, "_degree_maps", lambda *a: maps.append(a) or real_maps(*a)
-    )
+    monkeypatch.setattr(resolution_mod, "_stage", lambda *a: maps.append(a) or real_stage(*a))
     monkeypatch.setattr(resolution_mod, "rank", lambda *a: ranked.append(a) or real_rank(*a))
     dropped_any = kept_any = False
     # seed 5: every step of the linear part is the resolution's own; seed 4:
@@ -778,13 +811,15 @@ def test_resolution_builds_columns_only_on_request(ci2, monkeypatch):
         for i in range(res.length_computed()):
             for d in range(7):
                 homology_dims(lin, i, d)
-        assert [a[2] for a in maps] == rebuilt
+        # a rebuild keeps every stored row: its generator degrees are F_i's
+        assert all(a[2] is _keep_all for a in maps)
+        assert [_shifts(a[3]) for a in maps] == rebuilt
         dropped_any |= bool(rebuilt)
         kept_any |= len(rebuilt) < res.length_computed()
         # the verdict may stop at a witness before it reaches the last step
         maps.clear()
         koszul_verdict(m, 4, 6, method="linear-part-acyclic")
-        assert [a[2] for a in maps] == rebuilt[: len(maps)]
+        assert [_shifts(a[3]) for a in maps] == rebuilt[: len(maps)]
         assert built == []
     assert dropped_any and kept_any
     cols = res.differential(2)
