@@ -279,11 +279,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def leading_term(self) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
-
     def constant_coefficient(self) -> int:
         for m, c in self.terms:
             if mono_degree(m) == 0:
@@ -355,17 +350,6 @@ class Polynomial:
         for _ in range(e):
             out = out * self
         return out
-
-    def mul_monomial(self, m: Monomial, c: int = 1) -> "Polynomial":
-        p = self.ring.p
-        c = c % p
-        if c == 0:
-            return self.ring.zero()
-        # multiplication by a monomial preserves the term order
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(t, m), (k * c) % p) for t, k in self.terms),
-        )
 
     # -- comparison / display
 

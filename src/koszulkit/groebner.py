@@ -1,11 +1,11 @@
 """Groebner bases and module machinery over F_p[x_1..x_n].
 
 One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
-for submodules of shifted free modules, with a degree-ordered S-pair queue (so
-graded computations can be truncated soundly); an ideal runs on them as a
-submodule of the free module of rank 1 (`buchberger`, `normal_form`). Syzygy
-generators via tagged elimination; a colon ideal J : (g_1..g_k) is one such
-elimination, of the column (g_1..g_k) modulo (J + I_R) in every position.
+for submodules of shifted free modules, with a degree-ordered S-pair queue;
+every basis runs to completion. An ideal runs on them as a submodule of the
+free module of rank 1 (`buchberger`, `normal_form`). Syzygy generators via
+tagged elimination; a colon ideal J : (g_1..g_k) is one such elimination,
+of the column (g_1..g_k) modulo (J + I_R) in every position.
 
 Graded pieces of free modules are coordinate vectors over F_p. One stage
 loop (`_stage`) runs every degree-by-degree computation on them: it builds
@@ -53,20 +53,6 @@ class GroebnerBasis:
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return self.order == other.order and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.generators))
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.generators)
@@ -144,17 +130,13 @@ def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
 
 
 def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    *,
-    max_degree: int | None = None,
+    gens: Sequence[Polynomial], order: MonomialOrder | None = None
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    S-pairs are processed in increasing lcm degree, so with homogeneous input
-    and `max_degree` set, the result contains exactly the elements of degree
-    <= max_degree of the full reduced basis. Output is independent of the
-    input order (reduced bases are unique for a fixed monomial order).
+    `module_buchberger` on the gens as elements of the free module of rank 1,
+    then `_interreduce`. Output is independent of the input order (reduced
+    bases are unique for a fixed monomial order).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -169,13 +151,8 @@ def buchberger(
         raise ValueError("order does not match the generators' ring order")
 
     okey = ring.order.key
-    basis = module_buchberger(
-        [_melt_from_components((g,)) for g in gens],
-        lambda pm: okey(pm[1]),
-        ring.p,
-        shifts=(0,),
-        max_degree=max_degree,
-    )
+    elements = [_melt_from_components((g,)) for g in gens]
+    basis = module_buchberger(elements, lambda pm: okey(pm[1]), ring.p, (0,))
     gb = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
     return GroebnerBasis(tuple(gb), ring.order)
 
@@ -266,11 +243,6 @@ def _melt_lt(elt: ModElt, key: ModKey) -> tuple[tuple[int, Monomial], int]:
     return pm, elt[pm]
 
 
-def _melt_degree(elt: ModElt, shifts: Sequence[int]) -> int:
-    pos, m = next(iter(elt))
-    return shifts[pos] + mono_degree(m)
-
-
 def _melt_axpy(a: ModElt, b: ModElt, u: Monomial, c: int, p: int) -> ModElt:
     """a - c * u * b (in place on a copy)."""
     out = dict(a)
@@ -352,22 +324,17 @@ def module_buchberger(
     elements: Sequence[ModElt],
     key: ModKey,
     p: int,
-    *,
-    shifts: Sequence[int] | None = None,
-    max_degree: int | None = None,
+    shifts: Sequence[int],
 ) -> list[ModElt]:
-    """Groebner basis of the submodule generated by `elements`.
+    """Groebner basis of the submodule generated by `elements`, run to
+    completion.
 
-    S-pairs are processed in increasing degree and skipped by the chain
-    criterion, and by Buchberger's first criterion (coprime leading monomials)
-    when both elements lie in a single position: it holds for f*e_k, g*e_k,
-    not for general module elements. With `max_degree` and graded input the
-    result is the full basis in internal degrees <= max_degree; inputs above
-    it are dropped.
+    S-pairs are processed in increasing degree (the lcm's degree plus the
+    shift of its position) and skipped by the chain criterion, and by
+    Buchberger's first criterion (coprime leading monomials) when both
+    elements lie in a single position: it holds for f*e_k, g*e_k, not for
+    general module elements.
     """
-    if max_degree is not None and shifts is None:
-        raise ValueError("degree truncation needs the shift vector")
-
     basis: list[ModElt] = []
     # the leading term of each (monic) basis element, as `_melt_reduce` takes them
     leads: list[tuple] = []
@@ -383,11 +350,8 @@ def module_buchberger(
 
     for e in elements:
         e = {k: v % p for k, v in e.items() if v % p}
-        if not e:
-            continue
-        if max_degree is not None and _melt_degree(e, shifts) > max_degree:
-            continue
-        append(e)
+        if e:
+            append(e)
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
@@ -401,9 +365,7 @@ def module_buchberger(
             if pi != pj:
                 continue
             lcm = mono_lcm(mi, mj)
-            deg = mono_degree(lcm) + (shifts[pi] if shifts is not None else 0)
-            if max_degree is not None and deg > max_degree:
-                continue
+            deg = mono_degree(lcm) + shifts[pi]
             counter += 1
             heapq.heappush(heap, (deg, key((pi, lcm)), counter, i, j))
             pending.add((i, j))
@@ -456,15 +418,14 @@ def syzygies_over_poly_ring(
     columns: Sequence[Sequence[Polynomial]],
     target_shifts: Sequence[int],
     extra_relations: Sequence[Sequence[Polynomial]] = (),
-    *,
-    max_degree: int | None = None,
-) -> list[tuple[tuple[Polynomial, ...], int]]:
+) -> list[tuple[Polynomial, ...]]:
     """Syzygies of `columns` modulo `extra_relations` over the polynomial ring.
 
     Tagged elimination: each column i is extended by a tag e_i, the extra
     relations get zero tags, and a position-over-term basis is computed in
     which the target block dominates. Basis elements with zero target block
-    are exactly the syzygy generators. Returns (tag components, degree) pairs.
+    are exactly the syzygy generators; their tag components are returned.
+    The columns must be graded: tag e_i has the degree of column i.
     """
     if not columns:
         return []
@@ -491,18 +452,12 @@ def syzygies_over_poly_ring(
         elements.append(_melt_from_components(comps))
 
     key = pot_elim_key(r, ring.order)
-    basis = module_buchberger(
-        elements, key, ring.p, shifts=shifts, max_degree=max_degree
-    )
-    out = []
-    for elt in basis:
-        if any(pos < r for (pos, _m) in elt):
-            continue
-        tag = {(pos - r, mono): c for (pos, mono), c in elt.items()}
-        comps = _melt_to_components(tag, m, ring)
-        degs = {q.degree() + col_degs[i] for i, q in enumerate(comps) if not q.is_zero()}
-        out.append((comps, degs.pop()))
-    return out
+    basis = module_buchberger(elements, key, ring.p, shifts)
+    return [
+        _melt_to_components({(pos - r, mono): c for (pos, mono), c in elt.items()}, m, ring)
+        for elt in basis
+        if all(pos >= r for (pos, _m) in elt)
+    ]
 
 
 # ----------------------------------------------- graded pieces of free modules
@@ -700,35 +655,30 @@ def _pivot_sieve(p):
     return sieve
 
 
-def _candidate_rows(ring, shifts, vectors, d_max):
+def _candidate_rows(ring, shifts, vectors):
     """{d: int64 matrix whose rows are the coordinate vectors of the
-    `vectors` of internal degree d}, in input order, for d <= d_max (None:
-    every d). The vectors' components must be reduced; zero vectors are
-    dropped."""
+    `vectors` of internal degree d}, in input order. The vectors' components
+    must be reduced; zero vectors are dropped."""
     rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
         d = v.internal_degree()
-        if d is not None and (d_max is None or d <= d_max):
+        if d is not None:
             rows.setdefault(d, []).append(coords_of_vector(ring, shifts, v.components, d))
     return {d: np.array(r) for d, r in rows.items()}
 
 
 def minimal_module_generators(
-    ring,
-    shifts: Sequence[int],
-    vectors: Sequence[FreeModuleVector],
-    d_max: int | None = None,
+    ring, shifts: Sequence[int], vectors: Sequence[FreeModuleVector]
 ) -> list[FreeModuleVector]:
     """Minimal homogeneous generating set of the span of `vectors` over the ring.
 
-    Vectors of internal degree above `d_max` are dropped. The rest, reduced,
-    go through a `_stage` with the `_pivot_sieve`, from their lowest degree
-    to their highest; the kept ones are returned in increasing degree, in
-    input order within a degree.
+    The vectors, reduced, go through a `_stage` with the `_pivot_sieve`, from
+    their lowest degree to their highest; the kept ones are returned in
+    increasing degree, in input order within a degree.
     """
     shifts = tuple(shifts)
     reduced = [FreeModuleVector(tuple(map(ring.reduce, v.components)), shifts) for v in vectors]
-    candidates = _candidate_rows(ring, shifts, reduced, d_max)
+    candidates = _candidate_rows(ring, shifts, reduced)
     step: dict[int, np.ndarray] = {}
     incoming = _by_degree(shifts, candidates)
     for _ in _stage(ring, incoming, _pivot_sieve(ring.p), step, max(candidates, default=0)):
@@ -739,16 +689,12 @@ def minimal_module_generators(
 # ------------------------------------------------------------ public ops
 
 
-def syzygy_basis(
-    vectors: Sequence[FreeModuleVector],
-    ring,
-    *,
-    max_degree: int | None = None,
-) -> list[FreeModuleVector]:
+def syzygy_basis(vectors: Sequence[FreeModuleVector], ring) -> list[FreeModuleVector]:
     """Minimal generating set of {(a_i) : sum a_i v_i = 0 in the quotient ring}.
 
-    Includes the syzygies induced by the ring's defining relations. With
-    `max_degree`, complete in internal degrees <= max_degree.
+    The syzygies over the polynomial ring of the columns modulo the ring's
+    defining relations in every position (`syzygies_over_poly_ring`), then
+    `minimal_module_generators` of them over the ring.
     """
     if not vectors:
         return []
@@ -765,13 +711,11 @@ def syzygy_basis(
             rel = [ring.poly_ring.zero()] * len(shifts)
             rel[pos] = g
             relations.append(tuple(rel))
-    raw = syzygies_over_poly_ring(
-        columns, shifts, relations, max_degree=max_degree
-    )
+    raw = syzygies_over_poly_ring(columns, shifts, relations)
     col_degs = tuple(v.internal_degree() or 0 for v in vectors)
     # minimal_module_generators reduces the syzygies and drops the zero ones
-    out = [FreeModuleVector(comps, col_degs) for comps, _deg in raw]
-    minimal = minimal_module_generators(ring, col_degs, out, d_max=max_degree)
+    out = [FreeModuleVector(comps, col_degs) for comps in raw]
+    minimal = minimal_module_generators(ring, col_degs, out)
     minimal.sort(key=lambda v: (v.internal_degree(), str(v)))
     return minimal
 
@@ -806,7 +750,7 @@ def colon_ideal(
     raw = syzygies_over_poly_ring(
         [tuple(column)], tuple(-g.degree() for g in column), relations
     )
-    tags = [comps[0] for comps, _deg in raw if not comps[0].is_zero()]
+    tags = [comps[0] for comps in raw if not comps[0].is_zero()]
     return buchberger(tags + list(ring.gb.generators), poly_ring.order)
 
 

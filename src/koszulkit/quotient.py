@@ -423,9 +423,6 @@ class GradedModule:
     def is_zero(self) -> bool:
         return self.rank == 0
 
-    def is_free(self) -> bool:
-        return not self.columns
-
     def generation_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.shifts)))
 
@@ -452,7 +449,7 @@ class GradedModule:
                 comps[pos] = g
                 elements.append(_melt_from_components(comps))
         key = top_order_key(self.shifts, ring.poly_ring.order)
-        self._pres_gb = module_buchberger(elements, key, ring.p, shifts=self.shifts)
+        self._pres_gb = module_buchberger(elements, key, ring.p, self.shifts)
         lts: list[list[Monomial]] = [[] for _ in range(self.rank)]
         for elt in self._pres_gb:
             (pos, m), _ = _melt_lt(elt, key)
@@ -709,6 +706,5 @@ def scaled_submodule(
             rel = [zero] * module.rank
             rel[pos] = g
             extra.append(tuple(rel))
-    raw = syzygies_over_poly_ring(columns, module.shifts, extra)
-    rel_cols = [comps for comps, _ in raw]
+    rel_cols = syzygies_over_poly_ring(columns, module.shifts, extra)
     return make_module(ring, tuple(gen_shifts), rel_cols)

@@ -38,7 +38,7 @@ def test_parse_module():
 
 def test_parse_empty_row_is_free_module():
     doc = parse_input(CI2_TEXT + "module name=F shifts=0\n[ ]\n")
-    assert doc.modules["F"].module.is_free()
+    assert not doc.modules["F"].module.columns
 
 
 def test_nonhomogeneous_diagnostic_position():

@@ -105,7 +105,7 @@ def test_hilbert_requires_positive_degree(ci2):
 
 def test_free_module(ci2):
     m = free_module(ci2, (0,))
-    assert m.is_free() and m.rank == 1
+    assert not m.columns and m.rank == 1
     assert m.dim_piece(1) == 2
 
 
@@ -192,7 +192,7 @@ def test_restrict_module_along_elimination(ci2):
     elim = quotient_by_linear_forms(ci2, [(1, 0)])
     restricted = restrict_module_to_quotient(m, elim)
     assert restricted.ring is elim.target
-    assert restricted.is_free()  # R/(x) is free of rank 1 over k[y]/(y^2)
+    assert not restricted.columns  # R/(x) is free of rank 1 over k[y]/(y^2)
 
 
 def test_scaled_submodule_is_maximal_ideal(ci2):

@@ -455,10 +455,12 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
     # at d_max = 8 the pieces over the _ARTINIAN rings vanish before d_max
     d_max = rng.choice((4, 8))
     shifts, vectors = _stage_inputs(ring, rng, d_max)
+    # the columns above d_max are left out here, as `resolve` leaves them out
+    vectors = [v for v in vectors if (v.internal_degree() or 0) <= d_max]
     reduced = [FreeModuleVector(tuple(ring.reduce(c) for c in v.components), shifts) for v in vectors]
     by_degree = {}
     for w in reduced:
-        if not w.is_zero() and w.internal_degree() <= d_max:
+        if not w.is_zero():
             by_degree.setdefault(w.internal_degree(), []).append(w)
     want = []
     if by_degree:
@@ -467,9 +469,9 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
             for d in range(min(by_degree), max(by_degree) + 1)
         )
         want = [(d, by_degree[d][i], row) for d, i, row in nakayama_sieve(ring, shifts, pieces)]
-    assert minimal_module_generators(ring, shifts, vectors, d_max) == [w for _d, w, _r in want]
+    assert minimal_module_generators(ring, shifts, vectors) == [w for _d, w, _r in want]
     # the stage's input columns are reduced, as `make_module` stores them
-    candidates = _candidate_rows(ring, shifts, reduced, d_max)
+    candidates = _candidate_rows(ring, shifts, reduced)
     assert (not candidates) == (not by_degree)
     step = {}
     yielded = list(_stage(ring, _by_degree(shifts, candidates), _pivot_sieve(p), step, d_max))
@@ -709,7 +711,10 @@ def test_recorded_ranks_edge_cases(ci2):
 
 def test_stages_end_when_their_pieces_vanish(monkeypatch):
     # over ci2 (R_3 = 0) F_i = R(-i)^(i+1) has no piece from degree i + 3 on,
-    # so the stages of k's resolution end by degree 8, whatever d_max is
+    # so the stages of k's resolution end by degree 8, whatever d_max is;
+    # the last stage (step 5) builds no map past the last degree its sieve
+    # sees, degree 7, where F_4 has no piece any more, so no map of degree 8
+    # is built
     ring = _map_ring("ci2", 32003, random.Random(0))
     calls = []
     build = groebner_mod._next_degree_map
@@ -723,9 +728,25 @@ def test_stages_end_when_their_pieces_vanish(monkeypatch):
     for d_max in (12, 40):
         calls.clear()
         tables.append((resolve(residue_field_module(ring), 5, d_max).betti().entries, len(calls)))
-        assert max(calls) == 8
+        assert max(calls) == 7
     assert tables[0] == tables[1]
     assert tables[0][0] == {(i, i): i + 1 for i in range(6)}
+
+
+def test_last_stage_builds_no_map_past_its_sieve(mm1, monkeypatch):
+    # with i_max = 1 step 1 is the last stage: its sieve sees only degree 1,
+    # where k's presentation columns lie, and no later map is read
+    calls = []
+    build = groebner_mod._next_degree_map
+
+    def counted(ring, target_shifts, source_shifts, prev, d):
+        calls.append(d)
+        return build(ring, target_shifts, source_shifts, prev, d)
+
+    monkeypatch.setattr(groebner_mod, "_next_degree_map", counted)
+    res = resolve(residue_field_module(mm1), 1, 10)
+    assert res.betti().entries == {(0, 0): 1, (1, 1): mm1.nvars}
+    assert all(d <= 1 for d in calls), calls
 
 
 def test_stages_build_no_map_before_their_first_generator(monkeypatch):
