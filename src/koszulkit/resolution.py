@@ -17,10 +17,11 @@ d_max, and minimality (entries in the maximal ideal) holds by construction.
 
 Only nonzero pieces cost work. A stage builds no map before its first
 generator, a degree map with no rows or no columns is returned at once, and
-a kernel sieve whose M_d has no columns takes no kernel. A stage ends once
-its piece vanishes for good: R is generated in degree 1, so R_e = 0 gives
-R_{e+1} = 0, and a step all of whose generators have degree <= d has only
-zero pieces after a zero degree-d piece. Step 1 ends there once no
+a kernel sieve takes no kernel where M_d has no columns or where the
+recorded rank of M_d shows that N_d already spans its kernel. A stage ends
+once its piece vanishes for good: R is generated in degree 1, so R_e = 0
+gives R_{e+1} = 0, and a step all of whose generators have degree <= d has
+only zero pieces after a zero degree-d piece. Step 1 ends there once no
 presentation column of a higher degree is left; a later step once the step
 before it has ended (so no generator can come). The last step ends with the
 last degree its sieve sees: no stage reads the maps it would build after
@@ -35,12 +36,17 @@ order the sieve keeps them. `FreeModuleVector` columns are built from those
 rows only when `differential(i)` is asked for; Betti tables, linear parts
 and homology read the matrices.
 
-The rank of every degree-d map is recorded by the kernel sieves as they
-eliminate it, so homology never ranks a map of a resolution again. A linear
-part shares the blocks and ranks of every step whose entries are all
-linear. Only a map no kernel sieve eliminated (map 1 when i_max = 1, or a
-linear-part step that drops a nonzero entry) is rebuilt and ranked, once,
-on the first homology query.
+The rank of every degree-d map is recorded while the resolution is built,
+so homology never ranks a map of a resolution again. It comes from the
+stage that built the map, whose kernel sieve counts the rank of N_d from
+its elimination and its new generators, or from the next stage's kernel of
+it. Map 1 is built by step 1, whose sieve records no rank, so step 2 takes
+a kernel of it in every degree where it is nonzero; a later stage reads the
+rank its predecessor recorded and takes a kernel only in the degrees where
+that rank leaves room for a new generator. A linear part shares the blocks
+and ranks of every step whose entries are all linear. Only a map no kernel
+sieve ranked (map 1 when i_max = 1, or a linear-part step that drops a
+nonzero entry) is rebuilt and ranked, once, on the first homology query.
 
 Over monomial rings the large degree maps are at most a few percent
 nonzero, so their eliminations (the sieve's `_last_entries` and the
@@ -240,12 +246,26 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo):
     equal numbers. Where M_d has no columns (the step before has a zero
     degree-d piece) there is no kernel, no new generator and no elimination,
     and both ranks stay 0.
+
+    The kernel is taken only where a generator may be born. The recorded
+    `in_ranks[d - lo]` never exceeds rank M_d: from step 3 on the sieve
+    before wrote it as its own rank, of this very matrix, and where nothing
+    wrote it (step 2, after the `_pivot_sieve`, and the tail maps a stage
+    builds after its `incoming` has ended, which have no rows) it is 0. And
+    R_1 * K_{d-1} lies in K_d, so rank N_d <= dim K_d <= cols - recorded.
+    When the two ends are equal, the recorded rank is the true one and K_d
+    is the span of N_d: there is no new generator, and rank N_d is the
+    count of its last entries.
     """
 
     def sieve(mat, x, d):
         if not x.shape[1]:
             return x[:0]
         spanned = _last_entries(mat, p)
+        if x.shape[1] - in_ranks[d - lo] == spanned.sum():
+            # N_d spans K_d
+            own_ranks[d - lo] = spanned.sum()
+            return x[:0]
         basis = nullspace(x, p)
         in_ranks[d - lo] = x.shape[1] - len(basis)
         # Row k of the rref kernel basis is 1 at its free column F_k and zero

@@ -709,6 +709,96 @@ def test_recorded_ranks_edge_cases(ci2):
     assert _assert_recorded_ranks(resolve(residue_field_module(ring4), 5, 6)) == [3, 4, 5]
 
 
+def _reference_kernel_sieve(p, in_ranks, own_ranks, lo):
+    """`resolution._kernel_sieve` without the recorded-rank test: a kernel
+    basis of M_d at every degree where M_d has columns, sieved against the
+    last entries of R_1 * K_{d-1}."""
+
+    def sieve(mat, x, d):
+        if not x.shape[1]:
+            return x[:0]
+        spanned = resolution_mod._last_entries(mat, p)
+        basis = nullspace(x, p)
+        in_ranks[d - lo] = x.shape[1] - len(basis)
+        free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+        new = basis[~spanned[free]]
+        own_ranks[d - lo] = spanned.sum() + len(new)
+        return new
+
+    return sieve
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAP_RINGS) + ["quadrics"]),
+    st.sampled_from([2, 3, 32003, 2147483647]),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+)
+def test_kernel_sieve_matches_the_sieve_that_ranks_every_map(ring_name, p, i_max, seed):
+    # the shipped sieve skips the kernel where the recorded rank of M_d and
+    # R_1 * K_{d-1} leave no room for a generator; the reference takes it
+    # everywhere: the same rows, shifts and ranks in both
+    rng = random.Random(seed)
+    ring = _map_ring(ring_name, p, rng)
+    d_max = rng.randint(2, 9 if ring_name in _ARTINIAN else 5)
+    rank_, degree = rng.randint(1, 2), rng.randint(1, 2)
+    for make in (residue_field_module, lambda r: random_module(r, rank_, degree, seed)):
+        res = resolve(make(ring), i_max, d_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution_mod, "_kernel_sieve", _reference_kernel_sieve)
+            ref = resolve(make(ring), i_max, d_max)
+        assert res.free_shifts == ref.free_shifts
+        for got, want in zip(res.blocks, ref.blocks, strict=True):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[d], want[d]) for d in got)
+        assert sorted(res._ranks) == sorted(ref._ranks)
+        assert all(np.array_equal(res._ranks[i], ref._ranks[i]) for i in res._ranks)
+        _assert_recorded_ranks(res)
+
+
+def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, monkeypatch):
+    # from step 3 on, a kernel sieve reads the rank of M_d that the sieve
+    # before it recorded; where R_1 * K_{d-1} already has dim K_d no kernel
+    # is taken. Step 2 has no recorded rank (step 1 keeps presentation
+    # columns) and takes a kernel wherever M_d is nonzero.
+    kernels = []  # (step, d, new generators) of every kernel taken
+    steps = []
+    taken = []
+    kernel_basis = resolution_mod.nullspace
+    make_sieve = resolution_mod._kernel_sieve
+
+    def counted(x, p):
+        taken.append(x.shape)
+        return kernel_basis(x, p)
+
+    def traced_sieve(p, in_ranks, own_ranks, lo):
+        step = len(steps) + 2
+        steps.append(step)
+        inner = make_sieve(p, in_ranks, own_ranks, lo)
+
+        def sieve(mat, x, d):
+            before = len(taken)
+            new = inner(mat, x, d)
+            if len(taken) > before:
+                kernels.append((step, d, len(new)))
+            return new
+
+        return sieve
+
+    monkeypatch.setattr(resolution_mod, "nullspace", counted)
+    monkeypatch.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
+    counts = []
+    for ring, bounds in ((ci2, (5, 8)), (crv26, (6, 8))):
+        kernels.clear()
+        steps.clear()
+        resolve(residue_field_module(ring), *bounds)
+        counts.append(len(kernels))
+        assert all(new for step, _d, new in kernels if step >= 3), kernels
+    # the sieve that takes every kernel makes 12 and 30 calls
+    assert counts == [5, 12]
+
+
 def test_stages_end_when_their_pieces_vanish(monkeypatch):
     # over ci2 (R_3 = 0) F_i = R(-i)^(i+1) has no piece from degree i + 3 on,
     # so the stages of k's resolution end by degree 8, whatever d_max is;
