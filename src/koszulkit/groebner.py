@@ -9,10 +9,10 @@ of the column (g_1..g_k) modulo (J + I_R) in every position.
 
 Graded pieces of free modules are coordinate vectors over F_p. One stage
 loop (`_stage`) runs every degree-by-degree computation on them: it builds
-the degree-d map of its generators from the degree d-1 map
-(`_next_degree_map`), with no normal form taken, and a sieve picks the new
-generators of degree d. `_pivot_sieve`, the graded Nakayama sieve of given
-vectors, serves minimal generators and step 1 of a resolution;
+the degree-d map of its generators, as a `linalg.Nonzeros`, from the degree
+d-1 map (`_next_degree_map`), with no normal form taken, and a sieve picks
+the new generators of degree d. `_pivot_sieve`, the graded Nakayama sieve
+of given vectors, serves minimal generators and step 1 of a resolution;
 `koszulkit.resolution` adds the kernel sieve of its syzygy steps and a
 keep-all sieve that rebuilds the maps of a complex.
 
@@ -42,7 +42,7 @@ from .arith import (
     mono_mul,
     mono_quotient,
 )
-from .linalg import matmul_mod, pivot_columns
+from .linalg import Nonzeros, pivot_columns
 
 # ---------------------------------------------------------------- ideals
 
@@ -463,8 +463,10 @@ def syzygies_over_poly_ring(
 # ----------------------------------------------- graded pieces of free modules
 #
 # `ring` is a quotient ring object exposing piece(d), coords(f, d),
-# reduce(f), dim_piece(d), var_multiplication(v, d), var_copies(v, d),
-# first_variable_splits(d), poly_ring, nvars, p.
+# reduce(f), dim_piece(d), free_columns(shifts, d),
+# free_times_variables(shifts, d), poly_ring, nvars, p.
+
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def coords_of_vector(
@@ -502,87 +504,60 @@ def shift_runs(ring, shifts: Sequence[int], d: int) -> list[tuple[int, int, int,
     ]
 
 
-def variable_rows(ring, runs, d: int, var: int):
-    """Multiplication by x_var from degree-d to degree-(d+1) coordinates of the
-    free module with the block layout `runs` (`shift_runs` at d), split by
-    run: (source, target, products).
-
-    Where the block of a run is a copy (`QuotientRing.var_copies`), x_var
-    moves coordinate source[k] unchanged to coordinate target[k]. `products`
-    lists (row, prev_row, m, block) for every other nonzero block: the m
-    stacked pieces from coordinate prev_row on, times the
-    `var_multiplication` matrix `block`, give the coordinates from row on.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    source, target, products = [empty], [empty], []
-    row = prev_row = 0
-    for s, m, low, high in runs:
-        if low and high:
-            copies = ring.var_copies(var, d - s)
-            if copies is None:
-                products.append((row, prev_row, m, ring.var_multiplication(var, d - s)))
-            else:
-                k = np.arange(m)[:, None]
-                source.append((prev_row + low * k + copies[0]).ravel())
-                target.append((row + high * k + copies[1]).ravel())
-        row += m * high
-        prev_row += m * low
-    return np.concatenate(source), np.concatenate(target), products
-
-
 def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     """The degree-d map (a_j) -> sum a_j * col_j of graded columns col_j of
     degrees source_shifts[j] (sorted), from the degree d-1 map `prev`, with
-    the generator columns (j, 1), source_shifts[j] == d, left zero.
+    the generator columns (j, 1), source_shifts[j] == d, left zero. Both maps
+    are `Nonzeros` with entries reduced mod p, sorted by column and then row.
 
     Rows: the degree-d basis of the target free module. Columns: (j, u) with
     u a standard monomial of degree d - source_shifts[j].
 
     Column (j, u), with x_v the first variable of u, is x_v times column
-    (j, u / x_v) of `prev`, split by target block as `variable_rows` splits
-    it. Where multiplication by x_v on a block is a partial permutation with
-    entries 1 (`QuotientRing.var_copies`; every block of a monomial ring is
-    one), its rows are copied, with no product and no reduction mod p: the
-    rows of all copy blocks of x_v are one 2-D gather of `prev`. Each other
-    block is one stacked product with the cached
-    `QuotientRing.var_multiplication` matrix. `prev` is unused when no
-    source shift is below d. The block layouts of both free modules are
-    looked up once here, for every variable. A map with no rows or no columns
-    is returned at once.
+    (j, u / x_v) of `prev` (`QuotientRing.free_columns`). All of them are
+    one sparse product: each nonzero entry of `prev` in such a column goes
+    through the nonzero entries of x_v on the target
+    (`QuotientRing.free_times_variables`), the products are reduced mod p,
+    and the products at one coordinate are added mod p. Both layouts are
+    cached on the ring. A map with no rows or no columns is returned at once.
     """
-    target = shift_runs(ring, target_shifts, d - 1)
-    source = shift_runs(ring, source_shifts, d - 1)
-    nrows = sum(m * high for _s, m, _low, high in target)
-    mat = np.zeros((nrows, sum(m * high for _s, m, _low, high in source)), dtype=np.int64)
-    if not mat.size:
-        return mat
-    # every column (j, u) with deg u >= 1: the first variable of u, its index
-    # in mat and the index in prev of the column it is x_v times
-    empty = np.zeros(0, dtype=np.int64)
-    first, cols, prev_cols = [empty], [empty], [empty]
-    col = prev_col = 0
-    for s, m, low, high in source:
-        if low and high:
-            v, k = ring.first_variable_splits(d - s)
-            first.append(np.tile(v, m))
-            cols.append(col + np.arange(m * high))
-            prev_cols.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
-        col += m * high
-        prev_col += m * low
-    first, cols, prev_cols = map(np.concatenate, (first, cols, prev_cols))
-    for v in range(ring.nvars):
-        sel = first == v
-        if sel.any():
-            dst, src = cols[sel], prev_cols[sel]
-            copy_src, copy_dst, products = variable_rows(ring, target, d - 1, v)
-            mat[copy_dst[:, None], dst] = prev[copy_src[:, None], src]
-            for row, prev_row, m, block in products:
-                high, low = block.shape
-                stack = prev[prev_row : prev_row + m * low, src].reshape(m, low, len(src))
-                mat[row : row + m * high, dst] = matmul_mod(block, stack, ring.p).reshape(
-                    m * high, len(src)
-                )
-    return mat
+    ncols, first, cols, lower = ring.free_columns(source_shifts, d)
+    nrows = ring.free_columns(target_shifts, d)[0]
+    if not (nrows and ncols and len(prev.values)):
+        return Nonzeros((nrows, ncols), _EMPTY, _EMPTY, _EMPTY)
+    start, count, times_rows, times_values = ring.free_times_variables(target_shifts, d - 1)
+    # the entries of prev in column lower[k], each to be multiplied by
+    # x_v, v = first[k], into column cols[k]
+    lo = prev.cols.searchsorted(lower)
+    n = prev.cols.searchsorted(lower, "right") - lo
+    at = _ranges(lo, n)
+    col = cols.repeat(n)
+    key = first.repeat(n) * prev.shape[0] + prev.rows[at]
+    value = prev.values[at]
+    # each through the entries of x_v at its row: two entries in [1, p) make
+    # a product below p^2 < 2^62, nonzero mod the prime p
+    n = count[key]
+    at = _ranges(start[key], n)
+    value = value.repeat(n) * times_values[at] % ring.p
+    flat = col.repeat(n) * nrows + times_rows[at]
+    order = flat.argsort(kind="stable")
+    flat, value = flat[order], value[order]
+    meets = flat[1:] == flat[:-1]
+    if meets.any():
+        # products at one coordinate: fewer than 2^32 addends below 2^31
+        # each, whose sum mod p may be zero
+        at = np.flatnonzero(np.concatenate(([True], ~meets)))
+        value = np.add.reduceat(value, at) % ring.p
+        flat = flat[at][value != 0]
+        value = value[value != 0]
+    out_cols, out_rows = np.divmod(flat, nrows)
+    return Nonzeros((nrows, ncols), out_rows, out_cols, value)
+
+
+def _ranges(starts, counts):
+    """The ranges starts[k], ..., starts[k] + counts[k] - 1, concatenated."""
+    offsets = counts.cumsum() - counts
+    return (starts - offsets).repeat(counts) + np.arange(counts.sum())
 
 
 def _stage(ring, incoming, sieve, step, d_last):
@@ -593,12 +568,12 @@ def _stage(ring, incoming, sieve, step, d_last):
     `incoming` yields (d, target, x) for consecutive d, where target are the
     shifts of the free module N_d maps into and x.shape[1] the dimension of
     its degree-d piece (an x with no rows, which brings no generator, may
-    have no columns either). At each d the stage builds N_d over its
-    generators of degrees < d (`_next_degree_map` from N_{d-1}; with no
-    generator yet, a matrix with no columns), so the columns of N_d span R_1
-    times the degree d-1 part of the span. `sieve(N_d, x, d)` returns the
-    rows of the new degree-d generators; they go to `step[d]` and are
-    appended to N_d as its generator columns. The stage then yields
+    have no columns either). At each d the stage builds N_d, a `Nonzeros`,
+    over its generators of degrees < d (`_next_degree_map` from N_{d-1};
+    with no generator yet, a matrix with no columns), so the columns of N_d
+    span R_1 times the degree d-1 part of the span. `sieve(N_d, x, d)`
+    returns the rows of the new degree-d generators; they go to `step[d]`
+    and are appended to N_d as its generator columns. The stage then yields
     (d, gens, N_d), with gens the degrees of its generators so far: the
     (d, target, x) of the next step's stage.
 
@@ -612,12 +587,12 @@ def _stage(ring, incoming, sieve, step, d_last):
         if gens:
             mat = _next_degree_map(ring, target, gens, mat, d)
         else:
-            mat = np.zeros((x.shape[1], 0), dtype=np.int64)
+            mat = Nonzeros((x.shape[1], 0), _EMPTY, _EMPTY, _EMPTY)
         new = sieve(mat, x, d)
         if len(new):
             step[d] = new
             gens += (d,) * len(new)
-            mat = np.concatenate([mat, new.T], axis=1)
+            mat = mat.append_columns(new)
         if gens:
             yield d, gens, mat
     while gens and mat.shape[1] and d < d_last:
@@ -649,7 +624,7 @@ def _pivot_sieve(p):
         if not len(rows):
             return rows
         n = mat.shape[1]
-        pivots = np.array(pivot_columns(np.concatenate([mat, rows.T], axis=1), p), dtype=np.int64)
+        pivots = np.array(pivot_columns(mat.append_columns(rows), p), dtype=np.int64)
         return rows[pivots[pivots >= n] - n]
 
     return sieve

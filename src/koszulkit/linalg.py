@@ -12,8 +12,11 @@ No code of the package uses the incremental `Echelon`: it serves only the
 tests, as the reference the sieves are checked against, and the
 benchmark's span recorder, which counts its calls.
 
-`rref` and `pivot_columns` eliminate on one of three paths, chosen from the
-matrix alone, by gates taken in this order. A matrix of at most
+`rref`, `pivot_columns`, `rank` and `nullspace` take a matrix as an int64
+array or as its `Nonzeros`: its shape and nonzero entries, the form in
+which the resolution engine keeps its degree maps. They eliminate on one
+of three paths, chosen from the shape and the count of nonzero entries
+alone, by gates taken in this order. A matrix of at most
 `_SMALL_MAX_ENTRIES` entries goes to `_small_echelon`, which keeps its rows
 as Python lists; the certificate checks and most syzygy steps of the
 theorem suites make thousands of such matrices, whose cost on the other
@@ -24,14 +27,56 @@ nonzero entries; the degree maps of resolutions over monomial rings are such
 matrices. Both reduce entries mod p and combine them in Python ints. Every
 other matrix goes to `_dense_echelon`, the int64 loop whose single products
 stay below 2^62 as said above; it is the fastest where the matrix is large
-and many entries are nonzero. All three take the columns left to right and
-make every pivot 1, and the pivot columns and the rref of a matrix are
-unique, so the three paths give identical results.
+and many entries are nonzero. A `Nonzeros` is made into an array only for
+the small and dense paths, and an array is scanned for its nonzeros only
+where its size admits the sparse path. All three take the columns left to
+right and make every pivot 1, and the pivot columns and the rref of a matrix
+are unique, so the three paths, and the two forms, give identical results.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class Nonzeros:
+    """The matrix of the given shape whose only nonzero entries are values[k]
+    at (rows[k], cols[k]), the index pairs distinct. The entries of a map
+    built by the resolution engine are reduced mod p and sorted by column,
+    then by row; `linalg` itself needs neither. Not to be changed once
+    made."""
+
+    __slots__ = ("shape", "rows", "cols", "values")
+
+    def __init__(
+        self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ):
+        self.shape = shape
+        self.rows = rows
+        self.cols = cols
+        self.values = values
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape, dtype=np.int64)
+        a[self.rows, self.cols] = self.values
+        return a
+
+    def append_columns(self, columns: np.ndarray) -> "Nonzeros":
+        """This matrix followed by the rows of the array `columns` as its last
+        columns."""
+        new, rows = np.nonzero(columns)
+        values = columns[new, rows]
+        new += self.shape[1]
+        return Nonzeros(
+            (self.shape[0], self.shape[1] + len(columns)),
+            np.concatenate((self.rows, rows)),
+            np.concatenate((self.cols, new)),
+            np.concatenate((self.values, values)),
+        )
 
 
 def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
@@ -68,12 +113,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(a: np.ndarray | Nonzeros, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix without zero rows, pivot columns)."""
     return _echelon(a, p, reduced=True)
 
 
-def pivot_columns(a: np.ndarray, p: int) -> list[int]:
+def pivot_columns(a: np.ndarray | Nonzeros, p: int) -> list[int]:
     """The pivot columns of `a` (those of its rref), found by elimination below
     the pivots only."""
     return _echelon(a, p, reduced=False)[1]
@@ -109,23 +154,40 @@ _SMALL_MAX_ENTRIES = 100
 def _echelon(a, p, reduced):
     """(rref without zero rows, pivot columns) of `a` with `reduced`, and
     (None, pivot columns) without, by the path the module docstring names."""
-    a = np.asarray(a, dtype=np.int64)
+    if isinstance(a, Nonzeros):
+        if a.size > _SMALL_MAX_ENTRIES and _takes_sparse(a.size, len(a.values)):
+            return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
+        a = a.toarray()
+    else:
+        a = np.asarray(a, dtype=np.int64)
+        if a.size <= _SMALL_MAX_ENTRIES:
+            return _small_echelon(a, p, reduced)
+        nonzeros = _sparse_nonzeros(a)
+        if nonzeros is not None:
+            rows, cols = nonzeros
+            return _sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
+        # the dense path overwrites its input
+        a = a.copy(order="C")
     if a.size <= _SMALL_MAX_ENTRIES:
         return _small_echelon(a, p, reduced)
-    nonzeros = _sparse_nonzeros(a)
-    if nonzeros is None:
-        return _dense_echelon(a, p, reduced)
-    rows, cols = nonzeros
-    return _sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
+    return _dense_echelon(a, p, reduced)
+
+
+def _takes_sparse(size, nonzero_count):
+    """The sparse gate: whether a matrix of more than `_SMALL_MAX_ENTRIES`
+    entries, `size` in all and `nonzero_count` of them nonzero, takes the
+    sparse path."""
+    return size >= _SPARSE_MIN_ENTRIES and nonzero_count <= _SPARSE_MAX_DENSITY * size
 
 
 def _sparse_nonzeros(a):
-    """The (row, column) index arrays of the nonzero entries of `a` when it
-    takes the sparse path, else None."""
+    """The (row, column) index arrays of the nonzero entries of the array `a`
+    when it takes the sparse path, else None; a matrix too small for it is
+    not scanned."""
     if a.size < _SPARSE_MIN_ENTRIES:
         return None
     flat = np.flatnonzero(a.ravel() != 0)
-    if len(flat) > _SPARSE_MAX_DENSITY * a.size:
+    if not _takes_sparse(a.size, len(flat)):
         return None
     return np.divmod(flat, a.shape[1])
 
@@ -169,9 +231,10 @@ def _small_echelon(a, p, reduced):
 
 
 def _dense_echelon(a, p, reduced):
-    """`_echelon` on a dense copy of `a`: row echelon form with monic pivots,
-    and with `reduced` every pivot column also cleared above its pivot."""
-    a = np.mod(a, p, order="C")
+    """`_echelon` of `a`, a C-contiguous int64 array that it overwrites: row
+    echelon form with monic pivots, and with `reduced` every pivot column
+    also cleared above its pivot."""
+    np.mod(a, p, out=a)
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -277,13 +340,13 @@ def _sparse_echelon(shape, rows, cols, values, p, reduced):
     return out, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
+def rank(a: np.ndarray | Nonzeros, p: int) -> int:
     if a.size == 0:
         return 0
     return len(pivot_columns(a, p))
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
+def nullspace(a: np.ndarray | Nonzeros, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
     ncols = a.shape[1]
     r, pivots = rref(a, p)

@@ -27,8 +27,10 @@ from .groebner import (
     buchberger,
     module_buchberger,
     normal_form,
+    shift_runs,
     syzygies_over_poly_ring,
     top_order_key,
+    _EMPTY,
     _melt_from_components,
     _melt_lt,
 )
@@ -39,8 +41,9 @@ class QuotientRing:
     """Presentation of a standard graded algebra F_p[x_1..x_n]/I.
 
     Immutable after construction; piece bases, monomial normal forms,
-    variable multiplication matrices, their copy maps and first-variable
-    splits are cached lazily (fill-once, so concurrent readers are safe).
+    variable multiplication matrices, first-variable splits and the layouts
+    of degree maps between free modules are cached lazily (fill-once, so
+    concurrent readers are safe).
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -53,8 +56,10 @@ class QuotientRing:
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._var_mult: dict[tuple[int, int], np.ndarray] = {}
         self._var_stack: dict[int, np.ndarray] = {}
-        self._var_copies: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
         self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # free_columns and free_times_variables, keyed by (shifts, d)
+        self._free_columns: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self._free_times_variables: dict[tuple[tuple[int, ...], int], tuple] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
         # the RREF rows of a linear ideal
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
@@ -172,29 +177,6 @@ class QuotientRing:
             self._var_stack[d] = got
         return got
 
-    def var_copies(self, var: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(source, target) index arrays when multiplication by x_var from R_d
-        to R_{d+1} is a partial permutation: every nonzero column of
-        `var_multiplication(var, d)` is a unit vector with entry 1 and no two
-        of them share a row, so x_var moves coordinate source[k] unchanged to
-        coordinate target[k]. None otherwise, for instance when two products
-        have the same normal form and their coefficients must be added."""
-        key = (var, d)
-        if key in self._var_copies:
-            return self._var_copies[key]
-        mat = self.var_multiplication(var, d)
-        nonzero = mat != 0
-        got = None
-        if (
-            (mat[nonzero] == 1).all()
-            and (nonzero.sum(axis=0) <= 1).all()
-            and (nonzero.sum(axis=1) <= 1).all()
-        ):
-            target, source = nonzero.nonzero()
-            got = source, target
-        self._var_copies[key] = got
-        return got
-
     def first_variable_splits(self, e: int) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
         order: x_v is the first variable of u and k the index of u / x_v in the
@@ -210,6 +192,69 @@ class QuotientRing:
             lower.append(index[u[:v] + (u[v] - 1,) + u[v + 1 :]])
         got = np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
         self._first_var_splits[e] = got
+        return got
+
+    def free_columns(
+        self, shifts: tuple[int, ...], d: int
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The degree-d piece of the free module with the given shifts, whose
+        coordinates are (j, u) for u in the basis of R_{d - shifts[j]}, in
+        order: (its dimension, first, cols, lower), where for each coordinate
+        cols[k] with deg u >= 1, x_v with v = first[k] is the first variable
+        of u and lower[k] is the coordinate (j, u / x_v) of the degree d-1
+        piece. Fill-once cache."""
+        key = (shifts, d)
+        got = self._free_columns.get(key)
+        if got is not None:
+            return got
+        first, cols, lower = [_EMPTY], [_EMPTY], [_EMPTY]
+        col = prev_col = 0
+        for s, m, low, high in shift_runs(self, shifts, d - 1):
+            if low and high:
+                v, k = self.first_variable_splits(d - s)
+                first.append(np.tile(v, m))
+                cols.append(col + np.arange(m * high))
+                lower.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
+            col += m * high
+            prev_col += m * low
+        got = (col, *map(np.concatenate, (first, cols, lower)))
+        self._free_columns[key] = got
+        return got
+
+    def free_times_variables(
+        self, shifts: tuple[int, ...], d: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Multiplication by each variable from the degree-d to the
+        degree-(d+1) piece of the free module with the given shifts, as the
+        nonzero entries of the `var_multiplication` blocks: (start, count,
+        rows, values), where x_v sends coordinate k to values[i] at
+        coordinate rows[i] for the count[key] indices i from start[key] on,
+        key = v * dim + k with dim the dimension of the degree-d piece, rows
+        increasing. Fill-once cache."""
+        key = (shifts, d)
+        got = self._free_times_variables.get(key)
+        if got is not None:
+            return got
+        runs = shift_runs(self, shifts, d)
+        dim = sum(m * low for _s, m, low, _high in runs)
+        # built in order of v, then k, then row: keys come sorted
+        keys, rows, values = [_EMPTY], [_EMPTY], [_EMPTY]
+        for v in range(self.nvars):
+            row, col = 0, v * dim
+            for s, m, low, high in runs:
+                if low and high:
+                    block = self.var_multiplication(v, d - s)
+                    k, i = np.nonzero(block.T)
+                    copy = np.arange(m)[:, None]
+                    keys.append((col + low * copy + k).ravel())
+                    rows.append((row + high * copy + i).ravel())
+                    values.append(np.tile(block[i, k], m))
+                row += m * high
+                col += m * low
+        keys, rows, values = map(np.concatenate, (keys, rows, values))
+        start = keys.searchsorted(np.arange(self.nvars * dim + 1))
+        got = (start[:-1], np.diff(start), rows, values)
+        self._free_times_variables[key] = got
         return got
 
     def hilbert_series(self, expand_to: int) -> "HilbertSeries":

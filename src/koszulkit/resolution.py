@@ -29,12 +29,15 @@ that. `resolve` stops when the last stage ends, and the ranks of the degrees
 it did not reach are 0. Over an Artinian ring the work is thus bounded by
 its socle degree, not by d_max; other rings run to d_max.
 
-A differential is stored as the engine computes it: for each internal degree
-d, one int64 matrix whose rows are the step's degree-d generators as
-coordinate vectors of the degree-d piece of the target free module, in the
-order the sieve keeps them. `FreeModuleVector` columns are built from those
-rows only when `differential(i)` is asked for; Betti tables, linear parts
-and homology read the matrices.
+The degree maps N_d are sparse: each is a `linalg.Nonzeros`, its shape
+and nonzero entries, built from the nonzeros of N_{d-1} and handed as such
+to every elimination. A differential is stored dense, as the engine's
+sieves return it: for each internal degree d, one int64 matrix whose rows
+are the step's degree-d generators as coordinate vectors of the degree-d
+piece of the target free module, in the order the sieve keeps them.
+`FreeModuleVector` columns are built from those rows only when
+`differential(i)` is asked for; Betti tables, linear parts and homology
+read the matrices.
 
 The rank of every degree-d map is recorded while the resolution is built,
 so homology never ranks a map of a resolution again. It comes from the
@@ -50,7 +53,7 @@ nonzero entry) is rebuilt and ranked, once, on the first homology query.
 
 Over monomial rings the large degree maps are at most a few percent
 nonzero, so their eliminations (the sieve's `_last_entries` and the
-kernels) take the sparse path of `linalg`.
+kernels) take the sparse path of `linalg`, and no array of them is made.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import numpy as np
 
 from .groebner import (
     FreeModuleVector,
+    _NO_ROWS,
     _by_degree,
     _candidate_rows,
     _pivot_sieve,
@@ -68,7 +72,7 @@ from .groebner import (
     shift_runs,
     vector_from_coords,
 )
-from .linalg import _sparse_echelon, _sparse_nonzeros, nullspace, pivot_columns, rank
+from .linalg import Nonzeros, nullspace, pivot_columns, rank
 from .quotient import GradedModule, QuotientRing
 
 
@@ -260,12 +264,12 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo):
 
     def sieve(mat, x, d):
         if not x.shape[1]:
-            return x[:0]
+            return _NO_ROWS
         spanned = _last_entries(mat, p)
         if x.shape[1] - in_ranks[d - lo] == spanned.sum():
             # N_d spans K_d
             own_ranks[d - lo] = spanned.sum()
-            return x[:0]
+            return _NO_ROWS
         basis = nullspace(x, p)
         in_ranks[d - lo] = x.shape[1] - len(basis)
         # Row k of the rref kernel basis is 1 at its free column F_k and zero
@@ -288,29 +292,14 @@ def _keep_all(_mat, rows, _d):
 
 def _last_entries(vectors, p):
     """Mask of the coordinates that are the last nonzero entry of some vector
-    in the span of the columns of `vectors`: the pivot columns of the vectors
-    as rows, with the coordinates reversed. When `vectors` takes the sparse
-    path its nonzeros go to it with the roles swapped, and the reversed
-    transpose is never built.
-
-    This sparse call is kept on purpose: `pivot_columns(vectors[::-1].T, p)`
-    alone gives the same mask but scans and eliminates the strided view.
-    Measured on a 2-core machine over the 147 calls of one `resolve` bench
-    pass, that replacement took 0.031 -> 0.043 s of process time (+40%), and
-    still 0.022 -> 0.024 s (+8%) with `_sparse_nonzeros` testing `a != 0`
-    rather than a raveled copy; `resolve` `wall_s` rose 5% (0.1095 ->
-    0.1152 s, worse in 5 of 6 run pairs)."""
+    in the span of the columns of the `Nonzeros` `vectors`: the pivot columns
+    of the vectors as rows, with the coordinates reversed, whose nonzeros are
+    those of `vectors` with the roles swapped."""
     n, k = vectors.shape
     last = np.zeros(n, dtype=bool)
     if k:
-        nonzeros = _sparse_nonzeros(vectors)
-        if nonzeros is None:
-            pivots = pivot_columns(vectors[::-1].T, p)
-        else:
-            rows, cols = nonzeros
-            entries = vectors[rows, cols]
-            pivots = _sparse_echelon((k, n), cols, n - 1 - rows, entries, p, reduced=False)[1]
-        last[n - 1 - np.array(pivots, dtype=np.int64)] = True
+        reversed_rows = Nonzeros((k, n), vectors.cols, n - 1 - vectors.rows, vectors.values)
+        last[n - 1 - np.array(pivot_columns(reversed_rows, p), dtype=np.int64)] = True
     return last
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from koszulkit import linalg
-from koszulkit.linalg import Echelon, matmul_mod, nullspace, pivot_columns, rank, rref
+from koszulkit.linalg import Echelon, Nonzeros, matmul_mod, nullspace, pivot_columns, rank, rref
 from koszulkit.resolution import _last_entries
 from oracles import rank_mod_p
 
@@ -243,6 +243,12 @@ def _gate_matrices(draw):
     return p, a
 
 
+def _nonzeros(a):
+    """The `Nonzeros` of the array `a`, column by column, as they are."""
+    cols, rows = np.nonzero(a.T)
+    return Nonzeros(a.shape, rows, cols, a[rows, cols])
+
+
 # (_SMALL_MAX_ENTRIES, _SPARSE_MIN_ENTRIES, _SPARSE_MAX_DENSITY) that send
 # every matrix to one path
 _FORCED_PATHS = {
@@ -274,7 +280,7 @@ def test_sparse_and_dense_elimination_agree(inputs):
     p, a = inputs
     rows, cols = a.nonzero()
     for reduced in (True, False):
-        dense = linalg._dense_echelon(a, p, reduced)
+        dense = linalg._dense_echelon(a.copy(), p, reduced)
         sparse = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
         small = linalg._small_echelon(a, p, reduced)
         assert sparse[1] == dense[1] == small[1]
@@ -282,15 +288,21 @@ def test_sparse_and_dense_elimination_agree(inputs):
             assert sparse[0].tolist() == dense[0].tolist() == small[0].tolist()
             assert small[0].shape == (len(small[1]), a.shape[1])
     assert len(dense[1]) == rank_mod_p((a % p).tolist(), p)
-    # the public functions, on each path and through the default gate
-    for fn in (rref, pivot_columns, nullspace):
-        results = _all_paths(fn, a, p) + [fn(a, p)]
+    # the public functions, on each path and through the default gate, fed
+    # the array and its nonzeros (unreduced, as `a` has them)
+    nonzeros = _nonzeros(a)
+    assert nonzeros.toarray().tolist() == a.tolist()
+    for fn in (rref, pivot_columns, nullspace, rank):
+        results = []
+        for form in (a, nonzeros):
+            results += _all_paths(fn, form, p) + [fn(form, p)]
         if fn is rref:
             results = [(r.tolist(), piv) for r, piv in results]
         elif fn is nullspace:
             results = [r.tolist() for r in results]
         assert results[1:] == results[:-1]
-    last = [x.tolist() for x in _all_paths(_last_entries, a, p) + [_last_entries(a, p)]]
+    last = _all_paths(_last_entries, nonzeros, p) + [_last_entries(nonzeros, p)]
+    last = [x.tolist() for x in last]
     assert last[1:] == last[:-1]
     # the last nonzero entries of the column span are the pivots of the
     # reversed transpose
@@ -325,14 +337,20 @@ def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
         monkeypatch.setattr(linalg, name, counting(name))
     n = linalg._SMALL_MAX_ENTRIES
     assert n + 1 < linalg._SPARSE_MIN_ENTRIES
+    sparse = np.zeros((1, linalg._SPARSE_MIN_ENTRIES), dtype=np.int64)
+    sparse[0, 0] = 1
     for a, path in (
         (np.ones((1, n), dtype=np.int64), "_small_echelon"),
         (np.zeros((1, n), dtype=np.int64), "_small_echelon"),
         (np.zeros((0, 7), dtype=np.int64), "_small_echelon"),
         (np.ones((1, n + 1), dtype=np.int64), "_dense_echelon"),
         (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon"),
+        (sparse, "_sparse_echelon"),
+        (sparse + 1, "_dense_echelon"),
     ):
-        for fn in (rref, pivot_columns, nullspace):
-            taken.clear()
-            fn(a, 5)
-            assert taken == [path], (a.shape, fn.__name__)
+        # the nonzeros of a matrix take the path the matrix takes
+        for form in (a, _nonzeros(a)):
+            for fn in (rref, pivot_columns, nullspace):
+                taken.clear()
+                fn(form, 5)
+                assert taken == [path], (a.shape, fn.__name__, type(form))

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,6 @@ from koszulkit.groebner import (
     minimal_module_generators,
     normal_form,
     shift_runs,
-    variable_rows,
     vector_from_coords,
 )
 from koszulkit.quotient import (
@@ -232,7 +232,7 @@ def _reference_degree_map(ring, target_shifts, source_shifts, columns, d):
 
 
 def _stage_maps(ring, target_shifts, source_shifts, rows, d_last):
-    """{d: N_d} of the shipped `_stage` that keeps every row, run up to d_last:
+    """{d: N_d as an array} of the shipped `_stage` that keeps every row, run up to d_last:
     rows[j] is the coordinate vector of col_j in the degree-source_shifts[j]
     piece of the target free module, and the source shifts are sorted. The
     degree maps it does not yield have no columns."""
@@ -241,7 +241,20 @@ def _stage_maps(ring, target_shifts, source_shifts, rows, d_last):
     for row, s in zip(rows, source_shifts):
         by_degree.setdefault(s, []).append(row)
     incoming = _by_degree(tuple(target_shifts), {d: np.array(r) for d, r in by_degree.items()})
-    return {d: mat for d, _gens, mat in _stage(ring, incoming, _keep_all, {}, d_last)}
+    maps = _stage(ring, incoming, _keep_all, {}, d_last)
+    return {d: _as_array(mat, ring.p) for d, _gens, mat in maps}
+
+
+def _as_array(mat, p):
+    """The `Nonzeros` degree map `mat` as an array, once its entries are
+    checked to be nonzero, reduced mod p and sorted by column, then row."""
+    assert mat.rows.dtype == mat.cols.dtype == mat.values.dtype == np.int64
+    assert ((0 < mat.values) & (mat.values < p)).all()
+    flat = mat.cols * mat.shape[0] + mat.rows
+    assert (flat[1:] > flat[:-1]).all()
+    assert ((0 <= mat.rows) & (mat.rows < mat.shape[0])).all()
+    assert ((0 <= mat.cols) & (mat.cols < mat.shape[1])).all()
+    return mat.toarray()
 
 
 _MAP_RINGS = {
@@ -331,8 +344,6 @@ def test_colliding_products_are_added_not_copied(p):
     x_times = ring.var_multiplication(0, 1)
     assert sorted(x_times.sum(axis=1).tolist()) == [0, 0, 0, 1, 2]
     assert set(x_times.ravel().tolist()) == {0, 1}
-    assert ring.var_copies(0, 1) is None
-    assert ring.var_copies(0, 0) is not None and ring.var_copies(1, 1) is not None
     np_rng = np.random.default_rng(p)
     for shifts in ((0,), (0, 0, 1), (1, 0, 2)):
         for e in range(4):
@@ -348,10 +359,11 @@ def test_colliding_products_are_added_not_copied(p):
                     else:
                         want.append(np.zeros((ring.dim_piece(e + 1 - t), 4), dtype=object))
                     row += len(piece)
-                got = times_variable(ring, runs, coords, e, v)
-                assert got.tolist() == np.concatenate(want).tolist(), (shifts, e, v)
-    # the degree maps of a resolution over it, whose x-blocks are products
-    # and whose other blocks are copies, against per-monomial normal forms
+                want = np.concatenate(want).tolist()
+                assert times_variable(ring, runs, coords, e, v).tolist() == want, (shifts, e, v)
+                shipped = _times_variable_matrix(ring, shifts, e, v)
+                assert matmul_mod(shipped, coords, p).tolist() == want, (shifts, e, v)
+    # the degree maps of a resolution over it against per-monomial normal forms
     res = resolve(random_module(ring, 2, 2, p), 3, 4)
     checked = 0
     for i in range(1, len(res.steps) + 1):
@@ -363,20 +375,35 @@ def test_colliding_products_are_added_not_copied(p):
     assert checked
 
 
+def _times_variable_matrix(ring, shifts, e, var):
+    """x_var from the degree-e to the degree-(e+1) piece of the free module
+    with the given shifts, as an array built from the shipped
+    `QuotientRing.free_times_variables`."""
+    start, count, rows, values = ring.free_times_variables(shifts, e)
+    dim = len(start) // ring.nvars
+    out = np.zeros((ring.free_columns(shifts, e + 1)[0], dim), dtype=np.int64)
+    for k in range(dim):
+        at = slice(start[var * dim + k], start[var * dim + k] + count[var * dim + k])
+        assert list(rows[at]) == sorted(set(rows[at]))
+        out[rows[at], k] = values[at]
+    return out
+
+
 def times_variable(ring, runs, coords, d, var):
     """Reference: x_var times the columns of `coords`, degree-d coordinate
     vectors of the free module with the block layout `runs` (`shift_runs` at
-    d), as degree-(d+1) coordinate vectors: a row gather for the copy blocks
-    of `variable_rows`, one stacked product for each other block."""
-    n = coords.shape[1]
-    out = np.zeros((sum(m * high for _s, m, _low, high in runs), n), dtype=np.int64)
-    source, target, products = variable_rows(ring, runs, d, var)
-    out[target] = coords[source]
-    for row, prev_row, m, block in products:
-        high, low = block.shape
-        stack = coords[prev_row : prev_row + m * low].reshape(m, low, n)
-        out[row : row + m * high] = matmul_mod(block, stack, ring.p).reshape(m * high, n)
-    return out
+    d), as degree-(d+1) coordinate vectors: one `var_multiplication` product
+    for each block."""
+    out, row = [], 0
+    for s, m, low, high in runs:
+        for _ in range(m):
+            if low and high:
+                block = ring.var_multiplication(var, d - s)
+                out.append(matmul_mod(block, coords[row : row + low], ring.p))
+            else:
+                out.append(np.zeros((high, coords.shape[1]), dtype=np.int64))
+            row += low
+    return np.concatenate(out) if out else np.zeros((0, coords.shape[1]), dtype=np.int64)
 
 
 def nakayama_sieve(ring, shifts, pieces):
@@ -485,7 +512,8 @@ def test_generator_stage_matches_reference_sieve(ring_name, p, seed):
     assert degrees == list(range(min(kept_shifts, default=d_max + 1), max(degrees, default=d_max) + 1))
     for d, gens, mat in yielded:
         assert gens == tuple(s for s in kept_shifts if s <= d), d
-        assert np.array_equal(mat, _reference_degree_map(ring, shifts, kept_shifts, kept, d)), d
+        want = _reference_degree_map(ring, shifts, kept_shifts, kept, d)
+        assert np.array_equal(_as_array(mat, p), want), d
     for d in range(max(degrees, default=d_max) + 1, d_max + 1):
         assert not _reference_degree_map(ring, shifts, kept_shifts, kept, d).shape[1], d
 
@@ -716,7 +744,7 @@ def _reference_kernel_sieve(p, in_ranks, own_ranks, lo):
 
     def sieve(mat, x, d):
         if not x.shape[1]:
-            return x[:0]
+            return np.zeros((0, 0), dtype=np.int64)
         spanned = resolution_mod._last_entries(mat, p)
         basis = nullspace(x, p)
         in_ranks[d - lo] = x.shape[1] - len(basis)
@@ -797,6 +825,22 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
         assert all(new for step, _d, new in kernels if step >= 3), kernels
     # the sieve that takes every kernel makes 12 and 30 calls
     assert counts == [5, 12]
+
+
+def test_degree_maps_over_a_monomial_ring_stay_sparse():
+    # the largest degree map of k's resolution over the 5-cycle to (4, 7) is
+    # 800 x 1575 with 1,015 nonzero entries: 10 MB as an int64 array, and a
+    # peak of 20.5 MiB when every stage held its maps as arrays
+    ring = _map_ring("5-cycle", 32003, random.Random(0))
+    module = residue_field_module(ring)
+    tracemalloc.start()
+    try:
+        res = resolve(module, 4, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.betti().totals() == [1, 5, 15, 40, 105]
+    assert peak < 5 * 2**20, peak
 
 
 def test_stages_end_when_their_pieces_vanish(monkeypatch):
