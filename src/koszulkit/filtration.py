@@ -174,9 +174,15 @@ def _linear_colon(
     defining ideal has no linear forms. Since (W) ⊆ J:g and
     0 -> R/(J:g)(-1) -> R/J -> R/(J+g) -> 0 is exact, J:g = (W), that is,
     J:g is generated by linear forms, exactly when t*N_W = N_J - N_{J+g} for
-    the Hilbert numerators N over (1-t)^n.
+    the Hilbert numerators N over (1-t)^n. Memoized on the ring, keyed by
+    (J rows, g mod p, J+(g) rows): a verifier's check of a built certificate
+    meets the colons of its search again.
     """
     p, n = ring.p, ring.nvars
+    key = (j.rows, tuple(int(c) % p for c in g), jg.rows)
+    got = ring.linear_colons.get(key)
+    if got is not None:
+        return got
     dim2 = ring.dim_piece(2)
     if dim2 == 0:
         w = LinearIdeal.full(n)
@@ -190,7 +196,8 @@ def _linear_colon(
     n_w = _linear_numerator(ring, w)
     n_jg = _linear_numerator(ring, jg)
     linear_ok = _trim(_poly_add([0, *n_w], list(n_jg))) == list(_linear_numerator(ring, j))
-    return linear_ok, w
+    got = ring.linear_colons[key] = (linear_ok, w)
+    return got
 
 
 # ------------------------------------------------------------ enumeration

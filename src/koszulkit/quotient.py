@@ -9,6 +9,7 @@ and linear-form eliminations live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,10 +41,20 @@ from .linalg import rref
 class QuotientRing:
     """Presentation of a standard graded algebra F_p[x_1..x_n]/I.
 
-    Immutable after construction; piece bases, monomial normal forms,
-    variable multiplication matrices, first-variable splits and the layouts
-    of degree maps between free modules are cached lazily (fill-once, so
-    concurrent readers are safe).
+    The tables of the graded pieces are built by exponent arithmetic: the
+    basis of R_d by a componentwise test of the degree-d exponent vectors
+    against the leading monomials (`piece`), and the multiplication by every
+    variable on R_e from exponent sums, taking a normal form only of a
+    nonstandard product over a non-monomial Groebner basis
+    (`variable_action`).
+
+    Immutable after construction. Fill-once caches, so concurrent readers
+    are safe: piece bases and their indices, monomial normal forms, the
+    variable action of each degree and its stacked matrix, first-variable
+    splits, the layouts of degree maps between free modules
+    (`free_columns`, `free_times_variables`), and the public
+    `linear_numerators`, `linear_eliminations` and `linear_colons` that
+    `filtration` and `quotient_by_linear_forms` fill.
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -51,18 +62,25 @@ class QuotientRing:
         self.defining_generators = tuple(ideal_gens)
         self.gb = buchberger(list(ideal_gens), poly_ring.order) if ideal_gens else \
             GroebnerBasis((), poly_ring.order)
+        # the leading monomials as rows of exponents, and whether every
+        # element of the reduced basis is a monomial
+        lts = self.gb.leading_monomials()
+        self._leading = np.array(lts, dtype=np.int64).reshape(len(lts), poly_ring.nvars)
+        self._monomial_gb = all(len(g.terms) == 1 for g in self.gb.generators)
         self._pieces: dict[int, tuple[Monomial, ...]] = {}
         self._piece_index: dict[int, dict[Monomial, int]] = {}
         self._mono_nf: dict[Monomial, Polynomial] = {}
-        self._var_mult: dict[tuple[int, int], np.ndarray] = {}
+        self._actions: dict[int, tuple[np.ndarray, ...]] = {}
         self._var_stack: dict[int, np.ndarray] = {}
         self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # free_columns and free_times_variables, keyed by (shifts, d)
         self._free_columns: dict[tuple[tuple[int, ...], int], tuple] = {}
         self._free_times_variables: dict[tuple[tuple[int, ...], int], tuple] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
-        # the RREF rows of a linear ideal
+        # the RREF rows of a linear ideal, and filtration._linear_colon, keyed
+        # by (J rows, g mod p, J+(g) rows)
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self.linear_colons: dict[tuple, tuple] = {}
         self.linear_eliminations: dict[tuple[tuple[int, ...], ...], LinearElimination] = {}
 
     @property
@@ -114,19 +132,17 @@ class QuotientRing:
     # -- graded pieces
 
     def piece(self, d: int) -> tuple[Monomial, ...]:
-        """Standard monomial basis of R_d (monomials outside the LT ideal)."""
+        """Standard monomial basis of R_d (monomials outside the LT ideal), in
+        the order of `monomials_of_degree(d)`: one test of every degree-d
+        exponent vector against every leading monomial, componentwise."""
         got = self._pieces.get(d)
         if got is not None:
             return got
-        if d < 0:
-            basis: tuple[Monomial, ...] = ()
-        else:
-            lts = self.gb.leading_monomials()
-            basis = tuple(
-                m
-                for m in self.poly_ring.monomials_of_degree(d)
-                if not any(mono_divides(lt, m) for lt in lts)
-            )
+        basis = self.poly_ring.monomials_of_degree(d)
+        if basis and len(self._leading):
+            exps = np.array(basis, dtype=np.int64).reshape(len(basis), self.nvars)
+            divisible = (exps[:, None] >= self._leading).all(axis=2).any(axis=1)
+            basis = tuple(compress(basis, ~divisible))
         self._pieces[d] = basis
         return basis
 
@@ -148,32 +164,56 @@ class QuotientRing:
             v[idx[m]] = c
         return v
 
-    def var_multiplication(self, var: int, d: int) -> np.ndarray:
-        """Matrix of multiplication by x_var from R_d to R_{d+1} coordinates."""
-        key = (var, d)
-        got = self._var_mult.get(key)
+    def variable_action(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Multiplication by every variable from R_e to R_{e+1}, as the
+        nonzero entries (v, k, row, value) of the `var_multiplication(v, e)`
+        blocks: x_v sends basis monomial k of R_e to value at coordinate row,
+        sorted by v, then k, then row. Fill-once cache.
+
+        Built from exponent sums: a standard product x_v * m is its own
+        normal form, one entry 1 found by index lookup. A product outside the
+        piece lies in the leading-term ideal; it is 0 when the reduced
+        Groebner basis is monomial (the ideal then holds every such
+        monomial), and only otherwise is its normal form taken."""
+        got = self._actions.get(e)
         if got is not None:
             return got
-        src = self.piece(d)
-        tgt_idx = self.piece_index(d + 1)
-        mat = np.zeros((len(tgt_idx), len(src)), dtype=np.int64)
-        e = [0] * self.nvars
-        e[var] = 1
-        xv = tuple(e)
-        for j, m in enumerate(src):
-            nf = self.monomial_nf(mono_mul(m, xv))
-            for mm, c in nf.terms:
-                mat[tgt_idx[mm], j] = c
-        self._var_mult[key] = mat
-        return mat
+        n, src, index = self.nvars, self.piece(e), self.piece_index(e + 1)
+        exps = np.array(src, dtype=np.int64).reshape(len(src), n)
+        products = (exps + np.eye(n, dtype=np.int64)[:, None]).reshape(n * len(src), n).tolist()
+        # entry i = v * len(src) + k is x_v times basis monomial k
+        rows = np.array([index.get(m, -1) for m in map(tuple, products)], dtype=np.int64)
+        extra = [] if self._monomial_gb else [
+            (i, index[m], c)
+            for i in np.flatnonzero(rows < 0).tolist()
+            for m, c in self.monomial_nf(tuple(products[i])).terms
+        ]
+        at = np.flatnonzero(rows >= 0)
+        rows, values = rows[at], np.ones(len(at), dtype=np.int64)
+        if extra:
+            more = np.array(extra, dtype=np.int64).T
+            at, rows, values = (np.concatenate(z) for z in zip((at, rows, values), more))
+            order = np.lexsort((rows, at))
+            at, rows, values = at[order], rows[order], values[order]
+        got = (*np.divmod(at, max(len(src), 1)), rows, values)
+        self._actions[e] = got
+        return got
+
+    def var_multiplication(self, var: int, d: int) -> np.ndarray:
+        """Matrix of multiplication by x_var from R_d to R_{d+1} coordinates:
+        a block of `var_multiplication_stack(d)`."""
+        high = self.dim_piece(d + 1)
+        return self.var_multiplication_stack(d)[var * high : (var + 1) * high]
 
     def var_multiplication_stack(self, d: int) -> np.ndarray:
         """The `var_multiplication(v, d)` matrices for v = 0..n-1 stacked into
         one (n * dim R_{d+1}) x dim R_d matrix: R_1 * R_d in one product."""
         got = self._var_stack.get(d)
         if got is None:
-            blocks = [self.var_multiplication(v, d) for v in range(self.nvars)]
-            got = np.concatenate(blocks) if blocks else np.zeros((0, self.dim_piece(d)), np.int64)
+            v, k, row, value = self.variable_action(d)
+            high = self.dim_piece(d + 1)
+            got = np.zeros((self.nvars * high, self.dim_piece(d)), dtype=np.int64)
+            got[v * high + row, k] = value
             self._var_stack[d] = got
         return got
 
@@ -237,21 +277,22 @@ class QuotientRing:
             return got
         runs = shift_runs(self, shifts, d)
         dim = sum(m * low for _s, m, low, _high in runs)
-        # built in order of v, then k, then row: keys come sorted
         keys, rows, values = [_EMPTY], [_EMPTY], [_EMPTY]
-        for v in range(self.nvars):
-            row, col = 0, v * dim
-            for s, m, low, high in runs:
-                if low and high:
-                    block = self.var_multiplication(v, d - s)
-                    k, i = np.nonzero(block.T)
-                    copy = np.arange(m)[:, None]
-                    keys.append((col + low * copy + k).ravel())
-                    rows.append((row + high * copy + i).ravel())
-                    values.append(np.tile(block[i, k], m))
-                row += m * high
-                col += m * low
+        row = col = 0
+        for s, m, low, high in runs:
+            if low and high:
+                v, k, i, value = self.variable_action(d - s)
+                copy = np.arange(m)[:, None]
+                keys.append((v * dim + col + low * copy + k).ravel())
+                rows.append((row + high * copy + i).ravel())
+                values.append(np.tile(value, m))
+            row += m * high
+            col += m * low
+        # each key comes from one copy of one run, its rows increasing: a
+        # stable sort by key keeps them so
         keys, rows, values = map(np.concatenate, (keys, rows, values))
+        order = keys.argsort(kind="stable")
+        keys, rows, values = keys[order], rows[order], values[order]
         start = keys.searchsorted(np.arange(self.nvars * dim + 1))
         got = (start[:-1], np.diff(start), rows, values)
         self._free_times_variables[key] = got

@@ -72,7 +72,7 @@ from .groebner import (
     shift_runs,
     vector_from_coords,
 )
-from .linalg import Nonzeros, nullspace, pivot_columns, rank
+from .linalg import Nonzeros, pivot_columns, rank, rref
 from .quotient import GradedModule, QuotientRing
 
 
@@ -270,15 +270,21 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo):
             # N_d spans K_d
             own_ranks[d - lo] = spanned.sum()
             return _NO_ROWS
-        basis = nullspace(x, p)
-        in_ranks[d - lo] = x.shape[1] - len(basis)
-        # Row k of the rref kernel basis is 1 at its free column F_k and zero
-        # at the other free columns and after F_k. So it lies in R_1 * K_{d-1}
-        # plus the rows before it exactly when F_k is the last nonzero entry
-        # of a vector of R_1 * K_{d-1}: the choice an incremental echelon fed
-        # the products and then the rows in order would make.
-        free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
-        new = basis[~spanned[free]]
+        r, pivots = rref(x, p)
+        in_ranks[d - lo] = len(pivots)
+        # The rref kernel basis has one row for each free column F: 1 at F,
+        # -r[:, F] at the pivot columns and 0 elsewhere, so F is its last
+        # nonzero entry (r[i, F] is 0 unless pivot i comes before F). It lies in R_1 * K_{d-1} plus the rows before it
+        # exactly when F is the last nonzero entry of a vector of
+        # R_1 * K_{d-1}: the choice an incremental echelon fed the products
+        # and then the rows in order would make. Only the other rows are built.
+        kept = ~spanned
+        kept[pivots] = False
+        kept = np.flatnonzero(kept)
+        new = np.zeros((len(kept), x.shape[1]), dtype=np.int64)
+        new[np.arange(len(kept)), kept] = 1
+        if pivots:
+            new[:, pivots] = -r[:, kept].T % p
         own_ranks[d - lo] = spanned.sum() + len(new)
         return new
 

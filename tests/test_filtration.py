@@ -923,3 +923,44 @@ def test_flag_as_filtration(ci2):
     flag = conca_flag(ci2, (1, 0))
     cert = flag.as_filtration(ci2.nvars, ci2.p)
     assert verify_koszul_filtration(ci2, cert).valid
+
+
+def _memo_ring(name):
+    if name == "ci2":
+        s, (x, y) = polynomial_ring(5, ("x", "y"))
+        return make_ring(s, [x**2, y**2])
+    s, (x, y, z) = polynomial_ring(3, ("x", "y", "z"))
+    return make_ring(s, [x**2, y**2, z**2, x * y])
+
+
+@pytest.mark.parametrize("name", ["ci2", "fitz3"])
+def test_linear_colon_memo_gives_the_cold_answers(name):
+    # every colon the searches cached on a ring is what a ring that has seen
+    # none of them computes; a wrong colon index is rejected as on a cold ring
+    warm = _memo_ring(name)
+    cert = all_linear_ideals_filtration(warm)
+    flag = search_groebner_flag(warm).certificate
+    assert flag is not None and len(warm.linear_colons) > 1
+    cold = _memo_ring(name)
+    for key, got in warm.linear_colons.items():
+        j_rows, g, jg_rows = key
+        assert key not in cold.linear_colons
+        assert _linear_colon(cold, LinearIdeal(j_rows), g, LinearIdeal(jg_rows)) == got, key
+    for certificate, verify in ((cert, verify_koszul_filtration), (flag, verify_groebner_flag)):
+        assert verify(warm, certificate).valid
+        doc = json.loads(json.dumps(certificate.to_json()))
+        if doc["kind"] == "flag":
+            step = len(doc["colon_indices"]) - 1
+            doc["colon_indices"][step] = (doc["colon_indices"][step] + 1) % (len(doc["forms"]) + 1)
+            bad = FlagCertificate.from_json(doc)
+        else:
+            w = doc["witnesses"][-1]
+            w["colon"] = next(
+                i for i, m in enumerate(doc["members"]) if m != doc["members"][w["colon"]]
+            )
+            bad = FiltrationCertificate.from_json(doc)
+        hits = len(warm.linear_colons)
+        result = verify(warm, bad)
+        assert len(warm.linear_colons) == hits  # every colon of the check was cached
+        assert not result.valid and "colon" in result.reason
+        assert result == verify(_memo_ring(name), bad)

@@ -1,8 +1,14 @@
 """Quotient rings, graded pieces, Hilbert series, module presentations."""
 
-import pytest
+import random
 
-from koszulkit.arith import polynomial_ring
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from koszulkit.arith import mono_divides, mono_mul, polynomial_ring
+from koszulkit.groebner import shift_runs
 from koszulkit.quotient import (
     cyclic_module,
     free_module,
@@ -15,7 +21,7 @@ from koszulkit.quotient import (
     restrict_module_to_quotient,
     scaled_submodule,
 )
-from oracles import poly_to_dict, quotient_piece_dim
+from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
 
 
 def test_make_ring_rejects_nonhomogeneous():
@@ -214,3 +220,114 @@ def test_annihilated_by(ci2):
     m = cyclic_module(ci2, [x])
     assert m.annihilated_by(x)
     assert not m.annihilated_by(y)
+
+
+# ------------------------------------------------ graded tables of a ring
+#
+# The references below build each table monomial by monomial: the standard
+# basis by a divisibility test of every monomial against every leading
+# monomial, the variable blocks from the normal form of every product, and
+# the free-module layout with a loop over the variables.
+
+
+def _reference_piece(ring, d):
+    lts = ring.gb.leading_monomials()
+    return tuple(
+        m
+        for m in ring.poly_ring.monomials_of_degree(d)
+        if not any(mono_divides(lt, m) for lt in lts)
+    )
+
+
+def _reference_var_multiplication(ring, var, d):
+    src = _reference_piece(ring, d)
+    tgt_idx = {m: i for i, m in enumerate(_reference_piece(ring, d + 1))}
+    mat = np.zeros((len(tgt_idx), len(src)), dtype=np.int64)
+    xv = tuple(1 if i == var else 0 for i in range(ring.nvars))
+    for j, m in enumerate(src):
+        for mm, c in ring.monomial_nf(mono_mul(m, xv)).terms:
+            mat[tgt_idx[mm], j] = c
+    return mat
+
+
+def _reference_free_times_variables(ring, shifts, d):
+    runs = shift_runs(ring, shifts, d)
+    dim = sum(m * low for _s, m, low, _high in runs)
+    keys, rows, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for v in range(ring.nvars):
+        row, col = 0, v * dim
+        for s, m, low, high in runs:
+            if low and high:
+                block = _reference_var_multiplication(ring, v, d - s)
+                k, i = np.nonzero(block.T)
+                copy = np.arange(m)[:, None]
+                keys.append((col + low * copy + k).ravel())
+                rows.append((row + high * copy + i).ravel())
+                values.append(np.tile(block[i, k], m))
+            row += m * high
+            col += m * low
+    keys, rows, values = map(np.concatenate, (keys, rows, values))
+    start = keys.searchsorted(np.arange(ring.nvars * dim + 1))
+    return start[:-1], np.diff(start), rows, values
+
+
+def _sparse_form(s, rng, degree, terms):
+    monos = monomials_of_degree(s.nvars, degree)
+    picked = rng.sample(monos, min(terms, len(monos)))
+    return s.from_dict({m: rng.randrange(1, s.p) for m in picked})
+
+
+def _table_ring(kind, order, p, rng):
+    """A ring of the given kind: no relations, monomial relations, sparse
+    quadrics, sparse quadrics and cubics (some of them monomials), or
+    (xy, y^2 - xz), whose Groebner basis has a cubic element in both orders."""
+    n = 3 if kind == "cubic-gb" else rng.randint(1, 4)
+    s, xs = polynomial_ring(p, "xyzw"[:n], order)
+    if kind == "free":
+        gens = []
+    elif kind == "monomial":
+        gens = [_sparse_form(s, rng, rng.choice((2, 3)), 1) for _ in range(rng.randint(1, 4))]
+    elif kind == "quadrics":
+        gens = [_sparse_form(s, rng, 2, rng.randint(2, 4)) for _ in range(rng.randint(1, n))]
+    elif kind == "mixed":
+        gens = [
+            _sparse_form(s, rng, rng.choice((2, 3)), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+    else:
+        x, y, z = xs
+        gens = [x * y, y**2 - x * z]
+    return make_ring(s, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from(["degrevlex", "lex"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32),
+)
+def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
+    rng = random.Random(seed)
+    ring = _table_ring(kind, order, p, rng)
+    if kind == "cubic-gb":
+        assert max(g.degree() for g in ring.gb.generators) == 3
+    for d in range(-1, 8):
+        assert ring.piece(d) == _reference_piece(ring, d), d
+    for d in range(7):
+        blocks = [_reference_var_multiplication(ring, v, d) for v in range(ring.nvars)]
+        for v, block in enumerate(blocks):
+            got = ring.var_multiplication(v, d)
+            assert got.dtype == np.int64 and np.array_equal(got, block), (v, d)
+        want = np.concatenate(blocks) if blocks else np.zeros((0, ring.dim_piece(d)), np.int64)
+        assert np.array_equal(ring.var_multiplication_stack(d), want), d
+        # the action: every nonzero entry (v, k, row, value), sorted by v, k, row
+        entries = [
+            [v, k, i, block[i, k]] for v, block in enumerate(blocks) for k, i in zip(*np.nonzero(block.T))
+        ]
+        assert np.array(ring.variable_action(d)).T.tolist() == entries, d
+    for shifts in ((0,), (0, 0, 1), (1, 1, 3), (0, 2, 2, 2)):
+        for d in range(7):
+            got = ring.free_times_variables(shifts, d)
+            want = _reference_free_times_variables(ring, shifts, d)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (shifts, d)

@@ -793,12 +793,13 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
     kernels = []  # (step, d, new generators) of every kernel taken
     steps = []
     taken = []
-    kernel_basis = resolution_mod.nullspace
+    # the sieve takes a kernel as the rref of M_d
+    kernel_rref = resolution_mod.rref
     make_sieve = resolution_mod._kernel_sieve
 
     def counted(x, p):
         taken.append(x.shape)
-        return kernel_basis(x, p)
+        return kernel_rref(x, p)
 
     def traced_sieve(p, in_ranks, own_ranks, lo):
         step = len(steps) + 2
@@ -814,7 +815,7 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
 
         return sieve
 
-    monkeypatch.setattr(resolution_mod, "nullspace", counted)
+    monkeypatch.setattr(resolution_mod, "rref", counted)
     monkeypatch.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
     counts = []
     for ring, bounds in ((ci2, (5, 8)), (crv26, (6, 8))):
