@@ -399,16 +399,7 @@ def _run_flag(doc, args, report):
         if not check:
             body = _header(report) + f"\nnot a Conca generator: {check.failed_clause}\n"
             return report, body, EXIT_NEGATIVE
-        try:
-            cert = conca_flag(ring, form, budget=args.budget)
-        except ValueError as exc:
-            report["error"] = str(exc)
-            return report, _header(report) + f"\n{exc}\n", EXIT_NEGATIVE
-        report["certificate"] = cert.to_json()
-        body = _header(report) + (
-            f"\nverified flag {cert.forms} with colon indices {cert.colon_indices}\n"
-        )
-        return report, body, EXIT_OK
+        return _verified_flag(report, lambda: conca_flag(ring, form, budget=args.budget))
     # minmult
     if args.j is None:
         raise ValueError("flag minmult needs --j <forms>")
@@ -418,8 +409,13 @@ def _run_flag(doc, args, report):
     if not check:
         body = _header(report) + f"\nreduction checks failed: {check.to_json()}\n"
         return report, body, EXIT_NEGATIVE
+    return _verified_flag(report, lambda: minimal_multiplicity_flag(ring, forms))
+
+
+def _verified_flag(report, build):
+    """The report of a flag built by `build()`, or of the ValueError it raised."""
     try:
-        cert = minimal_multiplicity_flag(ring, forms)
+        cert = build()
     except ValueError as exc:
         report["error"] = str(exc)
         return report, _header(report) + f"\n{exc}\n", EXIT_NEGATIVE

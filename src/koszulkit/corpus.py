@@ -24,6 +24,7 @@ from .filtration import (
     subsets_filtration,
     _linear_colon,
 )
+from .groebner import _at_each_position
 from .koszul import koszul_verdict
 from .quotient import (
     GradedModule,
@@ -165,16 +166,10 @@ def module_killed_by(
     forms and restricted back along R -> R/(forms)."""
     elim = quotient_by_linear_forms(ring, forms.rows)
     small = random_module(elim.target, rank, max_entry_degree, seed)
-    zero = ring.poly_ring.zero()
     columns = [
         [elim.inject(c) for c in col.components] for col in small.columns
     ]
-    for row in forms.rows:
-        f = ring.linear_form(row)
-        for r in range(small.rank):
-            col = [zero] * small.rank
-            col[r] = f
-            columns.append(col)
+    columns += _at_each_position([ring.linear_form(row) for row in forms.rows], small.rank)
     return make_module(ring, small.shifts, columns)
 
 

@@ -238,6 +238,19 @@ def _melt_from_components(components: Sequence[Polynomial]) -> ModElt:
     return d
 
 
+def _at_each_position(polys: Sequence[Polynomial], rank: int) -> list[tuple[Polynomial, ...]]:
+    """The vectors f * e_j of the free module of the given rank: f in `polys`
+    outer, the position j inner."""
+    out = []
+    for f in polys:
+        zero = f.ring.zero()
+        for j in range(rank):
+            comps = [zero] * rank
+            comps[j] = f
+            out.append(tuple(comps))
+    return out
+
+
 def _melt_lt(elt: ModElt, key: ModKey) -> tuple[tuple[int, Monomial], int]:
     pm = max(elt, key=key)
     return pm, elt[pm]
@@ -442,14 +455,13 @@ def syzygies_over_poly_ring(
         col_degs.append(degs.pop() if degs else 0)
 
     shifts = tuple(target_shifts) + tuple(col_degs)
+    # column i with its tag 1 * e_{r+i}; a zero component adds no term
     elements: list[ModElt] = []
     for i, col in enumerate(columns):
-        comps = list(col) + [ring.zero()] * m
-        comps[r + i] = ring.one()
-        elements.append(_melt_from_components(comps))
-    for rel in extra_relations:
-        comps = list(rel) + [ring.zero()] * m
-        elements.append(_melt_from_components(comps))
+        elt = _melt_from_components(col)
+        elt[(r + i, (0,) * ring.nvars)] = 1
+        elements.append(elt)
+    elements += [_melt_from_components(rel) for rel in extra_relations]
 
     key = pot_elim_key(r, ring.order)
     basis = module_buchberger(elements, key, ring.p, shifts)
@@ -680,12 +692,7 @@ def syzygy_basis(vectors: Sequence[FreeModuleVector], ring) -> list[FreeModuleVe
         if not v.is_graded():
             raise ValueError("ungraded input vector")
     columns = [tuple(ring.reduce(c) for c in v.components) for v in vectors]
-    relations = []
-    for g in ring.gb.generators:
-        for pos in range(len(shifts)):
-            rel = [ring.poly_ring.zero()] * len(shifts)
-            rel[pos] = g
-            relations.append(tuple(rel))
+    relations = _at_each_position(ring.gb.generators, len(shifts))
     raw = syzygies_over_poly_ring(columns, shifts, relations)
     col_degs = tuple(v.internal_degree() or 0 for v in vectors)
     # minimal_module_generators reduces the syzygies and drops the zero ones

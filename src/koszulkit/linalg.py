@@ -348,16 +348,20 @@ def rank(a: np.ndarray | Nonzeros, p: int) -> int:
 
 def nullspace(a: np.ndarray | Nonzeros, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
-    ncols = a.shape[1]
     r, pivots = rref(a, p)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
+    return _kernel_rows(r, pivots, [c for c in range(a.shape[1]) if c not in pivot_set], p)
+
+
+def _kernel_rows(r: np.ndarray, pivots: list[int], free, p: int) -> np.ndarray:
+    """The rows of the kernel basis read from the rref `r` with the given
+    pivot columns, one for each free column F in `free`: 1 at F, -r[:, F] at
+    the pivot columns and 0 elsewhere."""
+    rows = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
     if pivots:
-        basis[:, pivots] = (-r[:, free].T) % p
-    return basis
+        rows[:, pivots] = -r[:, free].T % p
+    return rows
 
 
 class Echelon:

@@ -9,6 +9,7 @@ and linear-form eliminations live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -27,13 +28,16 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     module_buchberger,
+    module_normal_form,
     normal_form,
     shift_runs,
     syzygies_over_poly_ring,
     top_order_key,
     _EMPTY,
+    _at_each_position,
     _melt_from_components,
     _melt_lt,
+    _melt_to_components,
 )
 from .linalg import rref
 
@@ -62,10 +66,7 @@ class QuotientRing:
         self.defining_generators = tuple(ideal_gens)
         self.gb = buchberger(list(ideal_gens), poly_ring.order) if ideal_gens else \
             GroebnerBasis((), poly_ring.order)
-        # the leading monomials as rows of exponents, and whether every
-        # element of the reduced basis is a monomial
-        lts = self.gb.leading_monomials()
-        self._leading = np.array(lts, dtype=np.int64).reshape(len(lts), poly_ring.nvars)
+        # whether every element of the reduced basis is a monomial
         self._monomial_gb = all(len(g.terms) == 1 for g in self.gb.generators)
         self._pieces: dict[int, tuple[Monomial, ...]] = {}
         self._piece_index: dict[int, dict[Monomial, int]] = {}
@@ -133,18 +134,13 @@ class QuotientRing:
 
     def piece(self, d: int) -> tuple[Monomial, ...]:
         """Standard monomial basis of R_d (monomials outside the LT ideal), in
-        the order of `monomials_of_degree(d)`: one test of every degree-d
-        exponent vector against every leading monomial, componentwise."""
+        the order of `monomials_of_degree(d)` (`_standard_monomials`)."""
         got = self._pieces.get(d)
-        if got is not None:
-            return got
-        basis = self.poly_ring.monomials_of_degree(d)
-        if basis and len(self._leading):
-            exps = np.array(basis, dtype=np.int64).reshape(len(basis), self.nvars)
-            divisible = (exps[:, None] >= self._leading).all(axis=2).any(axis=1)
-            basis = tuple(compress(basis, ~divisible))
-        self._pieces[d] = basis
-        return basis
+        if got is None:
+            monos = self.poly_ring.monomials_of_degree(d)
+            got = _standard_monomials(monos, self.gb.leading_monomials())
+            self._pieces[d] = got
+        return got
 
     def piece_index(self, d: int) -> dict[Monomial, int]:
         got = self._piece_index.get(d)
@@ -166,9 +162,9 @@ class QuotientRing:
 
     def variable_action(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Multiplication by every variable from R_e to R_{e+1}, as the
-        nonzero entries (v, k, row, value) of the `var_multiplication(v, e)`
-        blocks: x_v sends basis monomial k of R_e to value at coordinate row,
-        sorted by v, then k, then row. Fill-once cache.
+        nonzero entries (v, k, row, value) of `var_multiplication_stack(e)`,
+        block v: x_v sends basis monomial k of R_e to value at coordinate
+        row, sorted by v, then k, then row. Fill-once cache.
 
         Built from exponent sums: a standard product x_v * m is its own
         normal form, one entry 1 found by index lookup. A product outside the
@@ -199,15 +195,10 @@ class QuotientRing:
         self._actions[e] = got
         return got
 
-    def var_multiplication(self, var: int, d: int) -> np.ndarray:
-        """Matrix of multiplication by x_var from R_d to R_{d+1} coordinates:
-        a block of `var_multiplication_stack(d)`."""
-        high = self.dim_piece(d + 1)
-        return self.var_multiplication_stack(d)[var * high : (var + 1) * high]
-
     def var_multiplication_stack(self, d: int) -> np.ndarray:
-        """The `var_multiplication(v, d)` matrices for v = 0..n-1 stacked into
-        one (n * dim R_{d+1}) x dim R_d matrix: R_1 * R_d in one product."""
+        """The matrices of multiplication by x_v from R_d to R_{d+1}
+        coordinates, for v = 0..n-1, stacked into one (n * dim R_{d+1}) x
+        dim R_d matrix: R_1 * R_d in one product."""
         got = self._var_stack.get(d)
         if got is None:
             v, k, row, value = self.variable_action(d)
@@ -266,7 +257,7 @@ class QuotientRing:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Multiplication by each variable from the degree-d to the
         degree-(d+1) piece of the free module with the given shifts, as the
-        nonzero entries of the `var_multiplication` blocks: (start, count,
+        nonzero entries of one block for each variable: (start, count,
         rows, values), where x_v sends coordinate k to values[i] at
         coordinate rows[i] for the count[key] indices i from start[key] on,
         key = v * dim + k with dim the dimension of the degree-d piece, rows
@@ -299,9 +290,7 @@ class QuotientRing:
         return got
 
     def hilbert_series(self, expand_to: int) -> "HilbertSeries":
-        lts = list(self.gb.leading_monomials())
-        num = _monomial_quotient_numerator(lts, self.nvars)
-        return HilbertSeries.from_rational(num, 0, self.nvars, expand_to)
+        return _hilbert_series([self.gb.leading_monomials()], (0,), self.nvars, expand_to)
 
 
 def make_ring(
@@ -405,6 +394,31 @@ def _monomial_quotient_numerator(gens: list[Monomial], nvars: int) -> list[int]:
     return _trim(_poly_add(_poly_shift(n_colon, 1), n_plus))
 
 
+def _standard_monomials(
+    monos: Sequence[Monomial], leading: Sequence[Monomial]
+) -> tuple[Monomial, ...]:
+    """The monomials of `monos` that no monomial of `leading` divides, in
+    order: one componentwise test of every exponent vector against every
+    leading one."""
+    if monos and leading:
+        exps, lts = (np.array(m, dtype=np.int64) for m in (monos, leading))
+        monos = compress(monos, ~(exps[:, None] >= lts).all(axis=2).any(axis=1))
+    return tuple(monos)
+
+
+def _hilbert_series(
+    leading: Sequence[Sequence[Monomial]], shifts: Sequence[int], nvars: int, expand_to: int
+) -> "HilbertSeries":
+    """Hilbert series of the direct sum over positions j of S/(leading[j])
+    shifted by shifts[j]: the sum of the shifted numerators."""
+    base = min(shifts, default=0)
+    total: list[int] = []
+    for lts, s in zip(leading, shifts):
+        num = _monomial_quotient_numerator(list(lts), nvars)
+        total = _poly_add(total, _poly_shift(num, s - base))
+    return HilbertSeries.from_rational(total, base, nvars, expand_to)
+
+
 @dataclass(frozen=True)
 class HilbertSeries:
     """Rational form numerator * t^offset / (1-t)^denominator_power.
@@ -486,6 +500,13 @@ class GradedModule:
     Always normalized: entries lie in the maximal ideal (no degree-0 units),
     all entries reduced, zero columns dropped. shifts are the generator
     degrees.
+
+    Its relations over the polynomial ring S, the columns and then g * e_j
+    for every g in the ring's reduced Groebner basis, are built once
+    (`_relations`); the presentation's Groebner basis and
+    `scaled_submodule` both read them. Pieces and the Hilbert series come
+    from the leading monomials of that basis at each position, by the ring's
+    own helpers (`_standard_monomials`, `_hilbert_series`).
     """
 
     def __init__(
@@ -520,20 +541,21 @@ class GradedModule:
 
     # -- presentation Groebner data over the polynomial ring
 
+    @cached_property
+    def _relations(self) -> list[tuple[Polynomial, ...]]:
+        """The relations of the module over S: the columns, then g * e_j for
+        every g in the ring's reduced Groebner basis (outer) and position j
+        (inner)."""
+        return [col.components for col in self.columns] + _at_each_position(
+            self.ring.gb.generators, self.rank
+        )
+
     def _presentation_basis(self):
-        """Module GB over S of the column span together with I * (each row)."""
+        """Module GB over S of `_relations`."""
         if self._pres_gb is not None:
             return self._pres_gb
         ring = self.ring
-        elements = []
-        for col in self.columns:
-            elements.append(_melt_from_components(col.components))
-        zero = ring.poly_ring.zero()
-        for g in ring.gb.generators:
-            for pos in range(self.rank):
-                comps = [zero] * self.rank
-                comps[pos] = g
-                elements.append(_melt_from_components(comps))
+        elements = [_melt_from_components(rel) for rel in self._relations]
         key = top_order_key(self.shifts, ring.poly_ring.order)
         self._pres_gb = module_buchberger(elements, key, ring.p, self.shifts)
         lts: list[list[Monomial]] = [[] for _ in range(self.rank)]
@@ -546,17 +568,15 @@ class GradedModule:
     def piece_basis(self, d: int) -> tuple[tuple[int, Monomial], ...]:
         """Standard module monomials (position, monomial) of degree d."""
         got = self._pieces.get(d)
-        if got is not None:
-            return got
-        self._presentation_basis()
-        out = []
-        for pos in range(self.rank):
-            lts = self._pres_lts[pos]
-            for m in self.ring.poly_ring.monomials_of_degree(d - self.shifts[pos]):
-                if not any(mono_divides(lt, m) for lt in lts):
-                    out.append((pos, m))
-        got = tuple(out)
-        self._pieces[d] = got
+        if got is None:
+            self._presentation_basis()
+            monos = self.ring.poly_ring.monomials_of_degree
+            got = tuple(
+                (pos, m)
+                for pos, (s, lts) in enumerate(zip(self.shifts, self._pres_lts))
+                for m in _standard_monomials(monos(d - s), lts)
+            )
+            self._pieces[d] = got
         return got
 
     def dim_piece(self, d: int) -> int:
@@ -564,35 +584,22 @@ class GradedModule:
 
     def module_nf(self, components: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         """Canonical representative of a vector of F_0 modulo the presentation."""
-        from .groebner import module_normal_form, _melt_to_components
-
         basis = self._presentation_basis()
         key = top_order_key(self.shifts, self.ring.poly_ring.order)
         elt = _melt_from_components(components)
         nf = module_normal_form(elt, basis, key, self.ring.p)
         return _melt_to_components(nf, self.rank, self.ring.poly_ring)
 
-    def contains_in_relations(self, components: Sequence[Polynomial]) -> bool:
-        return all(c.is_zero() for c in self.module_nf(components))
-
     def annihilated_by(self, f: Polynomial) -> bool:
-        zero = self.ring.poly_ring.zero()
-        for pos in range(self.rank):
-            comps = [zero] * self.rank
-            comps[pos] = f
-            if not self.contains_in_relations(comps):
-                return False
-        return True
+        """Whether f * e_j lies in the relations at every position j."""
+        return all(
+            all(c.is_zero() for c in self.module_nf(v))
+            for v in _at_each_position([f], self.rank)
+        )
 
     def hilbert_series(self, expand_to: int) -> HilbertSeries:
         self._presentation_basis()
-        nvars = self.ring.nvars
-        base = min(self.shifts) if self.shifts else 0
-        total: list[int] = []
-        for pos in range(self.rank):
-            num = _monomial_quotient_numerator(list(self._pres_lts[pos]), nvars)
-            total = _poly_add(total, _poly_shift(num, self.shifts[pos] - base))
-        return HilbertSeries.from_rational(total, base, nvars, expand_to)
+        return _hilbert_series(self._pres_lts, self.shifts, self.ring.nvars, expand_to)
 
 
 def make_module(
@@ -769,28 +776,11 @@ def scaled_submodule(
     defining ideal, then projected to the product coordinates.
     """
     ring = module.ring
-    zero = ring.poly_ring.zero()
-    gens: list[list[Polynomial]] = []
-    gen_shifts: list[int] = []
-    for f in forms:
-        f = ring.reduce(f)
-        if f.is_zero():
-            continue
-        if not (f.is_homogeneous() and f.degree() == 1):
-            raise ValueError("scaling forms must be homogeneous of degree 1")
-        for r in range(module.rank):
-            col = [zero] * module.rank
-            col[r] = f
-            gens.append(col)
-            gen_shifts.append(module.shifts[r] + 1)
-    if not gens:
+    kept = [f for f in map(ring.reduce, forms) if not f.is_zero()]
+    if not all(f.is_homogeneous() and f.degree() == 1 for f in kept):
+        raise ValueError("scaling forms must be homogeneous of degree 1")
+    columns = _at_each_position(kept, module.rank)
+    if not columns:
         return make_module(ring, (), [])
-    columns = [tuple(c) for c in gens]
-    extra = [tuple(col.components) for col in module.columns]
-    for g in ring.gb.generators:
-        for pos in range(module.rank):
-            rel = [zero] * module.rank
-            rel[pos] = g
-            extra.append(tuple(rel))
-    rel_cols = syzygies_over_poly_ring(columns, module.shifts, extra)
-    return make_module(ring, tuple(gen_shifts), rel_cols)
+    rel_cols = syzygies_over_poly_ring(columns, module.shifts, module._relations)
+    return make_module(ring, tuple(s + 1 for _f in kept for s in module.shifts), rel_cols)

@@ -72,7 +72,7 @@ from .groebner import (
     shift_runs,
     vector_from_coords,
 )
-from .linalg import Nonzeros, pivot_columns, rank, rref
+from .linalg import Nonzeros, pivot_columns, rank, rref, _kernel_rows
 from .quotient import GradedModule, QuotientRing
 
 
@@ -272,19 +272,15 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo):
             return _NO_ROWS
         r, pivots = rref(x, p)
         in_ranks[d - lo] = len(pivots)
-        # The rref kernel basis has one row for each free column F: 1 at F,
-        # -r[:, F] at the pivot columns and 0 elsewhere, so F is its last
-        # nonzero entry (r[i, F] is 0 unless pivot i comes before F). It lies in R_1 * K_{d-1} plus the rows before it
-        # exactly when F is the last nonzero entry of a vector of
-        # R_1 * K_{d-1}: the choice an incremental echelon fed the products
-        # and then the rows in order would make. Only the other rows are built.
+        # The rref kernel basis row of a free column F (`_kernel_rows`) has F
+        # as its last nonzero entry (r[i, F] is 0 unless pivot i comes before
+        # F). It lies in R_1 * K_{d-1} plus the rows before it exactly when F
+        # is the last nonzero entry of a vector of R_1 * K_{d-1}: the choice
+        # an incremental echelon fed the products and then the rows in order
+        # would make. Only the other rows are built.
         kept = ~spanned
         kept[pivots] = False
-        kept = np.flatnonzero(kept)
-        new = np.zeros((len(kept), x.shape[1]), dtype=np.int64)
-        new[np.arange(len(kept)), kept] = 1
-        if pivots:
-            new[:, pivots] = -r[:, kept].T % p
+        new = _kernel_rows(r, pivots, np.flatnonzero(kept), p)
         own_ranks[d - lo] = spanned.sum() + len(new)
         return new
 

@@ -1,6 +1,7 @@
 """Quotient rings, graded pieces, Hilbert series, module presentations."""
 
 import random
+from itertools import zip_longest
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from koszulkit.arith import mono_divides, mono_mul, polynomial_ring
-from koszulkit.groebner import shift_runs
+from koszulkit.groebner import _melt_lt, shift_runs, top_order_key
 from koszulkit.quotient import (
     cyclic_module,
     free_module,
@@ -20,6 +21,7 @@ from koszulkit.quotient import (
     residue_field_module,
     restrict_module_to_quotient,
     scaled_submodule,
+    _monomial_quotient_numerator,
 )
 from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
 
@@ -316,8 +318,9 @@ def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
         assert ring.piece(d) == _reference_piece(ring, d), d
     for d in range(7):
         blocks = [_reference_var_multiplication(ring, v, d) for v in range(ring.nvars)]
+        high = ring.dim_piece(d + 1)
         for v, block in enumerate(blocks):
-            got = ring.var_multiplication(v, d)
+            got = ring.var_multiplication_stack(d)[v * high : (v + 1) * high]
             assert got.dtype == np.int64 and np.array_equal(got, block), (v, d)
         want = np.concatenate(blocks) if blocks else np.zeros((0, ring.dim_piece(d)), np.int64)
         assert np.array_equal(ring.var_multiplication_stack(d), want), d
@@ -331,3 +334,86 @@ def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
             got = ring.free_times_variables(shifts, d)
             want = _reference_free_times_variables(ring, shifts, d)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (shifts, d)
+
+
+# ------------------------------------------------ graded pieces of a module
+#
+# The references read the leading monomials of the presentation's Groebner
+# basis at each position: the standard module monomials by a `mono_divides`
+# filter, and the Hilbert numerator as the sum of the shifted numerators of
+# the positions.
+
+
+def _module_leading(module):
+    key = top_order_key(module.shifts, module.ring.order)
+    lts = [[] for _ in module.shifts]
+    for elt in module._presentation_basis():
+        (pos, m), _c = _melt_lt(elt, key)
+        lts[pos].append(m)
+    return lts
+
+
+def _reference_module_piece(module, d, lts):
+    monos = module.ring.poly_ring.monomials_of_degree
+    return tuple(
+        (pos, m)
+        for pos, s in enumerate(module.shifts)
+        for m in monos(d - s)
+        if not any(mono_divides(lt, m) for lt in lts[pos])
+    )
+
+
+def _reference_module_numerator(module, lts):
+    base = min(module.shifts, default=0)
+    total = []
+    for pos, s in enumerate(module.shifts):
+        num = [0] * (s - base) + _monomial_quotient_numerator(lts[pos], module.ring.nvars)
+        total = [sum(c) for c in zip_longest(total, num, fillvalue=0)]
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
+def _random_element(ring, rng, d):
+    """A random element of R_d: random coefficients on its standard basis."""
+    return ring.poly_ring.from_dict({m: rng.randrange(ring.p) for m in ring.piece(d)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from(["degrevlex", "lex"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32),
+)
+def test_module_pieces_match_per_position_references(kind, order, p, seed):
+    rng = random.Random(seed)
+    ring = _table_ring(kind, order, p, rng)
+    shifts = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+    columns = []
+    for _ in range(rng.randint(1, 3)):
+        top = rng.randint(max(shifts) + 1, max(shifts) + 2)
+        columns.append([_random_element(ring, rng, top - s) for s in shifts])
+    # a linear form that kills one generator: it kills the module only when
+    # it kills every other one too
+    killer, at = _random_element(ring, rng, 1), rng.randrange(len(shifts))
+    columns.append([killer if j == at else ring.poly_ring.zero() for j in range(len(shifts))])
+    module = make_module(ring, shifts, columns)
+    lts = _module_leading(module)
+    for d in range(-1, 7):
+        assert module.piece_basis(d) == _reference_module_piece(module, d, lts), d
+    h = module.hilbert_series(6)
+    assert h.numerator == _reference_module_numerator(module, lts)
+    assert list(h.expansion) == [len(module.piece_basis(d)) for d in range(7)]
+    forms = [ring.poly_ring.zero(), killer, *ring.poly_ring.gens(), _random_element(ring, rng, 1)]
+    for f in forms + list(ring.gb.generators):
+        want = True
+        for j in range(module.rank):
+            comps = [ring.poly_ring.zero()] * module.rank
+            comps[j] = f
+            want = want and all(c.is_zero() for c in module.module_nf(comps))
+        assert module.annihilated_by(f) == want, f
+    free = free_module(ring, shifts)
+    for d in range(-1, 7):
+        want = tuple((j, m) for j, s in enumerate(shifts) for m in ring.piece(d - s))
+        assert free.piece_basis(d) == want, d

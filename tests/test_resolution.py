@@ -341,7 +341,7 @@ def test_colliding_products_are_added_not_copied(p):
     # to one, so copying columns would keep one of the two entries.
     rng = random.Random(p)
     ring = _map_ring("xy-xz", p, rng)
-    x_times = ring.var_multiplication(0, 1)
+    x_times = _var_block(ring, 0, 1)
     assert sorted(x_times.sum(axis=1).tolist()) == [0, 0, 0, 1, 2]
     assert set(x_times.ravel().tolist()) == {0, 1}
     np_rng = np.random.default_rng(p)
@@ -355,7 +355,7 @@ def test_colliding_products_are_added_not_copied(p):
                 for t in shifts:
                     piece = coords[row : row + ring.dim_piece(e - t)].astype(object)
                     if len(piece):
-                        want.append(ring.var_multiplication(v, e - t).astype(object) @ piece % p)
+                        want.append(_var_block(ring, v, e - t).astype(object) @ piece % p)
                     else:
                         want.append(np.zeros((ring.dim_piece(e + 1 - t), 4), dtype=object))
                     row += len(piece)
@@ -375,6 +375,13 @@ def test_colliding_products_are_added_not_copied(p):
     assert checked
 
 
+def _var_block(ring, var, d):
+    """Multiplication by x_var from R_d to R_{d+1} coordinates: block var of
+    `var_multiplication_stack(d)`."""
+    high = ring.dim_piece(d + 1)
+    return ring.var_multiplication_stack(d)[var * high : (var + 1) * high]
+
+
 def _times_variable_matrix(ring, shifts, e, var):
     """x_var from the degree-e to the degree-(e+1) piece of the free module
     with the given shifts, as an array built from the shipped
@@ -392,13 +399,13 @@ def _times_variable_matrix(ring, shifts, e, var):
 def times_variable(ring, runs, coords, d, var):
     """Reference: x_var times the columns of `coords`, degree-d coordinate
     vectors of the free module with the block layout `runs` (`shift_runs` at
-    d), as degree-(d+1) coordinate vectors: one `var_multiplication` product
-    for each block."""
+    d), as degree-(d+1) coordinate vectors: one `_var_block` product for
+    each block."""
     out, row = [], 0
     for s, m, low, high in runs:
         for _ in range(m):
             if low and high:
-                block = ring.var_multiplication(var, d - s)
+                block = _var_block(ring, var, d - s)
                 out.append(matmul_mod(block, coords[row : row + low], ring.p))
             else:
                 out.append(np.zeros((high, coords.shape[1]), dtype=np.int64))
