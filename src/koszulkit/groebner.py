@@ -1,11 +1,21 @@
 """Groebner bases and module machinery over F_p[x_1..x_n].
 
+The reduced Groebner basis of a homogeneous ideal (`buchberger`) comes from
+F4 with the normal strategy (`_homogeneous_basis`): one Macaulay matrix per
+degree, its rows reduced by the reducers of symbolic preprocessing and then
+by one `linalg.rref`. Since the input is homogeneous, an element of a later
+degree never has a leading monomial that divides a term of an earlier one,
+so the basis comes out reduced, with no interreduction. Quotient rings,
+linear quotients and colons by a homogeneous J all send homogeneous ideals.
+
 One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
-for submodules of shifted free modules, with a degree-ordered S-pair queue;
-every basis runs to completion. An ideal runs on them as a submodule of the
-free module of rank 1 (`buchberger`, `normal_form`). Syzygy generators via
-tagged elimination; a colon ideal J : (g_1..g_k) is one such elimination,
-of the column (g_1..g_k) modulo (J + I_R) in every position.
+serve submodules of shifted free modules, with a degree-ordered S-pair
+queue; every basis runs to completion. An inhomogeneous ideal (a colon by
+an inhomogeneous J, say) runs on them as a submodule of the free module of
+rank 1, then `_interreduce`; normal forms (`normal_form`) are that full
+division. Syzygy generators via tagged elimination; a colon ideal
+J : (g_1..g_k) is one such elimination, of the column (g_1..g_k) modulo
+(J + I_R) in every position.
 
 Graded pieces of free modules are coordinate vectors over F_p. One stage
 loop (`_stage`) runs every degree-by-degree computation on them: it builds
@@ -42,7 +52,7 @@ from .arith import (
     mono_mul,
     mono_quotient,
 )
-from .linalg import Nonzeros, pivot_columns
+from .linalg import Nonzeros, pivot_columns, rref
 
 # ---------------------------------------------------------------- ideals
 
@@ -132,11 +142,17 @@ def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
 def buchberger(
     gens: Sequence[Polynomial], order: MonomialOrder | None = None
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens`, sorted by
+    ascending leading monomial.
 
-    `module_buchberger` on the gens as elements of the free module of rank 1,
-    then `_interreduce`. Output is independent of the input order (reduced
-    bases are unique for a fixed monomial order).
+    Homogeneous gens take F4 (`_homogeneous_basis`): one Macaulay matrix
+    per degree, in increasing degree. Each element comes out reduced by the
+    elements before it, and a later element, of higher degree, has a
+    leading monomial that divides no term of an earlier one; so the basis
+    is reduced as found, with no interreduction. Other gens run
+    `module_buchberger` on the gens as elements of the free module of rank
+    1, then `_interreduce`. Output is independent of the input order and of
+    the route (reduced bases are unique for a fixed monomial order).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -149,12 +165,182 @@ def buchberger(
         ring.check_compatible(g.ring)
     if order is not None and order != ring.order:
         raise ValueError("order does not match the generators' ring order")
+    if all(g.is_homogeneous() for g in gens):
+        return GroebnerBasis(tuple(_homogeneous_basis(gens)), ring.order)
 
     okey = ring.order.key
     elements = [_melt_from_components((g,)) for g in gens]
     basis = module_buchberger(elements, lambda pm: okey(pm[1]), ring.p, (0,))
     gb = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
     return GroebnerBasis(tuple(gb), ring.order)
+
+
+def _homogeneous_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """Reduced Groebner basis of the ideal of the nonzero homogeneous `gens`,
+    sorted by ascending leading monomial: F4 with the normal strategy
+    (Faugere, JPAA 139 (1999)).
+
+    Generators that are all monomials give their minimal ones at once.
+    Otherwise the degrees d that hold a pending S-pair or a generator are
+    taken in increasing order. Each is a Macaulay matrix (Lazard, EUROCAL
+    '83) whose columns are its monomials of degree d in descending order
+    (so the code serves every monomial order) and whose rows are
+    - both halves u*g of each pair of degree d left by `_add_pairs`, and the
+      generators of degree d;
+    - by symbolic preprocessing, repeated over the monomials each new row
+      brings in: for every monomial of the matrix that a leading monomial
+      of the basis divides, one reducer u*g that leads there (a pair half
+      where one does, else u*g for the first such g).
+    The other rows are reduced by the reducers (`_reduce_row`), and one
+    `rref` of what is left gives the new basis elements of degree d. They
+    are monic, lead outside the leading-term ideal so far and are zero at
+    every monomial of the matrix inside it, so they are fully reduced. No
+    element is reduced again later: a later element has higher degree, and
+    its leading monomial divides no monomial of degree d.
+    """
+    ring = gens[0].ring
+    key = ring.order.key
+    if all(len(g.terms) == 1 for g in gens):
+        minimal = _minimalize_monomials([g.leading_monomial() for g in gens])
+        return [Polynomial(ring, ((m, 1),)) for m in sorted(minimal, key=key)]
+    p = ring.p
+    pending = sorted(gens, key=Polynomial.degree, reverse=True)
+    # the basis: leading monomials and (monic) terms, in order found
+    lms: list[Monomial] = []
+    basis: list[tuple] = []
+    # S-pairs left by `_add_pairs`: (degree of the lcm, lcm, i, j)
+    pairs: list[tuple[int, Monomial, int, int]] = []
+    while pairs or pending:
+        d = min([s[0] for s in pairs] + [g.degree() for g in pending[-1:]])
+        # the reducers by leading monomial, and the rows to reduce
+        reducers: dict[Monomial, list] = {}
+        rows: list = []
+        products = set()
+        for s in [s for s in pairs if s[0] == d]:
+            for k in s[2:]:
+                u = mono_quotient(s[1], lms[k])
+                if (k, u) not in products:
+                    products.add((k, u))
+                    row = [(mono_mul(m, u), c) for m, c in basis[k]]
+                    if s[1] in reducers:
+                        rows.append(row)
+                    else:
+                        reducers[s[1]] = row
+        pairs = [s for s in pairs if s[0] != d]
+        while pending and pending[-1].degree() == d:
+            rows.append(pending.pop().terms)
+        seen = set(reducers)
+        lts = np.array(lms, dtype=np.int64).reshape(len(lms), ring.nvars)
+        wave = [m for row in (*reducers.values(), *rows) for m, _c in row]
+        while wave:
+            fresh = [m for m in dict.fromkeys(wave) if m not in seen]
+            seen.update(fresh)
+            wave = []
+            for m, k in zip(fresh, _first_divisors(fresh, lts)):
+                if k >= 0:
+                    u = mono_quotient(m, lms[k])
+                    reducers[m] = [(mono_mul(mm, u), c) for mm, c in basis[k]]
+                    wave += [mm for mm, _c in reducers[m]]
+        columns = sorted(seen, key=key, reverse=True)
+        index = {m: c for c, m in enumerate(columns)}
+        table = {index[m]: [(index[mm], c) for mm, c in row[1:]] for m, row in reducers.items()}
+        rest = [_reduce_row({index[m]: c for m, c in row}, table, p) for row in rows]
+        rest = [row for row in rest if row]
+        if not rest:
+            continue
+        # the columns left, in order
+        left = sorted({c for row in rest for c in row})
+        at = {c: j for j, c in enumerate(left)}
+        mat = Nonzeros(
+            (len(rest), len(left)),
+            np.arange(len(rest)).repeat([len(row) for row in rest]),
+            np.array([at[c] for row in rest for c in row], dtype=np.int64),
+            np.array([v for row in rest for v in row.values()], dtype=np.int64),
+        )
+        for row in rref(mat, p)[0].tolist():
+            terms = tuple((columns[left[j]], v) for j, v in enumerate(row) if v)
+            lms.append(terms[0][0])
+            basis.append(terms)
+            pairs = _add_pairs(pairs, lms)
+    order = sorted(range(len(lms)), key=lambda i: key(lms[i]))
+    return [Polynomial(ring, basis[i]) for i in order]
+
+
+def _minimalize_monomials(gens: list[Monomial]) -> list[Monomial]:
+    """The minimal generators of the monomial ideal of `gens`, by degree."""
+    out: list[Monomial] = []
+    for m in sorted(set(gens), key=lambda m: (mono_degree(m), m)):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int, int]:
+    """The row {column: entry} reduced by the monic reducers of `table`
+    ({leading column: its other entries, at larger columns}) until no column
+    of the row leads one; reducers are taken at increasing columns, so a
+    column once cleared never returns."""
+    heap = [c for c in row if c in table]
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        for k, v in table[c]:
+            old = row.get(k)
+            if old is None:
+                # f and v are nonzero mod the prime p, so this is too
+                row[k] = -f * v % p
+                if k in table:
+                    heapq.heappush(heap, k)
+            elif w := (old - f * v) % p:
+                row[k] = w
+            else:
+                del row[k]
+    return row
+
+
+def _first_divisors(monos: list[Monomial], lts: np.ndarray) -> list[int]:
+    """For each monomial, the index of the first row of `lts` (leading
+    monomials as exponent rows) that divides it, or -1."""
+    if not (len(lts) and monos):
+        return [-1] * len(monos)
+    hit = (np.array(monos, dtype=np.int64)[:, None, :] >= lts).all(axis=2)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1).tolist()
+
+
+def _add_pairs(pairs: list[tuple], lms: list[Monomial]) -> list[tuple]:
+    """The S-pairs after the last of `lms` joins the basis, by Gebauer and
+    Moeller's update (Becker and Weispfenning, *Groebner Bases*, 5.5): of
+    the new pairs (g, h), drop those whose lcm another new pair's lcm
+    divides (criterion M; of equal lcms one is kept, a coprime one first,
+    criterion F), then the coprime ones (Buchberger's first criterion); of
+    the old pairs (i, j), drop those whose lcm the new leading monomial
+    divides unless it equals lcm(i, h) or lcm(j, h) (criterion B_k).
+
+    No basis element leaves: under the normal strategy a new leading
+    monomial has the highest degree so far and is no earlier one.
+    """
+    h, mh = len(lms) - 1, lms[-1]
+    new = []
+    for g in range(h):
+        lcm = mono_lcm(lms[g], mh)
+        # lm g and mh are coprime when their lcm is their product
+        new.append((lcm, g, sum(lcm) == sum(lms[g]) + sum(mh)))
+    kept: list[tuple] = []
+    for a, (lcm, g, coprime) in enumerate(new):
+        if coprime or not any(mono_divides(s[0], lcm) for s in [*new[a + 1 :], *kept]):
+            kept.append((lcm, g, coprime))
+    out = [
+        s
+        for s in pairs
+        if not mono_divides(mh, s[1])
+        or mono_lcm(lms[s[2]], mh) == s[1]
+        or mono_lcm(lms[s[3]], mh) == s[1]
+    ]
+    out += [(sum(lcm), lcm, g, h) for lcm, g, coprime in kept if not coprime]
+    return out
 
 
 # ---------------------------------------------------- free module vectors

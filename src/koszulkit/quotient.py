@@ -38,6 +38,7 @@ from .groebner import (
     _melt_from_components,
     _melt_lt,
     _melt_to_components,
+    _minimalize_monomials,
 )
 from .linalg import rref
 
@@ -352,14 +353,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _minimalize_monomials(gens: list[Monomial]) -> list[Monomial]:
-    out: list[Monomial] = []
-    for m in sorted(set(gens), key=lambda m: (mono_degree(m), m)):
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return out
-
-
 def _monomial_quotient_numerator(gens: list[Monomial], nvars: int) -> list[int]:
     """Numerator of H_{S/(gens)} over (1-t)^nvars, by the pivot recursion.
 
@@ -607,13 +600,24 @@ def make_module(
     shifts: Sequence[int],
     columns: Sequence[Sequence[Polynomial]],
 ) -> GradedModule:
-    """Normalized module presentation: unit entries pruned, entries reduced."""
+    """Normalized module presentation: unit entries pruned, entries reduced.
+
+    An entry is reduced only where one of its terms lies in the leading-term
+    ideal of the ring; zero entries and normal forms are kept as given."""
     shifts = list(shifts)
+    lms = ring.gb.leading_monomials()
+
+    def reduce(f: Polynomial) -> Polynomial:
+        if any(mono_divides(a, m) for m, _c in f.terms for a in lms):
+            return ring.reduce(f)
+        ring.poly_ring.check_compatible(f.ring)
+        return f
+
     cols: list[list[Polynomial]] = []
     for k, col in enumerate(columns):
         if len(col) != len(shifts):
             raise ValueError(f"column #{k + 1} has {len(col)} entries, expected {len(shifts)}")
-        reduced = [ring.reduce(c) for c in col]
+        reduced = [reduce(c) for c in col]
         vec = FreeModuleVector(tuple(reduced), tuple(shifts))
         if not vec.is_graded():
             raise ValueError(f"inhomogeneous presentation column #{k + 1}")

@@ -34,7 +34,9 @@ from koszulkit.groebner import (
     top_order_key,
     _interreduce,
     _melt_axpy,
+    _melt_from_components,
     _melt_lt,
+    _melt_to_components,
 )
 from koszulkit.quotient import make_ring
 from oracles import (
@@ -54,7 +56,8 @@ def in_ideal(f, gb):
 # The polynomial-level Buchberger that `buchberger` replaced with the module
 # engine, kept as the reference: its S-polynomial, its division loop and its
 # pair loop with both classical criteria. Only the final `_interreduce` is
-# shared with `buchberger`; reduced bases are unique.
+# shared with `buchberger`, and only with its route for inhomogeneous gens;
+# reduced bases are unique.
 
 
 def _reference_spolynomial(f, g):
@@ -157,9 +160,9 @@ _PRIMES = (2, 3, 32003, 2**31 - 1)
     st.integers(0, 2**32 - 1),
 )
 def test_buchberger_matches_polynomial_reference(p, kind, homogeneous, seed):
-    # one Buchberger on rank-1 module elements gives the reduced basis of the
-    # polynomial-level loop it replaced; normal forms agree term for term on
-    # that basis and on plain lists (the `_interreduce` path)
+    # both routes of `buchberger` (F4 for homogeneous gens, rank-1 module
+    # elements otherwise) give the reduced basis of the polynomial-level
+    # loop; normal forms agree term for term on that basis and on plain lists
     rng = random.Random(seed)
     ring = PolynomialRing(p, ("x", "y", "z")[: rng.randint(1, 3)], kind)
     gens = _random_polys(rng, ring, rng.randint(1, 3), 3, 3, homogeneous)
@@ -170,6 +173,71 @@ def test_buchberger_matches_polynomial_reference(p, kind, homogeneous, seed):
         assert normal_form(f, gb) == _reference_normal_form(f, gb)
         assert normal_form(f, gens) == _reference_normal_form(f, gens)
         assert normal_form(f, elts) == _reference_normal_form(f, elts)
+
+
+def _homogeneous_gens(rng, ring, shape):
+    """Homogeneous generators of degrees 0-4 of the drawn shape: random forms,
+    an all-monomial set, random forms plus a constant or plus linear forms,
+    or a unitriangular basis of S_e (so I_e = S_e) plus random forms."""
+    n, p = ring.nvars, ring.p
+
+    def form(d):
+        monos = ring.monomials_of_degree(d)
+        return ring.from_dict(
+            {rng.choice(monos): rng.randrange(1, p) for _ in range(rng.randint(1, 4))}
+        )
+
+    if shape == "monomials":
+        return [ring.monomial(rng.choice(ring.monomials_of_degree(rng.randint(0, 4))))
+                for _ in range(rng.randint(1, 5))]
+    gens = [form(rng.randint(2, 4 if n <= 3 else 3)) for _ in range(rng.randint(1, 3))]
+    if shape == "constant":
+        gens.append(ring.constant(rng.randrange(1, p)))
+    elif shape == "linear":
+        gens += [form(1) for _ in range(rng.randint(1, n))]
+    elif shape == "full":
+        monos = ring.monomials_of_degree(rng.randint(1, 2 if n <= 3 else 1))
+        gens += [
+            ring.from_dict({m: 1, **{s: rng.randrange(p) for s in monos[k + 1 :]}})
+            for k, m in enumerate(monos)
+        ]
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_PRIMES),
+    st.sampled_from(("degrevlex", "lex")),
+    st.sampled_from(("forms", "monomials", "constant", "linear", "full")),
+    st.integers(0, 2**32 - 1),
+)
+def test_homogeneous_route_matches_polynomial_reference(p, kind, shape, seed):
+    # the F4 route of homogeneous input gives the reduced basis of the
+    # polynomial-level loop, whatever the order of the generators
+    rng = random.Random(seed)
+    ring = PolynomialRing(p, [f"x{i}" for i in range(rng.randint(1, 5))], kind)
+    gens = _homogeneous_gens(rng, ring, shape)
+    gb = buchberger(gens)
+    assert gb == _reference_buchberger(gens)
+    rng.shuffle(gens)
+    assert buchberger(gens) == gb
+
+
+def test_homogeneous_route_matches_module_route_at_scale():
+    # five dense quadrics in seven variables: the F4 route eliminates only
+    # the rows its pairs and reducers need, where a Macaulay matrix of every
+    # product u*g would run to 3,003 columns in degree 8
+    p, n = 32003, 7
+    rng = random.Random("big-7-5")
+    ring = PolynomialRing(p, [f"x{i}" for i in range(n)])
+    monos = ring.monomials_of_degree(2)
+    gens = [ring.from_dict({m: rng.randrange(1, p) for m in monos}) for _ in range(5)]
+    key = ring.order.key
+    basis = module_buchberger(
+        [_melt_from_components((g,)) for g in gens], lambda pm: key(pm[1]), p, (0,)
+    )
+    expected = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
+    assert buchberger(gens).generators == tuple(expected)
 
 
 def test_normal_form_rejects_a_basis_over_another_field():
