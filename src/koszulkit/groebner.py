@@ -10,9 +10,10 @@ linear quotients and colons by a homogeneous J all send homogeneous ideals.
 
 One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
 serve submodules of shifted free modules, with a degree-ordered S-pair
-queue; every basis runs to completion. An inhomogeneous ideal (a colon by
-an inhomogeneous J, say) runs on them as a submodule of the free module of
-rank 1, then `_interreduce`; normal forms (`normal_form`) are that full
+queue; every basis runs to completion. Inhomogeneous input is homogenized
+by one extra variable, and its basis is returned reduced. An inhomogeneous
+ideal (a colon by an inhomogeneous J, say) runs on them as a submodule of
+the free module of rank 1; normal forms (`normal_form`) are that full
 division. Syzygy generators via tagged elimination; a colon ideal
 J : (g_1..g_k) is one such elimination, of the column (g_1..g_k) modulo
 (J + I_R) in every position.
@@ -110,35 +111,6 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return f if r == elt else _melt_to_components(r, 1, ring)[0]
 
 
-def _interreduce(gens: list[Polynomial]) -> list[Polynomial]:
-    """Minimalize leading terms, then fully auto-reduce; sorted ascending.
-
-    Tail reduction leaves the (monic) leading terms of a minimal basis as
-    they are, so every element is reduced once by the others' current
-    versions, and no term of a reduced element becomes divisible later.
-    """
-    gens = [g.monic() for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    ring = gens[0].ring
-    key = ring.order.key
-    gens.sort(key=lambda g: key(g.leading_monomial()))
-    minimal: list[Polynomial] = []
-    for g in gens:
-        lm = g.leading_monomial()
-        if any(mono_divides(h.leading_monomial(), lm) for h in minimal):
-            continue
-        minimal.append(g)
-    leads = _division_leads(minimal)
-    mkey = lambda pm: key(pm[1])
-    for i, (lead, _inv, elt) in enumerate(leads):
-        r = _melt_reduce(elt, leads[:i] + leads[i + 1 :], mkey, ring.p)
-        if r != elt:
-            minimal[i] = _melt_to_components(r, 1, ring)[0]
-            leads[i] = (lead, 1, r)
-    return minimal
-
-
 def buchberger(
     gens: Sequence[Polynomial], order: MonomialOrder | None = None
 ) -> GroebnerBasis:
@@ -151,8 +123,9 @@ def buchberger(
     leading monomial that divides no term of an earlier one; so the basis
     is reduced as found, with no interreduction. Other gens run
     `module_buchberger` on the gens as elements of the free module of rank
-    1, then `_interreduce`. Output is independent of the input order and of
-    the route (reduced bases are unique for a fixed monomial order).
+    1, which homogenizes them and returns the reduced basis. Output is
+    independent of the input order and of the route (reduced bases are
+    unique for a fixed monomial order).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -171,8 +144,7 @@ def buchberger(
     okey = ring.order.key
     elements = [_melt_from_components((g,)) for g in gens]
     basis = module_buchberger(elements, lambda pm: okey(pm[1]), ring.p, (0,))
-    gb = _interreduce([_melt_to_components(e, 1, ring)[0] for e in basis])
-    return GroebnerBasis(tuple(gb), ring.order)
+    return GroebnerBasis(tuple(_melt_to_components(e, 1, ring)[0] for e in basis), ring.order)
 
 
 def _homogeneous_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
@@ -533,7 +505,30 @@ def module_buchberger(
     Buchberger's first criterion (coprime leading monomials) when both
     elements lie in a single position: it holds for f*e_k, g*e_k, not for
     general module elements.
+
+    When some element has terms of more than one degree deg m + shift, every
+    element is first homogenized, up to its top degree, by one extra last
+    variable h, and the loop runs under the key (degree, `key` of the term
+    without h). Under that key the leading term of a homogeneous element is
+    the leading term of the element with h = 1, so the basis with h set to 1
+    is a Groebner basis for `key`, and the pairs are taken in the order of
+    their sugar degree. That basis is returned reduced
+    (`_interreduce`), since setting h to 1 leaves many elements redundant.
     """
+    elements = [e for e in ({k: v % p for k, v in e.items() if v % p} for e in elements) if e]
+    degrees = [{mono_degree(m) + shifts[pos] for pos, m in e} for e in elements]
+    homogenize = any(len(ds) > 1 for ds in degrees)
+    if homogenize:
+        elements = [
+            {(pos, m + (top - mono_degree(m) - shifts[pos],)): c for (pos, m), c in e.items()}
+            for e, top in zip(elements, map(max, degrees))
+        ]
+        dehomogenized_key = key
+        key = lambda pm: (
+            mono_degree(pm[1]) + shifts[pm[0]],
+            dehomogenized_key((pm[0], pm[1][:-1])),
+        )
+
     basis: list[ModElt] = []
     # the leading term of each (monic) basis element, as `_melt_reduce` takes them
     leads: list[tuple] = []
@@ -548,9 +543,7 @@ def module_buchberger(
         single.append(all(pos == pm[0] for pos, _m in e))
 
     for e in elements:
-        e = {k: v % p for k, v in e.items() if v % p}
-        if e:
-            append(e)
+        append(e)
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
@@ -601,7 +594,29 @@ def module_buchberger(
             append(r)
             push_pairs(len(basis) - 1)
 
+    if homogenize:
+        basis = [{(pos, m[:-1]): c for (pos, m), c in e.items()} for e in basis]
+        return _interreduce(basis, dehomogenized_key, p)
     return basis
+
+
+def _interreduce(basis: list[ModElt], key: ModKey, p: int) -> list[ModElt]:
+    """The reduced Groebner basis of the submodule that the Groebner basis
+    `basis` generates, sorted by ascending leading term: minimalize the
+    leading terms, then fully auto-reduce.
+
+    Tail reduction leaves the (monic) leading terms of a minimal basis as
+    they are, so every element is reduced once by the others' current
+    versions, and no term of a reduced element becomes divisible later.
+    """
+    leads: list[tuple] = []
+    for e in sorted(basis, key=lambda e: key(_melt_lt(e, key)[0])):
+        (pos, m), c = _melt_lt(e, key)
+        if not any(bpos == pos and mono_divides(bm, m) for (bpos, bm), _inv, _b in leads):
+            leads.append(((pos, m), 1, _melt_scale(e, pow(c, -1, p), p)))
+    for i, (lead, _inv, elt) in enumerate(leads):
+        leads[i] = (lead, 1, _melt_reduce(elt, leads[:i] + leads[i + 1 :], key, p))
+    return [elt for _lead, _inv, elt in leads]
 
 
 def _melt_to_components(
@@ -909,14 +924,10 @@ def colon_ideal(
         return buchberger([poly_ring.one()], poly_ring.order)
     if not all(g.is_homogeneous() for g in column):
         raise ValueError("non-homogeneous colon input")
-    zero = poly_ring.zero()
-    relations = [
-        tuple(h if k == i else zero for k in range(len(column)))
-        for i in range(len(column))
-        for h in j_full
-    ]
     raw = syzygies_over_poly_ring(
-        [tuple(column)], tuple(-g.degree() for g in column), relations
+        [tuple(column)],
+        tuple(-g.degree() for g in column),
+        _at_each_position(j_full, len(column)),
     )
     tags = [comps[0] for comps in raw if not comps[0].is_zero()]
     return buchberger(tags + list(ring.gb.generators), poly_ring.order)

@@ -14,24 +14,24 @@ benchmark's span recorder, which counts its calls.
 
 `rref`, `pivot_columns`, `rank` and `nullspace` take a matrix as an int64
 array or as its `Nonzeros`: its shape and nonzero entries, the form in
-which the resolution engine keeps its degree maps. They eliminate on one
-of three paths, chosen from the shape and the count of nonzero entries
-alone, by gates taken in this order. A matrix of at most
-`_SMALL_MAX_ENTRIES` entries goes to `_small_echelon`, which keeps its rows
-as Python lists; the certificate checks and most syzygy steps of the
-theorem suites make thousands of such matrices, whose cost on the other
-paths is per-call and per-column set-up. A larger matrix with at least
-`_SPARSE_MIN_ENTRIES` entries of which at most a `_SPARSE_MAX_DENSITY` share
-are nonzero goes to `_sparse_echelon`, which keeps each row as a dict of its
-nonzero entries; the degree maps of resolutions over monomial rings are such
-matrices. Both reduce entries mod p and combine them in Python ints. Every
-other matrix goes to `_dense_echelon`, the int64 loop whose single products
-stay below 2^62 as said above; it is the fastest where the matrix is large
-and many entries are nonzero. A `Nonzeros` is made into an array only for
-the small and dense paths, and an array is scanned for its nonzeros only
-where its size admits the sparse path. All three take the columns left to
-right and make every pivot 1, and the pivot columns and the rref of a matrix
-are unique, so the three paths, and the two forms, give identical results.
+which the resolution engine keeps its degree maps. One gate sends it to one
+of three paths, from the shape and the count of nonzero entries alone. A
+matrix of at most `_SMALL_MAX_ENTRIES` entries goes to `_small_echelon`,
+which keeps its rows as Python lists; the certificate checks and most
+syzygy steps of the theorem suites make thousands of such matrices, whose
+cost on the other paths is per-call and per-column set-up. A larger array
+is read into its `Nonzeros` by one scan, and from there both forms meet the
+same test: a matrix with at least `_SPARSE_MIN_ENTRIES` entries of which at
+most a `_SPARSE_MAX_DENSITY` share are nonzero goes to `_sparse_echelon`,
+which keeps each row as a dict of its nonzero entries; the degree maps of
+resolutions over monomial rings are such matrices. Both reduce entries mod
+p and combine them in Python ints. Every other matrix goes to
+`_dense_echelon`, the int64 loop whose single products stay below 2^62 as
+said above; it is the fastest where the matrix is large and many entries
+are nonzero. Only the small and dense paths build an array from a
+`Nonzeros`. All three take the columns left to right and make every pivot
+1, and the pivot columns and the rref of a matrix are unique, so the three
+paths, and the two forms, give identical results.
 """
 
 from __future__ import annotations
@@ -154,42 +154,17 @@ _SMALL_MAX_ENTRIES = 100
 def _echelon(a, p, reduced):
     """(rref without zero rows, pivot columns) of `a` with `reduced`, and
     (None, pivot columns) without, by the path the module docstring names."""
-    if isinstance(a, Nonzeros):
-        if a.size > _SMALL_MAX_ENTRIES and _takes_sparse(a.size, len(a.values)):
-            return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
-        a = a.toarray()
-    else:
+    if not isinstance(a, Nonzeros):
         a = np.asarray(a, dtype=np.int64)
         if a.size <= _SMALL_MAX_ENTRIES:
             return _small_echelon(a, p, reduced)
-        nonzeros = _sparse_nonzeros(a)
-        if nonzeros is not None:
-            rows, cols = nonzeros
-            return _sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
-        # the dense path overwrites its input
-        a = a.copy(order="C")
+        rows, cols = np.nonzero(a)
+        a = Nonzeros(a.shape, rows, cols, a[rows, cols])
     if a.size <= _SMALL_MAX_ENTRIES:
-        return _small_echelon(a, p, reduced)
-    return _dense_echelon(a, p, reduced)
-
-
-def _takes_sparse(size, nonzero_count):
-    """The sparse gate: whether a matrix of more than `_SMALL_MAX_ENTRIES`
-    entries, `size` in all and `nonzero_count` of them nonzero, takes the
-    sparse path."""
-    return size >= _SPARSE_MIN_ENTRIES and nonzero_count <= _SPARSE_MAX_DENSITY * size
-
-
-def _sparse_nonzeros(a):
-    """The (row, column) index arrays of the nonzero entries of the array `a`
-    when it takes the sparse path, else None; a matrix too small for it is
-    not scanned."""
-    if a.size < _SPARSE_MIN_ENTRIES:
-        return None
-    flat = np.flatnonzero(a.ravel() != 0)
-    if not _takes_sparse(a.size, len(flat)):
-        return None
-    return np.divmod(flat, a.shape[1])
+        return _small_echelon(a.toarray(), p, reduced)
+    if a.size >= _SPARSE_MIN_ENTRIES and len(a.values) <= _SPARSE_MAX_DENSITY * a.size:
+        return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
+    return _dense_echelon(a.toarray(), p, reduced)
 
 
 def _small_echelon(a, p, reduced):
@@ -341,8 +316,6 @@ def _sparse_echelon(shape, rows, cols, values, p, reduced):
 
 
 def rank(a: np.ndarray | Nonzeros, p: int) -> int:
-    if a.size == 0:
-        return 0
     return len(pivot_columns(a, p))
 
 

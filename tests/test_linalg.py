@@ -310,18 +310,9 @@ def test_sparse_and_dense_elimination_agree(inputs):
     assert np.flatnonzero(last[-1]).tolist() == want
 
 
-def test_sparse_gate_takes_large_sparse_matrices_only():
-    n = linalg._SPARSE_MIN_ENTRIES
-    k = int(n * linalg._SPARSE_MAX_DENSITY)
-    a = np.zeros((1, n), dtype=np.int64)
-    a[0, :k] = 1
-    assert [x.tolist() for x in linalg._sparse_nonzeros(a)] == [[0] * k, list(range(k))]
-    assert linalg._sparse_nonzeros(a[:, 1:]) is None
-    a[0, k] = 1
-    assert linalg._sparse_nonzeros(a) is None
-
-
-def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
+def _assert_paths(monkeypatch, cases):
+    """Each (matrix, path) of `cases`, as an array and as its nonzeros, goes
+    through every public function to the one elimination path named."""
     taken = []
 
     def counting(name):
@@ -335,22 +326,49 @@ def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
 
     for name in ("_small_echelon", "_sparse_echelon", "_dense_echelon"):
         monkeypatch.setattr(linalg, name, counting(name))
+    for a, path in cases:
+        # the nonzeros of a matrix take the path the matrix takes
+        for form in (a, _nonzeros(a)):
+            for fn in (rref, pivot_columns, nullspace, rank):
+                taken.clear()
+                fn(form, 5)
+                assert taken == [path], (a.shape, fn.__name__, type(form))
+
+
+def test_sparse_gate_takes_large_sparse_matrices_only(monkeypatch):
+    # a row of the sparse path's least size, with as many nonzeros as its
+    # density admits
+    k = int(linalg._SPARSE_MIN_ENTRIES * linalg._SPARSE_MAX_DENSITY)
+    sparse = np.zeros((1, linalg._SPARSE_MIN_ENTRIES), dtype=np.int64)
+    sparse[0, :k] = 1
+    denser = sparse.copy()
+    denser[0, k] = 1
+    _assert_paths(
+        monkeypatch,
+        (
+            (sparse, "_sparse_echelon"),
+            (sparse[:, 1:], "_dense_echelon"),
+            (denser, "_dense_echelon"),
+            (sparse + 1, "_dense_echelon"),
+        ),
+    )
+
+
+def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
     n = linalg._SMALL_MAX_ENTRIES
     assert n + 1 < linalg._SPARSE_MIN_ENTRIES
     sparse = np.zeros((1, linalg._SPARSE_MIN_ENTRIES), dtype=np.int64)
     sparse[0, 0] = 1
-    for a, path in (
-        (np.ones((1, n), dtype=np.int64), "_small_echelon"),
-        (np.zeros((1, n), dtype=np.int64), "_small_echelon"),
-        (np.zeros((0, 7), dtype=np.int64), "_small_echelon"),
-        (np.ones((1, n + 1), dtype=np.int64), "_dense_echelon"),
-        (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon"),
-        (sparse, "_sparse_echelon"),
-        (sparse + 1, "_dense_echelon"),
-    ):
-        # the nonzeros of a matrix take the path the matrix takes
-        for form in (a, _nonzeros(a)):
-            for fn in (rref, pivot_columns, nullspace):
-                taken.clear()
-                fn(form, 5)
-                assert taken == [path], (a.shape, fn.__name__, type(form))
+    _assert_paths(
+        monkeypatch,
+        (
+            (np.ones((1, n), dtype=np.int64), "_small_echelon"),
+            (np.zeros((1, n), dtype=np.int64), "_small_echelon"),
+            (np.zeros((0, 7), dtype=np.int64), "_small_echelon"),
+            (np.zeros((400, 0), dtype=np.int64), "_small_echelon"),
+            (np.ones((1, n + 1), dtype=np.int64), "_dense_echelon"),
+            (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon"),
+            (sparse, "_sparse_echelon"),
+            (sparse + 1, "_dense_echelon"),
+        ),
+    )
