@@ -256,6 +256,14 @@ def projective_representatives(n: int, p: int) -> list[tuple[int, ...]]:
 # ------------------------------------------------------------ certificates
 
 
+def _json_int(value) -> int:
+    """An entry or index of a certificate's JSON, which must be an integer:
+    a float, a string or a boolean raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FiltrationWitness:
     member: int          # index of I
@@ -284,12 +292,14 @@ class FiltrationCertificate:
     @staticmethod
     def from_json(doc: dict) -> "FiltrationCertificate":
         members = tuple(
-            LinearIdeal(tuple(tuple(int(c) for c in row) for row in m))
-            for m in doc["members"]
+            LinearIdeal(tuple(tuple(map(_json_int, row)) for row in m)) for m in doc["members"]
         )
         witnesses = tuple(
             FiltrationWitness(
-                int(w["member"]), int(w["sub"]), tuple(int(c) for c in w["g"]), int(w["colon"])
+                _json_int(w["member"]),
+                _json_int(w["sub"]),
+                tuple(map(_json_int, w["g"])),
+                _json_int(w["colon"]),
             )
             for w in doc["witnesses"]
         )
@@ -316,8 +326,8 @@ class FlagCertificate:
     @staticmethod
     def from_json(doc: dict) -> "FlagCertificate":
         return FlagCertificate(
-            tuple(tuple(int(c) for c in f) for f in doc["forms"]),
-            tuple(int(j) for j in doc["colon_indices"]),
+            tuple(tuple(map(_json_int, f)) for f in doc["forms"]),
+            tuple(map(_json_int, doc["colon_indices"])),
         )
 
     def as_filtration(self, n: int, p: int) -> FiltrationCertificate:

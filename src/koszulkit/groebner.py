@@ -9,12 +9,13 @@ so the basis comes out reduced, with no interreduction. Quotient rings,
 linear quotients and colons by a homogeneous J all send homogeneous ideals.
 
 One Buchberger (`module_buchberger`) and one full division (`_melt_reduce`)
-serve submodules of shifted free modules, with a degree-ordered S-pair
-queue; every basis runs to completion. Inhomogeneous input is homogenized
-by one extra variable, and its basis is returned reduced. An inhomogeneous
-ideal (a colon by an inhomogeneous J, say) runs on them as a submodule of
-the free module of rank 1; normal forms (`normal_form`) are that full
-division. Syzygy generators via tagged elimination; a colon ideal
+serve submodules of shifted free modules, taking the S-pairs in increasing
+degree; every basis runs to completion. F4 and that loop keep their S-pairs
+by one Gebauer-Moeller update (`_add_pairs`). Inhomogeneous input is
+homogenized by one extra variable, and its basis is returned reduced. An
+inhomogeneous ideal (a colon by an inhomogeneous J, say) runs on them as a
+submodule of the free module of rank 1; normal forms (`normal_form`) are
+that full division. Syzygy generators via tagged elimination; a colon ideal
 J : (g_1..g_k) is one such elimination, of the column (g_1..g_k) modulo
 (J + I_R) in every position.
 
@@ -46,7 +47,6 @@ from .arith import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    mono_coprime,
     mono_degree,
     mono_divides,
     mono_lcm,
@@ -177,40 +177,40 @@ def _homogeneous_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
         return [Polynomial(ring, ((m, 1),)) for m in sorted(minimal, key=key)]
     p = ring.p
     pending = sorted(gens, key=Polynomial.degree, reverse=True)
-    # the basis: leading monomials and (monic) terms, in order found
-    lms: list[Monomial] = []
+    # the basis: leading terms (all at position 0) and (monic) terms, in order found
+    lts: list[tuple[int, Monomial]] = []
     basis: list[tuple] = []
-    # S-pairs left by `_add_pairs`: (degree of the lcm, lcm, i, j)
-    pairs: list[tuple[int, Monomial, int, int]] = []
+    # S-pairs left by `_add_pairs`, ranked by the degree of their lcm
+    pairs: list[tuple] = []
     while pairs or pending:
         d = min([s[0] for s in pairs] + [g.degree() for g in pending[-1:]])
         # the reducers by leading monomial, and the rows to reduce
         reducers: dict[Monomial, list] = {}
         rows: list = []
         products = set()
-        for s in [s for s in pairs if s[0] == d]:
-            for k in s[2:]:
-                u = mono_quotient(s[1], lms[k])
+        for _d, j, i, _pos, lcm in [s for s in pairs if s[0] == d]:
+            for k in (i, j):
+                u = mono_quotient(lcm, lts[k][1])
                 if (k, u) not in products:
                     products.add((k, u))
                     row = [(mono_mul(m, u), c) for m, c in basis[k]]
-                    if s[1] in reducers:
+                    if lcm in reducers:
                         rows.append(row)
                     else:
-                        reducers[s[1]] = row
+                        reducers[lcm] = row
         pairs = [s for s in pairs if s[0] != d]
         while pending and pending[-1].degree() == d:
             rows.append(pending.pop().terms)
         seen = set(reducers)
-        lts = np.array(lms, dtype=np.int64).reshape(len(lms), ring.nvars)
+        lead_rows = np.array([m for _pos, m in lts], dtype=np.int64).reshape(len(lts), ring.nvars)
         wave = [m for row in (*reducers.values(), *rows) for m, _c in row]
         while wave:
             fresh = [m for m in dict.fromkeys(wave) if m not in seen]
             seen.update(fresh)
             wave = []
-            for m, k in zip(fresh, _first_divisors(fresh, lts)):
+            for m, k in zip(fresh, _first_divisors(fresh, lead_rows)):
                 if k >= 0:
-                    u = mono_quotient(m, lms[k])
+                    u = mono_quotient(m, lts[k][1])
                     reducers[m] = [(mono_mul(mm, u), c) for mm, c in basis[k]]
                     wave += [mm for mm, _c in reducers[m]]
         columns = sorted(seen, key=key, reverse=True)
@@ -231,10 +231,10 @@ def _homogeneous_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
         )
         for row in rref(mat, p)[0].tolist():
             terms = tuple((columns[left[j]], v) for j, v in enumerate(row) if v)
-            lms.append(terms[0][0])
+            lts.append((0, terms[0][0]))
             basis.append(terms)
-            pairs = _add_pairs(pairs, lms)
-    order = sorted(range(len(lms)), key=lambda i: key(lms[i]))
+            pairs = _add_pairs(pairs, lts, lambda _pos, lcm: mono_degree(lcm))
+    order = sorted(range(len(lts)), key=lambda i: key(lts[i][1]))
     return [Polynomial(ring, basis[i]) for i in order]
 
 
@@ -282,24 +282,31 @@ def _first_divisors(monos: list[Monomial], lts: np.ndarray) -> list[int]:
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1).tolist()
 
 
-def _add_pairs(pairs: list[tuple], lms: list[Monomial]) -> list[tuple]:
-    """The S-pairs after the last of `lms` joins the basis, by Gebauer and
-    Moeller's update (Becker and Weispfenning, *Groebner Bases*, 5.5): of
-    the new pairs (g, h), drop those whose lcm another new pair's lcm
-    divides (criterion M; of equal lcms one is kept, a coprime one first,
-    criterion F), then the coprime ones (Buchberger's first criterion); of
-    the old pairs (i, j), drop those whose lcm the new leading monomial
-    divides unless it equals lcm(i, h) or lcm(j, h) (criterion B_k).
+def _add_pairs(pairs: list[tuple], lts: list, rank: Callable, single=None) -> list[tuple]:
+    """The S-pairs after the last of the leading terms `lts`, (position,
+    monomial) of each basis element, joins the basis, by Gebauer and
+    Moeller's update (Becker and Weispfenning, *Groebner Bases*, 5.5). Only
+    elements at one position make a pair. Of the new pairs (g, h), drop
+    those whose lcm another new pair's lcm divides (criterion M; of equal
+    lcms one is kept, a coprime one first, criterion F), then the coprime
+    ones (Buchberger's first criterion); of the old pairs (i, j) at the new
+    position, drop those whose lcm the new leading monomial divides unless
+    it equals lcm(i, h) or lcm(j, h) (criterion B_k).
 
-    No basis element leaves: under the normal strategy a new leading
-    monomial has the highest degree so far and is no earlier one.
+    A pair is coprime when its leading monomials are and both elements lie
+    in a single position (`single`, or all when it is None): the criterion
+    holds for f*e_k, g*e_k, not for general module elements. A pair (i, j),
+    i < j, is the tuple (rank(position, lcm), j, i, position, lcm): pairs
+    sort by the caller's `rank`, then oldest first. No element leaves.
     """
-    h, mh = len(lms) - 1, lms[-1]
+    h, (pos, mh) = len(lts) - 1, lts[-1]
     new = []
-    for g in range(h):
-        lcm = mono_lcm(lms[g], mh)
-        # lm g and mh are coprime when their lcm is their product
-        new.append((lcm, g, sum(lcm) == sum(lms[g]) + sum(mh)))
+    for g, (gpos, mg) in enumerate(lts[:h]):
+        if gpos == pos:
+            lcm = mono_lcm(mg, mh)
+            # lm g and mh are coprime when their lcm is their product
+            coprime = sum(lcm) == sum(mg) + sum(mh)
+            new.append((lcm, g, coprime and (single is None or single[g] and single[h])))
     kept: list[tuple] = []
     for a, (lcm, g, coprime) in enumerate(new):
         if coprime or not any(mono_divides(s[0], lcm) for s in [*new[a + 1 :], *kept]):
@@ -307,11 +314,12 @@ def _add_pairs(pairs: list[tuple], lms: list[Monomial]) -> list[tuple]:
     out = [
         s
         for s in pairs
-        if not mono_divides(mh, s[1])
-        or mono_lcm(lms[s[2]], mh) == s[1]
-        or mono_lcm(lms[s[3]], mh) == s[1]
+        if s[3] != pos
+        or not mono_divides(mh, s[4])
+        or mono_lcm(lts[s[2]][1], mh) == s[4]
+        or mono_lcm(lts[s[1]][1], mh) == s[4]
     ]
-    out += [(sum(lcm), lcm, g, h) for lcm, g, coprime in kept if not coprime]
+    out += [(rank(pos, lcm), h, g, pos, lcm) for lcm, g, coprime in kept if not coprime]
     return out
 
 
@@ -500,11 +508,12 @@ def module_buchberger(
     """Groebner basis of the submodule generated by `elements`, run to
     completion.
 
-    S-pairs are processed in increasing degree (the lcm's degree plus the
-    shift of its position) and skipped by the chain criterion, and by
-    Buchberger's first criterion (coprime leading monomials) when both
-    elements lie in a single position: it holds for f*e_k, g*e_k, not for
-    general module elements.
+    As each element joins the basis, the Gebauer-Moeller update
+    (`_add_pairs`) drops the S-pairs that its criteria make redundant; the
+    coprime criterion holds only for pairs of elements that lie in a single
+    position. The pairs left are reduced in increasing degree (the lcm's
+    degree plus the shift of its position), then in increasing `key` of the
+    lcm, oldest pair first. No element leaves the basis.
 
     When some element has terms of more than one degree deg m + shift, every
     element is first homogenized, up to its top degree, by one extra last
@@ -530,69 +539,36 @@ def module_buchberger(
         )
 
     basis: list[ModElt] = []
-    # the leading term of each (monic) basis element, as `_melt_reduce` takes them
+    # the leading term of each (monic) basis element, as `_melt_reduce` and
+    # `_add_pairs` take them, and whether the element lies in a single position
     leads: list[tuple] = []
-    # whether each basis element lies in a single position
+    lts: list[tuple[int, Monomial]] = []
     single: list[bool] = []
+    # the S-pairs left by `_add_pairs`, as a heap, ranked by degree and key
+    pairs: list[tuple] = []
+    rank = lambda pos, lcm: (mono_degree(lcm) + shifts[pos], key((pos, lcm)))
 
     def append(e: ModElt) -> None:
+        nonlocal pairs
         pm, c = _melt_lt(e, key)
         e = _melt_scale(e, pow(c, -1, p), p)
         basis.append(e)
         leads.append((pm, 1, e))
+        lts.append(pm)
         single.append(all(pos == pm[0] for pos, _m in e))
+        pairs = _add_pairs(pairs, lts, rank, single)
+        heapq.heapify(pairs)
 
     for e in elements:
         append(e)
-
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-    counter = 0
-
-    def push_pairs(j: int) -> None:
-        nonlocal counter
-        pj, mj = leads[j][0]
-        for i in range(j):
-            pi, mi = leads[i][0]
-            if pi != pj:
-                continue
-            lcm = mono_lcm(mi, mj)
-            deg = mono_degree(lcm) + shifts[pi]
-            counter += 1
-            heapq.heappush(heap, (deg, key((pi, lcm)), counter, i, j))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    while heap:
-        _, _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        (pi, mi), (_pj, mj) = leads[i][0], leads[j][0]
-        if single[i] and single[j] and mono_coprime(mi, mj):
-            continue
-        lcm = mono_lcm(mi, mj)
-        skip = False
-        for k, ((pk, mk), _inv, _b) in enumerate(leads):
-            if k in (i, j):
-                continue
-            if pk == pi and mono_divides(mk, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+    while pairs:
+        _rank, j, i, _pos, lcm = heapq.heappop(pairs)
         # s = u_i * basis[i] - u_j * basis[j], both already monic
-        s = _melt_axpy({}, basis[i], mono_quotient(lcm, mi), p - 1, p)
-        s = _melt_axpy(s, basis[j], mono_quotient(lcm, mj), 1, p)
+        s = _melt_axpy({}, basis[i], mono_quotient(lcm, lts[i][1]), p - 1, p)
+        s = _melt_axpy(s, basis[j], mono_quotient(lcm, lts[j][1]), 1, p)
         r = _melt_reduce(s, leads, key, p)
         if r:
             append(r)
-            push_pairs(len(basis) - 1)
 
     if homogenize:
         basis = [{(pos, m[:-1]): c for (pos, m), c in e.items()} for e in basis]

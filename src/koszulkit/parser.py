@@ -24,6 +24,13 @@ from .quotient import GradedModule, QuotientRing, make_module, make_ring
 _CERT_KINDS = {"filtration": FiltrationCertificate, "flag": FlagCertificate}
 
 
+def _cert_vectors(cert) -> list[tuple[int, ...]]:
+    """The linear forms of a certificate, as coordinate vectors."""
+    if isinstance(cert, FlagCertificate):
+        return list(cert.forms)
+    return [row for m in cert.members for row in m.rows] + [w.g for w in cert.witnesses]
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at {line}:{col}")
@@ -393,6 +400,8 @@ def parse_input(text: str) -> InputDocument:
                 raise ParseError(f"duplicate module {items['name']!r}", line_no, col0)
             current_module = (items["name"], shifts, [], line_no)
         elif keyword == "cert":
+            if poly_ring is None:
+                raise ParseError("certificate before ring declaration", line_no, col0)
             kind, _, payload = rest.partition(" ")
             try:
                 doc = json.loads(payload)
@@ -401,10 +410,13 @@ def parse_input(text: str) -> InputDocument:
             if kind not in _CERT_KINDS:
                 raise ParseError(f"unknown certificate kind {kind!r}", line_no, rest_col)
             try:
-                certs.append((kind, _CERT_KINDS[kind].from_json(doc)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # well-formed JSON of the wrong shape; OverflowError is
-                # int() of a JSON Infinity
+                cert = _CERT_KINDS[kind].from_json(doc)
+                for v in _cert_vectors(cert):
+                    if len(v) != poly_ring.nvars:
+                        raise ValueError(f"{list(v)} needs one entry per variable")
+                certs.append((kind, cert))
+            except (KeyError, TypeError, ValueError) as exc:
+                # well-formed JSON of the wrong shape, or of the wrong length
                 raise ParseError(
                     f"malformed {kind} certificate ({type(exc).__name__}: {exc})",
                     line_no, rest_col + len(kind) + 1,

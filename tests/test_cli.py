@@ -256,6 +256,23 @@ def test_malformed_cert_exit_3_with_position(write_doc, capsys, line, col):
     assert err.endswith(f" at 3:{col}\n")
 
 
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("filtration", 'cert filtration {"members":[[],[[1,0,0]]],"witnesses":[]}'),
+        ("flag", 'cert flag {"forms":[[1,0,7],[0,1]],"colon_indices":[0,0]}'),
+        ("flag", 'cert flag {"forms":[[1.5,0],[0,1]],"colon_indices":[1,2]}'),
+        ("flag", 'cert flag {"forms":[[true,0],[0,1]],"colon_indices":[1,2]}'),
+    ],
+)
+def test_cert_vectors_need_one_integer_per_variable(write_doc, capsys, command, line):
+    # a short or long vector, a float and a boolean entry are positioned
+    # parse errors, not numpy's messages and not a silent int()
+    code, out, err = run(capsys, [command, "verify", write_doc(CI2 + line + "\n")])
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: malformed ") and " at 3:" in err
+
+
 def test_factorize_command(write_doc, capsys):
     flag = {"kind": "flag", "forms": [[1, 0], [0, 1]], "colon_indices": [1, 2]}
     text = CI2 + "cert flag " + json.dumps(flag, sort_keys=True, separators=(",", ":")) + "\n"

@@ -671,3 +671,16 @@ def test_module_buchberger_meets_the_spair_criterion(p, kind, top, seed):
         s = _melt_axpy({}, gb[i], mono_quotient(lcm, mi), -pow(ci, -1, p), p)
         s = _melt_axpy(s, gb[j], mono_quotient(lcm, mj), pow(cj, -1, p), p)
         assert module_normal_form(s, gb, key, p) == {}
+
+
+def test_module_buchberger_pairs_coprime_leads_of_an_element_in_two_positions():
+    # f = x*e0 + y*e1 and g = y*e0 lead at the coprime x*e0 and y*e0, but f
+    # lies in two positions: y*f - x*g = y^2*e1 is no multiple of a leading
+    # term, so the coprime criterion must not skip their pair
+    p, shifts = 5, (0, 0)
+    key = top_order_key(shifts, MonomialOrder("degrevlex", 2))
+    f = {(0, (1, 0)): 1, (1, (0, 1)): 1}
+    g = {(0, (0, 1)): 1}
+    gb = module_buchberger([f, g], key, p, shifts)
+    assert [_melt_lt(b, key)[0] for b in gb[:2]] == [(0, (1, 0)), (0, (0, 1))]
+    assert module_normal_form({(1, (0, 2)): 1}, gb, key, p) == {}

@@ -151,12 +151,29 @@ _JSON = st.recursive(
     | st.dictionaries(st.sampled_from(_CERT_KEYS) | st.text(max_size=3), inner, max_size=4),
     max_leaves=12,
 )
+# certificate-shaped JSON, whose vectors may have any length and entries
+# that are not integers
+_VECTOR = st.lists(st.integers(-3, 7) | st.booleans() | st.floats(-2, 2), max_size=3)
+_INDEX = st.integers(0, 3)
+_CERT_SHAPED = st.fixed_dictionaries(
+    {"forms": st.lists(_VECTOR, max_size=3), "colon_indices": st.lists(_INDEX, max_size=3)}
+) | st.fixed_dictionaries(
+    {
+        "members": st.lists(st.lists(_VECTOR, max_size=2), max_size=3),
+        "witnesses": st.lists(
+            st.fixed_dictionaries({"member": _INDEX, "sub": _INDEX, "g": _VECTOR, "colon": _INDEX}),
+            max_size=2,
+        ),
+    }
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(("flag", "filtration")), _JSON)
+@given(st.sampled_from(("flag", "filtration")), _JSON | _CERT_SHAPED)
 def test_cert_line_parses_or_raises_parse_error(kind, value):
-    # any JSON value: a certificate or a ParseError with a position, nothing else
+    # any JSON value: a certificate or a ParseError with a position, nothing
+    # else; every vector of a certificate that parses has one integer per
+    # variable of the ring
     text = CI2_TEXT + f"cert {kind} {json.dumps(value)}\n"
     try:
         doc = parse_input(text)
@@ -164,3 +181,11 @@ def test_cert_line_parses_or_raises_parse_error(kind, value):
         assert exc.line == 3
     else:
         assert [k for k, _ in doc.certs] == [kind]
+        cert = doc.certs[0][1]
+        if kind == "flag":
+            vectors = list(cert.forms)
+        else:
+            vectors = [row for m in cert.members for row in m.rows]
+            vectors += [w.g for w in cert.witnesses]
+        assert all(len(v) == doc.ring.nvars for v in vectors)
+        assert all(type(c) is int for v in vectors for c in v)
