@@ -28,7 +28,7 @@ from math import comb, prod
 import numpy as np
 
 from .arith import Polynomial
-from .linalg import as_matrix, matmul_mod, nullspace, rank, rref
+from .linalg import _int64_rows, as_matrix, matmul_mod, nullspace, rank, rref
 from .quotient import QuotientRing, _poly_add, _poly_mul, _trim
 
 
@@ -51,7 +51,7 @@ class LinearIdeal:
     def from_vectors(vectors, n: int, p: int) -> "LinearIdeal":
         if not len(vectors):
             return LinearIdeal(())
-        mat, _ = rref(np.array(vectors, dtype=np.int64).reshape(-1, n), p)
+        mat, _ = rref(_int64_rows(vectors, p).reshape(-1, n), p)
         return LinearIdeal(tuple(map(tuple, mat.tolist())))
 
     @staticmethod
@@ -73,7 +73,7 @@ class LinearIdeal:
         reduced = self._reduced.get(p)
         if reduced is None:
             # rows read from JSON need not be in RREF, so reduce them here
-            mat, pivots = rref(np.array(self.rows, dtype=np.int64), p)
+            mat, pivots = rref(_int64_rows(self.rows, p), p)
             reduced = self._reduced[p] = (mat, pivots)
         mat, pivots = reduced
         v = np.asarray(v, dtype=np.int64) % p

@@ -51,9 +51,13 @@ and ranks of every step whose entries are all linear. Only a map no kernel
 sieve ranked (map 1 when i_max = 1, or a linear-part step that drops a
 nonzero entry) is rebuilt and ranked, once, on the first homology query.
 
-Over monomial rings the large degree maps are at most a few percent
-nonzero, so their eliminations (the sieve's `_last_entries` and the
-kernels) take the sparse path of `linalg`, and no array of them is made.
+The sieve's `_last_entries` takes the pivot columns of a degree map, so
+`linalg` first takes its structural pivots, the columns of its rows with
+one nonzero entry, and eliminates only the rest; over the Koszul fixtures
+of the theorem suites nearly every pivot is structural. Over monomial rings
+the large degree maps are at most a few percent nonzero, so what is left of
+them, and the kernels, take the sparse path of `linalg`, and no array of
+them is made.
 """
 
 from __future__ import annotations

@@ -273,6 +273,36 @@ def test_cert_vectors_need_one_integer_per_variable(write_doc, capsys, command, 
     assert err.startswith("parse error: malformed ") and " at 3:" in err
 
 
+@pytest.mark.parametrize(
+    "command,line,want",
+    [
+        (
+            "flag",
+            'cert flag {"forms":[[100000000000000000000000,0],[0,1]],"colon_indices":[1,2]}',
+            (1, "invalid: flag forms are linearly dependent"),
+        ),
+        (
+            "flag",
+            'cert flag {"forms":[[100000000000000000000001,0],[0,-99999999999999999999999]],'
+            '"colon_indices":[1,2]}',
+            (0, "valid"),
+        ),
+        (
+            "filtration",
+            'cert filtration {"members":[[],[[100000000000000000000001,0]],[[1,0],[0,1]]],'
+            '"witnesses":[{"member":1,"sub":0,"g":[100000000000000000000001,0],"colon":1},'
+            '{"member":2,"sub":1,"g":[0,100000000000000000000001],"colon":2}]}',
+            (0, "valid"),
+        ),
+    ],
+)
+def test_cert_entries_outside_int64_are_read_mod_p(write_doc, capsys, command, line, want):
+    # 10^23 is 0 mod 5 and 10^23 + 1 is 1: a verdict with its reason, not
+    # numpy's OverflowError
+    code, out, err = run(capsys, [command, "verify", write_doc(CI2 + line + "\n")])
+    assert (code, out.splitlines()[-1], err) == (*want, "")
+
+
 def test_factorize_command(write_doc, capsys):
     flag = {"kind": "flag", "forms": [[1, 0], [0, 1]], "colon_indices": [1, 2]}
     text = CI2 + "cert flag " + json.dumps(flag, sort_keys=True, separators=(",", ":")) + "\n"

@@ -311,8 +311,10 @@ def test_sparse_and_dense_elimination_agree(inputs):
 
 
 def _assert_paths(monkeypatch, cases):
-    """Each (matrix, path) of `cases`, as an array and as its nonzeros, goes
-    through every public function to the one elimination path named."""
+    """Each (matrix, path) or (matrix, path, pivot_path) of `cases`, as an
+    array and as its nonzeros, goes through `rref` and `nullspace` to the one
+    elimination path named, and through `pivot_columns` and `rank` to
+    `pivot_path` (`path` if not given), or to none where it is None."""
     taken = []
 
     def counting(name):
@@ -326,13 +328,15 @@ def _assert_paths(monkeypatch, cases):
 
     for name in ("_small_echelon", "_sparse_echelon", "_dense_echelon"):
         monkeypatch.setattr(linalg, name, counting(name))
-    for a, path in cases:
+    for a, path, *pivot_path in cases:
+        pivot_path = pivot_path[0] if pivot_path else path
         # the nonzeros of a matrix take the path the matrix takes
         for form in (a, _nonzeros(a)):
             for fn in (rref, pivot_columns, nullspace, rank):
+                want = pivot_path if fn in (pivot_columns, rank) else path
                 taken.clear()
                 fn(form, 5)
-                assert taken == [path], (a.shape, fn.__name__, type(form))
+                assert taken == ([want] if want else []), (a.shape, fn.__name__, type(form))
 
 
 def test_sparse_gate_takes_large_sparse_matrices_only(monkeypatch):
@@ -359,6 +363,8 @@ def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
     assert n + 1 < linalg._SPARSE_MIN_ENTRIES
     sparse = np.zeros((1, linalg._SPARSE_MIN_ENTRIES), dtype=np.int64)
     sparse[0, 0] = 1
+    two = sparse.copy()
+    two[0, -1] = 1
     _assert_paths(
         monkeypatch,
         (
@@ -367,8 +373,80 @@ def test_small_gate_takes_matrices_up_to_its_size_only(monkeypatch):
             (np.zeros((0, 7), dtype=np.int64), "_small_echelon"),
             (np.zeros((400, 0), dtype=np.int64), "_small_echelon"),
             (np.ones((1, n + 1), dtype=np.int64), "_dense_echelon"),
-            (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon"),
-            (sparse, "_sparse_echelon"),
+            # every row of these two has one nonzero entry: their pivots are
+            # all structural, found with no elimination
+            (np.ones((n + 1, 1), dtype=np.int64), "_dense_echelon", None),
+            (sparse, "_sparse_echelon", None),
+            # past the same sizes with two nonzero entries in every row
+            (np.ones(((n + 2) // 2, 2), dtype=np.int64), "_dense_echelon"),
+            (two, "_sparse_echelon"),
             (sparse + 1, "_dense_echelon"),
         ),
     )
+
+
+@st.composite
+def _structured_matrices(draw):
+    """(p, a, settled): matrices whose pivots are mostly structural. Chains of
+    rows, each with one entry that is a unit mod p and its other nonzeros in
+    columns of earlier rows of its chain, so that peeling singleton rows
+    settles them one after another; extra singleton rows at chain columns;
+    zero rows; entries p, 2p and -p, also alone in a row, which are zero mod
+    p; and, unless `settled`, random rows whose pivots need elimination."""
+    p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(6, 30))
+    chain = rng.permutation(n)[: draw(st.integers(1, n))]
+    rows = []
+    for i, c in enumerate(chain):
+        row = np.zeros(n, dtype=np.int64)
+        earlier = chain[:i][rng.random(i) < 0.5]
+        row[earlier] = rng.integers(1, p, size=len(earlier))
+        row[c] = rng.integers(1, p)
+        rows.append(row)
+    for c in rng.choice(chain, size=draw(st.integers(0, 3))):
+        row = np.zeros(n, dtype=np.int64)
+        row[c] = rng.integers(1, p)
+        rows.append(row)
+    rows += [np.zeros(n, dtype=np.int64)] * draw(st.integers(0, 3))
+    settled = draw(st.booleans())
+    if not settled:
+        density = draw(st.sampled_from([0.1, 0.3, 0.7]))
+        for _ in range(draw(st.integers(1, 8))):
+            rows.append(rng.integers(1, p, size=n) * (rng.random(n) < density))
+    a = np.array(rows)[rng.permutation(len(rows))]
+    # multiples of p in zero places: inside rows, and alone in rows of their own
+    zero = np.argwhere(a == 0)
+    hit = zero[rng.random(len(zero)) < 0.1]
+    a[hit[:, 0], hit[:, 1]] = p * rng.choice([-1, 1, 2], size=len(hit))
+    lone = np.zeros((draw(st.integers(0, 3)), n), dtype=np.int64)
+    at = rng.integers(0, n, size=len(lone))
+    lone[np.arange(len(lone)), at] = p * rng.choice([-1, 1, 2], size=len(lone))
+    return p, np.concatenate((a, lone)), settled
+
+
+def _no_kernel(*_args):
+    raise AssertionError("an elimination kernel was reached")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structured_matrices())
+def test_structural_pivots_match_elimination(inputs):
+    p, a, settled = inputs
+    want = linalg._dense_echelon(a.copy(), p, False)[1]
+    assert linalg._small_echelon(a, p, False)[1] == want
+    assert len(want) == rank_mod_p((a % p).tolist(), p)
+    for form in (a, _nonzeros(a)):
+        assert _all_paths(pivot_columns, form, p) + [pivot_columns(form, p)] == [want] * 4
+        assert _all_paths(rank, form, p) + [rank(form, p)] == [len(want)] * 4
+        if settled:
+            # every pivot is structural: past the small path, no elimination runs
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_SMALL_MAX_ENTRIES", -1)
+                for name in ("_small_echelon", "_sparse_echelon", "_dense_echelon"):
+                    mp.setattr(linalg, name, _no_kernel)
+                assert pivot_columns(form, p) == want
+                assert rank(form, p) == len(want)
+    # the columns of a[:, ::-1].T have a as their reversed transpose
+    last = _last_entries(_nonzeros(a[:, ::-1].T), p)
+    assert np.flatnonzero(last).tolist() == sorted(a.shape[1] - 1 - c for c in want)
