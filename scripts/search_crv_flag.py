@@ -2,8 +2,10 @@
 """Exhaustive Groebner-flag search over k[x,y,z]/(x^2, xy, yz, z^2).
 
 The subsets-of-variables family is a Koszul filtration of this ring, but the
-search shows (for the small fields it can enumerate) that no single complete
-flag works: every branch dies on a colon that is not a prefix ideal.
+search shows, for each field whose search ends within the budget, that no
+single complete flag works: every branch dies on a colon that is not a
+prefix ideal. The budget is the search's only limit; by default it exhausts
+F_2 to F_11 within it.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from koszulkit.quotient import make_ring
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--chars", type=int, nargs="+", default=[2, 3, 5])
+    ap.add_argument("--chars", type=int, nargs="+", default=[2, 3, 5, 7, 11])
     ap.add_argument("--budget", type=int, default=5000)
     args = ap.parse_args()
 

@@ -93,10 +93,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on n variables.

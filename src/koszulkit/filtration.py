@@ -17,6 +17,11 @@ Conca generator) as the only candidates of its first depths, tested and
 counted like every other form; the all-linear and subsets families share
 one witness loop; the failure message of a minimal-multiplicity flag lists
 the linear colons. The module computes no Groebner colon ideal.
+
+The flag search has one limit at every p, its candidate budget: `_lines`
+enumerates, digit by digit, exactly the lines it tests (those of a
+subspace outside a smaller one), so it never builds the p^n vectors of
+F_p^n nor passes over uncounted lines.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class LinearIdeal:
             mat, pivots = rref(_int64_rows(self.rows, p), p)
             reduced = self._reduced[p] = (mat, pivots)
         mat, pivots = reduced
-        v = np.asarray(v, dtype=np.int64) % p
+        v = _int64_rows([v], p)[0] % p
         return not np.any((v - matmul_mod(v[pivots][None], mat, p)[0]) % p)
 
     def contains(self, other: "LinearIdeal", p: int) -> bool:
@@ -175,11 +180,12 @@ def _linear_colon(
     0 -> R/(J:g)(-1) -> R/J -> R/(J+g) -> 0 is exact, J:g = (W), that is,
     J:g is generated by linear forms, exactly when t*N_W = N_J - N_{J+g} for
     the Hilbert numerators N over (1-t)^n. Memoized on the ring, keyed by
-    (J rows, g mod p, J+(g) rows): a verifier's check of a built certificate
-    meets the colons of its search again.
+    (J rows, J+(g) rows) alone: J:g = J:(J+(g)), so every g with the same
+    J+(g) has the same W and numerators. A verifier's check of a built
+    certificate meets the colons of its search again.
     """
     p, n = ring.p, ring.nvars
-    key = (j.rows, tuple(int(c) % p for c in g), jg.rows)
+    key = (j.rows, jg.rows)
     got = ring.linear_colons.get(key)
     if got is not None:
         return got
@@ -241,16 +247,53 @@ def enumerate_subspaces(n: int, p: int, *, cap: int | None = None) -> list[Linea
     return out
 
 
+def _lines(span: LinearIdeal, sub: LinearIdeal, p: int):
+    """The lines of `span` outside `sub` (both RREF, sub ⊆ span), each as its
+    representative with first nonzero coordinate 1, in increasing order.
+
+    A vector of span is a·rows, where a holds its entries at the pivot columns
+    of span, so the order of the vectors is that of the digits a, and the
+    first nonzero entry of both is the same. In these coordinates sub is the
+    row space of its rows' entries at span's pivots, already in RREF: a lies
+    in sub exactly when, at each non-pivot column t of it, a_t is the linear
+    function sum_r a_{b_r} B[r][t] of the digits before it. The digits are
+    chosen in order; past the last such column a subtree lies wholly in sub
+    (skipped) or wholly outside it (emitted), so no line is filtered and
+    `range(p)` is only ever iterated lazily.
+    """
+    rows, k = span.rows, len(span.rows)
+    n = len(rows[0]) if rows else 0
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    b = [[row[c] for c in pivots] for row in sub.rows]
+    b_pivots = [next(t for t, x in enumerate(row) if x) for row in b]
+    # non-pivot column t of sub -> the (pivot, entry) terms of a_t on sub
+    cond = {
+        t: [(s, row[t]) for s, row in zip(b_pivots, b) if row[t]]
+        for t in range(k)
+        if t not in b_pivots
+    }
+    last = max(cond, default=-1)
+    a: list[int] = []
+
+    def walk(t: int, lead: bool, inside: bool):
+        # lead: a nonzero digit (a 1) is chosen; inside: a may still lie in sub
+        if inside and t > last:
+            return
+        if t == k:
+            yield tuple(sum(x * row[c] for x, row in zip(a, rows)) % p for c in range(n))
+            return
+        want = sum(a[s] * x for s, x in cond[t]) % p if inside and t in cond else None
+        for d in range(p) if lead else (0, 1):
+            a.append(d)
+            yield from walk(t + 1, lead or d == 1, inside and (want is None or d == want))
+            a.pop()
+
+    return walk(0, False, True)
+
+
 def projective_representatives(n: int, p: int) -> list[tuple[int, ...]]:
     """One representative per line of F_p^n: first nonzero coordinate is 1."""
-    seen = []
-    for vec in product(range(p), repeat=n):
-        if not any(vec):
-            continue
-        lead = next(c for c in vec if c)
-        if lead == 1:
-            seen.append(vec)
-    return seen
+    return list(_lines(LinearIdeal.full(n), LinearIdeal.zero(), p))
 
 
 # ------------------------------------------------------------ certificates
@@ -466,25 +509,22 @@ def search_groebner_flag(
 ) -> FlagSearchResult:
     """Backtracking over complete flags of R_1 (canonical representatives).
 
-    Each candidate extension counts once against the budget; its colon is
-    settled by `_linear_colon` (a kernel over F_p and Hilbert numerators).
-    The i-th of the independent `initial_forms` (a seed) is the only
-    candidate at depth i, tested and counted like any other, so a seeded
-    search returns a flag that starts with the seed, or exhausts.
-    Returns the first valid certificate, or the exhaustion outcome with
-    search statistics. Intended for small fields (the candidate count grows
-    like p^n).
+    The budget is the search's one limit, at any p: each candidate extension
+    counts once against it, and its colon is settled by `_linear_colon` (a
+    kernel over F_p and Hilbert numerators). At each depth `_lines`
+    enumerates exactly the lines the search tests, in increasing order: those
+    of the smallest colon constraint above the depth (or of R_1) outside the
+    current prefix, so no line is built and passed over uncounted. The i-th
+    of the independent `initial_forms` (a seed) is the only candidate at
+    depth i, tested and counted like any other, so a seeded search returns a
+    flag that starts with the seed, or exhausts. Returns the first valid
+    certificate, or the exhaustion outcome with search statistics.
     """
     p, n = ring.p, ring.nvars
-    if n > 4 or p > 5:
-        raise BudgetExceededError(
-            f"flag search over F_{p}^{n} exceeds the supported enumeration range "
-            "(n <= 4, p <= 5)"
-        )
     seed = [tuple(int(c) % p for c in l) for l in initial_forms or ()]
     if LinearIdeal.from_vectors(seed, n, p).dim != len(seed):
         raise ValueError("initial forms are dependent")
-    reps = projective_representatives(n, p)
+    full = LinearIdeal.full(n)
     stats = {"tested": 0, "completed": 0}
 
     def dfs(forms: list, prefixes: list[LinearIdeal], js: list[int],
@@ -493,13 +533,16 @@ def search_groebner_flag(
         if depth == n:
             stats["completed"] += 1
             return FlagCertificate(tuple(forms), tuple(js))
-        for l in seed[depth : depth + 1] or reps:
-            if prefixes[-1].contains_vector(l, p):
-                continue
-            if any(
-                dim_c > depth and not c.contains_vector(l, p) for dim_c, c in constraints.items()
-            ):
-                continue
+        # the constraints form a chain, so the smallest one above the depth
+        # holds the prefix and every later form; the seed lies outside its
+        # own prefix
+        above = [d for d in constraints if d > depth]
+        span = constraints[min(above)] if above else full
+        if depth < len(seed):
+            candidates = [seed[depth]] if span.contains_vector(seed[depth], p) else []
+        else:
+            candidates = _lines(span, prefixes[-1], p)
+        for l in candidates:
             nxt = prefixes[-1].plus_vector(l, p)
             stats["tested"] += 1
             if stats["tested"] > budget:

@@ -80,7 +80,7 @@ class QuotientRing:
         self._free_times_variables: dict[tuple[tuple[int, ...], int], tuple] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
         # the RREF rows of a linear ideal, and filtration._linear_colon, keyed
-        # by (J rows, g mod p, J+(g) rows)
+        # by (J rows, J+(g) rows), as J:g = J:(J+(g))
         self.linear_numerators: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
         self.linear_colons: dict[tuple, tuple] = {}
         self.linear_eliminations: dict[tuple[tuple[int, ...], ...], LinearElimination] = {}

@@ -20,6 +20,7 @@ from koszulkit.filtration import (
     FiltrationWitness,
     FitzgeraldCheck,
     FlagCertificate,
+    FlagSearchResult,
     LinearIdeal,
     all_linear_ideals_filtration,
     check_conca_generator,
@@ -36,6 +37,7 @@ from koszulkit.filtration import (
     verify_groebner_flag,
     verify_koszul_filtration,
     _linear_colon,
+    _lines,
     _linear_numerator,
     _macaulay_bound,
 )
@@ -204,6 +206,19 @@ def test_linear_colon_square_zero_ring():
     assert len(all_linear_ideals_filtration(ring).members) == 6
 
 
+def test_linear_colon_memo_is_keyed_by_j_and_j_plus_g():
+    # J : g = J : (J + (g)), so g and g + h with h in J share one memo entry
+    ring = _named_ring("fitz3", 3)
+    j = LinearIdeal.from_vectors([(1, 0, 0)], 3, 3)
+    g, g_h = (0, 1, 1), (2, 1, 1)
+    jg = j.plus_vector(g, 3)
+    assert j.plus_vector(g_h, 3) == jg
+    got = _linear_colon(ring, j, g, jg)
+    assert _linear_colon(ring, j, g_h, jg) == got
+    assert list(ring.linear_colons) == [(j.rows, jg.rows)]
+    assert got == _groebner_linear_colon(ring, j.rows, g_h)
+
+
 def _buchberger_numerator(ring, li):
     """Reference: the numerator from the leading monomials of a Groebner basis."""
     lts = list(_ideal_gb(ring, li).leading_monomials())
@@ -259,6 +274,31 @@ def test_subspace_enumeration_counts():
     assert len(enumerate_subspaces(3, 3)) == 28
     with pytest.raises(BudgetExceededError):
         enumerate_subspaces(4, 5, cap=100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4), st.sampled_from((2, 3, 5, 7)), st.integers(0, 2**32 - 1)
+)
+@example(0, 2, 0)
+def test_lines_are_the_filtered_projective_vectors(n, p, seed):
+    # the lines of span outside sub, in order, are the lead-1 vectors of
+    # F_p^n that lie in span and not in sub
+    rng = random.Random(seed)
+    span = _random_subspace(rng, n, rng.randint(0, n), p)
+    combos = [[rng.randrange(p) for _ in span.rows] for _ in range(rng.randint(0, span.dim))]
+    sub = LinearIdeal.from_vectors(
+        [[sum(c * x for c, x in zip(cs, col)) % p for col in zip(*span.rows)] for cs in combos],
+        n, p,
+    )
+    want = [
+        v for v in product(range(p), repeat=n)
+        if any(v) and next(c for c in v if c) == 1
+        and span.contains_vector(v, p) and not sub.contains_vector(v, p)
+    ]
+    assert list(_lines(span, sub, p)) == want
+    if sub.dim == 0 and span.dim == n:
+        assert projective_representatives(n, p) == want
 
 
 # ------------------------------------------------------- filtration verify
@@ -436,6 +476,14 @@ def test_contains_vector_reduces_rows_in_any_form():
     assert li.contains_vector((0, 1, 2), 5)
 
 
+def test_contains_vector_takes_probes_outside_int64():
+    # a probe entry past int64 is reduced mod p, as the rows already are
+    li = LinearIdeal(((1, 0),))
+    assert li.contains_vector((10**23, 0), 5)
+    assert not li.contains_vector((0, 10**23 + 1), 5)
+    assert li.contains_vector((0, 10**23), 5)  # 10^23 = 0 mod 5
+
+
 # ------------------------------------------------------------- flag search
 
 
@@ -471,10 +519,137 @@ def test_search_budget():
     ring = make_ring(s, [x * y, y * z])
     with pytest.raises(BudgetExceededError):
         search_groebner_flag(ring, 2)
+    # past p = 5 the budget is still the search's only limit
     s7, _ = polynomial_ring(7, ("x", "y"))
     ring7 = make_ring(s7, [s7.gen(0) ** 2])
+    assert search_groebner_flag(ring7, 100).to_json() == {
+        "found": True,
+        "certificate": {"kind": "flag", "forms": [[0, 1], [1, 0]], "colon_indices": [0, 2]},
+        "candidates_tested": 2,
+        "flags_completed": 1,
+        "exhausted": False,
+    }
     with pytest.raises(BudgetExceededError):
-        search_groebner_flag(ring7, 100)
+        search_groebner_flag(ring7, 1)
+
+
+def test_search_budget_is_the_only_limit_at_large_p(crv26):
+    with pytest.raises(
+        BudgetExceededError, match="^flag search exceeded the budget of 1000 candidates$"
+    ):
+        search_groebner_flag(crv26, 1000)
+
+
+@pytest.mark.parametrize(
+    "gens,seed,forms,colon_indices",
+    [
+        # F_p[a,b,c,d]: the first lines in order are d, c, b, a
+        (lambda a, b, c, d: [], None,
+         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], [0, 1, 2, 3]),
+        # F_p[a,b,c,d]/(b^2, ab) seeded with b: 0 : b = (a, b)
+        (lambda a, b, c, d: [b**2, a * b], [(0, 1, 0, 0)],
+         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [2, 1, 2, 3]),
+    ],
+)
+def test_search_at_the_largest_modulus(gens, seed, forms, colon_indices):
+    # at p = 2^31 - 1 every tested candidate is a flag form: no line is built
+    # and skipped, so the search takes 4 candidates
+    s, xs = polynomial_ring(2**31 - 1, ("a", "b", "c", "d"))
+    result = search_groebner_flag(make_ring(s, gens(*xs)), initial_forms=seed)
+    assert result.to_json() == {
+        "found": True,
+        "certificate": {"kind": "flag", "forms": forms, "colon_indices": colon_indices},
+        "candidates_tested": 4,
+        "flags_completed": 1,
+        "exhausted": False,
+    }
+
+
+def _reference_search(ring, budget, initial_forms=None):
+    """The search over the list of all projective representatives, passing
+    over (uncounted) every line in the prefix or outside a colon constraint."""
+    p, n = ring.p, ring.nvars
+    seed = [tuple(int(c) % p for c in l) for l in initial_forms or ()]
+    reps = projective_representatives(n, p)
+    stats = {"tested": 0, "completed": 0}
+
+    def dfs(forms, prefixes, js, constraints):
+        depth = len(forms)
+        if depth == n:
+            stats["completed"] += 1
+            return FlagCertificate(tuple(forms), tuple(js))
+        for l in seed[depth : depth + 1] or reps:
+            if prefixes[-1].contains_vector(l, p):
+                continue
+            if any(dim_c > depth and not c.contains_vector(l, p)
+                   for dim_c, c in constraints.items()):
+                continue
+            nxt = prefixes[-1].plus_vector(l, p)
+            stats["tested"] += 1
+            if stats["tested"] > budget:
+                raise BudgetExceededError(
+                    f"flag search exceeded the budget of {budget} candidates"
+                )
+            linear_ok, w1 = _linear_colon(ring, prefixes[-1], l, nxt)
+            if not linear_ok:
+                continue
+            j = w1.dim
+            if j <= depth + 1:
+                prefix_j = nxt if j == depth + 1 else prefixes[j]
+                if w1.rows != prefix_j.rows:
+                    continue
+                found = dfs(forms + [l], prefixes + [nxt], js + [j], constraints)
+            else:
+                if j in constraints and constraints[j].rows != w1.rows:
+                    continue
+                if not w1.contains(nxt, p):
+                    continue
+                if any((dim_c < j and not w1.contains(c, p))
+                       or (dim_c > j and not c.contains(w1, p))
+                       for dim_c, c in constraints.items()):
+                    continue
+                found = dfs(forms + [l], prefixes + [nxt], js + [j], {**constraints, j: w1})
+            if found:
+                return found
+        return None
+
+    cert = dfs([], [LinearIdeal.zero()], [], {})
+    return FlagSearchResult(cert, stats["tested"], stats["completed"], cert is None)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs).to_json()
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((3, 40, 5000)), st.booleans())
+def test_search_matches_the_filtered_reference(seed, budget, seeded):
+    # enumerating only the tested lines leaves the tested sequence as it was:
+    # the same flag, counts and budget errors
+    rng = random.Random(seed)
+    p, n = rng.choice((2, 3, 5)), rng.randint(1, 4)
+    s, xs = polynomial_ring(p, [f"x{i}" for i in range(n)])
+    quadrics = s.monomials_of_degree(2)
+    gens = [
+        s.from_dict({m: rng.randrange(p) for m in quadrics if rng.random() < 0.4})
+        for _ in range(rng.randint(0, len(quadrics)))
+    ]
+    ring = make_ring(s, [g for g in gens if not g.is_zero()])
+    forms = None
+    if seeded:
+        reps = projective_representatives(n, p)
+        forms = []
+        for l in rng.sample(reps, min(len(reps), 6)):
+            if len(forms) < rng.randint(1, n) and LinearIdeal.from_vectors(
+                forms + [l], n, p
+            ).dim == len(forms) + 1:
+                forms.append(l)
+    assert _outcome(search_groebner_flag, ring, budget, initial_forms=forms) == _outcome(
+        _reference_search, ring, budget, forms
+    )
 
 
 def _brute_flags(ring):
@@ -943,9 +1118,11 @@ def test_linear_colon_memo_gives_the_cold_answers(name):
     assert flag is not None and len(warm.linear_colons) > 1
     cold = _memo_ring(name)
     for key, got in warm.linear_colons.items():
-        j_rows, g, jg_rows = key
+        j_rows, jg_rows = key
+        j = LinearIdeal(j_rows)
+        g = next(r for r in jg_rows if not j.contains_vector(r, warm.p))
         assert key not in cold.linear_colons
-        assert _linear_colon(cold, LinearIdeal(j_rows), g, LinearIdeal(jg_rows)) == got, key
+        assert _linear_colon(cold, j, g, LinearIdeal(jg_rows)) == got, key
     for certificate, verify in ((cert, verify_koszul_filtration), (flag, verify_groebner_flag)):
         assert verify(warm, certificate).valid
         doc = json.loads(json.dumps(certificate.to_json()))
