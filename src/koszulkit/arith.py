@@ -341,11 +341,16 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> "Polynomial":
+        """self^e by squaring and multiplying: about 2*log2(e) products."""
         if e < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(e):
-            out = out * self
+        out, square = self.ring.one(), self
+        while e:
+            if e & 1:
+                out = out * square
+            e >>= 1
+            if e:
+                square = square * square
         return out
 
     # -- comparison / display

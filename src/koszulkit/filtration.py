@@ -375,6 +375,8 @@ class FlagCertificate:
 
     def as_filtration(self, n: int, p: int) -> FiltrationCertificate:
         """View the flag's prefixes as a Koszul filtration certificate."""
+        if len(self.forms) != n or len(self.colon_indices) != n:
+            raise ValueError("flag must order a full basis of R_1")
         members = [self.prefix(i, n, p) for i in range(n + 1)]
         witnesses = []
         for i in range(1, n + 1):
@@ -467,6 +469,9 @@ def verify_flag_chain(
     p, n = ring.p, ring.nvars
     if not chain:
         return VerificationResult(False, None, "empty chain")
+    for k in chain:
+        if not 0 <= k < len(cert.members):
+            return VerificationResult(False, k, f"chain index {k} out of range")
     # members read from JSON need not be in RREF: compare them in RREF
     canonical = [LinearIdeal.from_vectors(m.rows, n, p) for m in cert.members]
     if canonical[chain[-1]].rows != LinearIdeal.full(n).rows:

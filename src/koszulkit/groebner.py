@@ -53,7 +53,7 @@ from .arith import (
     mono_mul,
     mono_quotient,
 )
-from .linalg import Nonzeros, pivot_columns, rref
+from .linalg import Nonzeros, _reduce_row, pivot_columns, rref
 
 # ---------------------------------------------------------------- ideals
 
@@ -163,12 +163,13 @@ def _homogeneous_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
       brings in: for every monomial of the matrix that a leading monomial
       of the basis divides, one reducer u*g that leads there (a pair half
       where one does, else u*g for the first such g).
-    The other rows are reduced by the reducers (`_reduce_row`), and one
-    `rref` of what is left gives the new basis elements of degree d. They
-    are monic, lead outside the leading-term ideal so far and are zero at
-    every monomial of the matrix inside it, so they are fully reduced. No
-    element is reduced again later: a later element has higher degree, and
-    its leading monomial divides no monomial of degree d.
+    The other rows are reduced by the reducers (`linalg._reduce_row`, which
+    also serves the sparse elimination path), and one `rref` of what is
+    left gives the new basis elements of degree d. They are monic, lead
+    outside the leading-term ideal so far and are zero at every monomial of
+    the matrix inside it, so they are fully reduced. No element is reduced
+    again later: a later element has higher degree, and its leading
+    monomial divides no monomial of degree d.
     """
     ring = gens[0].ring
     key = ring.order.key
@@ -245,32 +246,6 @@ def _minimalize_monomials(gens: list[Monomial]) -> list[Monomial]:
         if not any(mono_divides(g, m) for g in out):
             out.append(m)
     return out
-
-
-def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int, int]:
-    """The row {column: entry} reduced by the monic reducers of `table`
-    ({leading column: its other entries, at larger columns}) until no column
-    of the row leads one; reducers are taken at increasing columns, so a
-    column once cleared never returns."""
-    heap = [c for c in row if c in table]
-    heapq.heapify(heap)
-    while heap:
-        c = heapq.heappop(heap)
-        f = row.pop(c, None)
-        if f is None:
-            continue
-        for k, v in table[c]:
-            old = row.get(k)
-            if old is None:
-                # f and v are nonzero mod the prime p, so this is too
-                row[k] = -f * v % p
-                if k in table:
-                    heapq.heappush(heap, k)
-            elif w := (old - f * v) % p:
-                row[k] = w
-            else:
-                del row[k]
-    return row
 
 
 def _first_divisors(monos: list[Monomial], lts: np.ndarray) -> list[int]:

@@ -23,15 +23,17 @@ cost on the other paths is per-call and per-column set-up. A larger array
 is read into its `Nonzeros` by one scan, and from there both forms meet the
 same test: a matrix with at least `_SPARSE_MIN_ENTRIES` entries of which at
 most a `_SPARSE_MAX_DENSITY` share are nonzero goes to `_sparse_echelon`,
-which keeps each row as a dict of its nonzero entries; the degree maps of
+which keeps each row as a dict of its nonzero entries and reduces it by the
+pivot rows found so far with `_reduce_row`, the reducer pass of F4 that
+`groebner` also reduces its Macaulay rows with; the degree maps of
 resolutions over monomial rings are such matrices. Both reduce entries mod
 p and combine them in Python ints. Every other matrix goes to
 `_dense_echelon`, the int64 loop whose single products stay below 2^62 as
 said above; it is the fastest where the matrix is large and many entries
 are nonzero. Only the small and dense paths build an array from a
-`Nonzeros`. All three take the columns left to right and make every pivot
-1, and the pivot columns and the rref of a matrix are unique, so the three
-paths, and the two forms, give identical results.
+`Nonzeros`. All three make every pivot 1, and the pivot columns and the
+rref of a matrix are unique, so the three paths, and the two forms, give
+identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
@@ -48,6 +50,8 @@ are (361 of 3,551 in that pass).
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -146,12 +150,16 @@ def pivot_columns(a: np.ndarray | Nonzeros, p: int) -> list[int]:
     return _echelon(a, p, reduced=False)[1]
 
 
-# Chosen by timing both paths on each of the 7,123 eliminations of one pass
-# of the four benchmark workloads. At most 5% nonzero, the sparse path was
-# the faster at every size; at 10-20% nonzero and 3,000 entries or more the
-# dense path was 2-4 times faster. The density test costs about 3 us, and
-# of the 6,435 matrices under 300 entries (the certificate checks make
-# nearly 4,000) only 60 are that sparse, so smaller matrices skip the test.
+# Chosen by timing the sparse and dense paths on each of the 286
+# eliminations past the small path of one seed-101 pass of the four
+# benchmark workloads, on a 2-vCPU virtual machine (best of 7). At most 5%
+# nonzero with 300 entries or more (125 matrices), the sparse path was the
+# faster on every one, 3.4 times in sum. At p <= 32003 it was also the
+# faster on all 89 matrices at 5-20% nonzero; at p = 2^31 - 1, whose
+# products are multi-digit Python ints, the dense path was the faster on 38
+# of the 44 matrices of 300 entries or more over 10% nonzero, 6.8 times in
+# sum. The density test costs about 3 us, and of the 89 matrices of 101 to
+# 299 entries only 9 are that sparse, so smaller matrices skip the test.
 _SPARSE_MIN_ENTRIES = 300
 _SPARSE_MAX_DENSITY = 0.05
 
@@ -315,74 +323,67 @@ def _dense_echelon(a, p, reduced):
     return (a[:r] if reduced else None), pivots
 
 
+def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int, int]:
+    """The row {column: entry} reduced by the monic reducers of `table`
+    ({leading column: its other entries, at larger columns}) until no column
+    of the row leads one; reducers are taken at increasing columns, so a
+    column once cleared never returns."""
+    heap = [c for c in row if c in table]
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        for k, v in table[c]:
+            old = row.get(k)
+            if old is None:
+                # f and v are nonzero mod the prime p, so this is too
+                row[k] = -f * v % p
+                if k in table:
+                    heapq.heappush(heap, k)
+            elif w := (old - f * v) % p:
+                row[k] = w
+            else:
+                del row[k]
+    return row
+
+
 def _sparse_echelon(shape, rows, cols, values, p, reduced):
     """`_echelon` of the matrix of the given shape whose only nonzero entries
     are values[k] at (rows[k], cols[k]) (index pairs distinct), without
     building it.
 
     Each row is a dict {column: entry}, entries reduced mod p first and
-    combined in Python ints. Columns are taken left to right; the pivot of a
-    column is its remaining row with the fewest nonzeros, which keeps fill-in
-    low, and it is cleared from the other remaining rows only. With
-    `reduced`, the pivot rows are then cleared above each other, last pivot
-    first, and returned as a dense matrix.
+    combined in Python ints. The rows are taken in order, each reduced by
+    the pivot rows found so far (`_reduce_row`, the reducer pass of F4); a
+    remainder, made monic, is the pivot row of its first column. With
+    `reduced`, each pivot row is then reduced by the later ones, last pivot
+    first, and the pivot rows are returned as a dense matrix.
     """
-    nrows, ncols = shape
-    entries: list[dict[int, int]] = [{} for _ in range(nrows)]
-    # rows_at[c]: the rows not yet used as pivots with a nonzero in column c
-    rows_at: list[set[int]] = [set() for _ in range(ncols)]
+    entries: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for r, c, v in zip(rows.tolist(), cols.tolist(), (values % p).tolist()):
         if v:
             entries[r][c] = v
-            rows_at[c].add(r)
-    pivots: list[int] = []
-    echelon: list[dict[int, int]] = []
-    for c in range(ncols):
-        if len(pivots) == nrows:
-            break
-        if not rows_at[c]:
-            continue
-        r = min(rows_at[c], key=lambda r: len(entries[r]))
-        row = entries[r]
-        for k in row:
-            rows_at[k].discard(r)
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row = {k: v * inv % p for k, v in row.items()}
-        for r2 in list(rows_at[c]):
-            other = entries[r2]
-            f = other[c]
-            for k, v in row.items():
-                old = other.get(k)
-                if old is None:
-                    # f and v are nonzero mod the prime p, so this is too
-                    other[k] = -f * v % p
-                    rows_at[k].add(r2)
-                elif w := (old - f * v) % p:
-                    other[k] = w
-                else:
-                    del other[k]
-                    rows_at[k].discard(r2)
-        pivots.append(c)
-        echelon.append(row)
+    # {pivot column: the other entries of its monic pivot row}
+    table: dict[int, list] = {}
+    for row in entries:
+        if row := _reduce_row(row, table, p):
+            c = min(row)
+            inv = pow(row.pop(c), -1, p)
+            tail = row.items()
+            table[c] = list(tail) if inv == 1 else [(k, v * inv % p) for k, v in tail]
+    pivots = sorted(table)
     if not reduced:
         return None, pivots
-    where = {c: i for i, c in enumerate(pivots)}
-    for i in range(len(echelon) - 2, -1, -1):
-        # the rows after i are reduced, so clearing one pivot column of row i
-        # leaves its other pivot columns as they are
-        row = echelon[i]
-        for k in [k for k in row if k in where and k != pivots[i]]:
-            f = row[k]
-            for kk, v in echelon[where[k]].items():
-                w = (row.get(kk, 0) - f * v) % p
-                if w:
-                    row[kk] = w
-                else:
-                    del row[kk]
-    out = np.zeros((len(echelon), ncols), dtype=np.int64)
-    at = np.repeat(np.arange(len(echelon)), [len(row) for row in echelon])
-    out[at, [k for row in echelon for k in row]] = [v for row in echelon for v in row.values()]
+    for c in reversed(pivots):
+        # most tails hold no pivot column; those are left as they are
+        if any(k in table for k, _v in table[c]):
+            table[c] = list(_reduce_row(dict(table[c]), table, p).items())
+    out = np.zeros((len(pivots), shape[1]), dtype=np.int64)
+    out[np.arange(len(pivots)), pivots] = 1
+    at = np.repeat(np.arange(len(pivots)), [len(table[c]) for c in pivots])
+    out[at, [k for c in pivots for k, _v in table[c]]] = [v for c in pivots for _k, v in table[c]]
     return out, pivots
 
 

@@ -134,6 +134,16 @@ class _PolyParser:
         self.pos += 1
         return t
 
+    def integer(self, token) -> int:
+        """The value of an INT token; a literal longer than Python converts
+        (4,300 digits by default) is a parse error at its column."""
+        try:
+            return int(token[1])
+        except ValueError:
+            raise ParseError(
+                f"integer literal of {len(token[1])} digits is too long", self.line, token[2]
+            ) from None
+
     def parse(self) -> Polynomial:
         out = self.parse_term_signed(allow_leading_sign=True)
         while True:
@@ -161,7 +171,7 @@ class _PolyParser:
     def parse_term(self) -> Polynomial:
         t = self.next()
         if t[0] == "INT":
-            poly = self.ring.constant(int(t[1]))
+            poly = self.ring.constant(self.integer(t))
             nxt = self.peek()
             if nxt is not None and nxt[0] == "IDENT":
                 raise ParseError(
@@ -180,7 +190,7 @@ class _PolyParser:
             if f[0] == "IDENT":
                 poly = poly * self.parse_factor(f)
             elif f[0] == "INT":
-                poly = poly.scale(int(f[1]))
+                poly = poly.scale(self.integer(f))
             else:
                 raise ParseError(f"expected a factor, found {f[1]!r}", self.line, f[2])
         return poly
@@ -196,7 +206,7 @@ class _PolyParser:
             e = self.next()
             if e[0] != "INT":
                 raise ParseError("expected an integer exponent", self.line, e[2])
-            return var ** int(e[1])
+            return var ** self.integer(e)
         return var
 
 

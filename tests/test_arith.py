@@ -1,5 +1,7 @@
 """Field, monomial order and polynomial arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -105,6 +107,27 @@ def test_mul_binomial_char2_oracle():
     expect = raw_mul(f, f, 2)
     assert poly_to_dict((x + y) * (x + y)) == expect
     assert (x + y) * (x + y) == x**2 + y**2
+
+
+@given(st.sampled_from([2, 3, 32003, 2**31 - 1]), st.integers(0, 12), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_power_is_repeated_product(p, e, seed):
+    rng = random.Random(seed)
+    s, (x, y, z) = polynomial_ring(p, ("x", "y", "z"))
+    f = rng.randrange(p) * x + rng.randrange(p) * y * z + s.constant(rng.randrange(p))
+    want = s.one()
+    for _ in range(e):
+        want = want * f
+    assert f**e == want
+
+
+def test_power_of_a_variable_takes_no_time_per_unit_of_exponent():
+    # squaring and multiplying takes about 80 products here, where one
+    # product per unit of the exponent would never finish
+    s, (x, y) = polynomial_ring(5, ("x", "y"))
+    e = 10**12 + 7
+    assert (x * y) ** e == s.from_dict({(e, e): 1})
+    assert (x + y) ** 25 == x**25 + y**25  # the Frobenius map twice over F_5
 
 
 def test_scale_and_mismatch_errors():

@@ -312,6 +312,38 @@ def test_factorize_command(write_doc, capsys):
     assert "verdict transfer: consistent" in out
 
 
+# (0), (x), (y) and m over ci2, with (0) : x = (x), (0) : y = (y), (x) : y = m
+CI2_FOUR_MEMBERS = (
+    'cert filtration {"members":[[],[[1,0]],[[0,1]],[[1,0],[0,1]]],"witnesses":['
+    '{"member":1,"sub":0,"g":[1,0],"colon":1},{"member":2,"sub":0,"g":[0,1],"colon":2},'
+    '{"member":3,"sub":1,"g":[0,1],"colon":3}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "chain, want",
+    [
+        ("0,1,3", (0, "")),
+        ("0,99", (3, "error: flag chain is invalid: chain index 99 out of range\n")),
+        # read through Python's negative indexing, this would pass as 0,1,3
+        ("-4,-3,-1", (3, "error: flag chain is invalid: chain index -4 out of range\n")),
+    ],
+)
+def test_factorize_chain_indices_must_name_members(write_doc, capsys, chain, want):
+    text = CI2 + "module name=M shifts=0\n[ x, y ]\n" + CI2_FOUR_MEMBERS
+    argv = ["factorize", write_doc(text), "--module", "M", "--cert", "0", f"--chain={chain}", "--r", "1"]
+    code, _, err = run(capsys, argv)
+    assert (code, err) == want
+
+
+@pytest.mark.parametrize(
+    "flag", ['{"forms":[[1,0]],"colon_indices":[1]}', '{"forms":[[1,0],[0,1]],"colon_indices":[1]}']
+)
+def test_factorize_flag_must_order_a_full_basis(write_doc, capsys, flag):
+    code, _, err = run(capsys, ["factorize", write_doc(CI2 + f"cert flag {flag}\n")])
+    assert (code, err) == (3, "error: flag must order a full basis of R_1\n")
+
+
 def test_suite_command(capsys):
     code, out, _ = run(capsys, ["suite", "minmult", "--fixture", "mm1"])
     assert code == 0 and "overall: pass" in out

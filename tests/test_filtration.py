@@ -462,6 +462,158 @@ def test_flag_chain_compares_members_in_rref(ci2):
     )
 
 
+# a filtration of ci2 = F_5[x,y]/(x^2, y^2): (0), (x), (y) and m, where
+# (0) : x = (x), (0) : y = (y) and (x) : y = m; and a flag of fitz3 =
+# F_3[x,y,z]/(x^2, y^2, z^2, xy) read from the Conca generator z
+_CI2_MEMBERS = (LinearIdeal.zero(), LinearIdeal(((1, 0),)), LinearIdeal(((0, 1),)), LinearIdeal.full(2))
+_W1, _W2, _W3 = (
+    FiltrationWitness(1, 0, (1, 0), 1),
+    FiltrationWitness(2, 0, (0, 1), 2),
+    FiltrationWitness(3, 1, (0, 1), 3),
+)
+_FITZ3_FLAG = FlagCertificate(((0, 0, 1), (0, 1, 0), (1, 0, 0)), (1, 3, 3))
+
+
+def _ci2_filtration(members=_CI2_MEMBERS, witnesses=(_W1, _W2, _W3)):
+    return FiltrationCertificate(members, witnesses)
+
+
+_MUTATIONS = [
+    ("ci2", lambda r: verify_koszul_filtration(r, _ci2_filtration()), None, None),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(r, _ci2_filtration(_CI2_MEMBERS[:3], (_W1, _W2))),
+        None,
+        "the maximal ideal is not a member",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(r, _ci2_filtration(witnesses=(_W1, _W3))),
+        2,
+        "nonzero member without a witness",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(_W1, _W2, _W3, FiltrationWitness(4, 0, (1, 0), 1)))
+        ),
+        4,
+        "witness references a missing member",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(FiltrationWitness(-1, 0, (1, 0), 1), _W1, _W2, _W3))
+        ),
+        -1,
+        "witness references a missing member",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(_W1, _W2, FiltrationWitness(3, 4, (0, 1), 3)))
+        ),
+        3,
+        "witness indices out of range",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(_W1, _W2, FiltrationWitness(3, 1, (0, 1), -1)))
+        ),
+        3,
+        "witness indices out of range",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(FiltrationWitness(1, 2, (1, 0), 1), _W2, _W3))
+        ),
+        1,
+        "J is not contained in I",
+    ),
+    (
+        "ci2",
+        lambda r: verify_koszul_filtration(
+            r, _ci2_filtration(witnesses=(_W1, _W2, FiltrationWitness(3, 0, (0, 1), 3)))
+        ),
+        3,
+        "I/J is not cyclic",
+    ),
+    ("fitz3", lambda r: verify_groebner_flag(r, _FITZ3_FLAG), None, None),
+    (
+        "fitz3",
+        lambda r: verify_groebner_flag(r, FlagCertificate(_FITZ3_FLAG.forms[:2], (1, 3))),
+        None,
+        "flag must order a full basis of R_1",
+    ),
+    (
+        "fitz3",
+        lambda r: verify_groebner_flag(r, FlagCertificate(_FITZ3_FLAG.forms, (1, 3))),
+        None,
+        "flag must order a full basis of R_1",
+    ),
+    (
+        "fitz3",
+        lambda r: verify_groebner_flag(r, FlagCertificate(_FITZ3_FLAG.forms, (1, 4, 3))),
+        2,
+        "colon index 4 out of range",
+    ),
+    (
+        "fitz3",
+        lambda r: verify_groebner_flag(r, FlagCertificate(_FITZ3_FLAG.forms, (-1, 3, 3))),
+        1,
+        "colon index -1 out of range",
+    ),
+    ("ci2", lambda r: verify_flag_chain(r, _ci2_filtration(), (0, 1, 3)), None, None),
+    ("ci2", lambda r: verify_flag_chain(r, _ci2_filtration(), ()), None, "empty chain"),
+    (
+        "ci2",
+        lambda r: verify_flag_chain(r, _ci2_filtration(), (0, 3)),
+        3,
+        "chain step is not cyclic",
+    ),
+    (
+        "fitz3",
+        lambda r: verify_flag_chain(r, _FITZ3_FLAG.as_filtration(3, 3), (0, 2, 3)),
+        2,
+        "chain step is not cyclic",
+    ),
+    (
+        "ci2",
+        lambda r: verify_flag_chain(r, _ci2_filtration(), (0, 99)),
+        99,
+        "chain index 99 out of range",
+    ),
+    # Python's negative indexing would read this as the valid chain 0, 1, 3
+    (
+        "ci2",
+        lambda r: verify_flag_chain(r, _ci2_filtration(), (-4, -3, -1)),
+        -4,
+        "chain index -4 out of range",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ring_name, check, failing, reason",
+    _MUTATIONS,
+    ids=[f"{name}-{reason or 'valid'}-{failing}" for name, _c, failing, reason in _MUTATIONS],
+)
+def test_mutated_certificates_are_rejected_with_their_reason(
+    request, ring_name, check, failing, reason
+):
+    result = check(request.getfixturevalue(ring_name))
+    assert (result.valid, result.failing_index, result.reason) == (reason is None, failing, reason)
+
+
+def test_flag_of_the_wrong_length_is_no_filtration():
+    with pytest.raises(ValueError, match="flag must order a full basis of R_1"):
+        FlagCertificate(((1, 0),), (1,)).as_filtration(2, 5)
+    with pytest.raises(ValueError, match="flag must order a full basis of R_1"):
+        FlagCertificate(((1, 0), (0, 1)), (1,)).as_filtration(2, 5)
+
+
 def test_contains_vector_reduces_rows_in_any_form():
     # rows that are not in RREF (scaled, dependent, unsorted) span the same
     # space; the cached reduction is made once per modulus

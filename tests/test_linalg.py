@@ -216,11 +216,12 @@ def _gate_matrices(draw):
     """Matrices on both sides of the small path's size gate and of the sparse
     path's size and density gate, with entries that are negative or nonzero
     multiples of p, zero rows and columns, duplicate rows, ranks from 0 to
-    full, and shapes with no rows or no columns."""
+    full, shapes with no rows or no columns, and dense rows followed by sums
+    of earlier rows."""
     p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     m, n = draw(st.integers(0, 40)), draw(st.integers(0, 60))
-    kind = draw(st.sampled_from(["random", "multiples", "full"]))
+    kind = draw(st.sampled_from(["random", "multiples", "full", "sums"]))
     density = draw(st.sampled_from([0.005, 0.02, 0.05, 0.1, 0.4]))
     a = np.zeros((m, n), dtype=np.int64)
     hit = rng.random((m, n)) < density
@@ -235,6 +236,16 @@ def _gate_matrices(draw):
         units = rng.integers(1, p, size=len(cols)) - p * rng.integers(0, 2, size=len(cols))
         a[np.arange(len(cols)), cols] = units
         a = a[rng.permutation(m)]
+    elif kind == "sums":
+        # dense rows, then each later row a combination of three or more
+        # earlier ones, sums included: they reduce to zero only late, and
+        # the dense pivot rows make long back-substitution chains
+        first = (m + 1) // 2
+        a[:first] = rng.integers(-3 * p, 3 * p, size=(first, n))
+        for i in range(first, m):
+            picked = rng.choice(i, size=int(rng.integers(min(3, i), i + 1)), replace=False)
+            coeffs = rng.integers(1, p, size=(1, len(picked)))
+            a[i] = matmul_mod(coeffs, a[picked] % p, p)[0] - p * rng.integers(0, 2, size=n)
     elif draw(st.booleans()):
         a[rng.random(m) < 0.2] = 0
         a[:, rng.random(n) < 0.2] = 0

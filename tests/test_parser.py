@@ -73,6 +73,29 @@ def test_degree_one_generator_rejected():
         parse_input("ring char=5 vars=x,y\nideal x^2; x + y")
 
 
+def test_huge_exponent_parses_at_once():
+    # x^(10^12) is zero modulo x^2; the power is taken by squaring
+    doc = parse_input("ring char=5 vars=x,y\nideal x^2\nmodule name=M shifts=0\n[ x^1000000000000, y ]\n")
+    assert [str(e) for e in doc.modules["M"].rows[0]] == ["x^1000000000000", "y"]
+
+
+@pytest.mark.parametrize(
+    "line, col",
+    [
+        ("ideal x^2 + {n}*y^2", 13),
+        ("ideal x^2 + x*{n}*y", 15),
+        ("ideal x^{n}", 9),
+    ],
+)
+def test_integer_literal_too_long_to_convert_has_position(line, col):
+    # Python converts at most 4,300 digits by default: a parse error at the
+    # literal's column, not a bare ValueError
+    with pytest.raises(ParseError) as exc:
+        parse_input("ring char=5 vars=x,y\n" + line.format(n="7" * 5000))
+    assert (exc.value.line, exc.value.col) == (2, col)
+    assert exc.value.message == "integer literal of 5000 digits is too long"
+
+
 def test_matrix_row_outside_module():
     with pytest.raises(ParseError, match="outside a module"):
         parse_input(CI2_TEXT + "[ x ]\n")

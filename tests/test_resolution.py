@@ -31,6 +31,7 @@ from koszulkit.quotient import (
     residue_field_module,
 )
 import koszulkit.groebner as groebner_mod
+import koszulkit.linalg as linalg_mod
 import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank
@@ -44,7 +45,7 @@ from koszulkit.resolution import (
     resolve,
 )
 from koszulkit.corpus import random_module
-from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
+from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim, series_divide
 
 
 def test_nk3_periodic_shifts(nk3):
@@ -849,6 +850,35 @@ def test_degree_maps_over_a_monomial_ring_stay_sparse():
         tracemalloc.stop()
     assert res.betti().totals() == [1, 5, 15, 40, 105]
     assert peak < 5 * 2**20, peak
+
+
+def test_koszul_monomial_ring_resolves_on_the_sparse_path(monkeypatch):
+    # k over 10 quadratic monomials in 7 variables, drawn as the scale ring
+    # mono-7-10: the ring is Koszul, so its Betti totals are the
+    # coefficients of 1/H_R(-t), and its degree maps past the small path
+    # are sparse enough for `_sparse_echelon`
+    p, n = 32003, 7
+    s, xs = polynomial_ring(p, [f"x{i}" for i in range(n)])
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = random.Random("mono-7-10").sample(pairs, 10)
+    ring = make_ring(s, [xs[i] * xs[j] for i, j in chosen])
+    gens = [tuple((k == i) + (k == j) for k in range(n)) for i, j in chosen]
+    taken = []
+    sparse = linalg_mod._sparse_echelon
+
+    def counted(*args):
+        taken.append(args[0])
+        return sparse(*args)
+
+    monkeypatch.setattr(linalg_mod, "_sparse_echelon", counted)
+    totals = resolve(residue_field_module(ring), 5, 6).betti().totals()
+    # H_R(d) counts the monomials of degree d that no generator divides
+    hilbert = [
+        sum(not any(all(map(int.__ge__, m, g)) for g in gens) for m in monomials_of_degree(n, d))
+        for d in range(6)
+    ]
+    assert totals == series_divide([1], [(-1) ** d * h for d, h in enumerate(hilbert)], 5)
+    assert taken
 
 
 def test_stages_end_when_their_pieces_vanish(monkeypatch):
