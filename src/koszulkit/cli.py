@@ -269,7 +269,11 @@ def run_command(args) -> tuple[dict, str, int]:
             body = _header(report) + f"\n{verdict.kind}({verdict.value})\n"
             code = EXIT_INCONCLUSIVE if verdict.kind == "AtLeast" else EXIT_OK
             return report, body, code
-        # linpart
+        # linpart: homology at 1 <= i < imax, none to check below imax 2
+        if args.imax < 2:
+            report["linear_part_homology"] = {"nonzero": {}, "acyclic_in_window": None}
+            body = _header(report) + "\ninconclusive: no degree 1 <= i < imax to check\n"
+            return report, body, EXIT_INCONCLUSIVE
         lin = linear_part(res)
         dims = {}
         clean = True

@@ -627,8 +627,8 @@ def syzygies_over_poly_ring(
 # ----------------------------------------------- graded pieces of free modules
 #
 # `ring` is a quotient ring object exposing piece(d), coords(f, d),
-# reduce(f), dim_piece(d), free_columns(shifts, d),
-# free_times_variables(shifts, d), poly_ring, nvars, p.
+# reduce(f), dim_piece(d), the per-degree tables first_variable_lifts(e)
+# and times_variables(e), poly_ring, nvars, p.
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -678,33 +678,46 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     u a standard monomial of degree d - source_shifts[j].
 
     Column (j, u), with x_v the first variable of u, is x_v times column
-    (j, u / x_v) of `prev` (`QuotientRing.free_columns`). All of them are
-    one sparse product: each nonzero entry of `prev` in such a column goes
-    through the nonzero entries of x_v on the target
-    (`QuotientRing.free_times_variables`), the products are reduced mod p,
-    and the products at one coordinate are added mod p. Both layouts are
-    cached on the ring. A map with no rows or no columns is returned at once.
+    (j, u / x_v) of `prev`. All of them are one sparse product, read off
+    two tables of the ring keyed by a degree alone, which serve every shift
+    tuple: the blocks of equal consecutive shifts of each module
+    (`shift_runs`; the target's in any order) give every nonzero entry of
+    `prev` the degrees of its row and column. The entry at column (j, w)
+    goes to every column (j, u) with u / x_v = w
+    (`QuotientRing.first_variable_lifts`), and there through the nonzero
+    entries of x_v at its row (`QuotientRing.times_variables`); the
+    products are reduced mod p, and the products at one coordinate are
+    added mod p. A map with no rows or no columns is returned before any
+    table is read.
     """
-    ncols, first, cols, lower = ring.free_columns(source_shifts, d)
-    nrows = ring.free_columns(target_shifts, d)[0]
+    target = shift_runs(ring, target_shifts, d - 1)
+    source = shift_runs(ring, source_shifts, d - 1)
+    nrows = sum(m * high for _s, m, _low, high in target)
+    ncols = sum(m * high for _s, m, _low, high in source)
     if not (nrows and ncols and len(prev.values)):
         return Nonzeros((nrows, ncols), _EMPTY, _EMPTY, _EMPTY)
-    start, count, times_rows, times_values = ring.free_times_variables(target_shifts, d - 1)
-    # the entries of prev in column lower[k], each to be multiplied by
-    # x_v, v = first[k], into column cols[k]
-    lo = prev.cols.searchsorted(lower)
-    n = prev.cols.searchsorted(lower, "right") - lo
-    at = _ranges(lo, n)
-    col = cols.repeat(n)
-    key = first.repeat(n) * prev.shape[0] + prev.rows[at]
-    value = prev.values[at]
-    # each through the entries of x_v at its row: two entries in [1, p) make
-    # a product below p^2 < 2^62, nonzero mod the prime p
-    n = count[key]
-    at = _ranges(start[key], n)
-    value = value.repeat(n) * times_values[at] % ring.p
-    flat = col.repeat(n) * nrows + times_rows[at]
-    order = flat.argsort(kind="stable")
+    # a nonzero of prev at column (j, w) goes to the columns (j, x_v * w)
+    # that have x_v as their first variable: for each v, that column or -1
+    col, w, lifts = _locate(source, prev.cols, lambda s: ring.first_variable_lifts(d - s))
+    lifts = (lifts[0] if len(lifts) == 1 else np.concatenate(lifts))[w]
+    # and its row (i, a) through the entries of x_v at a
+    row, a, times = _locate(target, prev.rows, lambda t: ring.times_variables(d - 1 - t))
+    if len(times) == 1:
+        start, count, times_rows, times_values = times[0]
+    else:
+        # the tables one after another, each start moved past the entries before
+        entries = np.cumsum([0] + [len(rows) for _s, _c, rows, _v in times[:-1]])
+        start = np.concatenate([start + e for (start, *_rest), e in zip(times, entries)])
+        count, times_rows, times_values = (np.concatenate(z) for z in zip(*(t[1:] for t in times)))
+    # n[i, v] products of nonzero i by x_v, none where it has no column:
+    # two entries in [1, p) make a product below p^2 < 2^62, nonzero mod
+    # the prime p
+    n = count[a] * (lifts >= 0)
+    k = _ranges(start[a].ravel(), n.ravel())
+    value = prev.values.repeat(n.sum(1)) * times_values[k] % ring.p
+    flat = ((lifts + col[:, None]) * nrows + row[:, None]).ravel()
+    flat = flat.repeat(n.ravel()) + times_rows[k]
+    order = flat.argsort()
     flat, value = flat[order], value[order]
     meets = flat[1:] == flat[:-1]
     if meets.any():
@@ -718,10 +731,37 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     return Nonzeros((nrows, ncols), out_rows, out_cols, value)
 
 
+def _locate(runs, index, table):
+    """Where the coordinates `index` of the degree d-1 piece of a free module
+    lie. `runs` are its blocks of equal shifts (`shift_runs` at d - 1) and
+    table(s) the ring's table for a block of shift s. For each coordinate
+    (i, a), a in copy i of R_{d-1-s}: the first coordinate of copy i of
+    R_{d-s} at degree d, and the row of a in the tables of the blocks with a
+    nonzero piece at d - 1, laid one after another; and those tables."""
+    blocks, tables = [], []
+    old = new = rows = 0
+    for s, m, low, high in runs:
+        if low:
+            blocks.append((old, low, new, high, rows))
+            tables.append(table(s))
+            rows += low
+        old += m * low
+        new += m * high
+    if len(blocks) == 1:
+        # the blocks before it have no coordinates at d - 1
+        _old, low, new, high, _rows = blocks[0]
+        copy, at = np.divmod(index, low)
+        return new + high * copy, at, tables
+    blocks = np.array(blocks, dtype=np.int64)
+    old, low, new, high, rows = blocks[blocks[:, 0].searchsorted(index, "right") - 1].T
+    copy, at = np.divmod(index - old, low)
+    return new + high * copy, rows + at, tables
+
+
 def _ranges(starts, counts):
     """The ranges starts[k], ..., starts[k] + counts[k] - 1, concatenated."""
-    offsets = counts.cumsum() - counts
-    return (starts - offsets).repeat(counts) + np.arange(counts.sum())
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts + counts - ends).repeat(counts)
 
 
 def _stage(ring, incoming, sieve, step, d_last):

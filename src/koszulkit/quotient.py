@@ -30,10 +30,8 @@ from .groebner import (
     module_buchberger,
     module_normal_form,
     normal_form,
-    shift_runs,
     syzygies_over_poly_ring,
     top_order_key,
-    _EMPTY,
     _at_each_position,
     _melt_from_components,
     _melt_lt,
@@ -55,11 +53,13 @@ class QuotientRing:
 
     Immutable after construction. Fill-once caches, so concurrent readers
     are safe: piece bases and their indices, monomial normal forms, the
-    variable action of each degree and its stacked matrix, first-variable
-    splits, the layouts of degree maps between free modules
-    (`free_columns`, `free_times_variables`), and the public
+    variable action of each degree, its stacked matrix and its entries
+    grouped by monomial and variable (`times_variables`), the first-variable
+    lifts of each degree (`first_variable_lifts`), and the public
     `linear_numerators`, `linear_eliminations` and `linear_colons` that
-    `filtration` and `quotient_by_linear_forms` fill.
+    `filtration` and `quotient_by_linear_forms` fill. Every table of the
+    graded pieces is keyed by a degree alone: the degree maps between free
+    modules read them one block of equal shifts at a time.
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -74,10 +74,11 @@ class QuotientRing:
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._actions: dict[int, tuple[np.ndarray, ...]] = {}
         self._var_stack: dict[int, np.ndarray] = {}
-        self._first_var_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # free_columns and free_times_variables, keyed by (shifts, d)
-        self._free_columns: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self._free_times_variables: dict[tuple[tuple[int, ...], int], tuple] = {}
+        # times_variables and first_variable_lifts, keyed by the degree as
+        # every table above: `groebner._next_degree_map` reads them for each
+        # block of equal shifts of any free module
+        self._times_variables: dict[int, tuple[np.ndarray, ...]] = {}
+        self._first_var_lifts: dict[int, np.ndarray] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
         # the RREF rows of a linear ideal, and filtration._linear_colon, keyed
         # by (J rows, J+(g) rows), as J:g = J:(J+(g))
@@ -209,85 +210,35 @@ class QuotientRing:
             self._var_stack[d] = got
         return got
 
-    def first_variable_splits(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (v, k) over the standard monomials u of degree e >= 1, in basis
-        order: x_v is the first variable of u and k the index of u / x_v in the
-        degree e-1 basis (a divisor of a standard monomial is standard)."""
-        got = self._first_var_splits.get(e)
-        if got is not None:
-            return got
-        index = self.piece_index(e - 1)
-        first, lower = [], []
-        for u in self.piece(e):
-            v = next(i for i, a in enumerate(u) if a)
-            first.append(v)
-            lower.append(index[u[:v] + (u[v] - 1,) + u[v + 1 :]])
-        got = np.array(first, dtype=np.int64), np.array(lower, dtype=np.int64)
-        self._first_var_splits[e] = got
+    def times_variables(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`variable_action(e)` grouped by (k, v): (start, count, rows, values),
+        start and count dim R_e x nvars arrays, where x_v sends basis
+        monomial k of R_e to values[i] at coordinate rows[i] for the
+        count[k, v] indices i from start[k, v] on, rows increasing.
+        Fill-once cache."""
+        got = self._times_variables.get(e)
+        if got is None:
+            v, k, rows, values = self.variable_action(e)
+            dim = self.dim_piece(e)
+            bounds = (v * dim + k).searchsorted(np.arange(self.nvars * dim + 1))
+            start, count = (a.reshape(self.nvars, dim).T.copy() for a in (bounds[:-1], np.diff(bounds)))
+            got = self._times_variables[e] = (start, count, rows, values)
         return got
 
-    def free_columns(
-        self, shifts: tuple[int, ...], d: int
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """The degree-d piece of the free module with the given shifts, whose
-        coordinates are (j, u) for u in the basis of R_{d - shifts[j]}, in
-        order: (its dimension, first, cols, lower), where for each coordinate
-        cols[k] with deg u >= 1, x_v with v = first[k] is the first variable
-        of u and lower[k] is the coordinate (j, u / x_v) of the degree d-1
-        piece. Fill-once cache."""
-        key = (shifts, d)
-        got = self._free_columns.get(key)
-        if got is not None:
-            return got
-        first, cols, lower = [_EMPTY], [_EMPTY], [_EMPTY]
-        col = prev_col = 0
-        for s, m, low, high in shift_runs(self, shifts, d - 1):
-            if low and high:
-                v, k = self.first_variable_splits(d - s)
-                first.append(np.tile(v, m))
-                cols.append(col + np.arange(m * high))
-                lower.append((prev_col + low * np.arange(m)[:, None] + k).ravel())
-            col += m * high
-            prev_col += m * low
-        got = (col, *map(np.concatenate, (first, cols, lower)))
-        self._free_columns[key] = got
-        return got
-
-    def free_times_variables(
-        self, shifts: tuple[int, ...], d: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Multiplication by each variable from the degree-d to the
-        degree-(d+1) piece of the free module with the given shifts, as the
-        nonzero entries of one block for each variable: (start, count,
-        rows, values), where x_v sends coordinate k to values[i] at
-        coordinate rows[i] for the count[key] indices i from start[key] on,
-        key = v * dim + k with dim the dimension of the degree-d piece, rows
-        increasing. Fill-once cache."""
-        key = (shifts, d)
-        got = self._free_times_variables.get(key)
-        if got is not None:
-            return got
-        runs = shift_runs(self, shifts, d)
-        dim = sum(m * low for _s, m, low, _high in runs)
-        keys, rows, values = [_EMPTY], [_EMPTY], [_EMPTY]
-        row = col = 0
-        for s, m, low, high in runs:
-            if low and high:
-                v, k, i, value = self.variable_action(d - s)
-                copy = np.arange(m)[:, None]
-                keys.append((v * dim + col + low * copy + k).ravel())
-                rows.append((row + high * copy + i).ravel())
-                values.append(np.tile(value, m))
-            row += m * high
-            col += m * low
-        # each key comes from one copy of one run, its rows increasing: a
-        # stable sort by key keeps them so
-        keys, rows, values = map(np.concatenate, (keys, rows, values))
-        order = keys.argsort(kind="stable")
-        keys, rows, values = keys[order], rows[order], values[order]
-        start = keys.searchsorted(np.arange(self.nvars * dim + 1))
-        got = (start[:-1], np.diff(start), rows, values)
-        self._free_times_variables[key] = got
+    def first_variable_lifts(self, e: int) -> np.ndarray:
+        """The standard monomials u of degree e >= 1 by u / x_v, x_v the first
+        variable of u (a divisor of a standard monomial is standard), as a
+        dim R_{e-1} x nvars array: entry (w, v) is the index of x_v * w in the
+        basis of R_e if x_v is its first variable and it is standard, else -1.
+        Fill-once cache."""
+        got = self._first_var_lifts.get(e)
+        if got is None:
+            index = self.piece_index(e - 1)
+            got = np.full((len(index), self.nvars), -1, dtype=np.int64)
+            for k, u in enumerate(self.piece(e)):
+                v = next(i for i, a in enumerate(u) if a)
+                got[index[u[:v] + (u[v] - 1,) + u[v + 1 :]], v] = k
+            self._first_var_lifts[e] = got
         return got
 
     def hilbert_series(self, expand_to: int) -> "HilbertSeries":

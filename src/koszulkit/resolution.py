@@ -231,7 +231,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
 
 def _shifts(step):
     """Generator degrees of a step given as {d: matrix of degree-d rows}."""
-    return tuple(d for d, mat in step.items() for _row in mat)
+    return sum(((d,) * len(mat) for d, mat in step.items()), ())
 
 
 def _coordinate_shifts(ring, shifts, d):

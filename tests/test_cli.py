@@ -147,6 +147,20 @@ def test_linpart_command(write_doc, capsys):
     assert code2 == 1 and "nonzero homology" in out2
 
 
+@pytest.mark.parametrize("doc", [NK3, CI2], ids=["nk3", "ci2"])
+def test_linpart_below_imax_2_is_inconclusive(write_doc, capsys, doc):
+    # with imax 1 no homological degree 1 <= i < imax is checked, so neither
+    # the non-Koszul nk3 nor ci2 may read acyclic; `koszul` agrees
+    path = write_doc(doc)
+    code, out, _ = run(capsys, ["linpart", path, "--imax", "1"])
+    assert code == 2 and "inconclusive" in out and "acyclic" not in out
+    code, out, _ = run(capsys, ["linpart", path, "--imax", "1", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["linear_part_homology"] == {"nonzero": {}, "acyclic_in_window": None}
+    code, out, _ = run(capsys, ["koszul", path, "--imax", "1", "--method", "linear-part-acyclic"])
+    assert code == 2 and "inconclusive" in out
+
+
 def test_poincare_command(write_doc, capsys):
     code, out, _ = run(capsys, ["poincare", write_doc(CI2), "--imax", "5"])
     assert code == 0 and "holds" in out

@@ -6,10 +6,11 @@ from itertools import zip_longest
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from koszulkit.arith import mono_divides, mono_mul, polynomial_ring
-from koszulkit.groebner import _melt_lt, shift_runs, top_order_key
+from koszulkit.groebner import FreeModuleVector, _EMPTY, _melt_lt, _next_degree_map, top_order_key
+from koszulkit.linalg import Nonzeros
 from koszulkit.quotient import (
     cyclic_module,
     free_module,
@@ -24,6 +25,7 @@ from koszulkit.quotient import (
     _monomial_quotient_numerator,
 )
 from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
+from test_resolution import _reference_degree_map
 
 
 def test_make_ring_rejects_nonhomogeneous():
@@ -229,7 +231,7 @@ def test_annihilated_by(ci2):
 # The references below build each table monomial by monomial: the standard
 # basis by a divisibility test of every monomial against every leading
 # monomial, the variable blocks from the normal form of every product, and
-# the free-module layout with a loop over the variables.
+# the first-variable lifts from the exponents of each product x_v * w.
 
 
 def _reference_piece(ring, d):
@@ -252,25 +254,19 @@ def _reference_var_multiplication(ring, var, d):
     return mat
 
 
-def _reference_free_times_variables(ring, shifts, d):
-    runs = shift_runs(ring, shifts, d)
-    dim = sum(m * low for _s, m, low, _high in runs)
-    keys, rows, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for v in range(ring.nvars):
-        row, col = 0, v * dim
-        for s, m, low, high in runs:
-            if low and high:
-                block = _reference_var_multiplication(ring, v, d - s)
-                k, i = np.nonzero(block.T)
-                copy = np.arange(m)[:, None]
-                keys.append((col + low * copy + k).ravel())
-                rows.append((row + high * copy + i).ravel())
-                values.append(np.tile(block[i, k], m))
-            row += m * high
-            col += m * low
-    keys, rows, values = map(np.concatenate, (keys, rows, values))
-    start = keys.searchsorted(np.arange(ring.nvars * dim + 1))
-    return start[:-1], np.diff(start), rows, values
+def _reference_first_variable_lifts(ring, e):
+    """For each basis monomial w of R_{e-1} and variable x_v: the index of
+    x_v * w in the basis of R_e when it is standard with first variable x_v,
+    else -1."""
+    index = {m: i for i, m in enumerate(_reference_piece(ring, e))}
+    out = []
+    for w in _reference_piece(ring, e - 1):
+        row = []
+        for v in range(ring.nvars):
+            u = w[:v] + (w[v] + 1,) + w[v + 1 :]
+            row.append(index.get(u, -1) if not any(w[:v]) else -1)
+        out.append(row)
+    return out
 
 
 def _sparse_form(s, rng, degree, terms):
@@ -329,11 +325,89 @@ def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
             [v, k, i, block[i, k]] for v, block in enumerate(blocks) for k, i in zip(*np.nonzero(block.T))
         ]
         assert np.array(ring.variable_action(d)).T.tolist() == entries, d
+        # the same entries grouped by (k, v), rows increasing
+        start, count, rows, values = ring.times_variables(d)
+        assert start.shape == count.shape == (ring.dim_piece(d), ring.nvars), d
+        for v, block in enumerate(blocks):
+            for k in range(ring.dim_piece(d)):
+                at = slice(start[k, v], start[k, v] + count[k, v])
+                i = np.flatnonzero(block[:, k])
+                assert rows[at].tolist() == i.tolist(), (v, k, d)
+                assert values[at].tolist() == block[i, k].tolist(), (v, k, d)
+        lifts = ring.first_variable_lifts(d + 1)
+        assert lifts.dtype == np.int64 and lifts.tolist() == _reference_first_variable_lifts(ring, d + 1), d
+    # the identity of the free module with each of these shifts, built from
+    # the tables degree by degree by `_next_degree_map`, which leaves the
+    # generator columns of degree d zero
     for shifts in ((0,), (0, 0, 1), (1, 1, 3), (0, 2, 2, 2)):
+        prev = Nonzeros((0, 0), _EMPTY, _EMPTY, _EMPTY)
         for d in range(7):
-            got = ring.free_times_variables(shifts, d)
-            want = _reference_free_times_variables(ring, shifts, d)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (shifts, d)
+            dim = sum(ring.dim_piece(d - s) for s in shifts)
+            got = _next_degree_map(ring, shifts, shifts, prev, d)
+            want = np.eye(dim, dtype=np.int64)
+            gens = np.cumsum([0] + [ring.dim_piece(d - s) for s in shifts])[:-1]
+            want[:, gens[np.array(shifts) == d]] = 0
+            assert got.shape == (dim, dim) and np.array_equal(got.toarray(), want), (shifts, d)
+            eye = np.arange(dim)
+            prev = Nonzeros((dim, dim), eye, eye, np.ones(dim, dtype=np.int64))
+
+
+def _graded_columns(ring, target, source, rng):
+    """Random graded columns of degrees `source` in the free module with
+    shifts `target`, their components reduced; some components and some
+    whole columns are zero."""
+    s = ring.poly_ring
+    columns = []
+    for d in source:
+        zero = rng.random() < 0.2
+        comps = tuple(
+            s.zero() if zero or rng.random() < 0.3
+            else s.from_dict({m: rng.randrange(ring.p) for m in ring.piece(d - t)})
+            for t in target
+        )
+        columns.append(FreeModuleVector(comps, target))
+    return columns
+
+
+def _as_nonzeros(a):
+    """The array as a `Nonzeros`, sorted by column, then row."""
+    cols, rows = np.nonzero(a.T)
+    return Nonzeros(a.shape, rows, cols, a[rows, cols])
+
+
+_SHIFTS = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from(["degrevlex", "lex"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    _SHIFTS,
+    _SHIFTS.map(sorted).map(tuple),
+    st.integers(0, 2**32),
+)
+@example("cubic-gb", "degrevlex", 32003, (1, 0, 2), (1, 1, 2), 0)
+@example("monomial", "lex", 2**31 - 1, (2, 2, 0, 2), (0, 0, 3), 1)
+def test_next_degree_map_matches_dense_reference(kind, order, p, target, source, seed):
+    # every degree from below the lowest shift, where the pieces and so
+    # the maps have no rows or no columns, to past the highest; target
+    # shifts unsorted and repeated, blocks whose pieces vanish at d - 1
+    # (a shift of d) or at d (R_{d-t} = 0 for a nonzero R_{d-1-t})
+    rng = random.Random(seed)
+    ring = _table_ring(kind, order, p, rng)
+    columns = _graded_columns(ring, target, source, rng)
+    for d in range(min(target + source), max(target + source) + 5):
+        prev = _as_nonzeros(_reference_degree_map(ring, target, source, columns, d - 1))
+        got = _next_degree_map(ring, target, source, prev, d)
+        want = _reference_degree_map(ring, target, source, columns, d)
+        # the generator columns (j, 1) of degree d are left zero
+        offsets = np.cumsum([0] + [ring.dim_piece(d - s) for s in source])[:-1]
+        want[:, offsets[np.array(source) == d]] = 0
+        want = _as_nonzeros(want)
+        assert got.shape == want.shape, d
+        for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
+            assert a.dtype == np.int64 and a.tolist() == b.tolist(), (target, source, d)
 
 
 # ------------------------------------------------ graded pieces of a module

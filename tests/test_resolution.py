@@ -34,7 +34,7 @@ import koszulkit.groebner as groebner_mod
 import koszulkit.linalg as linalg_mod
 import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
-from koszulkit.linalg import Echelon, matmul_mod, nullspace, rank
+from koszulkit.linalg import Echelon, Nonzeros, matmul_mod, nullspace, rank
 from koszulkit.resolution import (
     _keep_all,
     _shifts,
@@ -362,8 +362,7 @@ def test_colliding_products_are_added_not_copied(p):
                     row += len(piece)
                 want = np.concatenate(want).tolist()
                 assert times_variable(ring, runs, coords, e, v).tolist() == want, (shifts, e, v)
-                shipped = _times_variable_matrix(ring, shifts, e, v)
-                assert matmul_mod(shipped, coords, p).tolist() == want, (shifts, e, v)
+                assert _times_variable_by_builder(ring, shifts, coords, e, v).tolist() == want, (shifts, e, v)
     # the degree maps of a resolution over it against per-monomial normal forms
     res = resolve(random_module(ring, 2, 2, p), 3, 4)
     checked = 0
@@ -383,18 +382,16 @@ def _var_block(ring, var, d):
     return ring.var_multiplication_stack(d)[var * high : (var + 1) * high]
 
 
-def _times_variable_matrix(ring, shifts, e, var):
-    """x_var from the degree-e to the degree-(e+1) piece of the free module
-    with the given shifts, as an array built from the shipped
-    `QuotientRing.free_times_variables`."""
-    start, count, rows, values = ring.free_times_variables(shifts, e)
-    dim = len(start) // ring.nvars
-    out = np.zeros((ring.free_columns(shifts, e + 1)[0], dim), dtype=np.int64)
-    for k in range(dim):
-        at = slice(start[var * dim + k], start[var * dim + k] + count[var * dim + k])
-        assert list(rows[at]) == sorted(set(rows[at]))
-        out[rows[at], k] = values[at]
-    return out
+def _times_variable_by_builder(ring, shifts, coords, e, var):
+    """x_var times the columns of `coords`, degree-e coordinate vectors of the
+    free module with the given shifts, from the shipped `_next_degree_map`:
+    the columns as generators of degree e, whose degree-(e+1) columns are
+    x_v times them, v in the order of the basis of R_1."""
+    cols, rows = np.nonzero(coords.T)
+    prev = Nonzeros(coords.shape, rows, cols, coords[rows, cols])
+    got = groebner_mod._next_degree_map(ring, shifts, (e,) * coords.shape[1], prev, e + 1)
+    x_var = ring.piece_index(1)[tuple(int(v == var) for v in range(ring.nvars))]
+    return _as_array(got, ring.p)[:, x_var :: ring.nvars]
 
 
 def times_variable(ring, runs, coords, d, var):
