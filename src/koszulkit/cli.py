@@ -2,8 +2,8 @@
 emit a text or JSON report.
 
 Exit codes: 0 positive verdict / success, 1 negative verdict, 2 inconclusive
-(bounds or budget), 3 input error. Every report embeds the characteristic,
-the bounds and the seed so each number is reproducible.
+(bounds or budget), 3 input error, usage errors too. Every report embeds the
+characteristic, the bounds and the seed so each number is reproducible.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
+def _budget(text: str) -> int:
+    """--budget counts candidates, so it is an integer >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="koszulkit",
@@ -63,7 +73,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--imax", type=int, default=5)
         p.add_argument("--dmax", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=1000)
+        p.add_argument("--budget", type=_budget, default=1000)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
@@ -431,8 +441,11 @@ def _verified_flag(report, build):
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse wrote the help (status 0), or the usage and error (status 2)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         report, body, code = run_command(args)
     except ParseError as exc:

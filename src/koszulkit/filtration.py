@@ -34,7 +34,7 @@ import numpy as np
 
 from .arith import Polynomial
 from .linalg import _int64_rows, as_matrix, matmul_mod, nullspace, rank, rref
-from .quotient import QuotientRing, _poly_add, _poly_mul, _trim
+from .quotient import QuotientRing, _one_minus_t_power, _poly_add, _poly_mul, _trim
 
 
 class BudgetExceededError(RuntimeError):
@@ -159,10 +159,7 @@ def _linear_numerator(ring: QuotientRing, li: LinearIdeal) -> tuple[int, ...]:
         e += 1
     while len(h) < e + n:
         h.append(_macaulay_bound(h[-1], len(h) - 1))
-    num = [
-        sum((-1) ** i * comb(n, i) * h[k - i] for i in range(min(n, k) + 1))
-        for k in range(e + n)
-    ]
+    num = _poly_mul(h, _one_minus_t_power(n))[: e + n]
     got = ring.linear_numerators[li.rows] = tuple(_trim(num))
     return got
 
@@ -808,9 +805,7 @@ def check_reduction(ring: QuotientRing, j_ideal) -> ReductionCheck:
     if _span_rank(ring, li.rows, 1) != ring.dim_piece(2):
         failing = 1
     h_ring = ring.hilbert_series(1)  # its numerator; no expansion is read
-    expected = list(h_ring.numerator)
-    for _ in range(li.dim):
-        expected = _poly_mul(expected, [1, -1])
+    expected = _poly_mul(list(h_ring.numerator), _one_minus_t_power(li.dim))
     regular = list(_linear_numerator(ring, li)) == _trim(expected)
     min_mult = h_ring.multiplicity == h_ring.codim + 1
     return ReductionCheck(

@@ -19,6 +19,7 @@ from .filtration import (
 )
 from .quotient import (
     GradedModule,
+    _series_divide,
     cyclic_module,
     quotient_by_linear_forms,
     restrict_module_to_quotient,
@@ -131,23 +132,8 @@ class PoincareHilbertResult:
         }
 
 
-def _signed_series(coeffs: list[int]) -> list[int]:
+def _signed_series(coeffs: tuple[int, ...]) -> list[int]:
     return [c if d % 2 == 0 else -c for d, c in enumerate(coeffs)]
-
-
-def _series_divide(num: list[int], den: list[int], d_max: int) -> list[int]:
-    """Truncated power-series division; den must have constant term +-1."""
-    c0 = den[0]
-    if abs(c0) != 1:
-        raise ValueError("division requires a unit constant term")
-    out = []
-    for d in range(d_max + 1):
-        acc = num[d] if d < len(num) else 0
-        for k in range(1, d + 1):
-            dk = den[k] if k < len(den) else 0
-            acc -= dk * out[d - k]
-        out.append(acc * c0)
-    return out
 
 
 def poincare_hilbert_check(
@@ -175,13 +161,11 @@ def poincare_hilbert_check(
     table = betti_table(res)
     lhs = [table.total(i) for i in range(d + 1)]
 
-    hm = module.hilbert_series(d + g)
-    hr = ring.hilbert_series(d + g)
-    # normalize to generation degree 0: m'_e = dim M_{e+g}
-    m_norm = [hm.coefficient(e + g) for e in range(d + 1)]
-    rhs = _series_divide(
-        _signed_series(m_norm), _signed_series(list(hr.expansion[: d + 1])), d
-    )
+    # H_M(t) = N_M(t) t^g / (1-t)^n and H_R(t) = N_R(t) / (1-t)^n, so at
+    # generation degree 0 the (1+t)^n of H_M(-t)/H_R(-t) cancel
+    n_m = module.hilbert_series(0).numerator
+    n_r = ring.hilbert_series(0).numerator
+    rhs = _series_divide(_signed_series(n_m), _signed_series(n_r), d)
     fail = None
     for e in range(d + 1):
         if lhs[e] != rhs[e]:

@@ -145,7 +145,12 @@ class _PolyParser:
             ) from None
 
     def parse(self) -> Polynomial:
-        out = self.parse_term_signed(allow_leading_sign=True)
+        t = self.peek()
+        if t is not None and t[0] == "-":
+            self.next()
+            out = -self.parse_term()
+        else:
+            out = self.parse_term()
         while True:
             t = self.peek()
             if t is None:
@@ -160,13 +165,6 @@ class _PolyParser:
             term = self.parse_term()
             out = out + (term if t[0] == "+" else -term)
         return out
-
-    def parse_term_signed(self, allow_leading_sign: bool) -> Polynomial:
-        t = self.peek()
-        if t is not None and t[0] == "-" and allow_leading_sign:
-            self.next()
-            return -self.parse_term()
-        return self.parse_term()
 
     def parse_term(self) -> Polynomial:
         t = self.next()

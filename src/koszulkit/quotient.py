@@ -4,6 +4,9 @@ Quotient elements are canonical normal forms against the reduced Groebner
 basis of the defining ideal. Graded pieces, Hilbert series (exact rational
 form via the monomial-ideal pivot recursion), minimal module presentations
 and linear-form eliminations live here.
+So do the one set of exact integer-series helpers (`_poly_add`, `_poly_mul`,
+`_trim`, `_one_minus_t_power`, `_series_divide`): every series computation
+of the package, in `filtration` and `koszul` too, goes through them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -294,14 +298,30 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_shift(a: list[int], k: int) -> list[int]:
-    return [0] * k + list(a)
-
-
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def _one_minus_t_power(k: int) -> list[int]:
+    """The coefficients of (1 - t)^k."""
+    return [(-1) ** i * comb(k, i) for i in range(k + 1)]
+
+
+def _series_divide(num: list[int], den: list[int], d_max: int) -> list[int]:
+    """Coefficients of num / den up to degree d_max, as power series; den
+    must have constant term +-1, so that the quotient is integral."""
+    c0 = den[0]
+    if abs(c0) != 1:
+        raise ValueError("division requires a unit constant term")
+    out: list[int] = []
+    for d in range(d_max + 1):
+        acc = num[d] if d < len(num) else 0
+        for k in range(1, min(d, len(den) - 1) + 1):
+            acc -= den[k] * out[d - k]
+        out.append(acc * c0)
+    return out
 
 
 def _monomial_quotient_numerator(gens: list[Monomial], nvars: int) -> list[int]:
@@ -335,7 +355,7 @@ def _monomial_quotient_numerator(gens: list[Monomial], nvars: int) -> list[int]:
     plus.append(xv)
     n_colon = _monomial_quotient_numerator(colon, nvars)
     n_plus = _monomial_quotient_numerator(plus, nvars)
-    return _trim(_poly_add(_poly_shift(n_colon, 1), n_plus))
+    return _trim(_poly_add([0, *n_colon], n_plus))
 
 
 def _standard_monomials(
@@ -359,7 +379,7 @@ def _hilbert_series(
     total: list[int] = []
     for lts, s in zip(leading, shifts):
         num = _monomial_quotient_numerator(list(lts), nvars)
-        total = _poly_add(total, _poly_shift(num, s - base))
+        total = _poly_add(total, [0] * (s - base) + num)
     return HilbertSeries.from_rational(total, base, nvars, expand_to)
 
 
@@ -386,22 +406,16 @@ class HilbertSeries:
         num = _trim(list(numerator))
         if not num:
             return HilbertSeries((), offset, nvars, (0,) * (expand_to + 1), -1, 0, nvars + 1)
-        reduced = list(num)
-        cancelled = 0
-        while reduced and sum(reduced) == 0:
-            # synthetic division by (1 - t)
-            out = []
-            acc = 0
-            for c in reduced[:-1]:
-                acc += c
-                out.append(acc)
-            reduced = _trim(out)
+        # cancel the factors (1 - t) of the numerator: each divides exactly
+        reduced, cancelled = num, 0
+        while sum(reduced) == 0:
+            reduced = _trim(_series_divide(reduced, [1, -1], len(reduced) - 2))
             cancelled += 1
         krull = nvars - cancelled
-        mult = sum(reduced)
-        expansion = _expand_rational(num, offset, nvars, expand_to)
+        series = _series_divide(num, _one_minus_t_power(nvars), expand_to - offset)
+        expansion = ([0] * offset + series[max(-offset, 0):])[: expand_to + 1]
         return HilbertSeries(
-            tuple(num), offset, nvars, tuple(expansion), krull, mult, nvars - krull
+            tuple(num), offset, nvars, tuple(expansion), krull, sum(reduced), nvars - krull
         )
 
     def coefficient(self, d: int) -> int:
@@ -419,20 +433,6 @@ class HilbertSeries:
             "multiplicity": self.multiplicity,
             "codim": self.codim,
         }
-
-
-def _expand_rational(num: list[int], offset: int, n: int, d_max: int) -> list[int]:
-    """Coefficients of num * t^offset / (1-t)^n up to degree d_max."""
-    from math import comb
-
-    out = [0] * (d_max + 1)
-    for i, c in enumerate(num):
-        if not c:
-            continue
-        base = i + offset
-        for d in range(max(base, 0), d_max + 1):
-            out[d] += c * comb(d - base + n - 1, n - 1) if n > 0 else (c if d == base else 0)
-    return out
 
 
 # --------------------------------------------------------------- modules

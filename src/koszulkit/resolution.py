@@ -150,9 +150,11 @@ class FreeComplex:
 class Resolution(FreeComplex):
     """Steps of a minimal graded free resolution of a module over `ring`,
     trusted for degrees <= d_max. The module caches its resolutions; a
-    resolution holds only the ring, so the two form no reference cycle."""
+    resolution holds only the ring, so the two form no reference cycle.
+    presentation_cut: presentation columns above d_max were dropped."""
 
     warnings: list[str] = field(default_factory=list)
+    presentation_cut: bool = False
 
     def betti(self) -> "BettiTable":
         entries: dict[tuple[int, int], int] = {}
@@ -161,7 +163,7 @@ class Resolution(FreeComplex):
         for i, shifts in enumerate(self.free_shifts[1:], start=1):
             for j in shifts:
                 entries[(i, j)] = entries.get((i, j), 0) + 1
-        return BettiTable(entries, self.i_max, self.d_max)
+        return BettiTable(entries, self.i_max, self.d_max, self.presentation_cut)
 
 
 def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
@@ -185,7 +187,8 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
 
     # step 1 sieves the presentation columns in the window
     in_window = [c for c in module.columns if (c.internal_degree() or 0) <= d_max]
-    if len(in_window) < len(module.columns):
+    cut = len(in_window) < len(module.columns)
+    if cut:
         warnings.append(
             "presentation columns above d_max were dropped; step 1 is "
             "incomplete beyond the degree window"
@@ -221,7 +224,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
             if mat[:, _coordinate_shifts(ring, free_shifts[-1], d) == d].any():
                 raise AssertionError("non-minimal differential entry")
         free_shifts.append(_shifts(step))
-    res = Resolution(ring, free_shifts, blocks, i_max, d_max, warnings)
+    res = Resolution(ring, free_shifts, blocks, i_max, d_max, warnings, cut)
     if i_max >= 2:
         # with no syzygy stage, map 1 was never ranked
         res._ranks.update(enumerate(ranks, start=1))
@@ -314,11 +317,13 @@ def _last_entries(vectors, p):
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Graded Betti numbers beta_{ij} within the window i <= i_max, j <= d_max."""
+    """Graded Betti numbers beta_{ij} within the window i <= i_max, j <= d_max;
+    presentation_cut: some beta_{1j} with j > d_max is nonzero (not in the JSON)."""
 
     entries: dict[tuple[int, int], int]
     i_max: int
     d_max: int
+    presentation_cut: bool = False
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -389,7 +394,8 @@ class RegularityVerdict:
     """Castelnuovo-Mumford regularity within explicit bounds.
 
     kind 'Exact' is only claimed for terminating resolutions (zero or free
-    modules); 'AtLeast' when the truncation frontier leaves the sup genuinely
+    modules) with no presentation column outside the window; 'AtLeast' when
+    the truncation frontier or such a column leaves the sup genuinely
     ambiguous; 'UpToBounds' otherwise.
     """
 
@@ -410,14 +416,12 @@ def regularity_verdict(table: BettiTable) -> RegularityVerdict:
     if table.is_empty():
         return RegularityVerdict("Exact", None, table.i_max, table.d_max)
     r = table.regularity_candidate()
-    by_step: dict[int, int] = {}
-    for (i, j) in table.entries:
-        by_step[i] = max(by_step.get(i, -(10**9)), j - i)
-    top_step = max(by_step)
-    if top_step == 0:
+    top_step = max(i for (i, _j) in table.entries)
+    if top_step == 0 and not table.presentation_cut:
         # free module: the resolution terminates at F_0
         return RegularityVerdict("Exact", r, table.i_max, table.d_max)
-    if table.has_frontier_entries():
+    if table.presentation_cut or table.has_frontier_entries():
+        # a column above d_max is a beta_{1j} outside the window
         return RegularityVerdict("AtLeast", r, table.i_max, table.d_max)
     continuing = top_step == table.i_max
     first_attained = min(i for (i, j) in table.entries if j - i == r)

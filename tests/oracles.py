@@ -8,6 +8,7 @@ normal-form, Groebner or resolution machinery.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 
 
 def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
@@ -158,6 +159,38 @@ def series_divide(num: list[int], den: list[int], d_max: int) -> list[int]:
             acc -= dk * out[d - k]
         out.append(acc * den[0])
     return out
+
+
+def rational_hilbert_series(numerator: list[int], offset: int, n: int, d_max: int) -> dict:
+    """The JSON of the Hilbert series numerator * t^offset / (1-t)^n: the
+    numerator trimmed, its (1-t) factors cancelled by synthetic division,
+    and the expansion to degree d_max as a sum of binomial series."""
+    num = list(numerator)
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        krull, mult = -1, 0
+    else:
+        reduced, cancelled = list(num), 0
+        while sum(reduced) == 0:
+            out, acc = [], 0
+            for c in reduced[:-1]:
+                acc += c
+                out.append(acc)
+            while out and out[-1] == 0:
+                out.pop()
+            reduced, cancelled = out, cancelled + 1
+        krull, mult = n - cancelled, sum(reduced)
+    expansion = [0] * (d_max + 1)
+    for i, c in enumerate(num):
+        base = i + offset
+        for d in range(max(base, 0), d_max + 1):
+            expansion[d] += c * comb(d - base + n - 1, n - 1) if n > 0 else (c if d == base else 0)
+    return {
+        "numerator": num, "offset": offset, "denominator_power": n,
+        "expansion": expansion, "krull_dim": krull, "multiplicity": mult,
+        "codim": n - krull,
+    }
 
 
 def _echelonize(rows: list[list[int]], p: int) -> list[list[int]]:

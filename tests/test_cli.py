@@ -181,6 +181,49 @@ def test_poincare_stays_inside_the_window(write_doc, capsys):
     }
 
 
+def test_poincare_of_a_module_generated_in_a_negative_degree(write_doc, capsys):
+    # the series are compared through their numerators, so a generation
+    # degree below 0 needs no expansion at negative degrees
+    doc = write_doc(CI2 + "module name=N shifts=-2,-2\n[ x, y ]\n[ 0, x ]\n")
+    argv = ["poincare", doc, "--module", "N", "--imax", "3", "--dmax", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["poincare_hilbert"] == {
+        "holds": True, "checked_to": 3, "fail_degree": None,
+        "lhs": [2, 2, 2, 2], "rhs": [2, 2, 2, 2],
+    }
+
+
+def test_reg_is_not_exact_when_the_presentation_leaves_the_window(write_doc, capsys):
+    # the relation x*y has degree 2: at --dmax 1 step 1 is cut, so F_0
+    # alone must not read as a free module
+    doc = write_doc(CI2 + "module name=Q shifts=0\n[ x*y ]\n")
+    for dmax, want in (("1", "AtLeast(0)"), ("2", "AtLeast(1)")):
+        code, out, _ = run(capsys, ["reg", doc, "--module", "Q", "--imax", "3", "--dmax", dmax])
+        assert code == 2 and out.splitlines()[-1] == want
+    free = write_doc(CI2 + "module name=F shifts=0,1\n[ ]\n[ ]\n", "free.txt")
+    code, out, _ = run(capsys, ["reg", free, "--module", "F", "--imax", "3", "--dmax", "1"])
+    assert code == 0 and out.splitlines()[-1] == "Exact(1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "DOC", "--imax", "abc"],
+    ["bogus"],
+    ["betti"],
+    ["flag", "search", "DOC", "--budget", "-1"],
+])
+def test_usage_errors_exit_3(write_doc, capsys, argv):
+    argv = [write_doc(CRV2) if a == "DOC" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: koszulkit") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: koszulkit")
+
+
 def test_filtration_subsets_and_verify(write_doc, capsys, tmp_path):
     code, out, _ = run(
         capsys, ["filtration", "subsets", write_doc(CRV2), "--format", "json"]

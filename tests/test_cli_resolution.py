@@ -1,7 +1,7 @@
 """Golden CLI output of the resolution commands on the bundled fixtures.
 
-Each case runs `betti`, `reg`, `koszul` (both methods), `linpart` or
-`poincare` with `--format json` at the default bounds on a fixture's
+Each case runs `betti`, `reg`, `koszul` (both methods), `linpart`,
+`poincare` or `hilbert` with `--format json` at the default bounds on a fixture's
 `example` document, and must reproduce the recorded stdout byte for byte
 and the recorded exit code.
 
@@ -23,6 +23,7 @@ COMMANDS = (
     ("koszul", "--method", "linear-part-acyclic"),
     ("linpart",),
     ("poincare",),
+    ("hilbert",),
 )
 
 

@@ -12,6 +12,7 @@ from koszulkit.arith import mono_divides, mono_mul, polynomial_ring
 from koszulkit.groebner import FreeModuleVector, _EMPTY, _melt_lt, _next_degree_map, top_order_key
 from koszulkit.linalg import Nonzeros
 from koszulkit.quotient import (
+    HilbertSeries,
     cyclic_module,
     free_module,
     graded_piece_basis,
@@ -23,8 +24,11 @@ from koszulkit.quotient import (
     restrict_module_to_quotient,
     scaled_submodule,
     _monomial_quotient_numerator,
+    _one_minus_t_power,
+    _poly_mul,
+    _series_divide,
 )
-from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim
+from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim, rational_hilbert_series
 from test_resolution import _reference_degree_map
 
 
@@ -111,6 +115,47 @@ def test_piece_basis_counts_match_hilbert(ci2, crv26, fitz3):
 def test_hilbert_requires_positive_degree(ci2):
     with pytest.raises(ValueError):
         hilbert_series(ci2, 0)
+
+
+_coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeff_lists, _coeff_lists, st.sampled_from([1, -1]), st.integers(0, 12))
+@example([], [], 1, 0)
+def test_series_divide_inverts_the_product(a, tail, unit, d):
+    b = [unit, *tail]
+    assert _poly_mul(_series_divide(a, b, d), b)[: d + 1] == (a + [0] * (d + 1))[: d + 1]
+
+
+def test_series_divide_needs_a_unit_constant_term():
+    for den in ([0, 1], [2, 1], [-3]):
+        with pytest.raises(ValueError, match="unit constant term"):
+            _series_divide([1], den, 3)
+
+
+@given(st.integers(0, 12), st.integers(0, 12))
+def test_powers_of_one_minus_t_multiply(j, k):
+    assert _one_minus_t_power(0) == [1] and _one_minus_t_power(1) == [1, -1]
+    assert _poly_mul(_one_minus_t_power(j), _one_minus_t_power(k)) == _one_minus_t_power(j + k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _coeff_lists, st.integers(0, 4), st.integers(-4, 4), st.integers(0, 5), st.integers(1, 9)
+)
+@example([1, 0, -1], 0, -4, 0, 1)
+@example([], 0, 2, 0, 3)
+@example([1], 0, 6, 2, 3)
+@example([0, 2], 5, -2, 5, 9)
+def test_from_rational_matches_the_binomial_expansion(base, factors, offset, n, d):
+    # the numerator base * (1-t)^factors, so that whole (1-t) factors cancel,
+    # even more of them than the denominator has
+    num = list(base)
+    for _ in range(factors):
+        num = [x - y for x, y in zip(num + [0], [0] + num)]
+    got = HilbertSeries.from_rational(num, offset, n, d).to_json()
+    assert got == rational_hilbert_series(num, offset, n, d)
 
 
 def test_free_module(ci2):
