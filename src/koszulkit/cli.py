@@ -279,15 +279,16 @@ def run_command(args) -> tuple[dict, str, int]:
             body = _header(report) + f"\n{verdict.kind}({verdict.value})\n"
             code = EXIT_INCONCLUSIVE if verdict.kind == "AtLeast" else EXIT_OK
             return report, body, code
-        # linpart: homology at 1 <= i < imax, none to check below imax 2
-        if args.imax < 2:
+        # linpart: homology at 1 <= i < imax, none to check below imax 2 but
+        # for the zero module, whose resolution is zero (as `koszul` reads it)
+        if args.imax < 2 and not module.is_zero():
             report["linear_part_homology"] = {"nonzero": {}, "acyclic_in_window": None}
             body = _header(report) + "\ninconclusive: no degree 1 <= i < imax to check\n"
             return report, body, EXIT_INCONCLUSIVE
         lin = linear_part(res)
         dims = {}
         clean = True
-        for i in range(1, args.imax):
+        for i in range(1, min(args.imax, lin.length_computed())):
             for d in range(0, args.dmax + 1):
                 h = homology_dims(lin, i, d)
                 if h:

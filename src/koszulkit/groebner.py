@@ -627,8 +627,8 @@ def syzygies_over_poly_ring(
 # ----------------------------------------------- graded pieces of free modules
 #
 # `ring` is a quotient ring object exposing piece(d), coords(f, d),
-# reduce(f), dim_piece(d), the per-degree tables first_variable_lifts(e)
-# and times_variables(e), poly_ring, nvars, p.
+# reduce(f), dim_piece(d), the per-degree table variable_action(e),
+# poly_ring, nvars, p.
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -679,16 +679,16 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
 
     Column (j, u), with x_v the first variable of u, is x_v times column
     (j, u / x_v) of `prev`. All of them are one sparse product, read off
-    two tables of the ring keyed by a degree alone, which serve every shift
-    tuple: the blocks of equal consecutive shifts of each module
-    (`shift_runs`; the target's in any order) give every nonzero entry of
-    `prev` the degrees of its row and column. The entry at column (j, w)
-    goes to every column (j, u) with u / x_v = w
-    (`QuotientRing.first_variable_lifts`), and there through the nonzero
-    entries of x_v at its row (`QuotientRing.times_variables`); the
-    products are reduced mod p, and the products at one coordinate are
-    added mod p. A map with no rows or no columns is returned before any
-    table is read.
+    one table of the ring keyed by a degree alone, which serves every shift
+    tuple (`QuotientRing.variable_action`): the blocks of equal consecutive
+    shifts of each module (`shift_runs`; the target's in any order) give
+    every nonzero entry of `prev` the degrees of its row and column. The
+    entry at column (j, w) goes to every column (j, u) with u / x_v = w
+    (the lifts of the action on the source blocks), and there through the
+    nonzero entries of x_v at its row (the entries of the action on the
+    target blocks); the products are reduced mod p, and the products at
+    one coordinate are added mod p. A map with no rows or no columns is
+    returned before the table is read.
     """
     target = shift_runs(ring, target_shifts, d - 1)
     source = shift_runs(ring, source_shifts, d - 1)
@@ -698,17 +698,18 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
         return Nonzeros((nrows, ncols), _EMPTY, _EMPTY, _EMPTY)
     # a nonzero of prev at column (j, w) goes to the columns (j, x_v * w)
     # that have x_v as their first variable: for each v, that column or -1
-    col, w, lifts = _locate(source, prev.cols, lambda s: ring.first_variable_lifts(d - s))
+    col, w, actions = _locate(ring, source, prev.cols, d)
+    lifts = [lifts for *_entries, lifts in actions]
     lifts = (lifts[0] if len(lifts) == 1 else np.concatenate(lifts))[w]
     # and its row (i, a) through the entries of x_v at a
-    row, a, times = _locate(target, prev.rows, lambda t: ring.times_variables(d - 1 - t))
-    if len(times) == 1:
-        start, count, times_rows, times_values = times[0]
+    row, a, actions = _locate(ring, target, prev.rows, d)
+    if len(actions) == 1:
+        start, count, times_rows, times_values, _lifts = actions[0]
     else:
-        # the tables one after another, each start moved past the entries before
-        entries = np.cumsum([0] + [len(rows) for _s, _c, rows, _v in times[:-1]])
-        start = np.concatenate([start + e for (start, *_rest), e in zip(times, entries)])
-        count, times_rows, times_values = (np.concatenate(z) for z in zip(*(t[1:] for t in times)))
+        # the actions one after another, each start moved past the entries before
+        entries = np.cumsum([0] + [len(action[2]) for action in actions[:-1]])
+        start = np.concatenate([action[0] + e for action, e in zip(actions, entries)])
+        count, times_rows, times_values = (np.concatenate(z) for z in zip(*(t[1:4] for t in actions)))
     # n[i, v] products of nonzero i by x_v, none where it has no column:
     # two entries in [1, p) make a product below p^2 < 2^62, nonzero mod
     # the prime p
@@ -731,19 +732,19 @@ def _next_degree_map(ring, target_shifts, source_shifts, prev, d):
     return Nonzeros((nrows, ncols), out_rows, out_cols, value)
 
 
-def _locate(runs, index, table):
+def _locate(ring, runs, index, d):
     """Where the coordinates `index` of the degree d-1 piece of a free module
-    lie. `runs` are its blocks of equal shifts (`shift_runs` at d - 1) and
-    table(s) the ring's table for a block of shift s. For each coordinate
-    (i, a), a in copy i of R_{d-1-s}: the first coordinate of copy i of
-    R_{d-s} at degree d, and the row of a in the tables of the blocks with a
-    nonzero piece at d - 1, laid one after another; and those tables."""
-    blocks, tables = [], []
+    lie. `runs` are its blocks of equal shifts (`shift_runs` at d - 1). For
+    each coordinate (i, a), a in copy i of R_{d-1-s}: the first coordinate
+    of copy i of R_{d-s} at degree d, and the row of a in the variable
+    actions on R_{d-1-s} of the blocks with a nonzero piece at d - 1, laid
+    one after another; and those actions."""
+    blocks, actions = [], []
     old = new = rows = 0
     for s, m, low, high in runs:
         if low:
             blocks.append((old, low, new, high, rows))
-            tables.append(table(s))
+            actions.append(ring.variable_action(d - 1 - s))
             rows += low
         old += m * low
         new += m * high
@@ -751,11 +752,11 @@ def _locate(runs, index, table):
         # the blocks before it have no coordinates at d - 1
         _old, low, new, high, _rows = blocks[0]
         copy, at = np.divmod(index, low)
-        return new + high * copy, at, tables
+        return new + high * copy, at, actions
     blocks = np.array(blocks, dtype=np.int64)
     old, low, new, high, rows = blocks[blocks[:, 0].searchsorted(index, "right") - 1].T
     copy, at = np.divmod(index - old, low)
-    return new + high * copy, rows + at, tables
+    return new + high * copy, rows + at, actions
 
 
 def _ranges(starts, counts):

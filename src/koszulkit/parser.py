@@ -369,6 +369,8 @@ def parse_input(text: str) -> InputDocument:
                     raise ParseError(
                         f"invalid variable name {v!r}", line_no, positions["vars"]
                     )
+            if len(set(names)) < len(names):
+                raise ParseError("duplicate variable names", line_no, positions["vars"])
             poly_ring = PolynomialRing(p, names)
         elif keyword == "ideal":
             if poly_ring is None:

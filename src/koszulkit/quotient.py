@@ -57,13 +57,13 @@ class QuotientRing:
 
     Immutable after construction. Fill-once caches, so concurrent readers
     are safe: piece bases and their indices, monomial normal forms, the
-    variable action of each degree, its stacked matrix and its entries
-    grouped by monomial and variable (`times_variables`), the first-variable
-    lifts of each degree (`first_variable_lifts`), and the public
-    `linear_numerators`, `linear_eliminations` and `linear_colons` that
-    `filtration` and `quotient_by_linear_forms` fill. Every table of the
-    graded pieces is keyed by a degree alone: the degree maps between free
-    modules read them one block of equal shifts at a time.
+    variable action of each degree (its entries grouped by monomial and
+    variable, with the first-variable lifts into the next degree), its
+    stacked matrix, and the public `linear_numerators`,
+    `linear_eliminations` and `linear_colons` that `filtration` and
+    `quotient_by_linear_forms` fill. Every table of the graded pieces is
+    keyed by a degree alone: the degree maps between free modules read the
+    variable action one block of equal shifts at a time.
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
@@ -78,11 +78,6 @@ class QuotientRing:
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._actions: dict[int, tuple[np.ndarray, ...]] = {}
         self._var_stack: dict[int, np.ndarray] = {}
-        # times_variables and first_variable_lifts, keyed by the degree as
-        # every table above: `groebner._next_degree_map` reads them for each
-        # block of equal shifts of any free module
-        self._times_variables: dict[int, tuple[np.ndarray, ...]] = {}
-        self._first_var_lifts: dict[int, np.ndarray] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
         # the RREF rows of a linear ideal, and filtration._linear_colon, keyed
         # by (J rows, J+(g) rows), as J:g = J:(J+(g))
@@ -166,11 +161,17 @@ class QuotientRing:
             v[idx[m]] = c
         return v
 
-    def variable_action(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Multiplication by every variable from R_e to R_{e+1}, as the
-        nonzero entries (v, k, row, value) of `var_multiplication_stack(e)`,
-        block v: x_v sends basis monomial k of R_e to value at coordinate
-        row, sorted by v, then k, then row. Fill-once cache.
+    def variable_action(self, e: int) -> tuple[np.ndarray, ...]:
+        """Multiplication by every variable from R_e to R_{e+1}, and the
+        first-variable lifts into R_{e+1}: (start, count, rows, values,
+        lifts), with start, count and lifts dim R_e x nvars arrays. x_v sends
+        basis monomial k of R_e to values[i] at coordinate rows[i] for the
+        count[k, v] indices i from start[k, v] on, rows increasing; the
+        entries are sorted by v, then k, then row. lifts[k, v] is the index
+        of x_v * m_k in the basis of R_{e+1} if it is standard and x_v is its
+        first variable, else -1: every standard monomial u of degree e + 1
+        is the lift of u / x_v, x_v its first variable (a divisor of a
+        standard monomial is standard). Fill-once cache.
 
         Built from exponent sums: a standard product x_v * m is its own
         normal form, one entry 1 found by index lookup. A product outside the
@@ -181,10 +182,13 @@ class QuotientRing:
         if got is not None:
             return got
         n, src, index = self.nvars, self.piece(e), self.piece_index(e + 1)
-        exps = np.array(src, dtype=np.int64).reshape(len(src), n)
-        products = (exps + np.eye(n, dtype=np.int64)[:, None]).reshape(n * len(src), n).tolist()
-        # entry i = v * len(src) + k is x_v times basis monomial k
+        dim = len(src)
+        exps = np.array(src, dtype=np.int64).reshape(dim, n)
+        products = (exps + np.eye(n, dtype=np.int64)[:, None]).reshape(n * dim, n).tolist()
+        # entry i = v * dim + k is x_v times basis monomial k
         rows = np.array([index.get(m, -1) for m in map(tuple, products)], dtype=np.int64)
+        # x_v is the first variable of x_v * m_k when m_k has no variable before it
+        lifts = np.where(exps.cumsum(1) == exps, rows.reshape(n, dim).T, -1)
         extra = [] if self._monomial_gb else [
             (i, index[m], c)
             for i in np.flatnonzero(rows < 0).tolist()
@@ -197,7 +201,9 @@ class QuotientRing:
             at, rows, values = (np.concatenate(z) for z in zip((at, rows, values), more))
             order = np.lexsort((rows, at))
             at, rows, values = at[order], rows[order], values[order]
-        got = (*np.divmod(at, max(len(src), 1)), rows, values)
+        count = np.bincount(at, minlength=n * dim)
+        start = count.cumsum() - count
+        got = (start.reshape(n, dim).T, count.reshape(n, dim).T, rows, values, lifts)
         self._actions[e] = got
         return got
 
@@ -207,42 +213,13 @@ class QuotientRing:
         dim R_d matrix: R_1 * R_d in one product."""
         got = self._var_stack.get(d)
         if got is None:
-            v, k, row, value = self.variable_action(d)
-            high = self.dim_piece(d + 1)
-            got = np.zeros((self.nvars * high, self.dim_piece(d)), dtype=np.int64)
-            got[v * high + row, k] = value
+            _start, count, rows, values, _lifts = self.variable_action(d)
+            dim, high = self.dim_piece(d), self.dim_piece(d + 1)
+            # the entries are sorted by v, then k: the (v, k) of each
+            v, k = np.divmod(np.arange(self.nvars * dim).repeat(count.T.ravel()), max(dim, 1))
+            got = np.zeros((self.nvars * high, dim), dtype=np.int64)
+            got[v * high + rows, k] = values
             self._var_stack[d] = got
-        return got
-
-    def times_variables(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """`variable_action(e)` grouped by (k, v): (start, count, rows, values),
-        start and count dim R_e x nvars arrays, where x_v sends basis
-        monomial k of R_e to values[i] at coordinate rows[i] for the
-        count[k, v] indices i from start[k, v] on, rows increasing.
-        Fill-once cache."""
-        got = self._times_variables.get(e)
-        if got is None:
-            v, k, rows, values = self.variable_action(e)
-            dim = self.dim_piece(e)
-            bounds = (v * dim + k).searchsorted(np.arange(self.nvars * dim + 1))
-            start, count = (a.reshape(self.nvars, dim).T.copy() for a in (bounds[:-1], np.diff(bounds)))
-            got = self._times_variables[e] = (start, count, rows, values)
-        return got
-
-    def first_variable_lifts(self, e: int) -> np.ndarray:
-        """The standard monomials u of degree e >= 1 by u / x_v, x_v the first
-        variable of u (a divisor of a standard monomial is standard), as a
-        dim R_{e-1} x nvars array: entry (w, v) is the index of x_v * w in the
-        basis of R_e if x_v is its first variable and it is standard, else -1.
-        Fill-once cache."""
-        got = self._first_var_lifts.get(e)
-        if got is None:
-            index = self.piece_index(e - 1)
-            got = np.full((len(index), self.nvars), -1, dtype=np.int64)
-            for k, u in enumerate(self.piece(e)):
-                v = next(i for i, a in enumerate(u) if a)
-                got[index[u[:v] + (u[v] - 1,) + u[v + 1 :]], v] = k
-            self._first_var_lifts[e] = got
         return got
 
     def hilbert_series(self, expand_to: int) -> "HilbertSeries":

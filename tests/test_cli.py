@@ -206,6 +206,41 @@ def test_reg_is_not_exact_when_the_presentation_leaves_the_window(write_doc, cap
     assert code == 0 and out.splitlines()[-1] == "Exact(1)"
 
 
+def test_reg_cut_bound_ignores_a_redundant_dropped_column(write_doc, capsys):
+    # x*y = y * x is redundant: at --dmax 1 it is dropped with step 1 cut,
+    # and the module is R/(x) with a linear resolution, so the lowest
+    # dropped column degree minus 1 (here 1) is no lower bound on reg
+    doc = write_doc(CI2 + "module name=Q shifts=0\n[ x, x*y ]\n")
+    for dmax, code_want, want in (("1", 2, "AtLeast(0)"), ("6", 0, "UpToBounds(0)")):
+        code, out, _ = run(capsys, ["reg", doc, "--module", "Q", "--imax", "4", "--dmax", dmax])
+        assert code == code_want and out.splitlines()[-1] == want
+    code, out, _ = run(capsys, ["betti", doc, "--module", "Q", "--imax", "4", "--dmax", "6"])
+    assert code == 0 and out.splitlines()[1:] == [
+        "        0 1 2 3 4", "     0: 1 1 1 1 1", " total: 1 1 1 1 1",
+    ]
+
+
+@pytest.mark.parametrize("imax", ["1", "5"])
+def test_linpart_of_the_zero_module_is_acyclic(write_doc, capsys, imax):
+    # the zero module resolves by the zero complex; `koszul` agrees
+    path = write_doc(CI2 + "module name=Z shifts=\n")
+    code, out, _ = run(capsys, ["linpart", path, "--module", "Z", "--imax", imax])
+    assert code == 0 and out.splitlines()[-1] == "acyclic within bounds"
+    argv = ["linpart", path, "--module", "Z", "--imax", imax, "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["linear_part_homology"] == {"nonzero": {}, "acyclic_in_window": True}
+    argv = ["koszul", path, "--module", "Z", "--imax", imax, "--method", "linear-part-acyclic"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "yes-up-to-bounds" in out
+
+
+def test_duplicate_variable_names_exit_3_at_their_column(write_doc, capsys):
+    code, _, err = run(capsys, ["hilbert", write_doc("ring char=5 vars=x,x\n")])
+    assert code == 3
+    assert "duplicate variable names at 1:18" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["betti", "DOC", "--imax", "abc"],
     ["bogus"],

@@ -299,7 +299,7 @@ def _reference_var_multiplication(ring, var, d):
     return mat
 
 
-def _reference_first_variable_lifts(ring, e):
+def _reference_lifts(ring, e):
     """For each basis monomial w of R_{e-1} and variable x_v: the index of
     x_v * w in the basis of R_e when it is standard with first variable x_v,
     else -1."""
@@ -312,6 +312,19 @@ def _reference_first_variable_lifts(ring, e):
             row.append(index.get(u, -1) if not any(w[:v]) else -1)
         out.append(row)
     return out
+
+
+def _action_entries(action):
+    """The entries (v, k, row, value) of a variable action, in the order of
+    its `rows` and `values`, read back from its `start` and `count`."""
+    start, count, rows, values, _lifts = action
+    dim, n = start.shape
+    return [
+        [v, k, int(rows[at]), int(values[at])]
+        for v in range(n)
+        for k in range(dim)
+        for at in range(start[k, v], start[k, v] + count[k, v])
+    ]
 
 
 def _sparse_form(s, rng, degree, terms):
@@ -369,18 +382,22 @@ def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
         entries = [
             [v, k, i, block[i, k]] for v, block in enumerate(blocks) for k, i in zip(*np.nonzero(block.T))
         ]
-        assert np.array(ring.variable_action(d)).T.tolist() == entries, d
+        start, count, rows, values, lifts = ring.variable_action(d)
+        assert start.shape == count.shape == lifts.shape == (ring.dim_piece(d), ring.nvars), d
+        assert all(a.dtype == np.int64 for a in (start, count, rows, values, lifts)), d
+        assert _action_entries(ring.variable_action(d)) == entries, d
+        # laid out by v, then k: each start is the count of the entries before
+        flat = count.T.ravel()
+        assert start.T.ravel().tolist() == (flat.cumsum() - flat).tolist(), d
+        assert len(rows) == len(values) == flat.sum(), d
         # the same entries grouped by (k, v), rows increasing
-        start, count, rows, values = ring.times_variables(d)
-        assert start.shape == count.shape == (ring.dim_piece(d), ring.nvars), d
         for v, block in enumerate(blocks):
             for k in range(ring.dim_piece(d)):
                 at = slice(start[k, v], start[k, v] + count[k, v])
                 i = np.flatnonzero(block[:, k])
                 assert rows[at].tolist() == i.tolist(), (v, k, d)
                 assert values[at].tolist() == block[i, k].tolist(), (v, k, d)
-        lifts = ring.first_variable_lifts(d + 1)
-        assert lifts.dtype == np.int64 and lifts.tolist() == _reference_first_variable_lifts(ring, d + 1), d
+        assert lifts.tolist() == _reference_lifts(ring, d + 1), d
     # the identity of the free module with each of these shifts, built from
     # the tables degree by degree by `_next_degree_map`, which leaves the
     # generator columns of degree d zero
@@ -395,6 +412,40 @@ def test_graded_tables_match_per_monomial_references(kind, order, p, seed):
             assert got.shape == (dim, dim) and np.array_equal(got.toarray(), want), (shifts, d)
             eye = np.arange(dim)
             prev = Nonzeros((dim, dim), eye, eye, np.ones(dim, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_variable_action_at_its_edges(order, p):
+    s, (x, y, z) = polynomial_ring(p, "xyz", order)
+    # R_1 = <x, y, z> and R_2 = 0: at e = 0 every x_v lifts the constant
+    # monomial to x_v; at e = 1 nothing is hit and nothing lifts
+    ring = make_ring(s, [a * b for a, b in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))])
+    start, count, rows, values, lifts = ring.variable_action(0)
+    assert lifts.tolist() == [[0, 1, 2]] and count.tolist() == [[1, 1, 1]]
+    assert start.tolist() == [[0, 1, 2]] and rows.tolist() == [0, 1, 2] and values.tolist() == [1, 1, 1]
+    start, count, rows, values, lifts = ring.variable_action(1)
+    assert count.shape == lifts.shape == (3, 3)
+    assert not count.any() and (lifts == -1).all() and len(rows) == len(values) == 0
+    assert ring.var_multiplication_stack(1).shape == (0, 3)
+    # R_2 = 0: no monomial to act on
+    for a in ring.variable_action(2):
+        assert a.dtype == np.int64 and a.shape in ((0, 3), (0,)), a.shape
+    assert ring.var_multiplication_stack(2).shape == (0, 0)
+    # x^2 = y^2 + z^2: x_0 sends x to two entries, at increasing rows; every
+    # other product of degree 2 is standard
+    ring = make_ring(s, [x * x - y * y - z * z])
+    start, count, rows, values, lifts = ring.variable_action(1)
+    index = ring.piece_index(2)
+    at = slice(start[0, 0], start[0, 0] + count[0, 0])
+    assert count[0, 0] == 2 and count.sum() == 10
+    assert rows[at].tolist() == sorted([index[(0, 2, 0)], index[(0, 0, 2)]]) and values[at].tolist() == [1, 1]
+    # each of the 5 standard monomials of degree 2 once, from u / x_v with
+    # x_v its first variable
+    assert lifts[0].tolist() == [-1, -1, -1]
+    assert lifts[1].tolist() == [index[(1, 1, 0)], index[(0, 2, 0)], -1]
+    assert lifts[2].tolist() == [index[(1, 0, 1)], index[(0, 1, 1)], index[(0, 0, 2)]]
+    assert ring.var_multiplication_stack(1)[rows[at], 0].tolist() == [1, 1]
 
 
 def _graded_columns(ring, target, source, rng):
