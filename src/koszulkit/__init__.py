@@ -33,6 +33,7 @@ from .resolution import (
     betti_table,
     homology_dims,
     linear_part,
+    linear_part_homology,
     regularity_verdict,
     resolve,
 )

@@ -35,13 +35,7 @@ from .koszul import (
 )
 from .parser import ParseError, parse_input, parse_polynomial, print_document, InputDocument
 from .quotient import hilbert_series, residue_field_module
-from .resolution import (
-    betti_table,
-    homology_dims,
-    linear_part,
-    regularity_verdict,
-    resolve,
-)
+from .resolution import betti_table, linear_part_homology, regularity_verdict, resolve
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -285,15 +279,8 @@ def run_command(args) -> tuple[dict, str, int]:
             report["linear_part_homology"] = {"nonzero": {}, "acyclic_in_window": None}
             body = _header(report) + "\ninconclusive: no degree 1 <= i < imax to check\n"
             return report, body, EXIT_INCONCLUSIVE
-        lin = linear_part(res)
-        dims = {}
-        clean = True
-        for i in range(1, min(args.imax, lin.length_computed())):
-            for d in range(0, args.dmax + 1):
-                h = homology_dims(lin, i, d)
-                if h:
-                    dims[f"{i},{d}"] = h
-                    clean = False
+        dims = {f"{i},{d}": h for (i, d), h in linear_part_homology(res)}
+        clean = not dims
         report["linear_part_homology"] = {"nonzero": dims, "acyclic_in_window": clean}
         body = _header(report) + "\n" + (
             "acyclic within bounds\n" if clean else f"nonzero homology: {dims}\n"

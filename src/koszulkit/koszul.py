@@ -9,6 +9,7 @@ linear part is not decidable by truncation alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .filtration import (
@@ -24,13 +25,7 @@ from .quotient import (
     quotient_by_linear_forms,
     restrict_module_to_quotient,
 )
-from .resolution import (
-    BettiTable,
-    betti_table,
-    homology_dims,
-    linear_part,
-    resolve,
-)
+from .resolution import BettiTable, betti_table, linear_part_homology, resolve
 
 
 @dataclass(frozen=True)
@@ -98,11 +93,9 @@ def koszul_verdict(
 
     if i_max < 2:
         return KoszulVerdict("inconclusive", method, i_max, d_max)
-    lin = linear_part(res)
-    for i in range(1, i_max):
-        for d in range(g, d_max + 1):
-            if homology_dims(lin, i, d) > 0:
-                return KoszulVerdict("no", method, i_max, d_max, witness=(i, d))
+    first = next(linear_part_homology(res), None)
+    if first is not None:
+        return KoszulVerdict("no", method, i_max, d_max, witness=first[0])
     return KoszulVerdict("yes-up-to-bounds", method, i_max, d_max)
 
 
@@ -154,9 +147,6 @@ def poincare_hilbert_check(
             f"generation degree {g}"
         )
     ring = module.ring
-    if module.is_zero():
-        zero = tuple(0 for _ in range(d + 1))
-        return PoincareHilbertResult(True, d, None, zero, zero)
     res = resolve(module, max(d, 1), d_max)
     table = betti_table(res)
     lhs = [table.total(i) for i in range(d + 1)]
@@ -239,7 +229,11 @@ def check_factorization(
     module: GradedModule, flag_data: FlagData, i_max: int, d_max: int
 ) -> FactorizationResult:
     """Coefficient-wise check of the bigraded identity
-    P(M over R) = P(M over R/I_r) * P(R/I_r over R) within the window."""
+    P(M over R) = P(M over R/I_r) * P(R/I_r over R), multiplying the factor
+    tables entry by entry. A coefficient (i, j) takes entries j1 <= j of the
+    first factor and j2 <= j - g of the second, g the lowest generator degree
+    of M, so it is compared only for j <= d_max + min(g, 0), where all of them
+    lie in their windows. The witness is the least failing (i, j)."""
     ring = module.ring
     ideal = _check_flag_data(module, flag_data)
     t_module = betti_table(resolve(module, i_max, d_max))
@@ -249,18 +243,14 @@ def check_factorization(
     quot_module = cyclic_module(ring, ideal.forms(ring))
     t_quot = betti_table(resolve(quot_module, i_max, d_max))
 
-    witness = None
-    for i in range(i_max + 1):
-        for j in range(d_max + 1):
-            acc = 0
-            for i1 in range(i + 1):
-                for j1 in range(j + 1):
-                    acc += t_over_quot.beta(i1, j1) * t_quot.beta(i - i1, j - j1)
-            if acc != t_module.beta(i, j):
-                witness = (i, j)
-                break
-        if witness:
-            break
+    product: Counter[tuple[int, int]] = Counter()
+    for (i1, j1), a in t_over_quot.entries.items():
+        for (i2, j2), b in t_quot.entries.items():
+            product[i1 + i2, j1 + j2] += a * b
+    top = d_max + min(min(module.shifts, default=0), 0)
+    failing = [(i, j) for (i, j) in product.keys() | t_module.entries.keys()
+               if i <= i_max and j <= top and product[i, j] != t_module.beta(i, j)]
+    witness = min(failing, default=None)
     return FactorizationResult(witness is None, witness, t_module, t_over_quot, t_quot)
 
 

@@ -347,12 +347,25 @@ def _standard_monomials(
     return tuple(monos)
 
 
+# The numerator is a dense list, in `HilbertSeries` and in the JSON, so one
+# whose degree may pass this bound cannot be written out.
+_MAX_NUMERATOR_DEGREE = 10**6
+
+
 def _hilbert_series(
     leading: Sequence[Sequence[Monomial]], shifts: Sequence[int], nvars: int, expand_to: int
 ) -> "HilbertSeries":
     """Hilbert series of the direct sum over positions j of S/(leading[j])
-    shifted by shifts[j]: the sum of the shifted numerators."""
+    shifted by shifts[j]: the sum of the shifted numerators. Their degree is
+    at most the shift spread plus the sum of the degrees of all the minimal
+    generators, which is checked before any list is built."""
     base = min(shifts, default=0)
+    top = max(shifts, default=0) - base + sum(mono_degree(m) for lts in leading for m in lts)
+    if top > _MAX_NUMERATOR_DEGREE:
+        raise ValueError(
+            f"the Hilbert series numerator may reach degree {top}, "
+            f"above the limit {_MAX_NUMERATOR_DEGREE} of a dense numerator"
+        )
     total: list[int] = []
     for lts, s in zip(leading, shifts):
         num = _monomial_quotient_numerator(list(lts), nvars)
@@ -364,8 +377,10 @@ def _hilbert_series(
 class HilbertSeries:
     """Rational form numerator * t^offset / (1-t)^denominator_power.
 
-    The truncated expansion is the Hilbert function; krull_dim is the pole
-    order at t = 1 and multiplicity the cancelled numerator evaluated at 1.
+    The truncated expansion is the Hilbert function in the degrees
+    0..expand_to (a piece below degree 0 shows only in the numerator and the
+    offset); krull_dim is the pole order at t = 1 and multiplicity the
+    cancelled numerator evaluated at 1.
     """
 
     numerator: tuple[int, ...]
@@ -390,7 +405,8 @@ class HilbertSeries:
             cancelled += 1
         krull = nvars - cancelled
         series = _series_divide(num, _one_minus_t_power(nvars), expand_to - offset)
-        expansion = ([0] * offset + series[max(-offset, 0):])[: expand_to + 1]
+        pad = [0] * min(offset, expand_to + 1)
+        expansion = (pad + series[max(-offset, 0):])[: expand_to + 1]
         return HilbertSeries(
             tuple(num), offset, nvars, tuple(expansion), krull, sum(reduced), nvars - krull
         )

@@ -62,6 +62,7 @@ them is made.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,12 +93,12 @@ class FreeComplex:
     a bare FreeComplex; a resolution adds its warnings and Betti table.
 
     _ranks[i] is an int64 array whose entry d - lo, for lo the lowest shift
-    of F_0 and lo <= d <= d_max, is the rank of the degree-d map of
-    F_i -> F_{i-1} (no map has a lower degree). `resolve` fills it from its
-    own eliminations and `linear_part` shares the arrays of the steps it
-    leaves unchanged; `map_ranks` fills any other step on demand. Arrays,
-    not dicts, so that the ranks add no objects for the cycle collector to
-    count.
+    of F_0 (0 when F_0 is zero) and lo <= d <= d_max, is the rank of the
+    degree-d map of F_i -> F_{i-1} (no map has a lower degree). `resolve`
+    fills it from its own eliminations and `linear_part` shares the arrays
+    of the steps it leaves unchanged; `map_ranks` fills any other step on
+    demand. Arrays, not dicts, so that the ranks add no objects for the
+    cycle collector to count.
     """
 
     ring: QuotientRing
@@ -138,7 +139,7 @@ class FreeComplex:
         does not yield have no rows or no columns."""
         ranks = self._ranks.get(i)
         if ranks is None:
-            lo = min(self.free_shifts[0])
+            lo = min(self.free_shifts[0], default=0)
             ranks = self._ranks[i] = np.zeros(max(self.d_max + 1 - lo, 0), dtype=np.int64)
             incoming = _by_degree(self.free_shifts[i - 1], self.blocks[i - 1])
             for d, _gens, mat in _stage(self.ring, incoming, _keep_all, {}, self.d_max):
@@ -157,17 +158,13 @@ class Resolution(FreeComplex):
     presentation_cut: bool = False
 
     def betti(self) -> "BettiTable":
-        entries: dict[tuple[int, int], int] = {}
-        for j in self.free_shifts[0]:
-            entries[(0, j)] = entries.get((0, j), 0) + 1
-        for i, shifts in enumerate(self.free_shifts[1:], start=1):
-            for j in shifts:
-                entries[(i, j)] = entries.get((i, j), 0) + 1
-        return BettiTable(entries, self.i_max, self.d_max, self.presentation_cut)
+        entries = Counter((i, j) for i, shifts in enumerate(self.free_shifts) for j in shifts)
+        return BettiTable(dict(entries), self.i_max, self.d_max, self.presentation_cut)
 
 
 def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
-    """Minimal free resolution of the module out to (i_max, d_max).
+    """Minimal free resolution of the module out to (i_max, d_max). The zero
+    module resolves like a free module of rank 0: F_0 .. F_imax are zero.
 
     Results are cached on the module (immutable inputs, fill-once cache).
     """
@@ -179,11 +176,6 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
 
     ring = module.ring
     warnings: list[str] = []
-
-    if module.is_zero():
-        res = Resolution(ring, [()], [], i_max, d_max, warnings)
-        module.resolutions[(i_max, d_max)] = res
-        return res
 
     # step 1 sieves the presentation columns in the window
     in_window = [c for c in module.columns if (c.internal_degree() or 0) <= d_max]
@@ -200,7 +192,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     # one stage per step, chained and all run degree by degree: each yields
     # its degree maps to the next; row i-1 of ranks collects the degree
     # ranks of map i, laid out as FreeComplex._ranks
-    lo = min(module.shifts)
+    lo = min(module.shifts, default=0)
     ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
     sieves = [_pivot_sieve(ring.p)]
     sieves += [_kernel_sieve(ring.p, ranks[i - 1], ranks[i], lo) for i in range(1, i_max)]
@@ -475,7 +467,7 @@ def homology_dims(complex_like: FreeComplex, i: int, d: int) -> int:
     if d > complex_like.d_max:
         raise ValueError(f"degree {d} beyond the trusted window {complex_like.d_max}")
     ring = complex_like.ring
-    k = d - min(complex_like.free_shifts[0])
+    k = d - min(complex_like.free_shifts[0], default=0)
     if k < 0:
         # every F_i is zero below the lowest shift of F_0
         return 0
@@ -483,3 +475,16 @@ def homology_dims(complex_like: FreeComplex, i: int, d: int) -> int:
     if i >= 1:
         ker_dim -= int(complex_like.map_ranks(i)[k])
     return ker_dim - int(complex_like.map_ranks(i + 1)[k])
+
+
+def linear_part_homology(res: Resolution):
+    """Lazily yield ((i, d), dim_k H_i(lin F)_d) for every nonzero value with
+    1 <= i < i_max and lo <= d <= d_max, by i and then d: lo is the lowest
+    generator degree of F_0, below which every F_i is zero."""
+    lin = linear_part(res)
+    lo = min(res.free_shifts[0], default=0)
+    for i in range(1, res.i_max):
+        for d in range(lo, res.d_max + 1):
+            h = homology_dims(lin, i, d)
+            if h:
+                yield (i, d), h

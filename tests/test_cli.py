@@ -235,6 +235,66 @@ def test_linpart_of_the_zero_module_is_acyclic(write_doc, capsys, imax):
     assert code == 0 and "yes-up-to-bounds" in out
 
 
+def test_linpart_scans_from_the_lowest_generator_degree(write_doc, capsys):
+    # coker([x*y]) at shift -3 has H_1 of its linear part at degree -1, below
+    # 0; `linpart` reads the same window as `koszul`
+    path = write_doc(CI2 + "module name=M shifts=-3\n[ x*y ]\n")
+    argv = ["linpart", path, "--module", "M", "--imax", "4", "--dmax", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out.splitlines()[-1] == "nonzero homology: {'1,-1': 1}"
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out)["linear_part_homology"] == {
+        "nonzero": {"1,-1": 1}, "acyclic_in_window": False,
+    }
+    code, out, _ = run(capsys, ["koszul", *argv[1:], "--method", "linear-part-acyclic"])
+    assert code == 1 and "witness (1, -1)" in out
+
+
+def test_resolve_of_the_zero_module_lists_every_step(write_doc, capsys):
+    # the zero module resolves like a free module of rank 0
+    path = write_doc(CI2 + "module name=Z shifts=\n")
+    code, out, _ = run(capsys, ["resolve", path, "--module", "Z", "--imax", "2"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["F_0: shifts []", "F_1: shifts []", "F_2: shifts []"]
+
+
+# x^(10^11): a dense list of that length would take about 800 GB, so a
+# failure to bound it shows at once, with nothing allocated
+HUGE = 99999999999
+
+
+@pytest.mark.parametrize(
+    "text, module, degree",
+    [
+        (f"ring char=5 vars=x,y\nideal x^{HUGE}\n", None, HUGE),
+        # the shift spread plus the degrees of the minimal generators, x, y^2
+        # at the first position and x^2, y^2 at the second
+        (CI2 + f"module name=M shifts=0,{HUGE}\n[ x ]\n[ 0 ]\n", "M", HUGE + 7),
+    ],
+    ids=["ideal", "shift-spread"],
+)
+def test_hilbert_numerator_beyond_the_dense_bound_exits_3(write_doc, capsys, text, module, degree):
+    path = write_doc(text)
+    argv = ["hilbert", path] + (["--module", module] if module else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: the Hilbert series numerator may reach degree {degree},")
+    code, _, _ = run(capsys, ["betti", path] + (["--module", module] if module else []))
+    assert code == 0
+
+
+def test_hilbert_of_a_module_generated_far_up_expands_to_zeros(write_doc, capsys):
+    # the expansion lists degrees 0..dmax only, so it is padded to that length
+    path = write_doc(CI2 + f"module name=M shifts={HUGE}\n[ x ]\n")
+    code, out, _ = run(capsys, ["hilbert", path, "--module", "M", "--dmax", "3", "--format", "json"])
+    assert code == 0
+    h = json.loads(out)["hilbert"]
+    assert (h["expansion"], h["numerator"], h["offset"]) == ([0, 0, 0, 0], [1, -1, -1, 1], HUGE)
+    code, _, _ = run(capsys, ["betti", path, "--module", "M"])
+    assert code == 0
+
+
 def test_duplicate_variable_names_exit_3_at_their_column(write_doc, capsys):
     code, _, err = run(capsys, ["hilbert", write_doc("ring char=5 vars=x,x\n")])
     assert code == 3
@@ -402,6 +462,20 @@ def test_factorize_command(write_doc, capsys):
     assert code == 0
     assert "factorization: holds" in out
     assert "verdict transfer: consistent" in out
+
+
+def test_factorize_holds_for_k_and_its_shift(write_doc, capsys):
+    # k(2), the residue field generated in degree -2, factors as k does; the
+    # zero module, with no generator degree, has all three tables zero
+    text = (
+        CI2 + "module name=K2 shifts=-2\n[ x, y ]\n" + "module name=Z shifts=\n"
+        + 'cert flag {"forms":[[1,0],[0,1]],"colon_indices":[1,2]}\n'
+    )
+    path = write_doc(text)
+    for module in ("k", "K2", "Z"):
+        argv = ["factorize", path, "--module", module, "--r", "2", "--imax", "3", "--dmax", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.splitlines()[1] == "factorization: holds", module
 
 
 # (0), (x), (y) and m over ci2, with (0) : x = (x), (0) : y = (y), (x) : y = m

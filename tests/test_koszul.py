@@ -1,8 +1,10 @@
 """Koszul verdicts, the Poincare-Hilbert identity, factorization, transfer."""
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from koszulkit.filtration import all_linear_ideals_filtration
+from koszulkit.filtration import all_linear_ideals_filtration, search_groebner_flag
 from koszulkit.koszul import (
     FlagData,
     check_factorization,
@@ -16,8 +18,8 @@ from koszulkit.quotient import (
     make_module,
     residue_field_module,
 )
-from koszulkit.resolution import betti_table, resolve
-from koszulkit.corpus import random_module
+from koszulkit.resolution import betti_table, linear_part_homology, resolve
+from koszulkit.corpus import build_fixture, module_killed_by, random_module
 from oracles import series_divide
 
 
@@ -162,6 +164,13 @@ def test_factorization_module_is_quotient_itself(ci2):
     assert [r.factor_over_quotient.total(i) for i in range(5)] == [1, 0, 0, 0, 0]
 
 
+def test_factorization_of_the_zero_module(ci2):
+    cert, chain = _ci2_flag_data(ci2)
+    zero = make_module(ci2, (0,), [[ci2.poly_ring.one()]])
+    r = check_factorization(zero, FlagData(cert, chain, 1), 5, 8)
+    assert r.holds and r.witness is None
+
+
 def test_factorization_requires_annihilation(ci2):
     cert, chain = _ci2_flag_data(ci2)
     k = residue_field_module(ci2)
@@ -201,3 +210,53 @@ def test_equivalence_of_methods_on_fixtures(ci2, nk3, crv26, mm1, fitz3):
             ph = poincare_hilbert_check(m, 5, 8)
             assert v1.verdict == v2.verdict
             assert ph.holds == v1.is_yes
+
+
+def _lowered(module, a):
+    """M with every generator degree lowered by a."""
+    columns = [col.components for col in module.columns]
+    return make_module(module.ring, tuple(s - a for s in module.shifts), columns)
+
+
+def _moved(pair, a):
+    return None if pair is None else (pair[0], pair[1] - a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(["ci2", "fitz3", "mm1"]),
+    kind=st.sampled_from(["k", "random", "killed"]),
+    a=st.integers(1, 3),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+)
+def test_bounded_answers_are_shift_invariant(name, kind, a, r, seed):
+    # every bounded answer reads one degree window, from the lowest generator
+    # degree to d_max, so lowering every shift by a (and d_max with it where
+    # the window is tied to d_max alone) moves each answer by -a
+    ring = build_fixture(name).ring
+    flag = search_groebner_flag(ring).certificate
+    fd = FlagData(flag.as_filtration(ring.nvars, ring.p), tuple(range(ring.nvars + 1)), min(r, ring.nvars))
+    if kind == "k":
+        m = residue_field_module(ring)
+    elif kind == "random":
+        m = random_module(ring, 2, 2, seed)
+    else:
+        m = module_killed_by(ring, fd.member(), 2, 2, seed)
+    ma = _lowered(m, a)
+    i_max, d_max = 3, 5
+
+    res, res_a = resolve(m, i_max, d_max), resolve(ma, i_max, d_max - a)
+    want = {(i, j - a): c for (i, j), c in betti_table(res).entries.items()}
+    assert betti_table(res_a).entries == want
+    for method in ("betti-diagonal", "linear-part-acyclic"):
+        v, v_a = koszul_verdict(m, i_max, d_max, method), koszul_verdict(ma, i_max, d_max - a, method)
+        assert (v_a.verdict, v_a.witness) == (v.verdict, _moved(v.witness, a))
+    scan = {_moved(key, a): h for key, h in linear_part_homology(res)}
+    assert dict(linear_part_homology(res_a)) == scan
+
+    if kind != "random":
+        # M, generated in degree 0, is compared at j <= d_max and M(-a) at
+        # j <= d_max - a: the same degrees of M
+        f, f_a = check_factorization(m, fd, i_max, d_max), check_factorization(ma, fd, i_max, d_max)
+        assert (f_a.holds, f_a.witness) == (f.holds, _moved(f.witness, a))

@@ -41,6 +41,7 @@ from koszulkit.resolution import (
     betti_table,
     homology_dims,
     linear_part,
+    linear_part_homology,
     regularity_verdict,
     resolve,
 )
@@ -86,6 +87,18 @@ def test_zero_module_resolution(ci2):
     assert t.is_empty()
     v = regularity_verdict(t)
     assert v.kind == "Exact" and v.value is None
+
+
+@pytest.mark.parametrize("i_max", [1, 2, 5])
+def test_zero_module_has_no_homology(ci2, i_max):
+    # the zero module resolves like a free module of rank 0: every F_i and
+    # every homology piece is zero, for the resolution and its linear part
+    z = make_module(ci2, (0,), [[ci2.poly_ring.one()]])
+    res = resolve(z, i_max, 8)
+    assert res.free_shifts == [()] * (i_max + 1)
+    for cx in (res, linear_part(res)):
+        assert [homology_dims(cx, i, d) for i in range(i_max) for d in (-1, 0, 8)] == [0] * (3 * i_max)
+    assert list(linear_part_homology(res)) == []
 
 
 def test_resolution_is_freed_without_the_cycle_collector(ci2, crv26):
