@@ -30,10 +30,12 @@ resolutions over monomial rings are such matrices. Both reduce entries mod
 p and combine them in Python ints. Every other matrix goes to
 `_dense_echelon`, the int64 loop whose single products stay below 2^62 as
 said above; it is the fastest where the matrix is large and many entries
-are nonzero. Only the small and dense paths build an array from a
-`Nonzeros`. All three make every pivot 1, and the pivot columns and the
-rref of a matrix are unique, so the three paths, and the two forms, give
-identical results.
+are nonzero. It reduces its input and each rank-1 update by floor
+division, x - (x // p) * p, exact for every int64 x and in NumPy two to
+four times as fast as x % p. Only the small and dense paths build an array
+from a `Nonzeros`. All three make every pivot 1, and the pivot columns and
+the rref of a matrix are unique, so the three paths, and the two forms,
+give identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
@@ -52,6 +54,7 @@ are (361 of 3,551 in that pass).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 import numpy as np
 
@@ -174,10 +177,10 @@ _SPARSE_MAX_DENSITY = 0.05
 #   resolve            81: 0.0047 -> 0.0024 s     36: 0.0043 -> 0.0016 s
 #   resolve-largep     43: 0.0014 -> 0.0011 s     25: 0.0029 -> 0.0055 s
 #
-# The dense loop pays some six numpy calls per column whatever the size; the
-# list kernel pays per entry, and more at p = 2^31 - 1, whose products near
-# p^2 are multi-digit Python ints. Past 100 entries it still wins at
-# p <= 32003 but loses at p = 2^31 - 1.
+# The dense loop pays per numpy call, whatever the size (some six per column
+# when this was timed, fewer now); the list kernel pays per entry, and more
+# at p = 2^31 - 1, whose products near p^2 are multi-digit Python ints.
+# Past 100 entries it still wins at p <= 32003 but loses at p = 2^31 - 1.
 _SMALL_MAX_ENTRIES = 100
 
 
@@ -284,40 +287,58 @@ def _small_echelon(a, p, reduced):
     return np.array(rows[:r], dtype=np.int64).reshape(r, ncols), pivots
 
 
+def _floor_mod(x, p):
+    """Reduce the int64 array x mod p into [0, p), in place, as
+    x - (x // p) * p: NumPy's `//` by a scalar needs no hardware divide per
+    entry, and its `%` does. One temporary of x's size, not two."""
+    q = x // p
+    q *= p
+    x -= q
+
+
 def _dense_echelon(a, p, reduced):
     """`_echelon` of `a`, a C-contiguous int64 array that it overwrites: row
     echelon form with monic pivots, and with `reduced` every pivot column
-    also cleared above its pivot."""
-    np.mod(a, p, out=a)
+    also cleared above its pivot.
+
+    Each column costs one scan of its nonzero rows, which gives both the
+    pivot (the first at or below row r) and the rows to clear (all the
+    others with `reduced`, else those below it). Rows r and below are zero
+    left of the column, so a swap copies and a rank-1 update changes only
+    the columns from it on; a pivot that is already 1 is not scaled. An
+    update leaves its entries in (-(p-1)^2, p), and `_floor_mod` brings them
+    back to [0, p)."""
+    _floor_mod(a, p)
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        if a[r, c]:
-            piv = r
-        else:
-            below = a[r + 1 :, c].nonzero()[0]
-            if below.size == 0:
-                continue
-            piv = r + 1 + int(below[0])
+        nz = a[:, c].nonzero()[0].tolist()
+        k = bisect_left(nz, r)
+        if k == len(nz):
+            continue
+        piv = nz.pop(k)
+        if not reduced:
+            del nz[:k]
+        row = a[piv, c:]
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # row r is zero left of c, so only columns c.. change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
-        if reduced:
-            col = a[:, c].copy()
-            col[r] = 0
-            nz = col.nonzero()[0]
-        else:
-            nz = r + 1 + a[r + 1 :, c].nonzero()[0]
-        if nz.size:
-            # updating one copy in place makes two temporaries of its size, not four
-            sub = a[nz, c:]
-            sub -= sub[:, :1] * a[r, c:]
-            sub %= p
-            a[nz, c:] = sub
+            row = row.copy()
+            a[piv, c:] = a[r, c:]
+            a[r, c:] = row
+            row = a[r, c:]
+        f = int(row[0])
+        if f != 1:
+            row *= pow(f, -1, p)
+            row %= p
+        if nz:
+            # one index array for the read and the write, not a list each
+            at = np.array(nz)
+            sub = a[at, c:]
+            sub -= sub[:, :1] * row
+            _floor_mod(sub, p)
+            a[at, c:] = sub
         pivots.append(c)
         r += 1
     return (a[:r] if reduced else None), pivots

@@ -5,8 +5,9 @@ basis of the defining ideal. Graded pieces, Hilbert series (exact rational
 form via the monomial-ideal pivot recursion), minimal module presentations
 and linear-form eliminations live here.
 So do the one set of exact integer-series helpers (`_poly_add`, `_poly_mul`,
-`_trim`, `_one_minus_t_power`, `_series_divide`): every series computation
-of the package, in `filtration` and `koszul` too, goes through them.
+`_trim`, `_one_minus_t_power`, `_one_minus_t_inverse_power`,
+`_series_divide`): every series computation of the package, in `filtration`
+and `koszul` too, goes through them.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ class QuotientRing:
     The tables of the graded pieces are built by exponent arithmetic: the
     basis of R_d by a componentwise test of the degree-d exponent vectors
     against the leading monomials (`piece`), and the multiplication by every
-    variable on R_e from exponent sums, taking a normal form only of a
-    nonstandard product over a non-monomial Groebner basis
-    (`variable_action`).
+    variable on R_e from exponent sums (`variable_action`). Over a
+    non-monomial Groebner basis the normal form of a nonstandard product is
+    read off the table of R_{e-1} and the reduced basis, by recursion on the
+    tables: no table divides a `Polynomial`. `reduce`, `monomial_nf` and
+    `mul_monomial_nf` serve the edges, where polynomials come in or go out.
 
     Immutable after construction. Fill-once caches, so concurrent readers
     are safe: piece bases and their indices, monomial normal forms, the
@@ -177,7 +180,8 @@ class QuotientRing:
         normal form, one entry 1 found by index lookup. A product outside the
         piece lies in the leading-term ideal; it is 0 when the reduced
         Groebner basis is monomial (the ideal then holds every such
-        monomial), and only otherwise is its normal form taken."""
+        monomial), and only otherwise is its normal form read off the
+        tables (`_nonstandard_entries`), with no polynomial division."""
         got = self._actions.get(e)
         if got is not None:
             return got
@@ -189,11 +193,7 @@ class QuotientRing:
         rows = np.array([index.get(m, -1) for m in map(tuple, products)], dtype=np.int64)
         # x_v is the first variable of x_v * m_k when m_k has no variable before it
         lifts = np.where(exps.cumsum(1) == exps, rows.reshape(n, dim).T, -1)
-        extra = [] if self._monomial_gb else [
-            (i, index[m], c)
-            for i in np.flatnonzero(rows < 0).tolist()
-            for m, c in self.monomial_nf(tuple(products[i])).terms
-        ]
+        extra = [] if self._monomial_gb else self._nonstandard_entries(e, products, rows)
         at = np.flatnonzero(rows >= 0)
         rows, values = rows[at], np.ones(len(at), dtype=np.int64)
         if extra:
@@ -206,6 +206,61 @@ class QuotientRing:
         got = (start.reshape(n, dim).T, count.reshape(n, dim).T, rows, values, lifts)
         self._actions[e] = got
         return got
+
+    def _nonstandard_entries(self, e, products, rows):
+        """The entries (i, row, value) of `variable_action(e)` at its
+        nonstandard products i = v * dim R_e + k (rows[i] < 0), by recursion
+        on the tables, as FGLM (Faugere, Gianni, Lazard and Mora, 1993) does.
+
+        Each distinct product b = x_v * m_k is taken once, in increasing
+        term order. If some x_w divides m_k with b / x_w nonstandard, then
+        b / x_w = x_v * (m_k / x_w) is an entry of `variable_action(e - 1)`,
+        NF(b / x_w) = sum c_j n_j, and NF(b) = sum c_j NF(x_w * n_j): each
+        x_w * n_j is smaller than b, so it is standard or a product already
+        taken. Otherwise every divisor of b of degree e is standard, so b is
+        the leading monomial of exactly one g of the reduced basis, whose
+        other terms are standard, and NF(b) = b - g."""
+        nonstandard = np.flatnonzero(rows < 0).tolist()
+        first: dict[Monomial, int] = {}
+        for i in nonstandard:
+            first.setdefault(tuple(products[i]), i)
+        if not first:
+            return []
+        p, src, index, index_e = self.p, self.piece(e), self.piece_index(e + 1), self.piece_index(e)
+        dim, rows = len(src), rows.tolist()
+        if e:
+            # the missing tables below are built from the lowest up, so that
+            # none recurses more than one degree
+            low = e
+            while low and low - 1 not in self._actions:
+                low -= 1
+            for d in range(low, e):
+                self.variable_action(d)
+            start, count, low_rows, low_values = (a.tolist() for a in self._actions[e - 1][:4])
+            low_index = self.piece_index(e - 1)
+        tails = {g.terms[0][0]: g.terms[1:] for g in self.gb.generators}
+        nf: dict[Monomial, list[tuple[int, int]]] = {}
+        for b in sorted(first, key=self.order.key):
+            v, k = divmod(first[b], dim)
+            m = src[k]
+            for w, x in enumerate(m):
+                if x and b[:w] + (b[w] - 1,) + b[w + 1 :] not in index_e:
+                    break
+            else:
+                nf[b] = [(index[u], -c % p) for u, c in tails[b]]
+                continue
+            below = low_index[m[:w] + (x - 1,) + m[w + 1 :]]
+            at = slice(start[below][v], start[below][v] + count[below][v])
+            acc: dict[int, int] = {}
+            for j, c in zip(low_rows[at], low_values[at]):
+                t = w * dim + j
+                if rows[t] >= 0:
+                    acc[rows[t]] = acc.get(rows[t], 0) + c
+                else:
+                    for u, cu in nf[tuple(products[t])]:
+                        acc[u] = acc.get(u, 0) + c * cu
+            nf[b] = [(u, c % p) for u, c in acc.items() if c % p]
+        return [(i, u, c) for i in nonstandard for u, c in nf[tuple(products[i])]]
 
     def var_multiplication_stack(self, d: int) -> np.ndarray:
         """The matrices of multiplication by x_v from R_d to R_{d+1}
@@ -284,6 +339,11 @@ def _trim(a: list[int]) -> list[int]:
 def _one_minus_t_power(k: int) -> list[int]:
     """The coefficients of (1 - t)^k."""
     return [(-1) ** i * comb(k, i) for i in range(k + 1)]
+
+
+def _one_minus_t_inverse_power(k: int, j: int) -> int:
+    """The coefficient of t^j in 1 / (1 - t)^k, for j >= 0."""
+    return comb(j + k - 1, k - 1) if k else int(j == 0)
 
 
 def _series_divide(num: list[int], den: list[int], d_max: int) -> list[int]:
@@ -404,9 +464,14 @@ class HilbertSeries:
             reduced = _trim(_series_divide(reduced, [1, -1], len(reduced) - 2))
             cancelled += 1
         krull = nvars - cancelled
-        series = _series_divide(num, _one_minus_t_power(nvars), expand_to - offset)
-        pad = [0] * min(offset, expand_to + 1)
-        expansion = (pad + series[max(-offset, 0):])[: expand_to + 1]
+        # one sum over the numerator per degree, however far off the offset
+        expansion = [
+            sum(
+                c * _one_minus_t_inverse_power(nvars, d - offset - k)
+                for k, c in enumerate(num[: max(d - offset + 1, 0)])
+            )
+            for d in range(expand_to + 1)
+        ]
         return HilbertSeries(
             tuple(num), offset, nvars, tuple(expansion), krull, sum(reduced), nvars - krull
         )

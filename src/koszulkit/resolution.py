@@ -78,7 +78,7 @@ from .groebner import (
     vector_from_coords,
 )
 from .linalg import Nonzeros, pivot_columns, rank, rref, _kernel_rows
-from .quotient import GradedModule, QuotientRing
+from .quotient import GradedModule, QuotientRing, _MAX_NUMERATOR_DEGREE
 
 
 @dataclass(eq=False)
@@ -139,7 +139,7 @@ class FreeComplex:
         does not yield have no rows or no columns."""
         ranks = self._ranks.get(i)
         if ranks is None:
-            lo = min(self.free_shifts[0], default=0)
+            lo = _window_start(self.free_shifts[0], self.d_max)
             ranks = self._ranks[i] = np.zeros(max(self.d_max + 1 - lo, 0), dtype=np.int64)
             incoming = _by_degree(self.free_shifts[i - 1], self.blocks[i - 1])
             for d, _gens, mat in _stage(self.ring, incoming, _keep_all, {}, self.d_max):
@@ -170,6 +170,7 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     """
     if i_max < 1 or d_max < 1:
         raise ValueError("resolution bounds must be >= 1")
+    lo = _window_start(module.shifts, d_max)
     cached = module.resolutions.get((i_max, d_max))
     if cached is not None:
         return cached
@@ -192,7 +193,6 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     # one stage per step, chained and all run degree by degree: each yields
     # its degree maps to the next; row i-1 of ranks collects the degree
     # ranks of map i, laid out as FreeComplex._ranks
-    lo = min(module.shifts, default=0)
     ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
     sieves = [_pivot_sieve(ring.p)]
     sieves += [_kernel_sieve(ring.p, ranks[i - 1], ranks[i], lo) for i in range(1, i_max)]
@@ -222,6 +222,21 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
         res._ranks.update(enumerate(ranks, start=1))
     module.resolutions[(i_max, d_max)] = res
     return res
+
+
+def _window_start(shifts, d_max):
+    """The lowest degree lo of the window lo..d_max of a complex whose F_0
+    has generators of the given degrees (0 when it has none). The ranks hold
+    one entry per degree of the window, so a window wider than the dense
+    bound `quotient._MAX_NUMERATOR_DEGREE` raises ValueError before any
+    array is made."""
+    lo = min(shifts, default=0)
+    if d_max - lo > _MAX_NUMERATOR_DEGREE:
+        raise ValueError(
+            f"the degree window {lo}..{d_max} is wider than the limit "
+            f"{_MAX_NUMERATOR_DEGREE} of a dense table"
+        )
+    return lo
 
 
 def _shifts(step):
@@ -481,8 +496,8 @@ def linear_part_homology(res: Resolution):
     """Lazily yield ((i, d), dim_k H_i(lin F)_d) for every nonzero value with
     1 <= i < i_max and lo <= d <= d_max, by i and then d: lo is the lowest
     generator degree of F_0, below which every F_i is zero."""
+    lo = _window_start(res.free_shifts[0], res.d_max)
     lin = linear_part(res)
-    lo = min(res.free_shifts[0], default=0)
     for i in range(1, res.i_max):
         for d in range(lo, res.d_max + 1):
             h = homology_dims(lin, i, d)

@@ -295,6 +295,26 @@ def test_hilbert_of_a_module_generated_far_up_expands_to_zeros(write_doc, capsys
     assert code == 0
 
 
+def test_hilbert_of_a_module_generated_far_below_0_expands_at_once(write_doc, capsys):
+    # each degree of the expansion is one binomial sum over the numerator,
+    # so nothing walks up from the offset
+    path = write_doc(CI2 + f"module name=M shifts=-{HUGE}\n[ x ]\n")
+    code, out, _ = run(capsys, ["hilbert", path, "--module", "M", "--dmax", "3", "--format", "json"])
+    assert code == 0
+    h = json.loads(out)["hilbert"]
+    assert (h["expansion"], h["numerator"], h["offset"]) == ([0, 0, 0, 0], [1, -1, -1, 1], -HUGE)
+
+
+def test_a_resolution_window_beyond_the_dense_bound_exits_3(write_doc, capsys):
+    # the ranks hold one entry per degree from the lowest shift to dmax, so
+    # the width of that window is checked before any is made
+    path = write_doc(CI2 + f"module name=M shifts=-{HUGE}\n[ x ]\n")
+    for command in ("betti", "resolve", "linpart"):
+        code, out, err = run(capsys, [command, path, "--module", "M"])
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: the degree window -{HUGE}..8 is wider than the limit"), err
+
+
 def test_duplicate_variable_names_exit_3_at_their_column(write_doc, capsys):
     code, _, err = run(capsys, ["hilbert", write_doc("ring char=5 vars=x,x\n")])
     assert code == 3

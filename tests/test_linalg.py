@@ -321,6 +321,39 @@ def test_sparse_and_dense_elimination_agree(inputs):
     assert np.flatnonzero(last[-1]).tolist() == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2147483647, 2147483629]),
+    st.sampled_from(["p-1", "p-1 off a unit diagonal", "random", "low rank", "signed"]),
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.integers(0, 2**32),
+)
+@example(2147483647, "p-1 off a unit diagonal", 14, 14, 0)
+def test_dense_loop_is_exact_near_the_largest_modulus(p, kind, m, n, seed):
+    # the dense loop reduces by floor division: every entry p - 1 makes
+    # every update negative, and with unit pivots the pivot rows keep their
+    # entries p - 1, so each update reaches -(p - 1)^2; signed entries up
+    # to (p - 1)^2 in size test the reduction of the input
+    rng = np.random.default_rng(seed)
+    a = np.full((m, n), p - 1, dtype=np.int64)
+    if kind == "p-1 off a unit diagonal":
+        np.fill_diagonal(a, 1)
+    elif kind == "random":
+        a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    elif kind == "low rank":
+        k = int(rng.integers(1, min(m, n) + 1))
+        left = rng.integers(0, p, size=(m, k), dtype=np.int64)
+        a = matmul_mod(left, rng.integers(0, p, size=(k, n), dtype=np.int64), p)
+    elif kind == "signed":
+        a = rng.integers(-((p - 1) ** 2), (p - 1) ** 2, size=(m, n), dtype=np.int64, endpoint=True)
+    want, pivots = linalg._small_echelon(a, p, True)
+    assert len(pivots) == rank_mod_p(a.tolist(), p)
+    got = linalg._dense_echelon(a.copy(), p, True)
+    assert got[1] == pivots and got[0].tolist() == want.tolist()
+    assert linalg._dense_echelon(a.copy(), p, False) == (None, pivots)
+
+
 def _assert_paths(monkeypatch, cases):
     """Each (matrix, path) or (matrix, path, pivot_path) of `cases`, as an
     array and as its nonzeros, goes through `rref` and `nullspace` to the one

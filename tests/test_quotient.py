@@ -13,6 +13,7 @@ from koszulkit.groebner import FreeModuleVector, _EMPTY, _melt_lt, _next_degree_
 from koszulkit.linalg import Nonzeros
 from koszulkit.quotient import (
     HilbertSeries,
+    QuotientRing,
     cyclic_module,
     free_module,
     graded_piece_basis,
@@ -446,6 +447,36 @@ def test_variable_action_at_its_edges(order, p):
     assert lifts[1].tolist() == [index[(1, 1, 0)], index[(0, 2, 0)], -1]
     assert lifts[2].tolist() == [index[(1, 0, 1)], index[(0, 1, 1)], index[(0, 0, 2)]]
     assert ring.var_multiplication_stack(1)[rows[at], 0].tolist() == [1, 1]
+
+
+def _no_normal_forms(*_args):
+    raise AssertionError("a table took a normal form by division")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from(["degrevlex", "lex"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32),
+)
+def test_variable_action_takes_no_normal_form(kind, order, p, seed):
+    # the tables are read off the lower tables and the reduced basis alone;
+    # the degrees are asked for from the top, so the lower ones are built
+    # on the way
+    rng = random.Random(seed)
+    ring = _table_ring(kind, order, p, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuotientRing, "monomial_nf", _no_normal_forms)
+        mp.setattr(QuotientRing, "reduce", _no_normal_forms)
+        tables = [ring.variable_action(e) for e in range(6, -1, -1)][::-1]
+    for e, (*_entries, values, _lifts) in enumerate(tables):
+        assert 0 < values.min(initial=1) and values.max(initial=0) < p, e
+        high = ring.dim_piece(e + 1)
+        for v in range(ring.nvars):
+            block = _reference_var_multiplication(ring, v, e)
+            got = ring.var_multiplication_stack(e)[v * high : (v + 1) * high]
+            assert np.array_equal(got, block), (v, e)
 
 
 def _graded_columns(ring, target, source, rng):

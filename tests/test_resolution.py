@@ -36,6 +36,7 @@ import koszulkit.resolution as resolution_mod
 from koszulkit.koszul import koszul_verdict
 from koszulkit.linalg import Echelon, Nonzeros, matmul_mod, nullspace, rank
 from koszulkit.resolution import (
+    Resolution,
     _keep_all,
     _shifts,
     betti_table,
@@ -99,6 +100,22 @@ def test_zero_module_has_no_homology(ci2, i_max):
     for cx in (res, linear_part(res)):
         assert [homology_dims(cx, i, d) for i in range(i_max) for d in (-1, 0, 8)] == [0] * (3 * i_max)
     assert list(linear_part_homology(res)) == []
+
+
+def test_a_window_past_the_dense_bound_raises(ci2):
+    # resolve, map_ranks and the linear-part scan each hold or walk one rank
+    # per degree from the lowest shift to d_max; one degree past the bound
+    # of a dense table raises before anything is allocated
+    top = resolution_mod._MAX_NUMERATOR_DEGREE
+    x = ci2.poly_ring.gen(0)
+    assert resolve(make_module(ci2, (1 - top,), [[x]]), 1, 1).free_shifts == [(1 - top,), (2 - top,)]
+    with pytest.raises(ValueError, match=rf"degree window {-top}\.\.1 is wider"):
+        resolve(make_module(ci2, (-top,), [[x]]), 2, 1)
+    res = Resolution(ci2, [(-top,), ()], [{}], 1, 1)
+    with pytest.raises(ValueError, match="degree window"):
+        res.map_ranks(1)
+    with pytest.raises(ValueError, match="degree window"):
+        next(linear_part_homology(res))
 
 
 def test_resolution_is_freed_without_the_cycle_collector(ci2, crv26):
