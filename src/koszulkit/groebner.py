@@ -818,18 +818,22 @@ def _by_degree(shifts, rows_by_degree):
             yield d, shifts, rows_by_degree.get(d, _NO_ROWS)
 
 
-def _pivot_sieve(p):
+def _pivot_sieve(p, ranks=None, lo=0):
     """The graded Nakayama sieve of given rows: a row is kept when it is
     independent of the columns of N_d (R_1 times the span of degree d-1)
     plus the rows before it. One `pivot_columns` on N_d followed by the rows
     as columns keeps the rows at pivot columns: the choice an incremental
-    echelon fed the products and then the rows in order would make."""
+    echelon fed the products and then the rows in order would make. Its
+    pivot count is the rank of N_d with the kept rows appended, which goes
+    to `ranks[d - lo]` where `ranks` is given, at every degree with rows."""
 
-    def sieve(mat, rows, _d):
+    def sieve(mat, rows, d):
         if not len(rows):
             return rows
         n = mat.shape[1]
         pivots = np.array(pivot_columns(mat.append_columns(rows), p), dtype=np.int64)
+        if ranks is not None:
+            ranks[d - lo] = len(pivots)
         return rows[pivots[pivots >= n] - n]
 
     return sieve

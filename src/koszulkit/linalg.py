@@ -32,10 +32,17 @@ p and combine them in Python ints. Every other matrix goes to
 said above; it is the fastest where the matrix is large and many entries
 are nonzero. It reduces its input and each rank-1 update by floor
 division, x - (x // p) * p, exact for every int64 x and in NumPy two to
-four times as fast as x % p. Only the small and dense paths build an array
-from a `Nonzeros`. All three make every pivot 1, and the pivot columns and
-the rref of a matrix are unique, so the three paths, and the two forms,
-give identical results.
+four times as fast as x % p. It moves no row: the pivot of each column is
+the first row in input order that is not yet a pivot row, so it also
+returns its pivot rows, the row rank profile of the matrix, together with
+its pivot columns, the column rank profile (Dumas, Pernet and Sultan,
+ISSAC 2013). The resolution engine reads both from one forward pass, and
+reads kernel rows off the echelon form it leaves by `_back_substitute`
+over the wanted columns alone. `_takes_dense_path` is the gate's test for
+this path, which the engine asks too. Only the small and dense paths build
+an array from a `Nonzeros`. All three make every pivot 1, and the pivot
+columns and the rref of a matrix are unique, so the three paths, and the
+two forms, give identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
@@ -54,7 +61,6 @@ are (361 of 3,551 in that pass).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 
 import numpy as np
 
@@ -200,14 +206,22 @@ def _echelon(a, p, reduced):
     return _gate(a, p, reduced)
 
 
+def _takes_dense_path(a: Nonzeros) -> bool:
+    """Whether the gate sends the `Nonzeros` `a` to the dense loop: past the
+    small path, and below the size or over the density of the sparse one."""
+    return a.size > _SMALL_MAX_ENTRIES and (
+        a.size < _SPARSE_MIN_ENTRIES or len(a.values) > _SPARSE_MAX_DENSITY * a.size
+    )
+
+
 def _gate(a, p, reduced):
     """`_echelon` of the `Nonzeros` `a` by the small, sparse or dense path,
     chosen from its shape and its count of nonzero entries."""
     if a.size <= _SMALL_MAX_ENTRIES:
         return _small_echelon(a.toarray(), p, reduced)
-    if a.size >= _SPARSE_MIN_ENTRIES and len(a.values) <= _SPARSE_MAX_DENSITY * a.size:
+    if not _takes_dense_path(a):
         return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
-    return _dense_echelon(a.toarray(), p, reduced)
+    return _dense_echelon(a.toarray(), p, reduced)[:2]
 
 
 def _structural_pivots(a, p):
@@ -254,8 +268,8 @@ def _small_echelon(a, p, reduced):
     and with `reduced` every pivot column also cleared above its pivot.
 
     The rows are lists reduced mod p and combined in Python ints. The pivot
-    of a column is its first nonzero row at or below the current one, as on
-    the dense path; the rows it clears are each rebuilt by one list
+    of a column is its first nonzero row at or below the current one, swapped
+    into place; the rows it clears are each rebuilt by one list
     comprehension.
     """
     rows = [[x % p for x in row] for row in a.tolist()]
@@ -297,51 +311,61 @@ def _floor_mod(x, p):
 
 
 def _dense_echelon(a, p, reduced):
-    """`_echelon` of `a`, a C-contiguous int64 array that it overwrites: row
-    echelon form with monic pivots, and with `reduced` every pivot column
-    also cleared above its pivot.
+    """`_echelon` of `a`, a C-contiguous int64 array that it overwrites, and
+    its pivot rows: row echelon form with monic pivots, and with `reduced`
+    every pivot column also cleared above its pivot.
 
-    Each column costs one scan of its nonzero rows, which gives both the
-    pivot (the first at or below row r) and the rows to clear (all the
-    others with `reduced`, else those below it). Rows r and below are zero
-    left of the column, so a swap copies and a rank-1 update changes only
-    the columns from it on; a pivot that is already 1 is not scaled. An
-    update leaves its entries in (-(p-1)^2, p), and `_floor_mod` brings them
-    back to [0, p)."""
+    No row is moved. The pivot of a column is its first nonzero row, in
+    input order, that is not yet a pivot row; it clears the other rows that
+    are not, and with `reduced` also the pivot rows. Each column costs one
+    scan of its nonzero rows. A row that is not a pivot row is zero left of
+    the column, so a rank-1 update changes only the columns from it on, and
+    it has been cleared only by pivot rows above it in the input. So each
+    pivot row is independent of the rows above it, every other row depends
+    on them, and the pivot rows are the row rank profile of `a`. A pivot
+    that is already 1 is not scaled. An update leaves its entries in
+    (-(p-1)^2, p), and `_floor_mod` brings them back to [0, p).
+
+    Returns (rref or None, pivot columns, pivot rows), the row of each
+    pivot in the order of the pivots; `a` then holds the echelon form in
+    its pivot rows, which are the rref with `reduced`."""
     _floor_mod(a, p)
     nrows, ncols = a.shape
     pivots: list[int] = []
-    r = 0
+    at: list[int] = []
+    free = np.ones(nrows, dtype=bool)
     for c in range(ncols):
-        if r == nrows:
+        if len(at) == nrows:
             break
-        nz = a[:, c].nonzero()[0].tolist()
-        k = bisect_left(nz, r)
-        if k == len(nz):
+        nz = a[:, c].nonzero()[0]
+        if not len(nz):
             continue
-        piv = nz.pop(k)
+        live = free[nz]
+        k = int(live.argmax())
+        if not live[k]:
+            continue
+        piv = int(nz[k])
         if not reduced:
-            del nz[:k]
+            nz = nz[live][1:]
         row = a[piv, c:]
-        if piv != r:
-            row = row.copy()
-            a[piv, c:] = a[r, c:]
-            a[r, c:] = row
-            row = a[r, c:]
         f = int(row[0])
         if f != 1:
             row *= pow(f, -1, p)
             row %= p
-        if nz:
-            # one index array for the read and the write, not a list each
-            at = np.array(nz)
-            sub = a[at, c:]
+        if len(nz) > (1 if reduced else 0):
+            sub = a[nz, c:]
+            if reduced:
+                # the pivot row is sub[k]: a factor of 0 leaves it as it is
+                sub[k, 0] = 0
             sub -= sub[:, :1] * row
+            if reduced:
+                sub[k, 0] = 1
             _floor_mod(sub, p)
-            a[at, c:] = sub
+            a[nz, c:] = sub
+        free[piv] = False
         pivots.append(c)
-        r += 1
-    return (a[:r] if reduced else None), pivots
+        at.append(piv)
+    return (a[at] if reduced else None), pivots, at
 
 
 def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int, int]:
@@ -416,18 +440,40 @@ def nullspace(a: np.ndarray | Nonzeros, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
     r, pivots = rref(a, p)
     pivot_set = set(pivots)
-    return _kernel_rows(r, pivots, [c for c in range(a.shape[1]) if c not in pivot_set], p)
+    free = [c for c in range(a.shape[1]) if c not in pivot_set]
+    return _kernel_rows(r[:, free], pivots, free, a.shape[1], p)
 
 
-def _kernel_rows(r: np.ndarray, pivots: list[int], free, p: int) -> np.ndarray:
-    """The rows of the kernel basis read from the rref `r` with the given
-    pivot columns, one for each free column F in `free`: 1 at F, -r[:, F] at
-    the pivot columns and 0 elsewhere."""
-    rows = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+def _kernel_rows(r_free: np.ndarray, pivots: list[int], free, ncols: int, p: int) -> np.ndarray:
+    """The rows of the kernel basis of an ncols-column matrix with the given
+    pivot columns, one for each free column F in `free`, read from the
+    columns `free` of its rref (`r_free`, which it negates in place, so that
+    no copy of it is made): 1 at F, -rref[:, F] at the pivot columns and 0
+    elsewhere."""
+    rows = np.zeros((len(free), ncols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     if pivots:
-        rows[:, pivots] = -r[:, free].T % p
+        np.negative(r_free, out=r_free)
+        r_free %= p
+        rows[:, pivots] = r_free.T
     return rows
+
+
+def _back_substitute(e: np.ndarray, pivots: list[int], cols, p: int) -> np.ndarray:
+    """The columns `cols` of the rref of the row echelon form `e`, whose row j
+    is monic at pivots[j] and zero before it. Only those columns are cleared
+    above each pivot, last pivot first, so the pivot columns are read but
+    never updated."""
+    u = e[:, pivots]
+    b = e[:, cols]
+    for j in range(len(pivots) - 1, 0, -1):
+        above = u[:j, j].nonzero()[0]
+        if len(above):
+            sub = b[above]
+            sub -= u[above, j, None] * b[j]
+            _floor_mod(sub, p)
+            b[above] = sub
+    return b
 
 
 class Echelon:

@@ -43,8 +43,9 @@ The rank of every degree-d map is recorded while the resolution is built,
 so homology never ranks a map of a resolution again. It comes from the
 stage that built the map, whose kernel sieve counts the rank of N_d from
 its elimination and its new generators, or from the next stage's kernel of
-it. Map 1 is built by step 1, whose sieve records no rank, so step 2 takes
-a kernel of it in every degree where it is nonzero; a later stage reads the
+it. Map 1 is built by step 1, whose pivot sieve records its rank at the
+degrees of the presentation columns, where it eliminates; step 2 takes a
+kernel of it at the other degrees where it is nonzero. Every stage reads the
 rank its predecessor recorded and takes a kernel only in the degrees where
 that rank leaves room for a new generator. A linear part shares the blocks
 and ranks of every step whose entries are all linear. Only a map no kernel
@@ -57,7 +58,16 @@ one nonzero entry, and eliminates only the rest; over the Koszul fixtures
 of the theorem suites nearly every pivot is structural. Over monomial rings
 the large degree maps are at most a few percent nonzero, so what is left of
 them, and the kernels, take the sparse path of `linalg`, and no array of
-them is made.
+them is made. Over dense rings, at large p most of all, a degree map N_d
+that takes the dense path would be eliminated twice: by its own stage for
+its last entries and by the next stage for its kernel. So a kernel sieve
+with a next stage runs the dense loop once on such an N_d, its rows
+reversed (`_forward_pass`): the pivot rows, the row rank profile, are its
+last entries, and its echelon form goes to the next stage for that degree
+only. There M_d = [N_d | G] with G independent modulo the columns of N_d,
+so ker M_d = ker N_d + 0, and the kept kernel rows are back-substituted
+from the echelon form over the kept free columns alone. Every other map
+goes through the gate of `linalg` as before.
 """
 
 from __future__ import annotations
@@ -77,7 +87,16 @@ from .groebner import (
     shift_runs,
     vector_from_coords,
 )
-from .linalg import Nonzeros, pivot_columns, rank, rref, _kernel_rows
+from .linalg import (
+    Nonzeros,
+    _back_substitute,
+    _dense_echelon,
+    _kernel_rows,
+    _takes_dense_path,
+    pivot_columns,
+    rank,
+    rref,
+)
 from .quotient import GradedModule, QuotientRing, _MAX_NUMERATOR_DEGREE
 
 
@@ -194,8 +213,14 @@ def resolve(module: GradedModule, i_max: int, d_max: int) -> Resolution:
     # its degree maps to the next; row i-1 of ranks collects the degree
     # ranks of map i, laid out as FreeComplex._ranks
     ranks = np.zeros((i_max, max(d_max + 1 - lo, 0)), dtype=np.int64)
-    sieves = [_pivot_sieve(ring.p)]
-    sieves += [_kernel_sieve(ring.p, ranks[i - 1], ranks[i], lo) for i in range(1, i_max)]
+    sieves = [_pivot_sieve(ring.p, ranks[0], lo)]
+    # each kernel sieve but the last hands its dense eliminations on to the
+    # next; step 1 hands on none
+    received: dict = {}
+    for i in range(1, i_max):
+        passed = {} if i + 1 < i_max else None
+        sieves.append(_kernel_sieve(ring.p, ranks[i - 1], ranks[i], lo, received, passed))
+        received = passed
     blocks: list[dict[int, np.ndarray]] = []
     maps = _by_degree(module.shifts, candidates)
     for i, sieve in enumerate(sieves, start=1):
@@ -251,7 +276,7 @@ def _coordinate_shifts(ring, shifts, d):
     return np.repeat([s for s, *_ in runs], [m * high for _s, m, _low, high in runs])
 
 
-def _kernel_sieve(p, in_ranks, own_ranks, lo):
+def _kernel_sieve(p, in_ranks, own_ranks, lo, received, passed):
     """The sieve of a syzygy step: its x is M_d, the degree-d map of the step
     before, and the new generators are basis rows of K_d = ker M_d that lie
     outside R_1 * K_{d-1} (the columns of N_d) plus the rows before them.
@@ -266,35 +291,62 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo):
     and both ranks stay 0.
 
     The kernel is taken only where a generator may be born. The recorded
-    `in_ranks[d - lo]` never exceeds rank M_d: from step 3 on the sieve
-    before wrote it as its own rank, of this very matrix, and where nothing
-    wrote it (step 2, after the `_pivot_sieve`, and the tail maps a stage
-    builds after its `incoming` has ended, which have no rows) it is 0. And
-    R_1 * K_{d-1} lies in K_d, so rank N_d <= dim K_d <= cols - recorded.
-    When the two ends are equal, the recorded rank is the true one and K_d
-    is the span of N_d: there is no new generator, and rank N_d is the
-    count of its last entries.
+    `in_ranks[d - lo]` never exceeds rank M_d: the sieve before wrote it as
+    its own rank, of this very matrix (step 1's `_pivot_sieve` at the
+    degrees where it has presentation columns), and where nothing wrote it
+    (step 2 at the other degrees, and the tail maps a stage builds after its
+    `incoming` has ended, which have no rows) it is 0. And R_1 * K_{d-1}
+    lies in K_d, so rank N_d <= dim K_d <= cols - recorded. When the two
+    ends are equal, the recorded rank is the true one and K_d is the span of
+    N_d: there is no new generator, and rank N_d is the count of its last
+    entries.
+
+    Each dense N_d is eliminated once. Where the sieve has a next stage
+    (`passed` is a dict, not None) and N_d takes the dense path of `linalg`,
+    `_forward_pass` finds its last entries and puts its echelon form in
+    `passed[d]`. The next sieve pops it from its `received` at degree d,
+    used or not. Its M_d is [N_d | G], G the generators that stage added,
+    which are independent modulo the columns of N_d; so ker M_d = ker N_d +
+    0, the pivots of M_d are those of N_d and every column of G, and the
+    kept kernel rows are back-substituted from the handed echelon form over
+    the kept free columns alone. Every other M_d takes its `rref`.
     """
 
     def sieve(mat, x, d):
+        handed = received.pop(d, None)
         if not x.shape[1]:
             return _NO_ROWS
-        spanned = _last_entries(mat, p)
+        if passed is not None and _takes_dense_path(mat):
+            spanned, passed[d] = _forward_pass(mat, p)
+        else:
+            spanned = _last_entries(mat, p)
         if x.shape[1] - in_ranks[d - lo] == spanned.sum():
             # N_d spans K_d
             own_ranks[d - lo] = spanned.sum()
             return _NO_ROWS
-        r, pivots = rref(x, p)
-        in_ranks[d - lo] = len(pivots)
         # The rref kernel basis row of a free column F (`_kernel_rows`) has F
-        # as its last nonzero entry (r[i, F] is 0 unless pivot i comes before
-        # F). It lies in R_1 * K_{d-1} plus the rows before it exactly when F
-        # is the last nonzero entry of a vector of R_1 * K_{d-1}: the choice
-        # an incremental echelon fed the products and then the rows in order
-        # would make. Only the other rows are built.
+        # as its last nonzero entry (the rref is 0 at F in every pivot row
+        # after F). It lies in R_1 * K_{d-1} plus the rows before it exactly
+        # when F is the last nonzero entry of a vector of R_1 * K_{d-1}: the
+        # choice an incremental echelon fed the products and then the rows in
+        # order would make. Only the other rows are built.
         kept = ~spanned
+        if handed is None:
+            r, pivots = rref(x, p)
+            rank_x = len(pivots)
+        else:
+            # the columns of G, all past those of N_d, are pivots of M_d
+            echelon, pivots = handed
+            rank_x = len(pivots) + x.shape[1] - echelon.shape[1]
+            kept[echelon.shape[1] :] = False
         kept[pivots] = False
-        new = _kernel_rows(r, pivots, np.flatnonzero(kept), p)
+        free = np.flatnonzero(kept)
+        if handed is None:
+            r_free = r[:, free]
+        else:
+            r_free = _back_substitute(echelon, pivots, free, p)
+        in_ranks[d - lo] = rank_x
+        new = _kernel_rows(r_free, pivots, free, x.shape[1], p)
         own_ranks[d - lo] = spanned.sum() + len(new)
         return new
 
@@ -317,6 +369,23 @@ def _last_entries(vectors, p):
         reversed_rows = Nonzeros((k, n), vectors.cols, n - 1 - vectors.rows, vectors.values)
         last[n - 1 - np.array(pivot_columns(reversed_rows, p), dtype=np.int64)] = True
     return last
+
+
+def _forward_pass(vectors, p):
+    """`_last_entries` of the `Nonzeros` `vectors`, and the echelon form of
+    `vectors` as a matrix, from one run of the dense loop on its rows in
+    reverse order. Coordinate j is the last entry of a vector of the column
+    span exactly when row j is independent of the rows below it, that is,
+    when row j is a pivot row of the reversed rows. The pivot columns are
+    those of `vectors`, and the pivot rows, in the order of the pivots, are
+    its echelon form, returned as (rows, pivot columns) for
+    `_back_substitute`."""
+    n, k = vectors.shape
+    a = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values).toarray()
+    _r, pivots, at = _dense_echelon(a, p, False)
+    last = np.zeros(n, dtype=bool)
+    last[n - 1 - np.array(at, dtype=np.int64)] = True
+    return last, (a[at], pivots)
 
 
 # ------------------------------------------------------------- Betti tables

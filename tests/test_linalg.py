@@ -351,7 +351,90 @@ def test_dense_loop_is_exact_near_the_largest_modulus(p, kind, m, n, seed):
     assert len(pivots) == rank_mod_p(a.tolist(), p)
     got = linalg._dense_echelon(a.copy(), p, True)
     assert got[1] == pivots and got[0].tolist() == want.tolist()
-    assert linalg._dense_echelon(a.copy(), p, False) == (None, pivots)
+    assert linalg._dense_echelon(a.copy(), p, False)[:2] == (None, pivots)
+
+
+@st.composite
+def _profile_matrices(draw):
+    """(p, a, swapped): matrices with dependent rows: random rows with leading
+    zero columns, scaled copies and sums of earlier rows, in random order.
+    With `swapped` the first three rows are v (0, then a unit), a scaled
+    copy of v and a row with a unit in column 0. A loop that swaps its pivot
+    row into place moves v behind the copy at column 0 and makes the copy a
+    pivot row at column 1, where the row rank profile has v."""
+    p = draw(st.sampled_from([2, 3, 32003, 2147483647]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m, n = draw(st.integers(1, 14)), draw(st.integers(2, 14))
+    swapped = draw(st.booleans())
+    base = rng.integers(0, p, size=(m, n)) * (np.arange(n) >= rng.integers(0, n, size=(m, 1)))
+    rows = []
+    for row in base:
+        kind = rng.integers(3) if rows else 0
+        if kind == 1:
+            row = rows[rng.integers(len(rows))] * rng.integers(0, p) % p
+        elif kind == 2:
+            row = (rows[rng.integers(len(rows))] + rows[rng.integers(len(rows))]) % p
+        rows.append(row)
+    a = np.array(rows)[rng.permutation(m)]
+    if swapped:
+        v, w = rng.integers(0, p, size=(2, n))
+        v[0], v[1], w[0] = 0, rng.integers(1, p), rng.integers(1, p)
+        a = np.concatenate(([v, v * rng.integers(1, p) % p, w], a))
+    return p, a, swapped
+
+
+def _swapping_pivot_rows(a, p):
+    """The input rows that a loop which swaps each pivot row into place (the
+    first nonzero row at or below the current one, as `_small_echelon` takes
+    it) makes its pivot rows, sorted."""
+    rows = [([x % p for x in row], i) for i, row in enumerate(a.tolist())]
+    got, r = [], 0
+    for c in range(a.shape[1]):
+        piv = next((k for k in range(r, len(rows)) if rows[k][0][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top, i = rows[r]
+        inv = pow(top[c], -1, p)
+        for k in range(r + 1, len(rows)):
+            if f := rows[k][0][c] * inv % p:
+                rows[k] = ([(x - f * y) % p for x, y in zip(rows[k][0], top)], rows[k][1])
+        got.append(i)
+        r += 1
+    return sorted(got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_profile_matrices())
+def test_dense_pivot_rows_are_the_row_rank_profile(inputs):
+    p, a, swapped = inputs
+    rows = (a % p).tolist()
+    echelon = a.copy()
+    _r, pivots, at = linalg._dense_echelon(echelon, p, False)
+    assert len(at) == len(pivots) == len(set(at))
+    # the pivot rows left in the array, back-substituted over every column,
+    # are the rref
+    rref_rows = linalg._small_echelon(a, p, True)[0]
+    every = list(range(a.shape[1]))
+    assert linalg._back_substitute(echelon[at], pivots, every, p).tolist() == rref_rows.tolist()
+    # a pivot row is independent of the rows before it; every other row
+    # depends on them, so on the pivot rows before it
+    for i in range(len(rows)):
+        assert (i in at) == (rank_mod_p(rows[: i + 1], p) > rank_mod_p(rows[:i], p)), i
+    if swapped:
+        assert _swapping_pivot_rows(a, p) != sorted(at)
+    # the pivots and rref of the small path, the same pivot rows with `reduced`
+    for reduced in (True, False):
+        got = linalg._dense_echelon(a.copy(), p, reduced)
+        want = linalg._small_echelon(a, p, reduced)
+        assert got[1] == want[1] and got[2] == at
+        if reduced:
+            assert got[0].tolist() == want[0].tolist()
+    # with the rows reversed, the pivot rows are the last entries of the
+    # column span
+    n = a.shape[0]
+    last = linalg._dense_echelon(a[::-1].copy(), p, False)[2]
+    assert sorted(n - 1 - i for i in last) == np.flatnonzero(_last_entries(_nonzeros(a), p)).tolist()
 
 
 def _assert_paths(monkeypatch, cases):

@@ -772,10 +772,10 @@ def test_recorded_ranks_edge_cases(ci2):
     assert _assert_recorded_ranks(resolve(residue_field_module(ring4), 5, 6)) == [3, 4, 5]
 
 
-def _reference_kernel_sieve(p, in_ranks, own_ranks, lo):
-    """`resolution._kernel_sieve` without the recorded-rank test: a kernel
-    basis of M_d at every degree where M_d has columns, sieved against the
-    last entries of R_1 * K_{d-1}."""
+def _reference_kernel_sieve(p, in_ranks, own_ranks, lo, _received, _passed):
+    """`resolution._kernel_sieve` without the recorded-rank test and without
+    the hand-off of dense eliminations: a kernel basis of M_d at every degree
+    where M_d has columns, sieved against the last entries of R_1 * K_{d-1}."""
 
     def sieve(mat, x, d):
         if not x.shape[1]:
@@ -821,25 +821,41 @@ def test_kernel_sieve_matches_the_sieve_that_ranks_every_map(ring_name, p, i_max
 
 
 def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, monkeypatch):
-    # from step 3 on, a kernel sieve reads the rank of M_d that the sieve
-    # before it recorded; where R_1 * K_{d-1} already has dim K_d no kernel
-    # is taken. Step 2 has no recorded rank (step 1 keeps presentation
-    # columns) and takes a kernel wherever M_d is nonzero.
+    # a kernel sieve reads the rank of M_d that the sieve before it
+    # recorded; where R_1 * K_{d-1} already has dim K_d no kernel is taken.
+    # Step 1 records the rank of map 1 at the degrees of its presentation
+    # columns, where its pivot sieve eliminates; at the other degrees step 2
+    # has no recorded rank and takes a kernel wherever M_d is nonzero.
     kernels = []  # (step, d, new generators) of every kernel taken
     steps = []
+    recorded = set()  # degrees where step 1 recorded a rank
     taken = []
-    # the sieve takes a kernel as the rref of M_d
-    kernel_rref = resolution_mod.rref
+    make_pivot_sieve = resolution_mod._pivot_sieve
     make_sieve = resolution_mod._kernel_sieve
 
-    def counted(x, p):
-        taken.append(x.shape)
-        return kernel_rref(x, p)
+    # the sieve takes a kernel as the rref of M_d, or from the echelon form
+    # of N_d that a dense elimination of the step before handed on
+    def counted(fn):
+        def wrapper(*args):
+            taken.append(fn.__name__)
+            return fn(*args)
 
-    def traced_sieve(p, in_ranks, own_ranks, lo):
+        return wrapper
+
+    def traced_pivot_sieve(p, ranks, lo):
+        inner = make_pivot_sieve(p, ranks, lo)
+
+        def sieve(mat, rows, d):
+            if len(rows):
+                recorded.add(d)
+            return inner(mat, rows, d)
+
+        return sieve
+
+    def traced_sieve(p, in_ranks, own_ranks, lo, received, passed):
         step = len(steps) + 2
         steps.append(step)
-        inner = make_sieve(p, in_ranks, own_ranks, lo)
+        inner = make_sieve(p, in_ranks, own_ranks, lo, received, passed)
 
         def sieve(mat, x, d):
             before = len(taken)
@@ -850,17 +866,108 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
 
         return sieve
 
-    monkeypatch.setattr(resolution_mod, "rref", counted)
+    monkeypatch.setattr(resolution_mod, "rref", counted(resolution_mod.rref))
+    monkeypatch.setattr(
+        resolution_mod, "_back_substitute", counted(resolution_mod._back_substitute)
+    )
+    monkeypatch.setattr(resolution_mod, "_pivot_sieve", traced_pivot_sieve)
     monkeypatch.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
     counts = []
     for ring, bounds in ((ci2, (5, 8)), (crv26, (6, 8))):
         kernels.clear()
         steps.clear()
+        recorded.clear()
         resolve(residue_field_module(ring), *bounds)
         counts.append(len(kernels))
-        assert all(new for step, _d, new in kernels if step >= 3), kernels
+        assert recorded
+        assert all(new for step, d, new in kernels if step >= 3 or d in recorded), kernels
     # the sieve that takes every kernel makes 12 and 30 calls
-    assert counts == [5, 12]
+    assert counts == [4, 11]
+
+
+def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
+    # k over four dense quadrics in k[a,b,c,d] at p = 2^31 - 1: many degree
+    # maps take the dense path. A kernel sieve with a next stage eliminates
+    # a dense N_d once, its rows reversed, for its last entries; the next
+    # stage reads the kernel of its M_d = [N_d | G] off that echelon form,
+    # so no rref of M_d is taken there and no other dense elimination sees
+    # N_d. The rows and ranks are those of the sieve that takes every kernel.
+    p, i_max, d_max = 2147483647, 5, 5
+    rng = random.Random("dense-once")
+    s, _ = polynomial_ring(p, "abcd")
+    quadrics = [
+        s.from_dict({m: rng.randrange(1, p) for m in monomials_of_degree(4, 2)})
+        for _ in range(4)
+    ]
+    ring = make_ring(s, quadrics)
+    eliminated = []  # the input of every dense elimination
+    dense = linalg_mod._dense_echelon
+
+    def counted_dense(a, p, reduced):
+        eliminated.append(a % p)
+        return dense(a, p, reduced)
+
+    calls = []  # (step, d, N_d, G, how its kernel was taken)
+    taken = []
+
+    def counted(fn):
+        def wrapper(*args):
+            taken.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    make_sieve = resolution_mod._kernel_sieve
+    made = []
+
+    def traced_sieve(p, in_ranks, own_ranks, lo, received, passed):
+        step = len(made) + 2
+        made.append(step)
+        inner = make_sieve(p, in_ranks, own_ranks, lo, received, passed)
+
+        def sieve(mat, x, d):
+            before = len(taken)
+            new = inner(mat, x, d)
+            calls.append((step, d, mat, new, taken[before:]))
+            return new
+
+        return sieve
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "_dense_echelon", counted_dense)
+        mp.setattr(resolution_mod, "_dense_echelon", counted_dense)
+        mp.setattr(resolution_mod, "rref", counted(resolution_mod.rref))
+        mp.setattr(resolution_mod, "_back_substitute", counted(resolution_mod._back_substitute))
+        mp.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
+        res = resolve(residue_field_module(ring), i_max, d_max)
+    kernel_of = {(step, d): how for step, d, _mat, _new, how in calls}
+    handed = 0
+    for step, d, mat, new, _how in calls:
+        if step == i_max or not linalg_mod._takes_dense_path(mat):
+            continue
+        n, k = mat.shape
+        rows = sorted(map(tuple, mat.toarray().tolist()))
+        seen = [
+            a
+            for a in eliminated
+            if a.shape[0] == n
+            and a.shape[1] in (k, k + len(new))
+            and sorted(map(tuple, a[:, :k].tolist())) == rows
+        ]
+        assert len(seen) == 1, (step, d)
+        # where the next stage takes a kernel of [N_d | G], it is the hand-off
+        assert "rref" not in kernel_of[step + 1, d], (step, d)
+        handed += kernel_of[step + 1, d] == ["_back_substitute"]
+    assert handed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution_mod, "_kernel_sieve", _reference_kernel_sieve)
+        ref = resolve(residue_field_module(ring), i_max, d_max)
+    assert res.free_shifts == ref.free_shifts
+    for got, want in zip(res.blocks, ref.blocks, strict=True):
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[d], want[d]) for d in got)
+    assert all(np.array_equal(res._ranks[i], ref._ranks[i]) for i in ref._ranks)
+    _assert_recorded_ranks(res)
 
 
 def test_degree_maps_over_a_monomial_ring_stay_sparse():
