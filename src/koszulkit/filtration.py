@@ -27,7 +27,7 @@ F_p^n nor passes over uncounted lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb, prod
 
 import numpy as np
@@ -673,19 +673,23 @@ def check_fitzgerald(ring: QuotientRing, max_forms: int = 5000) -> FitzgeraldChe
         raise BudgetExceededError(
             f"{count} projective forms exceed the budget of {max_forms}"
         )
-    reps = projective_representatives(n, p)
     dim2 = ring.dim_piece(2)
-    for vec in reps:
-        if _form_products(ring, [vec], 2).any():
-            return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", len(reps))
-        linear_ok, ann1 = _linear_colon(
-            ring, LinearIdeal.zero(), vec, LinearIdeal.from_vectors([vec], n, p)
-        )
-        if not linear_ok:
-            return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", len(reps))
-        if _span_rank(ring, ann1.rows, 1) != dim2:
-            return FitzgeraldCheck(False, vec, "ann(l)_1 * R_1 != R_2", len(reps))
-    return FitzgeraldCheck(True, None, None, len(reps))
+    # The lines are taken in batches of 1024, so that a ring that fails early
+    # builds no list of all `count` of them; resuming the recursive generator
+    # of `_lines` between two checks costs more than taking a batch at once.
+    lines = _lines(LinearIdeal.full(n), LinearIdeal.zero(), p)
+    for batch in iter(lambda: list(islice(lines, 1024)), []):
+        for vec in batch:
+            if _form_products(ring, [vec], 2).any():
+                return FitzgeraldCheck(False, vec, "R_2 not contained in ann(l)", count)
+            linear_ok, ann1 = _linear_colon(
+                ring, LinearIdeal.zero(), vec, LinearIdeal.from_vectors([vec], n, p)
+            )
+            if not linear_ok:
+                return FitzgeraldCheck(False, vec, "ann(l) not generated by linear forms", count)
+            if _span_rank(ring, ann1.rows, 1) != dim2:
+                return FitzgeraldCheck(False, vec, "ann(l)_1 * R_1 != R_2", count)
+    return FitzgeraldCheck(True, None, None, count)
 
 
 def all_linear_ideals_filtration(

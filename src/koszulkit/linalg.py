@@ -36,13 +36,10 @@ four times as fast as x % p. It moves no row: the pivot of each column is
 the first row in input order that is not yet a pivot row, so it also
 returns its pivot rows, the row rank profile of the matrix, together with
 its pivot columns, the column rank profile (Dumas, Pernet and Sultan,
-ISSAC 2013). The resolution engine reads both from one forward pass, and
-reads kernel rows off the echelon form it leaves by `_back_substitute`
-over the wanted columns alone. `_takes_dense_path` is the gate's test for
-this path, which the engine asks too. Only the small and dense paths build
-an array from a `Nonzeros`. All three make every pivot 1, and the pivot
-columns and the rref of a matrix are unique, so the three paths, and the
-two forms, give identical results.
+ISSAC 2013). `_takes_dense_path` is the gate's test for this path. Only
+the small and dense paths build an array from a `Nonzeros`. All three make
+every pivot 1, and the pivot columns and the rref of a matrix are unique,
+so the three paths, and the two forms, give identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
@@ -56,6 +53,19 @@ pass of the `suites` benchmark, 7,687 of the 7,695 pivots that
 `pivot_columns` finds past the small path are structural. `rref` and
 `nullspace` go to the gate at once, as few of the pivots of their matrices
 are (361 of 3,551 in that pass).
+
+The kernel sieves of the resolution engine eliminate through two private
+helpers, so that the choice of path is made here alone. `_last_entries`
+marks the coordinates that are the last nonzero entry of a vector in the
+column span of a degree map: the pivot columns of its reversed transpose,
+structural pass included, or, where the caller keeps the echelon form and
+the map takes the dense path, the pivot rows of one run of the dense loop
+on its reversed rows, their echelon form kept for the next step. The one
+routine that builds kernel rows is `_kernel_rows`, for `nullspace` (every
+free column) and for the sieves (the free columns they keep): it reads
+them off `rref`, or back-substitutes a kept echelon form over the wanted
+columns alone (`_back_substitute`), so each dense degree map is eliminated
+once.
 """
 
 from __future__ import annotations
@@ -438,25 +448,67 @@ def rank(a: np.ndarray | Nonzeros, p: int) -> int:
 
 def nullspace(a: np.ndarray | Nonzeros, p: int) -> np.ndarray:
     """Basis of {v : a @ v = 0 mod p}, rows of the result, canonical from rref."""
-    r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.shape[1]) if c not in pivot_set]
-    return _kernel_rows(r[:, free], pivots, free, a.shape[1], p)
+    return _kernel_rows(a, p)[0]
 
 
-def _kernel_rows(r_free: np.ndarray, pivots: list[int], free, ncols: int, p: int) -> np.ndarray:
-    """The rows of the kernel basis of an ncols-column matrix with the given
-    pivot columns, one for each free column F in `free`, read from the
-    columns `free` of its rref (`r_free`, which it negates in place, so that
-    no copy of it is made): 1 at F, -rref[:, F] at the pivot columns and 0
-    elsewhere."""
+def _kernel_rows(a, p, wanted=None, echelon=None):
+    """(rows, rank of `a`): the rows of the rref kernel basis of `a`, one for
+    each free column F in the mask `wanted` (for every free column where it
+    is None), 1 at F, -rref[:, F] at the pivot columns and 0 elsewhere.
+
+    The rref is that of `a`, or, where `echelon` is given, the echelon form
+    (rows, pivot columns) of the leading columns of `a` that `_last_entries`
+    keeps: the later columns must be independent modulo those, so they are
+    pivots, and only the wanted free columns are back-substituted.
+
+    `nullspace` asks for every free column by None: the certificate checks
+    take hundreds of kernels of small matrices, whose free columns cost less
+    to list than to mask."""
+    ncols = a.shape[1]
+    r, pivots = rref(a, p) if echelon is None else echelon
+    # the columns past those of r are pivots
+    if wanted is None:
+        pivot_set = set(pivots)
+        free = [c for c in range(r.shape[1]) if c not in pivot_set]
+    else:
+        free = wanted[: r.shape[1]].copy()
+        free[pivots] = False
+        free = free.nonzero()[0]
+    r_free = r[:, free] if echelon is None else _back_substitute(r, pivots, free, p)
     rows = np.zeros((len(free), ncols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     if pivots:
+        # the columns are a copy: negate them in place
         np.negative(r_free, out=r_free)
         r_free %= p
         rows[:, pivots] = r_free.T
-    return rows
+    return rows, len(pivots) + ncols - r.shape[1]
+
+
+def _last_entries(vectors, p, keep=False):
+    """(mask, echelon or None): the mask of the coordinates that are the last
+    nonzero entry of some vector in the span of the columns of the
+    `Nonzeros` `vectors`, their row rank profile read from the bottom.
+
+    Coordinate j is such an entry exactly when row j is independent of the
+    rows below it. With `keep`, where `vectors` takes the dense path, one
+    run of the dense loop on its rows in reverse order finds those rows as
+    its pivot rows, and its echelon form of `vectors`, (pivot rows, pivot
+    columns), is returned for `_kernel_rows`. Otherwise the mask is read
+    from the pivot columns of the reversed transpose, whose nonzeros are
+    those of `vectors` with the roles swapped, structural pivots first, and
+    no echelon form is returned."""
+    n, k = vectors.shape
+    last = np.zeros(n, dtype=bool)
+    if keep and _takes_dense_path(vectors):
+        a = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values).toarray()
+        _r, pivots, at = _dense_echelon(a, p, False)
+        last[n - 1 - np.array(at, dtype=np.int64)] = True
+        return last, (a[at], pivots)
+    if k:
+        reversed_rows = Nonzeros((k, n), vectors.cols, n - 1 - vectors.rows, vectors.values)
+        last[n - 1 - np.array(pivot_columns(reversed_rows, p), dtype=np.int64)] = True
+    return last, None
 
 
 def _back_substitute(e: np.ndarray, pivots: list[int], cols, p: int) -> np.ndarray:

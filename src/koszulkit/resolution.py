@@ -29,15 +29,14 @@ that. `resolve` stops when the last stage ends, and the ranks of the degrees
 it did not reach are 0. Over an Artinian ring the work is thus bounded by
 its socle degree, not by d_max; other rings run to d_max.
 
-The degree maps N_d are sparse: each is a `linalg.Nonzeros`, its shape
-and nonzero entries, built from the nonzeros of N_{d-1} and handed as such
-to every elimination. A differential is stored dense, as the engine's
-sieves return it: for each internal degree d, one int64 matrix whose rows
-are the step's degree-d generators as coordinate vectors of the degree-d
-piece of the target free module, in the order the sieve keeps them.
-`FreeModuleVector` columns are built from those rows only when
-`differential(i)` is asked for; Betti tables, linear parts and homology
-read the matrices.
+The degree maps N_d are sparse: each is kept as its shape and nonzero
+entries, built from the nonzeros of N_{d-1} and handed as such to every
+elimination. A differential is stored dense, as the engine's sieves return
+it: for each internal degree d, one int64 matrix whose rows are the step's
+degree-d generators as coordinate vectors of the degree-d piece of the
+target free module, in the order the sieve keeps them. `FreeModuleVector`
+columns are built from those rows only when `differential(i)` is asked for;
+Betti tables, linear parts and homology read the matrices.
 
 The rank of every degree-d map is recorded while the resolution is built,
 so homology never ranks a map of a resolution again. It comes from the
@@ -52,22 +51,13 @@ and ranks of every step whose entries are all linear. Only a map no kernel
 sieve ranked (map 1 when i_max = 1, or a linear-part step that drops a
 nonzero entry) is rebuilt and ranked, once, on the first homology query.
 
-The sieve's `_last_entries` takes the pivot columns of a degree map, so
-`linalg` first takes its structural pivots, the columns of its rows with
-one nonzero entry, and eliminates only the rest; over the Koszul fixtures
-of the theorem suites nearly every pivot is structural. Over monomial rings
-the large degree maps are at most a few percent nonzero, so what is left of
-them, and the kernels, take the sparse path of `linalg`, and no array of
-them is made. Over dense rings, at large p most of all, a degree map N_d
-that takes the dense path would be eliminated twice: by its own stage for
-its last entries and by the next stage for its kernel. So a kernel sieve
-with a next stage runs the dense loop once on such an N_d, its rows
-reversed (`_forward_pass`): the pivot rows, the row rank profile, are its
-last entries, and its echelon form goes to the next stage for that degree
-only. There M_d = [N_d | G] with G independent modulo the columns of N_d,
-so ker M_d = ker N_d + 0, and the kept kernel rows are back-substituted
-from the echelon form over the kept free columns alone. Every other map
-goes through the gate of `linalg` as before.
+Over monomial rings the large degree maps are at most a few percent
+nonzero, so they take the sparse path of `linalg`, and no array of them is
+made. How a map is eliminated is for `linalg` to choose: a kernel sieve
+asks `linalg._last_entries` for the last entries of N_d and
+`linalg._kernel_rows` for the kernel rows of M_d, and the echelon form that
+the first keeps of a dense N_d goes on to the second at the next stage, so
+that each dense degree map is eliminated once.
 """
 
 from __future__ import annotations
@@ -87,16 +77,7 @@ from .groebner import (
     shift_runs,
     vector_from_coords,
 )
-from .linalg import (
-    Nonzeros,
-    _back_substitute,
-    _dense_echelon,
-    _kernel_rows,
-    _takes_dense_path,
-    pivot_columns,
-    rank,
-    rref,
-)
+from .linalg import _kernel_rows, _last_entries, rank
 from .quotient import GradedModule, QuotientRing, _MAX_NUMERATOR_DEGREE
 
 
@@ -302,51 +283,31 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo, received, passed):
     entries.
 
     Each dense N_d is eliminated once. Where the sieve has a next stage
-    (`passed` is a dict, not None) and N_d takes the dense path of `linalg`,
-    `_forward_pass` finds its last entries and puts its echelon form in
-    `passed[d]`. The next sieve pops it from its `received` at degree d,
-    used or not. Its M_d is [N_d | G], G the generators that stage added,
-    which are independent modulo the columns of N_d; so ker M_d = ker N_d +
-    0, the pivots of M_d are those of N_d and every column of G, and the
-    kept kernel rows are back-substituted from the handed echelon form over
-    the kept free columns alone. Every other M_d takes its `rref`.
+    (`passed` is a dict, not None), `linalg._last_entries` may keep the
+    echelon form of N_d; it goes in `passed[d]`, and the next sieve pops it
+    from its `received` at degree d, used or not, for `linalg._kernel_rows`.
+    There M_d = [N_d | G], G the generators that stage added, which are
+    independent modulo the columns of N_d, as `_kernel_rows` asks.
     """
 
     def sieve(mat, x, d):
         handed = received.pop(d, None)
         if not x.shape[1]:
             return _NO_ROWS
-        if passed is not None and _takes_dense_path(mat):
-            spanned, passed[d] = _forward_pass(mat, p)
-        else:
-            spanned = _last_entries(mat, p)
+        spanned, echelon = _last_entries(mat, p, passed is not None)
+        if echelon is not None:
+            passed[d] = echelon
         if x.shape[1] - in_ranks[d - lo] == spanned.sum():
             # N_d spans K_d
             own_ranks[d - lo] = spanned.sum()
             return _NO_ROWS
-        # The rref kernel basis row of a free column F (`_kernel_rows`) has F
-        # as its last nonzero entry (the rref is 0 at F in every pivot row
-        # after F). It lies in R_1 * K_{d-1} plus the rows before it exactly
-        # when F is the last nonzero entry of a vector of R_1 * K_{d-1}: the
-        # choice an incremental echelon fed the products and then the rows in
-        # order would make. Only the other rows are built.
-        kept = ~spanned
-        if handed is None:
-            r, pivots = rref(x, p)
-            rank_x = len(pivots)
-        else:
-            # the columns of G, all past those of N_d, are pivots of M_d
-            echelon, pivots = handed
-            rank_x = len(pivots) + x.shape[1] - echelon.shape[1]
-            kept[echelon.shape[1] :] = False
-        kept[pivots] = False
-        free = np.flatnonzero(kept)
-        if handed is None:
-            r_free = r[:, free]
-        else:
-            r_free = _back_substitute(echelon, pivots, free, p)
-        in_ranks[d - lo] = rank_x
-        new = _kernel_rows(r_free, pivots, free, x.shape[1], p)
+        # The kernel basis row of a free column F (`_kernel_rows`) has F as
+        # its last nonzero entry (the reduced echelon form is 0 at F in every
+        # pivot row after F). It lies in R_1 * K_{d-1} plus the rows before
+        # it exactly when F is the last nonzero entry of a vector of
+        # R_1 * K_{d-1}: the choice an incremental echelon fed the products
+        # and then the rows in order would make. Only the other rows are built.
+        new, in_ranks[d - lo] = _kernel_rows(x, p, ~spanned, handed)
         own_ranks[d - lo] = spanned.sum() + len(new)
         return new
 
@@ -356,36 +317,6 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo, received, passed):
 def _keep_all(_mat, rows, _d):
     """The sieve of a rebuilt step: every stored row is a generator."""
     return rows
-
-
-def _last_entries(vectors, p):
-    """Mask of the coordinates that are the last nonzero entry of some vector
-    in the span of the columns of the `Nonzeros` `vectors`: the pivot columns
-    of the vectors as rows, with the coordinates reversed, whose nonzeros are
-    those of `vectors` with the roles swapped."""
-    n, k = vectors.shape
-    last = np.zeros(n, dtype=bool)
-    if k:
-        reversed_rows = Nonzeros((k, n), vectors.cols, n - 1 - vectors.rows, vectors.values)
-        last[n - 1 - np.array(pivot_columns(reversed_rows, p), dtype=np.int64)] = True
-    return last
-
-
-def _forward_pass(vectors, p):
-    """`_last_entries` of the `Nonzeros` `vectors`, and the echelon form of
-    `vectors` as a matrix, from one run of the dense loop on its rows in
-    reverse order. Coordinate j is the last entry of a vector of the column
-    span exactly when row j is independent of the rows below it, that is,
-    when row j is a pivot row of the reversed rows. The pivot columns are
-    those of `vectors`, and the pivot rows, in the order of the pivots, are
-    its echelon form, returned as (rows, pivot columns) for
-    `_back_substitute`."""
-    n, k = vectors.shape
-    a = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values).toarray()
-    _r, pivots, at = _dense_echelon(a, p, False)
-    last = np.zeros(n, dtype=bool)
-    last[n - 1 - np.array(at, dtype=np.int64)] = True
-    return last, (a[at], pivots)
 
 
 # ------------------------------------------------------------- Betti tables

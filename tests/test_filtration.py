@@ -3,6 +3,7 @@ the Fitzgerald condition, reductions and their verifiers."""
 
 import json
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -1165,6 +1166,21 @@ def test_fitzgerald_clauses_and_witnesses(monkeypatch):
     assert check_fitzgerald(_named_ring("ci2", 3)) == FitzgeraldCheck(
         False, (0, 1), "ann(l)_1 * R_1 != R_2", 4
     )
+
+
+def test_fitzgerald_takes_its_lines_one_at_a_time():
+    # F_999983[x,y]/(x^2, xy) fails at its first line, y (y * y^2 != 0); a
+    # list of all 999,984 lines made before the first test held about 100 MB
+    s, (x, y) = polynomial_ring(999983, "xy")
+    ring = make_ring(s, [x * x, x * y])
+    tracemalloc.start()
+    try:
+        got = check_fitzgerald(ring, max_forms=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == FitzgeraldCheck(False, (0, 1), "R_2 not contained in ann(l)", 999984)
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.mark.parametrize("name,p", _CHECK_RINGS + [("ring4", 32003), ("random", 0)])

@@ -6,8 +6,16 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from koszulkit import linalg
-from koszulkit.linalg import Echelon, Nonzeros, matmul_mod, nullspace, pivot_columns, rank, rref
-from koszulkit.resolution import _last_entries
+from koszulkit.linalg import (
+    Echelon,
+    Nonzeros,
+    _last_entries,
+    matmul_mod,
+    nullspace,
+    pivot_columns,
+    rank,
+    rref,
+)
 from oracles import rank_mod_p
 
 
@@ -269,17 +277,20 @@ _FORCED_PATHS = {
 }
 
 
+def _forced(path, fn, *args):
+    """fn(*args) with every matrix sent to the named path."""
+    small_max, sparse_min, sparse_density = _FORCED_PATHS[path]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_SMALL_MAX_ENTRIES", small_max)
+        mp.setattr(linalg, "_SPARSE_MIN_ENTRIES", sparse_min)
+        mp.setattr(linalg, "_SPARSE_MAX_DENSITY", sparse_density)
+        return fn(*args)
+
+
 def _all_paths(fn, *args):
     """fn(*args) with every matrix sent to the small, the sparse and the dense
     path in turn."""
-    out = []
-    for small_max, sparse_min, sparse_density in _FORCED_PATHS.values():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_SMALL_MAX_ENTRIES", small_max)
-            mp.setattr(linalg, "_SPARSE_MIN_ENTRIES", sparse_min)
-            mp.setattr(linalg, "_SPARSE_MAX_DENSITY", sparse_density)
-            out.append(fn(*args))
-    return out
+    return [_forced(path, fn, *args) for path in _FORCED_PATHS]
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +324,7 @@ def test_sparse_and_dense_elimination_agree(inputs):
             results = [r.tolist() for r in results]
         assert results[1:] == results[:-1]
     last = _all_paths(_last_entries, nonzeros, p) + [_last_entries(nonzeros, p)]
-    last = [x.tolist() for x in last]
+    last = [x[0].tolist() for x in last]
     assert last[1:] == last[:-1]
     # the last nonzero entries of the column span are the pivots of the
     # reversed transpose
@@ -434,7 +445,93 @@ def test_dense_pivot_rows_are_the_row_rank_profile(inputs):
     # column span
     n = a.shape[0]
     last = linalg._dense_echelon(a[::-1].copy(), p, False)[2]
-    assert sorted(n - 1 - i for i in last) == np.flatnonzero(_last_entries(_nonzeros(a), p)).tolist()
+    assert sorted(n - 1 - i for i in last) == np.flatnonzero(_last_entries(_nonzeros(a), p)[0]).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gate_matrices(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32))
+def test_kernel_rows_are_the_wanted_nullspace_rows(inputs, share, seed):
+    # the one kernel routine, on each path and through the default gate,
+    # fed the array and its nonzeros: the nullspace rows of the wanted free
+    # columns, in order, and the rank of the matrix
+    p, a = inputs
+    wanted = np.random.default_rng(seed).random(a.shape[1]) < share
+    asked = wanted.copy()
+    pivots = set(rref(a, p)[1])
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = nullspace(a, p)
+    want = [row for row, c in zip(basis.tolist(), free) if wanted[c]]
+    for form in (a, _nonzeros(a)):
+        got = _all_paths(linalg._kernel_rows, form, p, wanted)
+        for rows, rank_a in got + [linalg._kernel_rows(form, p, wanted)]:
+            assert rows.shape == (len(want), a.shape[1])
+            assert rows.tolist() == want
+            assert rank_a == rank(a, p) == rank_mod_p((a % p).tolist(), p)
+    assert np.array_equal(wanted, asked)
+    # the rows lie in the kernel and are independent
+    assert not matmul_mod(a % p, basis.T, p).any()
+    assert rank(basis, p) == len(basis) == a.shape[1] - len(pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _gate_matrices(),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(0, 2**32),
+)
+@example((32003, np.arange(30, dtype=np.int64).reshape(10, 3)), 3, 0.5, 7)
+@example((2, np.eye(12, 5, dtype=np.int64)), 3, 1.0, 0)
+def test_kernel_rows_from_a_kept_echelon_form(inputs, extra, share, seed):
+    # M = [N | G] with G independent modulo the columns of N: the kernel
+    # rows back-substituted from the echelon form that `_last_entries` keeps
+    # of N, on the dense path, are those read off the rref of M
+    p, n_mat = inputs
+    rng = np.random.default_rng(seed)
+    m = n_mat.copy()
+    for _ in range(extra):
+        column = rng.integers(0, p, size=(len(m), 1))
+        if rank(np.concatenate((m, column), axis=1), p) > rank(m, p):
+            m = np.concatenate((m, column), axis=1)
+    wanted = rng.random(m.shape[1]) < share
+    mask, echelon = _forced("dense", _last_entries, _nonzeros(n_mat), p, True)
+    assert echelon is not None
+    assert mask.tolist() == _last_entries(_nonzeros(n_mat), p)[0].tolist()
+    want_rows, want_rank = linalg._kernel_rows(m, p, wanted)
+    for form in (m, _nonzeros(m)):
+        rows, rank_m = linalg._kernel_rows(form, p, wanted, echelon)
+        assert rows.tolist() == want_rows.tolist()
+        assert rank_m == want_rank
+        for path in _FORCED_PATHS:
+            rows, rank_m = _forced(path, linalg._kernel_rows, form, p, wanted)
+            assert rows.tolist() == want_rows.tolist()
+            assert rank_m == want_rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gate_matrices())
+def test_last_entries_keep_only_the_dense_echelon_form(inputs):
+    # keeping the echelon form changes no mask; one is kept exactly where the
+    # matrix takes the dense path
+    p, a = inputs
+    vectors = _nonzeros(a)
+    want = _last_entries(vectors, p)
+    assert want[1] is None
+    for path in _FORCED_PATHS:
+        for keep in (False, True):
+            mask, echelon = _forced(path, _last_entries, vectors, p, keep)
+            assert mask.tolist() == want[0].tolist()
+            assert (echelon is not None) == (keep and path == "dense")
+    mask, echelon = _last_entries(vectors, p, True)
+    assert mask.tolist() == want[0].tolist()
+    assert (echelon is not None) == linalg._takes_dense_path(vectors)
+    if echelon is not None:
+        # the kept rows and pivots are an echelon form of `a`: back-substituted
+        # over every column, they are its rref
+        rows, pivots = echelon
+        every = list(range(a.shape[1]))
+        got = linalg._back_substitute(rows, pivots, every, p)
+        assert (got.tolist(), pivots) == (rref(a, p)[0].tolist(), rref(a, p)[1])
 
 
 def _assert_paths(monkeypatch, cases):
@@ -575,5 +672,5 @@ def test_structural_pivots_match_elimination(inputs):
                 assert pivot_columns(form, p) == want
                 assert rank(form, p) == len(want)
     # the columns of a[:, ::-1].T have a as their reversed transpose
-    last = _last_entries(_nonzeros(a[:, ::-1].T), p)
+    last = _last_entries(_nonzeros(a[:, ::-1].T), p)[0]
     assert np.flatnonzero(last).tolist() == sorted(a.shape[1] - 1 - c for c in want)

@@ -780,7 +780,7 @@ def _reference_kernel_sieve(p, in_ranks, own_ranks, lo, _received, _passed):
     def sieve(mat, x, d):
         if not x.shape[1]:
             return np.zeros((0, 0), dtype=np.int64)
-        spanned = resolution_mod._last_entries(mat, p)
+        spanned = linalg_mod._last_entries(mat, p)[0]
         basis = nullspace(x, p)
         in_ranks[d - lo] = x.shape[1] - len(basis)
         free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
@@ -866,10 +866,8 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
 
         return sieve
 
-    monkeypatch.setattr(resolution_mod, "rref", counted(resolution_mod.rref))
-    monkeypatch.setattr(
-        resolution_mod, "_back_substitute", counted(resolution_mod._back_substitute)
-    )
+    monkeypatch.setattr(linalg_mod, "rref", counted(linalg_mod.rref))
+    monkeypatch.setattr(linalg_mod, "_back_substitute", counted(linalg_mod._back_substitute))
     monkeypatch.setattr(resolution_mod, "_pivot_sieve", traced_pivot_sieve)
     monkeypatch.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
     counts = []
@@ -935,9 +933,8 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_mod, "_dense_echelon", counted_dense)
-        mp.setattr(resolution_mod, "_dense_echelon", counted_dense)
-        mp.setattr(resolution_mod, "rref", counted(resolution_mod.rref))
-        mp.setattr(resolution_mod, "_back_substitute", counted(resolution_mod._back_substitute))
+        mp.setattr(linalg_mod, "rref", counted(linalg_mod.rref))
+        mp.setattr(linalg_mod, "_back_substitute", counted(linalg_mod._back_substitute))
         mp.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
         res = resolve(residue_field_module(ring), i_max, d_max)
     kernel_of = {(step, d): how for step, d, _mat, _new, how in calls}
