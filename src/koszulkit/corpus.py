@@ -369,8 +369,7 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
     ring = fixture.ring
     report = SuiteReport("fitz", fixture.name, seed, bounds)
     rng = random.Random(("fitz", fixture.name, seed).__repr__())
-    reps = projective_representatives(ring.nvars, ring.p)
-
+    # before the lines are listed: this check stops at its budget first
     try:
         all_linear_ideals_filtration(ring)
         report.assertions.append(Assertion("all-linear-filtration-valid", True))
@@ -378,6 +377,7 @@ def _suite_fitz(fixture: Fixture, seed: int, bounds) -> SuiteReport:
         report.assertions.append(
             Assertion("all-linear-filtration-valid", False, {"error": str(exc)})
         )
+    reps = projective_representatives(ring.nvars, ring.p)
 
     # (i): modules with ann(x) M = 0 are Koszul
     for s in range(10):

@@ -1,12 +1,12 @@
 """Exact linear algebra over F_p on int64 numpy arrays.
 
-Matrices hold canonical representatives in [0, p). `rref` and the
-back-substitution of `Echelon.add` form one product of two entries before
-each reduction, which stays below p^2 < 2^62, so it is exact in int64 for
-every allowed modulus (p < 2^31); the small and sparse paths of `rref`
-compute in Python ints, which are exact at any p. A matrix product sums k
-such products, which can pass 2^63; `matmul_mod` is the one product that is
-exact for every allowed modulus, and `Echelon.reduce` goes through it.
+Matrices hold canonical representatives in [0, p). The dense loop and the
+back-substitutions form one product of two entries before each reduction,
+which stays below p^2 < 2^62, so it is exact in int64 for every allowed
+modulus (p < 2^31); the small and sparse paths compute in Python ints,
+which are exact at any p. A matrix product sums k such products, which
+can pass 2^63; `matmul_mod` is the one product that is exact for every
+allowed modulus, and `Echelon.reduce` goes through it.
 
 No code of the package uses the incremental `Echelon`: it serves only the
 tests, as the reference the sieves are checked against, and the
@@ -30,16 +30,19 @@ resolutions over monomial rings are such matrices. Both reduce entries mod
 p and combine them in Python ints. Every other matrix goes to
 `_dense_echelon`, the int64 loop whose single products stay below 2^62 as
 said above; it is the fastest where the matrix is large and many entries
-are nonzero. It reduces its input and each rank-1 update by floor
-division, x - (x // p) * p, exact for every int64 x and in NumPy two to
-four times as fast as x % p. It moves no row: the pivot of each column is
-the first row in input order that is not yet a pivot row, so it also
-returns its pivot rows, the row rank profile of the matrix, together with
-its pivot columns, the column rank profile (Dumas, Pernet and Sultan,
-ISSAC 2013). `_takes_dense_path` is the gate's test for this path. Only
-the small and dense paths build an array from a `Nonzeros`. All three make
-every pivot 1, and the pivot columns and the rref of a matrix are unique,
-so the three paths, and the two forms, give identical results.
+are nonzero. It eliminates forward only, reducing its input and each
+rank-1 update by floor division, x - (x // p) * p, exact for every int64 x
+and in NumPy two to four times as fast as x % p. It moves no row: the
+pivot of each column is the first row in input order that is not yet a
+pivot row, so it returns its pivot rows, the row rank profile of the
+matrix, with its pivot columns, the column rank profile (Dumas, Pernet and
+Sultan, ISSAC 2013). Every reduced row of a dense matrix is its echelon
+form back-substituted by `_back_substitute`: over every column for `rref`,
+over the wanted free columns for the kernel rows below.
+`_takes_dense_path` is the gate's test for this path. Only the small and
+dense paths build an array from a `Nonzeros`. All three make every pivot
+1, and the pivot columns and the rref of a matrix are unique, so the three
+paths, and the two forms, give identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
@@ -177,8 +180,11 @@ def pivot_columns(a: np.ndarray | Nonzeros, p: int) -> list[int]:
 # faster on all 89 matrices at 5-20% nonzero; at p = 2^31 - 1, whose
 # products are multi-digit Python ints, the dense path was the faster on 38
 # of the 44 matrices of 300 entries or more over 10% nonzero, 6.8 times in
-# sum. The density test costs about 3 us, and of the 89 matrices of 101 to
-# 299 entries only 9 are that sparse, so smaller matrices skip the test.
+# sum. Of the 89 matrices of 101 to 299 entries only 9 are that sparse. The
+# gate reads the count of nonzeros (`len(a.values)`) at no cost, but the
+# size band showed no gain when dropped: on the same machine, seed-101
+# `wall_s` read +0.4% on `resolve` (4/8 pairs won) and +0.6% on `suites`
+# (3/8), so it stays.
 _SPARSE_MIN_ENTRIES = 300
 _SPARSE_MAX_DENSITY = 0.05
 
@@ -231,7 +237,11 @@ def _gate(a, p, reduced):
         return _small_echelon(a.toarray(), p, reduced)
     if not _takes_dense_path(a):
         return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
-    return _dense_echelon(a.toarray(), p, reduced)[:2]
+    e = a.toarray()
+    pivots, at = _dense_echelon(e, p)
+    if not reduced:
+        return None, pivots
+    return _back_substitute(e[at], pivots, np.arange(a.shape[1]), p), pivots
 
 
 def _structural_pivots(a, p):
@@ -320,25 +330,21 @@ def _floor_mod(x, p):
     x -= q
 
 
-def _dense_echelon(a, p, reduced):
-    """`_echelon` of `a`, a C-contiguous int64 array that it overwrites, and
-    its pivot rows: row echelon form with monic pivots, and with `reduced`
-    every pivot column also cleared above its pivot.
+def _dense_echelon(a, p):
+    """(pivot columns, pivot rows in the same order) of `a`, a C-contiguous
+    int64 array that it overwrites: `a[pivot rows]` is then a row echelon
+    form with monic pivots, which `_back_substitute` reduces.
 
-    No row is moved. The pivot of a column is its first nonzero row, in
-    input order, that is not yet a pivot row; it clears the other rows that
-    are not, and with `reduced` also the pivot rows. Each column costs one
-    scan of its nonzero rows. A row that is not a pivot row is zero left of
-    the column, so a rank-1 update changes only the columns from it on, and
-    it has been cleared only by pivot rows above it in the input. So each
-    pivot row is independent of the rows above it, every other row depends
-    on them, and the pivot rows are the row rank profile of `a`. A pivot
-    that is already 1 is not scaled. An update leaves its entries in
-    (-(p-1)^2, p), and `_floor_mod` brings them back to [0, p).
-
-    Returns (rref or None, pivot columns, pivot rows), the row of each
-    pivot in the order of the pivots; `a` then holds the echelon form in
-    its pivot rows, which are the rref with `reduced`."""
+    No row is moved. Each column costs one scan of its rows that are
+    nonzero there and not yet pivot rows: the first, in input order, is the
+    pivot row of the column, and it clears the rest. A row that is not a
+    pivot row is zero left of the column, so a rank-1 update changes only
+    the columns from it on, and it has been cleared only by pivot rows
+    above it in the input. So each pivot row is independent of the rows
+    above it, every other row depends on them, and the pivot rows are the
+    row rank profile of `a`. A pivot that is already 1 is not scaled. An
+    update leaves its entries in (-(p-1)^2, p), and `_floor_mod` brings
+    them back to [0, p)."""
     _floor_mod(a, p)
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -347,35 +353,25 @@ def _dense_echelon(a, p, reduced):
     for c in range(ncols):
         if len(at) == nrows:
             break
-        nz = a[:, c].nonzero()[0]
-        if not len(nz):
+        live = a[:, c].nonzero()[0]
+        live = live[free[live]]
+        if not len(live):
             continue
-        live = free[nz]
-        k = int(live.argmax())
-        if not live[k]:
-            continue
-        piv = int(nz[k])
-        if not reduced:
-            nz = nz[live][1:]
+        piv, live = int(live[0]), live[1:]
         row = a[piv, c:]
         f = int(row[0])
         if f != 1:
             row *= pow(f, -1, p)
             row %= p
-        if len(nz) > (1 if reduced else 0):
-            sub = a[nz, c:]
-            if reduced:
-                # the pivot row is sub[k]: a factor of 0 leaves it as it is
-                sub[k, 0] = 0
+        if len(live):
+            sub = a[live, c:]
             sub -= sub[:, :1] * row
-            if reduced:
-                sub[k, 0] = 1
             _floor_mod(sub, p)
-            a[nz, c:] = sub
+            a[live, c:] = sub
         free[piv] = False
         pivots.append(c)
         at.append(piv)
-    return (a[at] if reduced else None), pivots, at
+    return pivots, at
 
 
 def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int, int]:
@@ -502,7 +498,7 @@ def _last_entries(vectors, p, keep=False):
     last = np.zeros(n, dtype=bool)
     if keep and _takes_dense_path(vectors):
         a = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values).toarray()
-        _r, pivots, at = _dense_echelon(a, p, False)
+        pivots, at = _dense_echelon(a, p)
         last[n - 1 - np.array(at, dtype=np.int64)] = True
         return last, (a[at], pivots)
     if k:

@@ -3,22 +3,25 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from koszulkit import corpus
+from koszulkit.arith import polynomial_ring
 from koszulkit.corpus import (
     FIXTURE_NAMES,
+    Fixture,
     build_fixture,
     module_killed_by,
     random_module,
     theorem_suite,
 )
-from koszulkit.filtration import LinearIdeal
+from koszulkit.filtration import BudgetExceededError, LinearIdeal
 from koszulkit.koszul import KoszulVerdict
 from koszulkit.resolution import RegularityVerdict, resolve
-from koszulkit.quotient import hilbert_series
+from koszulkit.quotient import hilbert_series, make_ring
 
 
 def test_fixture_catalog():
@@ -115,6 +118,22 @@ def test_suite_fitz_both_fixtures():
         assert sum(i.startswith("annx-killed-koszul") for i in ids) == 10
         assert sum(i.startswith("xM-1-linear") for i in ids) == 10
         assert sum(i.startswith("reg-le-1") for i in ids) == 10
+
+
+def test_suite_fitz_checks_its_budget_before_listing_lines():
+    # the 999,984 lines of F_999983^2 exceed the all-linear budget; listing
+    # them for the suite's random draws first took about 90 MB
+    s, (x, y) = polynomial_ring(999983, "xy")
+    fixture = Fixture("big", make_ring(s, [x * x, x * y]), {"fitzgerald": True}, "")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            theorem_suite("fitz", fixture, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "999984 projective forms exceed the budget of 5000"
+    assert peak < 10 * 2**20, peak
 
 
 def test_suite_hypothesis_mismatch():

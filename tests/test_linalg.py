@@ -301,15 +301,18 @@ def _all_paths(fn, *args):
 def test_sparse_and_dense_elimination_agree(inputs):
     p, a = inputs
     rows, cols = a.nonzero()
+    # the dense loop's pivots, and its echelon form back-substituted by the gate
+    pivots = linalg._dense_echelon(a.copy(), p)[0]
+    dense = _forced("dense", rref, a, p)
+    assert dense[1] == pivots
     for reduced in (True, False):
-        dense = linalg._dense_echelon(a.copy(), p, reduced)
         sparse = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
         small = linalg._small_echelon(a, p, reduced)
-        assert sparse[1] == dense[1] == small[1]
+        assert sparse[1] == pivots == small[1]
         if reduced:
             assert sparse[0].tolist() == dense[0].tolist() == small[0].tolist()
             assert small[0].shape == (len(small[1]), a.shape[1])
-    assert len(dense[1]) == rank_mod_p((a % p).tolist(), p)
+    assert len(pivots) == rank_mod_p((a % p).tolist(), p)
     # the public functions, on each path and through the default gate, fed
     # the array and its nonzeros (unreduced, as `a` has them)
     nonzeros = _nonzeros(a)
@@ -341,11 +344,15 @@ def test_sparse_and_dense_elimination_agree(inputs):
     st.integers(0, 2**32),
 )
 @example(2147483647, "p-1 off a unit diagonal", 14, 14, 0)
+@example(2147483647, "p-1 off a unit diagonal", 5, 14, 0)
+@example(2147483647, "signed", 5, 14, 0)
 def test_dense_loop_is_exact_near_the_largest_modulus(p, kind, m, n, seed):
     # the dense loop reduces by floor division: every entry p - 1 makes
     # every update negative, and with unit pivots the pivot rows keep their
     # entries p - 1, so each update reaches -(p - 1)^2; signed entries up
-    # to (p - 1)^2 in size test the reduction of the input
+    # to (p - 1)^2 in size test the reduction of the input. Back-substituting
+    # the echelon form of a wide matrix of either kind forms products near
+    # (p - 1)^2 in its free columns
     rng = np.random.default_rng(seed)
     a = np.full((m, n), p - 1, dtype=np.int64)
     if kind == "p-1 off a unit diagonal":
@@ -360,9 +367,13 @@ def test_dense_loop_is_exact_near_the_largest_modulus(p, kind, m, n, seed):
         a = rng.integers(-((p - 1) ** 2), (p - 1) ** 2, size=(m, n), dtype=np.int64, endpoint=True)
     want, pivots = linalg._small_echelon(a, p, True)
     assert len(pivots) == rank_mod_p(a.tolist(), p)
-    got = linalg._dense_echelon(a.copy(), p, True)
-    assert got[1] == pivots and got[0].tolist() == want.tolist()
-    assert linalg._dense_echelon(a.copy(), p, False)[:2] == (None, pivots)
+    echelon = a.copy()
+    got, at = linalg._dense_echelon(echelon, p)
+    assert got == pivots
+    every = np.arange(n)
+    assert linalg._back_substitute(echelon[at], pivots, every, p).tolist() == want.tolist()
+    r, got = _forced("dense", rref, a, p)
+    assert got == pivots and r.tolist() == want.tolist()
 
 
 @st.composite
@@ -421,7 +432,7 @@ def test_dense_pivot_rows_are_the_row_rank_profile(inputs):
     p, a, swapped = inputs
     rows = (a % p).tolist()
     echelon = a.copy()
-    _r, pivots, at = linalg._dense_echelon(echelon, p, False)
+    pivots, at = linalg._dense_echelon(echelon, p)
     assert len(at) == len(pivots) == len(set(at))
     # the pivot rows left in the array, back-substituted over every column,
     # are the rref
@@ -434,17 +445,14 @@ def test_dense_pivot_rows_are_the_row_rank_profile(inputs):
         assert (i in at) == (rank_mod_p(rows[: i + 1], p) > rank_mod_p(rows[:i], p)), i
     if swapped:
         assert _swapping_pivot_rows(a, p) != sorted(at)
-    # the pivots and rref of the small path, the same pivot rows with `reduced`
-    for reduced in (True, False):
-        got = linalg._dense_echelon(a.copy(), p, reduced)
-        want = linalg._small_echelon(a, p, reduced)
-        assert got[1] == want[1] and got[2] == at
-        if reduced:
-            assert got[0].tolist() == want[0].tolist()
+    # the pivots of the small path, and its rref through the gate's dense path
+    assert pivots == linalg._small_echelon(a, p, False)[1]
+    r, got = _forced("dense", rref, a, p)
+    assert got == pivots and r.tolist() == rref_rows.tolist()
     # with the rows reversed, the pivot rows are the last entries of the
     # column span
     n = a.shape[0]
-    last = linalg._dense_echelon(a[::-1].copy(), p, False)[2]
+    last = linalg._dense_echelon(a[::-1].copy(), p)[1]
     assert sorted(n - 1 - i for i in last) == np.flatnonzero(_last_entries(_nonzeros(a), p)[0]).tolist()
 
 
@@ -657,7 +665,7 @@ def _no_kernel(*_args):
 @given(_structured_matrices())
 def test_structural_pivots_match_elimination(inputs):
     p, a, settled = inputs
-    want = linalg._dense_echelon(a.copy(), p, False)[1]
+    want = linalg._dense_echelon(a.copy(), p)[0]
     assert linalg._small_echelon(a, p, False)[1] == want
     assert len(want) == rank_mod_p((a % p).tolist(), p)
     for form in (a, _nonzeros(a)):

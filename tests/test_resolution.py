@@ -901,9 +901,9 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
     eliminated = []  # the input of every dense elimination
     dense = linalg_mod._dense_echelon
 
-    def counted_dense(a, p, reduced):
+    def counted_dense(a, p):
         eliminated.append(a % p)
-        return dense(a, p, reduced)
+        return dense(a, p)
 
     calls = []  # (step, d, N_d, G, how its kernel was taken)
     taken = []
