@@ -248,15 +248,15 @@ def _lines(span: LinearIdeal, sub: LinearIdeal, p: int):
     """The lines of `span` outside `sub` (both RREF, sub ⊆ span), each as its
     representative with first nonzero coordinate 1, in increasing order.
 
-    A vector of span is a·rows, where a holds its entries at the pivot columns
-    of span, so the order of the vectors is that of the digits a, and the
-    first nonzero entry of both is the same. In these coordinates sub is the
-    row space of its rows' entries at span's pivots, already in RREF: a lies
-    in sub exactly when, at each non-pivot column t of it, a_t is the linear
-    function sum_r a_{b_r} B[r][t] of the digits before it. The digits are
-    chosen in order; past the last such column a subtree lies wholly in sub
-    (skipped) or wholly outside it (emitted), so no line is filtered and
-    `range(p)` is only ever iterated lazily.
+    A vector of span is a·rows (a itself on the full space), where a holds its
+    entries at the pivot columns of span, so the order of the vectors is that
+    of the digits a, and the first nonzero entry of both is the same. In these
+    coordinates sub is the row space of its rows' entries at span's pivots,
+    already in RREF: a lies in sub exactly when, at each non-pivot column t of
+    it, a_t is the linear function sum_r a_{b_r} B[r][t] of the digits before
+    it. The digits are chosen in order; past the last such column a subtree
+    lies wholly in sub (skipped) or wholly outside it (emitted), so no line is
+    filtered and `range(p)` is only ever iterated lazily.
     """
     rows, k = span.rows, len(span.rows)
     n = len(rows[0]) if rows else 0
@@ -277,7 +277,9 @@ def _lines(span: LinearIdeal, sub: LinearIdeal, p: int):
         if inside and t > last:
             return
         if t == k:
-            yield tuple(sum(x * row[c] for x, row in zip(a, rows)) % p for c in range(n))
+            yield tuple(a) if k == n else tuple(
+                sum(x * row[c] for x, row in zip(a, rows)) % p for c in range(n)
+            )
             return
         want = sum(a[s] * x for s, x in cond[t]) % p if inside and t in cond else None
         for d in range(p) if lead else (0, 1):

@@ -36,20 +36,23 @@ and in NumPy two to four times as fast as x % p. It moves no row: the
 pivot of each column is the first row in input order that is not yet a
 pivot row, so it returns its pivot rows, the row rank profile of the
 matrix, with its pivot columns, the column rank profile (Dumas, Pernet and
-Sultan, ISSAC 2013). Every reduced row of a dense matrix is its echelon
-form back-substituted by `_back_substitute`: over every column for `rref`,
-over the wanted free columns for the kernel rows below.
-`_takes_dense_path` is the gate's test for this path. Only the small and
-dense paths build an array from a `Nonzeros`. All three make every pivot
-1, and the pivot columns and the rref of a matrix are unique, so the three
-paths, and the two forms, give identical results.
+Sultan, ISSAC 2013). `_takes_dense_path` is the gate's test for this path.
+The small path keeps its Gauss-Jordan rref, cheaper on tiny matrices than a
+second pass. Past it, a path eliminates forward only, and one
+back-substitution gives the rref at the asked columns alone: the sparse
+path reduces each pivot row of its table by the later ones
+(`_sparse_columns`), the dense one clears those columns above each pivot
+(`_back_substitute`), and `rref` writes the identity at the pivots. Only
+the small and dense paths build an array from a `Nonzeros`. All three make
+every pivot 1, and the pivot columns and the rref of a matrix are unique,
+so the three paths, and the two forms, give identical results.
 
 `pivot_columns` and `rank` take the structural pivots of a matrix past the
 small path before the gate (`_structural_pivots`): a row with one nonzero
 entry mod p makes its column a pivot column, whatever the other rows hold.
 Those columns are deleted with their entries until no row has one nonzero
-entry, and only the rest goes through the gate, or nothing where no entry
-is left. This is the first stage of structured Gaussian elimination
+entry, and only the rest is eliminated, or nothing where no entry is
+left. This is the first stage of structured Gaussian elimination
 (LaMacchia and Odlyzko, CRYPTO 1990). The sieves of resolutions over Koszul
 fixtures rank degree maps that are nearly all structure: in one seed-101
 pass of the `suites` benchmark, 7,687 of the 7,695 pivots that
@@ -66,9 +69,9 @@ the map takes the dense path, the pivot rows of one run of the dense loop
 on its reversed rows, their echelon form kept for the next step. The one
 routine that builds kernel rows is `_kernel_rows`, for `nullspace` (every
 free column) and for the sieves (the free columns they keep): it reads
-them off `rref`, or back-substitutes a kept echelon form over the wanted
-columns alone (`_back_substitute`), so each dense degree map is eliminated
-once.
+them off the small path's rref, or reduces at them alone the echelon form
+of the sparse or dense path, or one kept of a dense map (`_back_substitute`),
+so each dense degree map is eliminated once, and no sparse one is an array.
 """
 
 from __future__ import annotations
@@ -163,7 +166,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(a: np.ndarray | Nonzeros, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix without zero rows, pivot columns)."""
-    return _echelon(a, p, reduced=True)
+    form, pivots = _echelon(a, p, reduced=True)
+    if isinstance(form, np.ndarray):
+        return form, pivots
+    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    r = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    r[np.arange(len(pivots)), pivots] = 1
+    r[:, free] = form(free)
+    return r, pivots
 
 
 def pivot_columns(a: np.ndarray | Nonzeros, p: int) -> list[int]:
@@ -207,19 +217,18 @@ _SMALL_MAX_ENTRIES = 100
 
 
 def _echelon(a, p, reduced):
-    """(rref without zero rows, pivot columns) of `a` with `reduced`, and
-    (None, pivot columns) without, by the path the module docstring names.
-    Without `reduced`, a matrix past the small path has its structural
-    pivots taken first, and only the rest is eliminated."""
+    """(form, pivot columns) of `a` by the path the module docstring names:
+    with `reduced`, the small path's rref or the function `_gate` returns,
+    and without it None. Without `reduced`, a matrix past the small path has
+    its structural pivots taken first, and only the rest is eliminated."""
     if not isinstance(a, Nonzeros):
         a = np.asarray(a, dtype=np.int64)
-        if a.size <= _SMALL_MAX_ENTRIES:
-            return _small_echelon(a, p, reduced)
+    if a.size <= _SMALL_MAX_ENTRIES:
+        return _small_echelon(a.toarray() if isinstance(a, Nonzeros) else a, p, reduced)
+    if not isinstance(a, Nonzeros):
         rows, cols = np.nonzero(a)
         a = Nonzeros(a.shape, rows, cols, a[rows, cols])
-    if not reduced and a.size > _SMALL_MAX_ENTRIES:
-        return None, _structural_pivots(a, p)
-    return _gate(a, p, reduced)
+    return _gate(a, p) if reduced else (None, _structural_pivots(a, p))
 
 
 def _takes_dense_path(a: Nonzeros) -> bool:
@@ -230,18 +239,16 @@ def _takes_dense_path(a: Nonzeros) -> bool:
     )
 
 
-def _gate(a, p, reduced):
-    """`_echelon` of the `Nonzeros` `a` by the small, sparse or dense path,
-    chosen from its shape and its count of nonzero entries."""
-    if a.size <= _SMALL_MAX_ENTRIES:
-        return _small_echelon(a.toarray(), p, reduced)
+def _gate(a, p):
+    """(form, pivot columns) of the `Nonzeros` `a`, past the small path, by
+    the sparse or dense path, chosen from its shape and its count of nonzero
+    entries: the form is the function that gives its rref at given columns."""
     if not _takes_dense_path(a):
-        return _sparse_echelon(a.shape, a.rows, a.cols, a.values, p, reduced)
+        table = _sparse_echelon(a.shape, a.rows, a.cols, a.values, p)
+        return (lambda cols: _sparse_columns(table, a.shape[1], p, cols)), sorted(table)
     e = a.toarray()
     pivots, at = _dense_echelon(e, p)
-    if not reduced:
-        return None, pivots
-    return _back_substitute(e[at], pivots, np.arange(a.shape[1]), p), pivots
+    return (lambda cols: _back_substitute(e[at], pivots, cols, p)), pivots
 
 
 def _structural_pivots(a, p):
@@ -254,8 +261,8 @@ def _structural_pivots(a, p):
     columns so found together with the pivots of what is left once they and
     their rows are deleted. Deleting them can leave new rows with one
     nonzero entry, so this is repeated until no row has one; the rest,
-    renumbered to its rows and columns that still hold a nonzero, goes
-    through the gate. A matrix with no such row goes through it as it is.
+    renumbered to its rows and columns that still hold a nonzero, takes the
+    small path or the gate; a matrix with no such row takes the gate as it is.
     """
     nrows, ncols = a.shape
     rows, cols, values = a.rows, a.cols, a.values % p
@@ -272,14 +279,16 @@ def _structural_pivots(a, p):
         kept = np.flatnonzero(~peeled[cols])
         rows, cols, values = rows[kept], cols[kept], values[kept]
     if not peeled.any():
-        return _gate(a, p, False)[1]
+        return _gate(a, p)[1]
     if len(values):
         live = np.bincount(cols, minlength=ncols) > 0
         row_at = np.cumsum(count > 0) - 1
         col_at = np.cumsum(live) - 1
         shape = (int(row_at[-1]) + 1, int(col_at[-1]) + 1)
         rest = Nonzeros(shape, row_at[rows], col_at[cols], values)
-        peeled[np.flatnonzero(live)[_gate(rest, p, False)[1]]] = True
+        small = rest.size <= _SMALL_MAX_ENTRIES
+        at = (_small_echelon(rest.toarray(), p, False) if small else _gate(rest, p))[1]
+        peeled[np.flatnonzero(live)[at]] = True
     return np.flatnonzero(peeled).tolist()
 
 
@@ -400,23 +409,21 @@ def _reduce_row(row: dict[int, int], table: dict[int, list], p: int) -> dict[int
     return row
 
 
-def _sparse_echelon(shape, rows, cols, values, p, reduced):
-    """`_echelon` of the matrix of the given shape whose only nonzero entries
-    are values[k] at (rows[k], cols[k]) (index pairs distinct), without
-    building it.
+def _sparse_echelon(shape, rows, cols, values, p):
+    """The table {pivot column: the other entries of its monic pivot row} of
+    a row echelon form of the matrix of the given shape whose only nonzero
+    entries are values[k] at (rows[k], cols[k]) (index pairs distinct),
+    without building it.
 
     Each row is a dict {column: entry}, entries reduced mod p first and
     combined in Python ints. The rows are taken in order, each reduced by
     the pivot rows found so far (`_reduce_row`, the reducer pass of F4); a
-    remainder, made monic, is the pivot row of its first column. With
-    `reduced`, each pivot row is then reduced by the later ones, last pivot
-    first, and the pivot rows are returned as a dense matrix.
+    remainder, made monic, is the pivot row of its first column.
     """
     entries: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for r, c, v in zip(rows.tolist(), cols.tolist(), (values % p).tolist()):
         if v:
             entries[r][c] = v
-    # {pivot column: the other entries of its monic pivot row}
     table: dict[int, list] = {}
     for row in entries:
         if row := _reduce_row(row, table, p):
@@ -424,18 +431,24 @@ def _sparse_echelon(shape, rows, cols, values, p, reduced):
             inv = pow(row.pop(c), -1, p)
             tail = row.items()
             table[c] = list(tail) if inv == 1 else [(k, v * inv % p) for k, v in tail]
+    return table
+
+
+def _sparse_columns(table, ncols, p, cols):
+    """The columns `cols` of the rref of the matrix of `ncols` columns whose
+    pivot rows `_sparse_echelon` returns as `table`: each is reduced by the
+    later ones, last pivot first, and only those columns are gathered."""
     pivots = sorted(table)
-    if not reduced:
-        return None, pivots
     for c in reversed(pivots):
         # most tails hold no pivot column; those are left as they are
         if any(k in table for k, _v in table[c]):
             table[c] = list(_reduce_row(dict(table[c]), table, p).items())
-    out = np.zeros((len(pivots), shape[1]), dtype=np.int64)
-    out[np.arange(len(pivots)), pivots] = 1
-    at = np.repeat(np.arange(len(pivots)), [len(table[c]) for c in pivots])
-    out[at, [k for c in pivots for k, _v in table[c]]] = [v for c in pivots for _k, v in table[c]]
-    return out, pivots
+    at = np.full(ncols, len(cols))  # the other columns go to a last one, dropped
+    at[cols] = np.arange(len(cols))
+    out = np.zeros((len(pivots), len(cols) + 1), dtype=np.int64)
+    i = np.repeat(np.arange(len(pivots)), [len(table[c]) for c in pivots])
+    out[i, at[[k for c in pivots for k, _ in table[c]]]] = [v for c in pivots for _, v in table[c]]
+    return out[:, :-1]
 
 
 def rank(a: np.ndarray | Nonzeros, p: int) -> int:
@@ -452,25 +465,29 @@ def _kernel_rows(a, p, wanted=None, echelon=None):
     each free column F in the mask `wanted` (for every free column where it
     is None), 1 at F, -rref[:, F] at the pivot columns and 0 elsewhere.
 
-    The rref is that of `a`, or, where `echelon` is given, the echelon form
-    (rows, pivot columns) of the leading columns of `a` that `_last_entries`
-    keeps: the later columns must be independent modulo those, so they are
-    pivots, and only the wanted free columns are back-substituted.
+    Those columns of the rref are read off the small path's rref of `a`, or
+    reduced alone from its forward pass or, where `echelon` is given, from
+    the dense echelon form (rows, pivot columns) `_last_entries` keeps of its
+    leading columns; the later columns must be independent modulo those.
 
     `nullspace` asks for every free column by None: the certificate checks
     take hundreds of kernels of small matrices, whose free columns cost less
     to list than to mask."""
     ncols = a.shape[1]
-    r, pivots = rref(a, p) if echelon is None else echelon
-    # the columns past those of r are pivots
+    if echelon is None:
+        (form, pivots), width = _echelon(a, p, reduced=True), ncols
+    else:
+        e, pivots = echelon
+        form, width = (lambda cols: _back_substitute(e, pivots, cols, p)), e.shape[1]
+    # the columns past the echelon form's are pivots
     if wanted is None:
         pivot_set = set(pivots)
-        free = [c for c in range(r.shape[1]) if c not in pivot_set]
+        free = [c for c in range(width) if c not in pivot_set]
     else:
-        free = wanted[: r.shape[1]].copy()
+        free = wanted[:width].copy()
         free[pivots] = False
         free = free.nonzero()[0]
-    r_free = r[:, free] if echelon is None else _back_substitute(r, pivots, free, p)
+    r_free = form[:, free] if isinstance(form, np.ndarray) else form(free)
     rows = np.zeros((len(free), ncols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     if pivots:
@@ -478,7 +495,7 @@ def _kernel_rows(a, p, wanted=None, echelon=None):
         np.negative(r_free, out=r_free)
         r_free %= p
         rows[:, pivots] = r_free.T
-    return rows, len(pivots) + ncols - r.shape[1]
+    return rows, len(pivots) + ncols - width
 
 
 def _last_entries(vectors, p, keep=False):

@@ -54,10 +54,10 @@ nonzero entry) is rebuilt and ranked, once, on the first homology query.
 Over monomial rings the large degree maps are at most a few percent
 nonzero, so they take the sparse path of `linalg`, and no array of them is
 made. How a map is eliminated is for `linalg` to choose: a kernel sieve
-asks `linalg._last_entries` for the last entries of N_d and
-`linalg._kernel_rows` for the kernel rows of M_d, and the echelon form that
-the first keeps of a dense N_d goes on to the second at the next stage, so
-that each dense degree map is eliminated once.
+asks `_last_entries` for the last entries of N_d and `_kernel_rows` for
+the rows of ker M_d, reduced from one forward pass at the kept free columns
+alone. The echelon form that the first keeps of a dense N_d is the second's
+forward pass at the next stage, so each dense degree map is eliminated once.
 """
 
 from __future__ import annotations
@@ -282,12 +282,12 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo, received, passed):
     N_d: there is no new generator, and rank N_d is the count of its last
     entries.
 
-    Each dense N_d is eliminated once. Where the sieve has a next stage
-    (`passed` is a dict, not None), `linalg._last_entries` may keep the
-    echelon form of N_d; it goes in `passed[d]`, and the next sieve pops it
-    from its `received` at degree d, used or not, for `linalg._kernel_rows`.
-    There M_d = [N_d | G], G the generators that stage added, which are
-    independent modulo the columns of N_d, as `_kernel_rows` asks.
+    `linalg._kernel_rows` reduces one forward pass of M_d at the kept free
+    columns alone. Each dense N_d is eliminated once: where the sieve has a
+    next stage (`passed` is a dict), `linalg._last_entries` may keep its
+    echelon form in `passed[d]`, and the next sieve pops it from `received`
+    at degree d, used or not, as the forward pass of M_d = [N_d | G], G the
+    generators that stage added, independent modulo the columns of N_d.
     """
 
     def sieve(mat, x, d):

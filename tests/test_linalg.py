@@ -1,5 +1,7 @@
 """Exact mod-p matrix routines against a plain-list oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -301,17 +303,19 @@ def _all_paths(fn, *args):
 def test_sparse_and_dense_elimination_agree(inputs):
     p, a = inputs
     rows, cols = a.nonzero()
-    # the dense loop's pivots, and its echelon form back-substituted by the gate
+    # the forward pivots of the dense loop, the sparse table and the list
+    # kernel
     pivots = linalg._dense_echelon(a.copy(), p)[0]
+    table = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p)
+    assert sorted(table) == pivots == linalg._small_echelon(a, p, False)[1]
+    # the rref of each path: the sparse and dense echelon forms reduced at
+    # the free columns, and the list kernel's own
     dense = _forced("dense", rref, a, p)
-    assert dense[1] == pivots
-    for reduced in (True, False):
-        sparse = linalg._sparse_echelon(a.shape, rows, cols, a[rows, cols], p, reduced)
-        small = linalg._small_echelon(a, p, reduced)
-        assert sparse[1] == pivots == small[1]
-        if reduced:
-            assert sparse[0].tolist() == dense[0].tolist() == small[0].tolist()
-            assert small[0].shape == (len(small[1]), a.shape[1])
+    sparse = _forced("sparse", rref, a, p)
+    small = linalg._small_echelon(a, p, True)
+    assert sparse[1] == dense[1] == small[1] == pivots
+    assert sparse[0].tolist() == dense[0].tolist() == small[0].tolist()
+    assert small[0].shape == (len(pivots), a.shape[1])
     assert len(pivots) == rank_mod_p((a % p).tolist(), p)
     # the public functions, on each path and through the default gate, fed
     # the array and its nonzeros (unreduced, as `a` has them)
@@ -514,6 +518,62 @@ def test_kernel_rows_from_a_kept_echelon_form(inputs, extra, share, seed):
             rows, rank_m = _forced(path, linalg._kernel_rows, form, p, wanted)
             assert rows.tolist() == want_rows.tolist()
             assert rank_m == want_rank
+
+
+def _no_rref(*_args):
+    raise AssertionError("rref was called")
+
+
+def test_wide_sparse_kernel_rows_build_only_the_wanted_columns(monkeypatch):
+    # 300 x 6000 with three nonzeros a row: the sparse path, rank 300. The
+    # kernel rows of five wanted free columns are back-substituted from the
+    # forward pass at those columns alone: no rref is taken, and nothing of
+    # the size of a rank x ncols array (14.4 MB) is built
+    p, m, n = 32003, 300, 6000
+    rng = np.random.default_rng(5)
+    rows = np.repeat(np.arange(m), 3)
+    cols = np.concatenate([rng.choice(n, size=3, replace=False) for _ in range(m)])
+    a = Nonzeros((m, n), rows, cols, rng.integers(1, p, size=3 * m))
+    assert not linalg._takes_dense_path(a)
+    pivots = linalg.pivot_columns(a, p)
+    assert len(pivots) == m
+    wanted = np.zeros(n, dtype=bool)
+    wanted[np.setdiff1d(np.arange(n), pivots)[:: (n - m) // 5][:5]] = True
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "rref", _no_rref)
+        tracemalloc.start()
+        try:
+            got, rank_a = linalg._kernel_rows(a, p, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # an eighth of the rank x ncols int64 array
+    assert peak < m * n, peak
+    assert rank_a == m
+    assert got.shape == (5, n)
+    assert got[:, wanted].tolist() == np.eye(5, dtype=np.int64).tolist()
+    assert not matmul_mod(a.toarray(), got.T, p).any()
+    assert got.tolist() == _forced("dense", linalg._kernel_rows, a, p, wanted)[0].tolist()
+
+
+def test_dense_rref_back_substitutes_only_its_free_columns(monkeypatch):
+    # the pivot columns of an rref are the identity: the dense path
+    # back-substitutes its echelon form at the free columns alone
+    p = 32003
+    a = np.random.default_rng(3).integers(0, p, size=(6, 20))
+    a[:, [4, 9]] = 0
+    asked = []
+    back = linalg._back_substitute
+
+    def recorded(e, pivots, cols, p):
+        asked.append(list(cols))
+        return back(e, pivots, cols, p)
+
+    monkeypatch.setattr(linalg, "_back_substitute", recorded)
+    r, pivots = _forced("dense", rref, a, p)
+    assert pivots == [0, 1, 2, 3, 5, 6]
+    assert asked == [[c for c in range(20) if c not in pivots]]
+    assert r.tolist() == linalg._small_echelon(a, p, True)[0].tolist()
 
 
 @settings(max_examples=100, deadline=None)

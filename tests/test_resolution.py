@@ -833,8 +833,8 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
     make_pivot_sieve = resolution_mod._pivot_sieve
     make_sieve = resolution_mod._kernel_sieve
 
-    # the sieve takes a kernel as the rref of M_d, or from the echelon form
-    # of N_d that a dense elimination of the step before handed on
+    # the sieve takes every kernel by `_kernel_rows`, whether or not the
+    # step before handed on an echelon form of N_d
     def counted(fn):
         def wrapper(*args):
             taken.append(fn.__name__)
@@ -866,8 +866,7 @@ def test_kernel_sieve_takes_a_kernel_only_where_a_syzygy_is_born(ci2, crv26, mon
 
         return sieve
 
-    monkeypatch.setattr(linalg_mod, "rref", counted(linalg_mod.rref))
-    monkeypatch.setattr(linalg_mod, "_back_substitute", counted(linalg_mod._back_substitute))
+    monkeypatch.setattr(resolution_mod, "_kernel_rows", counted(resolution_mod._kernel_rows))
     monkeypatch.setattr(resolution_mod, "_pivot_sieve", traced_pivot_sieve)
     monkeypatch.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
     counts = []
@@ -887,9 +886,9 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
     # k over four dense quadrics in k[a,b,c,d] at p = 2^31 - 1: many degree
     # maps take the dense path. A kernel sieve with a next stage eliminates
     # a dense N_d once, its rows reversed, for its last entries; the next
-    # stage reads the kernel of its M_d = [N_d | G] off that echelon form,
-    # so no rref of M_d is taken there and no other dense elimination sees
-    # N_d. The rows and ranks are those of the sieve that takes every kernel.
+    # stage hands that echelon form to `_kernel_rows` for the kernel of its
+    # M_d = [N_d | G], so no other dense elimination sees N_d. The rows and
+    # ranks are those of the sieve that takes every kernel.
     p, i_max, d_max = 2147483647, 5, 5
     rng = random.Random("dense-once")
     s, _ = polynomial_ring(p, "abcd")
@@ -905,15 +904,13 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
         eliminated.append(a % p)
         return dense(a, p)
 
-    calls = []  # (step, d, N_d, G, how its kernel was taken)
+    calls = []  # (step, d, N_d, G, whether each kernel had an echelon form)
     taken = []
+    kernel_rows = resolution_mod._kernel_rows
 
-    def counted(fn):
-        def wrapper(*args):
-            taken.append(fn.__name__)
-            return fn(*args)
-
-        return wrapper
+    def counted(*args):
+        taken.append(args[3] is not None)
+        return kernel_rows(*args)
 
     make_sieve = resolution_mod._kernel_sieve
     made = []
@@ -933,13 +930,12 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_mod, "_dense_echelon", counted_dense)
-        mp.setattr(linalg_mod, "rref", counted(linalg_mod.rref))
-        mp.setattr(linalg_mod, "_back_substitute", counted(linalg_mod._back_substitute))
+        mp.setattr(resolution_mod, "_kernel_rows", counted)
         mp.setattr(resolution_mod, "_kernel_sieve", traced_sieve)
         res = resolve(residue_field_module(ring), i_max, d_max)
-    kernel_of = {(step, d): how for step, d, _mat, _new, how in calls}
+    kernel_of = {(step, d): handed for step, d, _mat, _new, handed in calls}
     handed = 0
-    for step, d, mat, new, _how in calls:
+    for step, d, mat, new, _handed in calls:
         if step == i_max or not linalg_mod._takes_dense_path(mat):
             continue
         n, k = mat.shape
@@ -952,9 +948,9 @@ def test_each_dense_degree_map_is_eliminated_once(monkeypatch):
             and sorted(map(tuple, a[:, :k].tolist())) == rows
         ]
         assert len(seen) == 1, (step, d)
-        # where the next stage takes a kernel of [N_d | G], it is the hand-off
-        assert "rref" not in kernel_of[step + 1, d], (step, d)
-        handed += kernel_of[step + 1, d] == ["_back_substitute"]
+        # where the next stage takes a kernel of [N_d | G], it is handed N_d
+        assert False not in kernel_of[step + 1, d], (step, d)
+        handed += kernel_of[step + 1, d] == [True]
     assert handed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution_mod, "_kernel_sieve", _reference_kernel_sieve)
@@ -1010,6 +1006,17 @@ def test_koszul_monomial_ring_resolves_on_the_sparse_path(monkeypatch):
     ]
     assert totals == series_divide([1], [(-1) ** d * h for d, h in enumerate(hilbert)], 5)
     assert taken
+
+
+def test_large_sparse_kernels_of_mono_7_10():
+    # k over the scale ring mono-7-10 to (5, 6): its largest kernel is
+    # taken of a 2142 x 3045 map with 3,358 nonzeros on the sparse path,
+    # larger than any of the benchmark workloads
+    s, x = polynomial_ring(32003, [f"x{i}" for i in range(7)])
+    pairs = [(0, 3), (1, 2), (3, 4), (1, 3), (2, 6), (2, 4), (0, 0), (0, 6), (6, 6), (5, 5)]
+    ring = make_ring(s, [x[i] * x[j] for i, j in pairs])
+    totals = resolve(residue_field_module(ring), 5, 6).betti().totals()
+    assert totals == [1, 7, 31, 119, 435, 1563]
 
 
 def test_stages_end_when_their_pieces_vanish(monkeypatch):
