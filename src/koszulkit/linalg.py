@@ -63,15 +63,15 @@ are (361 of 3,551 in that pass).
 The kernel sieves of the resolution engine eliminate through two private
 helpers, so that the choice of path is made here alone. `_last_entries`
 marks the coordinates that are the last nonzero entry of a vector in the
-column span of a degree map: the pivot columns of its reversed transpose,
-structural pass included, or, where the caller keeps the echelon form and
-the map takes the dense path, the pivot rows of one run of the dense loop
-on its reversed rows, their echelon form kept for the next step. The one
-routine that builds kernel rows is `_kernel_rows`, for `nullspace` (every
-free column) and for the sieves (the free columns they keep): it reads
-them off the small path's rref, or reduces at them alone the echelon form
-of the sparse or dense path, or one kept of a dense map (`_back_substitute`),
-so each dense degree map is eliminated once, and no sparse one is an array.
+column span of a degree map: where the map takes the dense path, the pivot
+rows of `_dense_form` on its reversed rows, that form handed on, or else
+the pivot columns of its reversed transpose, structural pass included.
+`_dense_form`, which `_gate` calls too, is the one owner of the dense
+echelon form. The one routine that builds kernel rows is `_kernel_rows`,
+for `nullspace` (every free column) and for the sieves (the free columns
+they keep): it reads them off the small path's rref, or reduces at them
+alone the forward pass of its path or a handed dense form, so each dense
+degree map is eliminated once, and no sparse one is an array.
 """
 
 from __future__ import annotations
@@ -241,14 +241,20 @@ def _takes_dense_path(a: Nonzeros) -> bool:
 
 def _gate(a, p):
     """(form, pivot columns) of the `Nonzeros` `a`, past the small path, by
-    the sparse or dense path, chosen from its shape and its count of nonzero
-    entries: the form is the function that gives its rref at given columns."""
+    the sparse path or `_dense_form`, chosen from its shape and count of
+    nonzeros: the form is the function that gives its rref at given columns."""
     if not _takes_dense_path(a):
         table = _sparse_echelon(a.shape, a.rows, a.cols, a.values, p)
         return (lambda cols: _sparse_columns(table, a.shape[1], p, cols)), sorted(table)
-    e = a.toarray()
-    pivots, at = _dense_echelon(e, p)
-    return (lambda cols: _back_substitute(e[at], pivots, cols, p)), pivots
+    return _dense_form(a, p)[:2]
+
+
+def _dense_form(a, p):
+    """(form, pivot columns, pivot rows) of the `Nonzeros` `a` by `_dense_echelon`:
+    the form back-substitutes the pivot rows, all that is kept, at given columns."""
+    pivots, at = _dense_echelon(e := a.toarray(), p)
+    rows = e[at]
+    return (lambda cols: _back_substitute(rows, pivots, cols, p)), pivots, at
 
 
 def _structural_pivots(a, p):
@@ -460,26 +466,22 @@ def nullspace(a: np.ndarray | Nonzeros, p: int) -> np.ndarray:
     return _kernel_rows(a, p)[0]
 
 
-def _kernel_rows(a, p, wanted=None, echelon=None):
+def _kernel_rows(a, p, wanted=None, form=None):
     """(rows, rank of `a`): the rows of the rref kernel basis of `a`, one for
     each free column F in the mask `wanted` (for every free column where it
     is None), 1 at F, -rref[:, F] at the pivot columns and 0 elsewhere.
 
     Those columns of the rref are read off the small path's rref of `a`, or
-    reduced alone from its forward pass or, where `echelon` is given, from
-    the dense echelon form (rows, pivot columns) `_last_entries` keeps of its
-    leading columns; the later columns must be independent modulo those.
+    reduced alone from its forward pass or, where `form` is given, from the
+    dense form (function, pivots, column count) `_last_entries` returns of
+    its leading columns; the later columns must be independent modulo those.
 
     `nullspace` asks for every free column by None: the certificate checks
     take hundreds of kernels of small matrices, whose free columns cost less
     to list than to mask."""
     ncols = a.shape[1]
-    if echelon is None:
-        (form, pivots), width = _echelon(a, p, reduced=True), ncols
-    else:
-        e, pivots = echelon
-        form, width = (lambda cols: _back_substitute(e, pivots, cols, p)), e.shape[1]
-    # the columns past the echelon form's are pivots
+    form, pivots, width = (*_echelon(a, p, reduced=True), ncols) if form is None else form
+    # the columns past the form's are pivots
     if wanted is None:
         pivot_set = set(pivots)
         free = [c for c in range(width) if c not in pivot_set]
@@ -498,26 +500,25 @@ def _kernel_rows(a, p, wanted=None, echelon=None):
     return rows, len(pivots) + ncols - width
 
 
-def _last_entries(vectors, p, keep=False):
-    """(mask, echelon or None): the mask of the coordinates that are the last
+def _last_entries(vectors, p):
+    """(mask, form or None): the mask of the coordinates that are the last
     nonzero entry of some vector in the span of the columns of the
     `Nonzeros` `vectors`, their row rank profile read from the bottom.
 
     Coordinate j is such an entry exactly when row j is independent of the
-    rows below it. With `keep`, where `vectors` takes the dense path, one
-    run of the dense loop on its rows in reverse order finds those rows as
-    its pivot rows, and its echelon form of `vectors`, (pivot rows, pivot
-    columns), is returned for `_kernel_rows`. Otherwise the mask is read
-    from the pivot columns of the reversed transpose, whose nonzeros are
-    those of `vectors` with the roles swapped, structural pivots first, and
-    no echelon form is returned."""
+    rows below it. Where `vectors` takes the dense path, `_dense_form` of its
+    rows in reverse order finds those rows as its pivot rows, and its form
+    of `vectors`, (function, pivot columns, column count), is returned for
+    `_kernel_rows`. Otherwise the mask is read from the pivot columns of the
+    reversed transpose, whose nonzeros are those of `vectors` with the roles
+    swapped, structural pivots first, and no form is returned."""
     n, k = vectors.shape
     last = np.zeros(n, dtype=bool)
-    if keep and _takes_dense_path(vectors):
-        a = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values).toarray()
-        pivots, at = _dense_echelon(a, p)
+    if _takes_dense_path(vectors):
+        reversed_rows = Nonzeros((n, k), n - 1 - vectors.rows, vectors.cols, vectors.values)
+        form, pivots, at = _dense_form(reversed_rows, p)
         last[n - 1 - np.array(at, dtype=np.int64)] = True
-        return last, (a[at], pivots)
+        return last, (form, pivots, k)
     if k:
         reversed_rows = Nonzeros((k, n), vectors.cols, n - 1 - vectors.rows, vectors.values)
         last[n - 1 - np.array(pivot_columns(reversed_rows, p), dtype=np.int64)] = True

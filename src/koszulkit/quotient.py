@@ -505,10 +505,11 @@ class GradedModule:
 
     Its relations over the polynomial ring S, the columns and then g * e_j
     for every g in the ring's reduced Groebner basis, are built once
-    (`_relations`); the presentation's Groebner basis and
-    `scaled_submodule` both read them. Pieces and the Hilbert series come
-    from the leading monomials of that basis at each position, by the ring's
-    own helpers (`_standard_monomials`, `_hilbert_series`).
+    (`_relations`), as are their Groebner basis (`_presentation_basis`) and
+    its leading monomials at each position (`_presentation_leading`), from
+    which pieces and the Hilbert series come by the ring's own helpers
+    (`_standard_monomials`, `_hilbert_series`); `scaled_submodule` reads
+    the relations too.
     """
 
     def __init__(
@@ -520,8 +521,6 @@ class GradedModule:
         self.ring = ring
         self.shifts = shifts
         self.columns = columns
-        self._pres_gb: list | None = None
-        self._pres_lts: list[list[Monomial]] | None = None
         self._pieces: dict[int, tuple[tuple[int, Monomial], ...]] = {}
         self.resolutions: dict[tuple[int, int], object] = {}
 
@@ -552,30 +551,31 @@ class GradedModule:
             self.ring.gb.generators, self.rank
         )
 
-    def _presentation_basis(self):
+    @cached_property
+    def _presentation_basis(self) -> list:
         """Module GB over S of `_relations`."""
-        if self._pres_gb is not None:
-            return self._pres_gb
-        ring = self.ring
         elements = [_melt_from_components(rel) for rel in self._relations]
-        key = top_order_key(self.shifts, ring.poly_ring.order)
-        self._pres_gb = module_buchberger(elements, key, ring.p, self.shifts)
+        key = top_order_key(self.shifts, self.ring.poly_ring.order)
+        return module_buchberger(elements, key, self.ring.p, self.shifts)
+
+    @cached_property
+    def _presentation_leading(self) -> list[list[Monomial]]:
+        """The minimal leading monomials of that basis at each position."""
+        key = top_order_key(self.shifts, self.ring.poly_ring.order)
         lts: list[list[Monomial]] = [[] for _ in range(self.rank)]
-        for elt in self._pres_gb:
+        for elt in self._presentation_basis:
             (pos, m), _ = _melt_lt(elt, key)
             lts[pos].append(m)
-        self._pres_lts = [_minimalize_monomials(l) for l in lts]
-        return self._pres_gb
+        return [_minimalize_monomials(l) for l in lts]
 
     def piece_basis(self, d: int) -> tuple[tuple[int, Monomial], ...]:
         """Standard module monomials (position, monomial) of degree d."""
         got = self._pieces.get(d)
         if got is None:
-            self._presentation_basis()
             monos = self.ring.poly_ring.monomials_of_degree
             got = tuple(
                 (pos, m)
-                for pos, (s, lts) in enumerate(zip(self.shifts, self._pres_lts))
+                for pos, (s, lts) in enumerate(zip(self.shifts, self._presentation_leading))
                 for m in _standard_monomials(monos(d - s), lts)
             )
             self._pieces[d] = got
@@ -586,10 +586,9 @@ class GradedModule:
 
     def module_nf(self, components: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         """Canonical representative of a vector of F_0 modulo the presentation."""
-        basis = self._presentation_basis()
         key = top_order_key(self.shifts, self.ring.poly_ring.order)
         elt = _melt_from_components(components)
-        nf = module_normal_form(elt, basis, key, self.ring.p)
+        nf = module_normal_form(elt, self._presentation_basis, key, self.ring.p)
         return _melt_to_components(nf, self.rank, self.ring.poly_ring)
 
     def annihilated_by(self, f: Polynomial) -> bool:
@@ -600,8 +599,7 @@ class GradedModule:
         )
 
     def hilbert_series(self, expand_to: int) -> HilbertSeries:
-        self._presentation_basis()
-        return _hilbert_series(self._pres_lts, self.shifts, self.ring.nvars, expand_to)
+        return _hilbert_series(self._presentation_leading, self.shifts, self.ring.nvars, expand_to)
 
 
 def make_module(

@@ -54,10 +54,9 @@ nonzero entry) is rebuilt and ranked, once, on the first homology query.
 Over monomial rings the large degree maps are at most a few percent
 nonzero, so they take the sparse path of `linalg`, and no array of them is
 made. How a map is eliminated is for `linalg` to choose: a kernel sieve
-asks `_last_entries` for the last entries of N_d and `_kernel_rows` for
-the rows of ker M_d, reduced from one forward pass at the kept free columns
-alone. The echelon form that the first keeps of a dense N_d is the second's
-forward pass at the next stage, so each dense degree map is eliminated once.
+asks `_last_entries` for the last entries of N_d and hands on what else it
+returns, the form of a dense N_d, as the next stage's forward pass of M_d
+for `_kernel_rows`, so each dense degree map is eliminated once.
 """
 
 from __future__ import annotations
@@ -283,20 +282,20 @@ def _kernel_sieve(p, in_ranks, own_ranks, lo, received, passed):
     entries.
 
     `linalg._kernel_rows` reduces one forward pass of M_d at the kept free
-    columns alone. Each dense N_d is eliminated once: where the sieve has a
-    next stage (`passed` is a dict), `linalg._last_entries` may keep its
-    echelon form in `passed[d]`, and the next sieve pops it from `received`
-    at degree d, used or not, as the forward pass of M_d = [N_d | G], G the
-    generators that stage added, independent modulo the columns of N_d.
+    columns alone. Where the sieve has a next stage (`passed` is a dict), it
+    stores in `passed[d]` what `linalg._last_entries` returns besides the
+    mask, and the next sieve pops it from `received` at degree d, used or
+    not: the form of a dense N_d is the forward pass of M_d = [N_d | G], G
+    the generators that stage added, independent modulo the columns of N_d.
     """
 
     def sieve(mat, x, d):
         handed = received.pop(d, None)
         if not x.shape[1]:
             return _NO_ROWS
-        spanned, echelon = _last_entries(mat, p, passed is not None)
-        if echelon is not None:
-            passed[d] = echelon
+        spanned, form = _last_entries(mat, p)
+        if passed is not None:
+            passed[d] = form
         if x.shape[1] - in_ranks[d - lo] == spanned.sum():
             # N_d spans K_d
             own_ranks[d - lo] = spanned.sum()

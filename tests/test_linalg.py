@@ -496,7 +496,7 @@ def test_kernel_rows_are_the_wanted_nullspace_rows(inputs, share, seed):
 @example((2, np.eye(12, 5, dtype=np.int64)), 3, 1.0, 0)
 def test_kernel_rows_from_a_kept_echelon_form(inputs, extra, share, seed):
     # M = [N | G] with G independent modulo the columns of N: the kernel
-    # rows back-substituted from the echelon form that `_last_entries` keeps
+    # rows back-substituted from the dense form that `_last_entries` returns
     # of N, on the dense path, are those read off the rref of M
     p, n_mat = inputs
     rng = np.random.default_rng(seed)
@@ -506,12 +506,16 @@ def test_kernel_rows_from_a_kept_echelon_form(inputs, extra, share, seed):
         if rank(np.concatenate((m, column), axis=1), p) > rank(m, p):
             m = np.concatenate((m, column), axis=1)
     wanted = rng.random(m.shape[1]) < share
-    mask, echelon = _forced("dense", _last_entries, _nonzeros(n_mat), p, True)
-    assert echelon is not None
+    mask, handed = _forced("dense", _last_entries, _nonzeros(n_mat), p)
+    assert handed is not None
     assert mask.tolist() == _last_entries(_nonzeros(n_mat), p)[0].tolist()
     want_rows, want_rank = linalg._kernel_rows(m, p, wanted)
+    pivots = set(rref(m, p)[1])
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = nullspace(m, p).tolist()
+    assert want_rows.tolist() == [row for row, c in zip(basis, free) if wanted[c]]
     for form in (m, _nonzeros(m)):
-        rows, rank_m = linalg._kernel_rows(form, p, wanted, echelon)
+        rows, rank_m = linalg._kernel_rows(form, p, wanted, handed)
         assert rows.tolist() == want_rows.tolist()
         assert rank_m == want_rank
         for path in _FORCED_PATHS:
@@ -579,27 +583,26 @@ def test_dense_rref_back_substitutes_only_its_free_columns(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(_gate_matrices())
 def test_last_entries_keep_only_the_dense_echelon_form(inputs):
-    # keeping the echelon form changes no mask; one is kept exactly where the
+    # the path changes no mask; a dense form comes back exactly where the
     # matrix takes the dense path
     p, a = inputs
     vectors = _nonzeros(a)
     want = _last_entries(vectors, p)
-    assert want[1] is None
+    forms = [want[1]]
     for path in _FORCED_PATHS:
-        for keep in (False, True):
-            mask, echelon = _forced(path, _last_entries, vectors, p, keep)
-            assert mask.tolist() == want[0].tolist()
-            assert (echelon is not None) == (keep and path == "dense")
-    mask, echelon = _last_entries(vectors, p, True)
-    assert mask.tolist() == want[0].tolist()
-    assert (echelon is not None) == linalg._takes_dense_path(vectors)
-    if echelon is not None:
-        # the kept rows and pivots are an echelon form of `a`: back-substituted
-        # over every column, they are its rref
-        rows, pivots = echelon
-        every = list(range(a.shape[1]))
-        got = linalg._back_substitute(rows, pivots, every, p)
-        assert (got.tolist(), pivots) == (rref(a, p)[0].tolist(), rref(a, p)[1])
+        mask, form = _forced(path, _last_entries, vectors, p)
+        assert mask.tolist() == want[0].tolist()
+        assert (form is not None) == (path == "dense")
+        forms.append(form)
+    assert (want[1] is not None) == linalg._takes_dense_path(vectors)
+    r, r_pivots = rref(a, p)
+    for form in forms:
+        if form is not None:
+            # the form is an echelon form of `a`: back-substituted over every
+            # column, it is the rref
+            back, pivots, width = form
+            assert width == a.shape[1]
+            assert (back(list(range(width))).tolist(), pivots) == (r.tolist(), r_pivots)
 
 
 def _assert_paths(monkeypatch, cases):

@@ -548,7 +548,7 @@ def test_next_degree_map_matches_dense_reference(kind, order, p, target, source,
 def _module_leading(module):
     key = top_order_key(module.shifts, module.ring.order)
     lts = [[] for _ in module.shifts]
-    for elt in module._presentation_basis():
+    for elt in module._presentation_basis:
         (pos, m), _c = _melt_lt(elt, key)
         lts[pos].append(m)
     return lts
