@@ -294,6 +294,8 @@ class Polynomial:
         return dict(self.terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self.ring.check_compatible(other.ring)
         d = self._as_dict()
         p = self.ring.p
@@ -306,6 +308,8 @@ class Polynomial:
         return self.ring.from_dict(d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":

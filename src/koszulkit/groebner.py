@@ -15,7 +15,9 @@ by one Gebauer-Moeller update (`_add_pairs`). Inhomogeneous input is
 homogenized by one extra variable, and its basis is returned reduced. An
 inhomogeneous ideal (a colon by an inhomogeneous J, say) runs on them as a
 submodule of the free module of rank 1; normal forms (`normal_form`) are
-that full division. Syzygy generators via tagged elimination; a colon ideal
+that full division, by divisors that `_division_leads` alone builds, once
+per `GroebnerBasis`; a polynomial with no divisible term is returned as it
+is. Syzygy generators via tagged elimination; a colon ideal
 J : (g_1..g_k) is one such elimination, of the column (g_1..g_k) modulo
 (J + I_R) in every position.
 
@@ -71,19 +73,26 @@ class GroebnerBasis:
     @cached_property
     def _leads(self) -> list[tuple]:
         """The generators as `normal_form` divides by them, built once."""
-        return _division_leads(self.generators)
+        return _polynomial_leads(self.generators)
 
 
-def _division_leads(gens: Sequence[Polynomial]) -> list[tuple]:
-    """The polynomials as rank-1 divisors, in the form `_melt_reduce` takes."""
-    return [
-        (
-            (0, g.leading_monomial()),
-            g.ring.field.inv(g.leading_coefficient()),
-            _melt_from_components((g,)),
-        )
-        for g in gens
-    ]
+def _division_leads(elements: Sequence[ModElt], key: ModKey, p: int) -> list[tuple]:
+    """The module elements, in order, as the divisors `_melt_reduce` takes
+    under `key`: the one builder of the divisors of every normal form."""
+    leads = []
+    for b in elements:
+        pm, c = _melt_lt(b, key)
+        leads.append((pm, pow(c, -1, p), b))
+    return leads
+
+
+def _polynomial_leads(gens: Sequence[Polynomial]) -> list[tuple]:
+    """The nonzero polynomials `gens` of one ring as rank-1 divisors."""
+    if not gens:
+        return []
+    okey = gens[0].ring.order.key
+    elements = [_melt_from_components((g,)) for g in gens]
+    return _division_leads(elements, lambda pm: okey(pm[1]), gens[0].ring.p)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -92,7 +101,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     When the basis is a reduced Groebner basis the result is the canonical
     representative mod the ideal; normal_form(f) == 0 iff f lies in the ideal.
     Each leading term is divided by the first basis element whose leading
-    monomial divides it (`_melt_reduce` on rank-1 elements).
+    monomial divides it (`_melt_reduce` on the rank-1 divisors of
+    `_division_leads`, built once for a GroebnerBasis). f itself is returned
+    when no leading monomial divides a term of it.
     """
     if isinstance(basis, GroebnerBasis):
         if basis.order != f.ring.order:
@@ -100,15 +111,16 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         gens, leads = basis.generators, basis._leads
     else:
         gens = tuple(g for g in basis if not g.is_zero())
-        leads = _division_leads(gens)
+        leads = _polynomial_leads(gens)
     if not gens:
         return f
     ring = f.ring
     ring.check_compatible(gens[0].ring)
+    if not any(mono_divides(bm, m) for m, _c in f.terms for (_pos, bm), _inv, _b in leads):
+        return f
     okey = ring.order.key
-    elt = _melt_from_components((f,))
-    r = _melt_reduce(elt, leads, lambda pm: okey(pm[1]), ring.p)
-    return f if r == elt else _melt_to_components(r, 1, ring)[0]
+    r = _melt_reduce(_melt_from_components((f,)), leads, lambda pm: okey(pm[1]), ring.p)
+    return _melt_to_components(r, 1, ring)[0]
 
 
 def buchberger(
@@ -467,11 +479,7 @@ def module_normal_form(
     elt: ModElt, basis: Sequence[ModElt], key: ModKey, p: int
 ) -> ModElt:
     """Remainder of `elt` under full division by `basis` in the order `key`."""
-    leads = []
-    for b in basis:
-        pm, c = _melt_lt(b, key)
-        leads.append((pm, pow(c, -1, p), b))
-    return _melt_reduce(elt, leads, key, p)
+    return _melt_reduce(elt, _division_leads(basis, key, p), key, p)
 
 
 def module_buchberger(
@@ -561,10 +569,9 @@ def _interreduce(basis: list[ModElt], key: ModKey, p: int) -> list[ModElt]:
     versions, and no term of a reduced element becomes divisible later.
     """
     leads: list[tuple] = []
-    for e in sorted(basis, key=lambda e: key(_melt_lt(e, key)[0])):
-        (pos, m), c = _melt_lt(e, key)
+    for (pos, m), inv, e in sorted(_division_leads(basis, key, p), key=lambda t: key(t[0])):
         if not any(bpos == pos and mono_divides(bm, m) for (bpos, bm), _inv, _b in leads):
-            leads.append(((pos, m), 1, _melt_scale(e, pow(c, -1, p), p)))
+            leads.append(((pos, m), 1, _melt_scale(e, inv, p)))
     for i, (lead, _inv, elt) in enumerate(leads):
         leads[i] = (lead, 1, _melt_reduce(elt, leads[:i] + leads[i + 1 :], key, p))
     return [elt for _lead, _inv, elt in leads]
@@ -931,9 +938,4 @@ def colon_ideal(
 
 def quotient_generators(gb: GroebnerBasis, ring) -> list[Polynomial]:
     """Generators of the quotient-ring ideal: basis elements surviving reduction."""
-    out = []
-    for g in gb.generators:
-        r = ring.reduce(g)
-        if not r.is_zero():
-            out.append(r)
-    return out
+    return [r for r in map(ring.reduce, gb.generators) if not r.is_zero()]

@@ -1,7 +1,9 @@
 """Standard graded quotient rings R = F_p[x]/I and graded R-modules.
 
 Quotient elements are canonical normal forms against the reduced Groebner
-basis of the defining ideal. Graded pieces, Hilbert series (exact rational
+basis of the defining ideal, by the divisors that basis builds once
+(`groebner.normal_form`, which returns an element with no term in the
+leading-term ideal as it is). Graded pieces, Hilbert series (exact rational
 form via the monomial-ideal pivot recursion), minimal module presentations
 and linear-form eliminations live here.
 So do the one set of exact integer-series helpers (`_poly_add`, `_poly_mul`,
@@ -25,21 +27,19 @@ from .arith import (
     Polynomial,
     PolynomialRing,
     mono_degree,
-    mono_divides,
-    mono_mul,
 )
 from .groebner import (
     FreeModuleVector,
-    GroebnerBasis,
+    ModKey,
     buchberger,
     module_buchberger,
-    module_normal_form,
     normal_form,
     syzygies_over_poly_ring,
     top_order_key,
     _at_each_position,
+    _division_leads,
     _melt_from_components,
-    _melt_lt,
+    _melt_reduce,
     _melt_to_components,
     _minimalize_monomials,
 )
@@ -55,30 +55,29 @@ class QuotientRing:
     variable on R_e from exponent sums (`variable_action`). Over a
     non-monomial Groebner basis the normal form of a nonstandard product is
     read off the table of R_{e-1} and the reduced basis, by recursion on the
-    tables: no table divides a `Polynomial`. `reduce`, `monomial_nf` and
-    `mul_monomial_nf` serve the edges, where polynomials come in or go out.
+    tables: no table divides a `Polynomial`. `reduce` serves the edges,
+    where polynomials come in or go out; `monomial_nf` and `mul_monomial_nf`
+    are each one `reduce`, kept in no memo.
 
     Immutable after construction. Fill-once caches, so concurrent readers
-    are safe: piece bases and their indices, monomial normal forms, the
-    variable action of each degree (its entries grouped by monomial and
-    variable, with the first-variable lifts into the next degree), its
-    stacked matrix, and the public `linear_numerators`,
-    `linear_eliminations` and `linear_colons` that `filtration` and
-    `quotient_by_linear_forms` fill. Every table of the graded pieces is
-    keyed by a degree alone: the degree maps between free modules read the
-    variable action one block of equal shifts at a time.
+    are safe: piece bases and their indices, the variable action of each
+    degree (its entries grouped by monomial and variable, with the
+    first-variable lifts into the next degree), its stacked matrix, and the
+    public `linear_numerators`, `linear_eliminations` and `linear_colons`
+    that `filtration` and `quotient_by_linear_forms` fill. Every table of
+    the graded pieces is keyed by a degree alone: the degree maps between
+    free modules read the variable action one block of equal shifts at a
+    time.
     """
 
     def __init__(self, poly_ring: PolynomialRing, ideal_gens: Sequence[Polynomial]):
         self.poly_ring = poly_ring
         self.defining_generators = tuple(ideal_gens)
-        self.gb = buchberger(list(ideal_gens), poly_ring.order) if ideal_gens else \
-            GroebnerBasis((), poly_ring.order)
+        self.gb = buchberger(list(ideal_gens), poly_ring.order)
         # whether every element of the reduced basis is a monomial
         self._monomial_gb = all(len(g.terms) == 1 for g in self.gb.generators)
         self._pieces: dict[int, tuple[Monomial, ...]] = {}
         self._piece_index: dict[int, dict[Monomial, int]] = {}
-        self._mono_nf: dict[Monomial, Polynomial] = {}
         self._actions: dict[int, tuple[np.ndarray, ...]] = {}
         self._var_stack: dict[int, np.ndarray] = {}
         # filtration._linear_numerator and quotient_by_linear_forms, keyed by
@@ -118,18 +117,11 @@ class QuotientRing:
         return self.reduce(f).is_zero()
 
     def monomial_nf(self, m: Monomial) -> Polynomial:
-        nf = self._mono_nf.get(m)
-        if nf is None:
-            nf = self.reduce(self.poly_ring.monomial(m))
-            self._mono_nf[m] = nf
-        return nf
+        return self.reduce(self.poly_ring.monomial(m))
 
     def mul_monomial_nf(self, f: Polynomial, u: Monomial) -> Polynomial:
-        """Normal form of u * f for f already reduced."""
-        out = self.poly_ring.zero()
-        for m, c in f.terms:
-            out = out + self.monomial_nf(mono_mul(m, u)).scale(c)
-        return out
+        """Normal form of u * f."""
+        return self.reduce(f * self.poly_ring.monomial(u))
 
     def linear_form(self, coeffs: Sequence[int]) -> Polynomial:
         return self.poly_ring.linear_form(coeffs)
@@ -505,11 +497,13 @@ class GradedModule:
 
     Its relations over the polynomial ring S, the columns and then g * e_j
     for every g in the ring's reduced Groebner basis, are built once
-    (`_relations`), as are their Groebner basis (`_presentation_basis`) and
-    its leading monomials at each position (`_presentation_leading`), from
-    which pieces and the Hilbert series come by the ring's own helpers
-    (`_standard_monomials`, `_hilbert_series`); `scaled_submodule` reads
-    the relations too.
+    (`_relations`), as are its term-over-position order (`_key`), their
+    Groebner basis in it (`_presentation_basis`), that basis as the divisors
+    `module_nf` divides by (`_presentation_divisors`, from
+    `groebner._division_leads`) and their minimal leading monomials at each
+    position (`_presentation_leading`), from which pieces and the Hilbert
+    series come by the ring's own helpers (`_standard_monomials`,
+    `_hilbert_series`); `scaled_submodule` reads the relations too.
     """
 
     def __init__(
@@ -552,19 +546,26 @@ class GradedModule:
         )
 
     @cached_property
+    def _key(self) -> ModKey:
+        """The term-over-position order of the presentation."""
+        return top_order_key(self.shifts, self.ring.poly_ring.order)
+
+    @cached_property
     def _presentation_basis(self) -> list:
         """Module GB over S of `_relations`."""
         elements = [_melt_from_components(rel) for rel in self._relations]
-        key = top_order_key(self.shifts, self.ring.poly_ring.order)
-        return module_buchberger(elements, key, self.ring.p, self.shifts)
+        return module_buchberger(elements, self._key, self.ring.p, self.shifts)
+
+    @cached_property
+    def _presentation_divisors(self) -> list[tuple]:
+        """That basis as the divisors `module_nf` divides by."""
+        return _division_leads(self._presentation_basis, self._key, self.ring.p)
 
     @cached_property
     def _presentation_leading(self) -> list[list[Monomial]]:
         """The minimal leading monomials of that basis at each position."""
-        key = top_order_key(self.shifts, self.ring.poly_ring.order)
         lts: list[list[Monomial]] = [[] for _ in range(self.rank)]
-        for elt in self._presentation_basis:
-            (pos, m), _ = _melt_lt(elt, key)
+        for (pos, m), _inv, _elt in self._presentation_divisors:
             lts[pos].append(m)
         return [_minimalize_monomials(l) for l in lts]
 
@@ -585,14 +586,19 @@ class GradedModule:
         return len(self.piece_basis(d))
 
     def module_nf(self, components: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-        """Canonical representative of a vector of F_0 modulo the presentation."""
-        key = top_order_key(self.shifts, self.ring.poly_ring.order)
+        """Canonical representative of a vector of F_0 modulo the presentation:
+        `rank` polynomials of the ring's polynomial ring, else ValueError."""
+        if len(components) != self.rank:
+            raise ValueError(f"vector has {len(components)} entries, expected {self.rank}")
+        for c in components:
+            self.ring.poly_ring.check_compatible(c.ring)
         elt = _melt_from_components(components)
-        nf = module_normal_form(elt, self._presentation_basis, key, self.ring.p)
+        nf = _melt_reduce(elt, self._presentation_divisors, self._key, self.ring.p)
         return _melt_to_components(nf, self.rank, self.ring.poly_ring)
 
     def annihilated_by(self, f: Polynomial) -> bool:
         """Whether f * e_j lies in the relations at every position j."""
+        self.ring.poly_ring.check_compatible(f.ring)
         return all(
             all(c.is_zero() for c in self.module_nf(v))
             for v in _at_each_position([f], self.rank)
@@ -609,22 +615,14 @@ def make_module(
 ) -> GradedModule:
     """Normalized module presentation: unit entries pruned, entries reduced.
 
-    An entry is reduced only where one of its terms lies in the leading-term
-    ideal of the ring; zero entries and normal forms are kept as given."""
+    Entries go through `ring.reduce`, which keeps an entry with no term in
+    the leading-term ideal of the ring, zero entries too, as given."""
     shifts = list(shifts)
-    lms = ring.gb.leading_monomials()
-
-    def reduce(f: Polynomial) -> Polynomial:
-        if any(mono_divides(a, m) for m, _c in f.terms for a in lms):
-            return ring.reduce(f)
-        ring.poly_ring.check_compatible(f.ring)
-        return f
-
     cols: list[list[Polynomial]] = []
     for k, col in enumerate(columns):
         if len(col) != len(shifts):
             raise ValueError(f"column #{k + 1} has {len(col)} entries, expected {len(shifts)}")
-        reduced = [reduce(c) for c in col]
+        reduced = [ring.reduce(c) for c in col]
         vec = FreeModuleVector(tuple(reduced), tuple(shifts))
         if not vec.is_graded():
             raise ValueError(f"inhomogeneous presentation column #{k + 1}")
@@ -632,17 +630,10 @@ def make_module(
             cols.append(reduced)
 
     field = ring.poly_ring.field
-    while True:
-        unit = None
-        for c, col in enumerate(cols):
-            for r, entry in enumerate(col):
-                if not entry.is_zero() and entry.degree() == 0:
-                    unit = (r, c)
-                    break
-            if unit:
-                break
-        if unit is None:
-            break
+    # the first unit entry, column by column (the zero polynomial has degree -1)
+    while unit := next(
+        ((r, c) for c, col in enumerate(cols) for r, e in enumerate(col) if e.degree() == 0), None
+    ):
         r, c = unit
         uinv = field.inv(cols[c][r].constant_coefficient())
         pivot = cols[c]

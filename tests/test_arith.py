@@ -1,5 +1,6 @@
 """Field, monomial order and polynomial arithmetic."""
 
+import operator
 import random
 
 import pytest
@@ -139,6 +140,18 @@ def test_scale_and_mismatch_errors():
     s3, (u,) = polynomial_ring(5, ("u",))
     with pytest.raises(ValueError, match="variable-count mismatch"):
         x * u
+
+
+def test_adding_a_non_polynomial_raises_type_error():
+    # __add__ and __sub__ return NotImplemented for other operands, as
+    # __rmul__ does, so Python raises TypeError, with either operand first
+    _s, (x, _y) = polynomial_ring(5, ("x", "y"))
+    for op in (operator.add, operator.sub):
+        for other in (1, 0, 2.5, "x", None):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 def test_compare_degrevlex_examples():

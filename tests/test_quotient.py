@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from koszulkit import groebner
 from koszulkit.arith import mono_divides, mono_mul, polynomial_ring
-from koszulkit.groebner import FreeModuleVector, _EMPTY, _melt_lt, _next_degree_map, top_order_key
+from koszulkit.groebner import (
+    FreeModuleVector,
+    _EMPTY,
+    _melt_lt,
+    _next_degree_map,
+    normal_form,
+    top_order_key,
+)
 from koszulkit.linalg import Nonzeros
 from koszulkit.quotient import (
     HilbertSeries,
@@ -30,6 +38,7 @@ from koszulkit.quotient import (
     _series_divide,
 )
 from oracles import monomials_of_degree, poly_to_dict, quotient_piece_dim, rational_hilbert_series
+from test_groebner import _reference_normal_form
 from test_resolution import _reference_degree_map
 
 
@@ -270,6 +279,47 @@ def test_annihilated_by(ci2):
     m = cyclic_module(ci2, [x])
     assert m.annihilated_by(x)
     assert not m.annihilated_by(y)
+
+
+def test_module_nf_rejects_foreign_polynomials_and_lengths(ci2):
+    # a vector of F_0 has `rank` entries, each in the ring's polynomial ring,
+    # as for `QuotientRing.reduce` and the columns of `make_module`
+    x, y = ci2.poly_ring.gens()
+    _s, (a, _b) = polynomial_ring(5, ("a", "b"))
+    _t, (u, _v) = polynomial_ring(7, ("u", "v"))
+    cyclic = cyclic_module(ci2, [x])
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        cyclic.annihilated_by(a)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        cyclic.annihilated_by(u)
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        cyclic.module_nf([a])
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        free_module(ci2, ()).annihilated_by(a)
+    module = make_module(ci2, [0, 0], [[x, y]])
+    for v in ([x], [x, y, x], []):
+        with pytest.raises(ValueError, match=f"vector has {len(v)} entries, expected 2"):
+            module.module_nf(v)
+    zero = ci2.poly_ring.zero()
+    assert module.module_nf([x, y]) == (zero, zero)
+    assert module.module_nf([x, zero]) != (zero, zero)
+
+
+def test_module_nf_builds_its_divisors_once(ci2, monkeypatch):
+    x, y = ci2.poly_ring.gens()
+    module = make_module(ci2, [0, 0], [[x, y]])
+    calls = []
+    leading_term = groebner._melt_lt
+    monkeypatch.setattr(
+        groebner, "_melt_lt", lambda elt, key: calls.append(elt) or leading_term(elt, key)
+    )
+    first = module.module_nf([x * y, y])
+    built = len(calls)
+    assert built
+    assert module.module_nf([x * y, y]) == first
+    module.module_nf([x, x * y])
+    assert module.annihilated_by(x * y)
+    assert len(calls) == built
 
 
 # ------------------------------------------------ graded tables of a ring
@@ -618,3 +668,56 @@ def test_module_pieces_match_per_position_references(kind, order, p, seed):
     for d in range(-1, 7):
         want = tuple((j, m) for j, s in enumerate(shifts) for m in ring.piece(d - s))
         assert free.piece_basis(d) == want, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from(["degrevlex", "lex"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32),
+)
+def test_normal_forms_return_an_input_with_no_divisible_term_itself(kind, order, p, seed):
+    # `reduce`, and `normal_form` on a list, equal the full division by the
+    # first divisor, and set no division up when no leading monomial divides
+    # a term: then they return the object they were given
+    rng = random.Random(seed)
+    ring = _table_ring(kind, order, p, rng)
+    s = ring.poly_ring
+    elements = []
+    for d in range(5):
+        monos = s.monomials_of_degree(d)
+        elements.append(_random_element(ring, rng, d))
+        picked = rng.sample(monos, min(3, len(monos)))
+        elements.append(s.from_dict({m: rng.randrange(p) for m in picked}))
+    elements.append(elements[-1] + elements[2])
+    gens = list(ring.defining_generators)
+    for basis, divisors in ((ring.gb, ring.gb.generators), (gens, gens)):
+        leading = [g.leading_monomial() for g in divisors]
+        for f in elements:
+            got = ring.reduce(f) if basis is ring.gb else normal_form(f, basis)
+            assert got == _reference_normal_form(f, basis), f
+            divisible = any(mono_divides(a, m) for m, _c in f.terms for a in leading)
+            assert (got is f) == (not divisible), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["free", "monomial", "quadrics", "mixed", "cubic-gb"]),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+    st.integers(0, 2**32),
+)
+def test_monomial_normal_forms_are_reduce_of_the_product(kind, p, seed):
+    rng = random.Random(seed)
+    ring = _table_ring(kind, "degrevlex", p, rng)
+    s = ring.poly_ring
+    for m in s.monomials_of_degree(3):
+        want = _reference_normal_form(s.monomial(m), ring.gb)
+        assert ring.monomial_nf(m) == ring.reduce(s.monomial(m)) == want, m
+    # f need not be reduced
+    every_quadric = s.from_dict(dict.fromkeys(s.monomials_of_degree(2), 1))
+    for f in (_random_element(ring, rng, 1), every_quadric):
+        u = rng.choice(s.monomials_of_degree(rng.randint(0, 2)))
+        product = f * s.monomial(u)
+        want = _reference_normal_form(product, ring.gb)
+        assert ring.mul_monomial_nf(f, u) == ring.reduce(product) == want, (f, u)
